@@ -1,11 +1,13 @@
 """Command-line entry point: parse, validate, compute, report.
 
+Each input document is validated once, by the ``from_data`` parser of
+its type, which reports every problem at its JSON pointer on stderr.
 Every invocation emits exactly one report on stdout, as JSON by default
 or as an indented table with --pretty.  Exit codes: 0 success (and, for
 check-* subcommands, condition satisfied), 3 condition violated, 1
-input error, 2 internal invariant failure.  Rationals appear as exact
-strings; --float D adds a parallel block with decimal renderings, never
-replacing the exact values.
+input error (including an invalid document), 2 internal invariant
+failure.  Rationals appear as exact strings; --float D adds a parallel
+block with decimal renderings, never replacing the exact values.
 """
 
 from __future__ import annotations
@@ -18,10 +20,7 @@ import re
 import sys
 import warnings
 from fractions import Fraction
-from importlib import resources
 from typing import Any, Callable, Sequence
-
-from jsonschema import Draft202012Validator
 
 from . import __version__
 from .blowup import blow_up_vertex, max_chop_parameter, start_tower, tower_step
@@ -96,22 +95,8 @@ def _load_json(path: str) -> tuple[Any, dict[str, str]]:
     return doc, {"path": path, "digest": f"sha256:{digest}"}
 
 
-def _validate_schema(doc: Any, name: str) -> None:
-    text = resources.files("cuspcheck").joinpath(f"schemas/{name}.json").read_text()
-    validator = Draft202012Validator(json.loads(text))
-    found = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
-    if found:
-        raise InputValidationError(
-            [
-                ("/" + "/".join(str(p) for p in e.absolute_path), e.message)
-                for e in found
-            ]
-        )
-
-
 def _load_polytope(path: str) -> tuple[DelzantPolytope, dict[str, str]]:
     doc, info = _load_json(path)
-    _validate_schema(doc, "polytope-v1")
     return DelzantPolytope.from_data(doc), info
 
 
@@ -208,8 +193,8 @@ def _cmd_extremal_affine(args: argparse.Namespace):
 
 def _cmd_blowup(args: argparse.Namespace):
     poly, info = _load_polytope(args.input)
-    vertex = tuple(parse_rational(x) for x in args.vertex.split(","))
-    eps = parse_rational(args.eps)
+    vertex = tuple(parse_rational(x.strip()) for x in args.vertex.split(","))
+    eps = parse_rational(args.eps.strip())
     bound = max_chop_parameter(poly, vertex)
     chopped = blow_up_vertex(poly, vertex, eps, label=args.label)
     result = {
@@ -229,7 +214,7 @@ def _cmd_tower(args: argparse.Namespace):
     poly, info = _load_polytope(args.input)
     if args.rounds < 1:
         raise ValueError("--rounds must be at least 1")
-    schedule = [parse_rational(x) for x in args.eps.split(",")]
+    schedule = [parse_rational(x.strip()) for x in args.eps.split(",")]
     if len(schedule) == 1:
         schedule = schedule * args.rounds
     if len(schedule) != args.rounds:
@@ -300,7 +285,6 @@ def _cmd_check_obstruction(args: argparse.Namespace):
 
 def _cmd_check_hypotheses(args: argparse.Namespace):
     doc, info = _load_json(args.input)
-    _validate_schema(doc, "moment-configuration-v1")
     config = MomentConfiguration.from_data(doc)
     report = check_hypotheses(config)
     result = {
@@ -319,7 +303,6 @@ def _cmd_check_hypotheses(args: argparse.Namespace):
 
 def _cmd_indicial_roots(args: argparse.Namespace):
     doc, info = _load_json(args.pairs)
-    _validate_schema(doc, "spectra-v1")
     pairs, coefficients = spectra_from_data(doc)
     result: dict[str, Any] = {"convention": SIGN_CONVENTION}
     if args.window is not None:

@@ -71,9 +71,10 @@ class ChartMismatch(CuspcheckError):
 
 
 class InputValidationError(CuspcheckError):
-    """Aggregated schema and parse errors for one input document.
+    """Every problem found while validating one input document.
 
-    ``errors`` is a list of ``(json_pointer, message)`` pairs.
+    ``errors`` is a list of ``(json_pointer, message)`` pairs; the pointer
+    names the offending value, or ``""`` for the document as a whole.
     """
 
     def __init__(self, errors):

@@ -37,7 +37,10 @@ _CERTIFY_TOL = 1e-9
 def _as_real(value: object, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{name} must be a real number, got {value!r}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got an integer beyond float range") from None
     if not math.isfinite(out):
         raise ValueError(f"{name} must be finite, got {out}")
     return out
@@ -215,12 +218,18 @@ def spectra_from_data(
     if not isinstance(data, dict):
         raise InputValidationError([("", "spectra document must be an object")])
 
-    def number_at(raw: object, pointer: str, name: str) -> float | None:
+    def number_at(
+        raw: object, pointer: str, name: str, nonnegative: bool = False
+    ) -> float | None:
         try:
-            return _as_real(raw, name)
+            value = _as_real(raw, name)
         except (TypeError, ValueError) as exc:
             errors.append((pointer, str(exc)))
             return None
+        if nonnegative and value < 0:
+            errors.append((pointer, f"{name} must be nonnegative, got {value}"))
+            return None
+        return value
 
     scale = 1.0
     if "scale" in data:
@@ -240,8 +249,8 @@ def spectra_from_data(
         if not isinstance(entry, dict):
             errors.append((base, "must be an object"))
             continue
-        lam = number_at(entry.get("lambda"), f"{base}/lambda", "lambda")
-        mu = number_at(entry.get("mu"), f"{base}/mu", "mu")
+        lam = number_at(entry.get("lambda"), f"{base}/lambda", "lambda", nonnegative=True)
+        mu = number_at(entry.get("mu"), f"{base}/mu", "mu", nonnegative=True)
         mult = entry.get("mult", 1)
         if isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:
             errors.append((f"{base}/mult", "must be a positive integer"))
@@ -255,8 +264,8 @@ def spectra_from_data(
         except (TypeError, ValueError) as exc:
             errors.append((base, str(exc)))
     coefficients = None
-    raw_coeff = data.get("coefficients")
-    if raw_coeff is not None:
+    if "coefficients" in data:
+        raw_coeff = data["coefficients"]
         if not isinstance(raw_coeff, dict):
             errors.append(("/coefficients", "must be an object"))
         else:

@@ -97,6 +97,8 @@ class MomentConfiguration:
         if not points:
             raise ValueError("a moment configuration needs at least one point")
         dim = len(points[0])
+        if dim == 0:
+            raise ValueError("points must have at least one coordinate")
         if any(len(p) != dim for p in points):
             raise DimensionMismatch("all points must have the same length")
         weights = tuple(Fraction(w) for w in self.weights)
@@ -138,52 +140,53 @@ class MomentConfiguration:
         if not isinstance(data, dict):
             raise InputValidationError([("", "configuration must be an object")])
 
-        def parse_vector_list(key: str, required: bool) -> list[tuple[Fraction, ...]] | None:
-            raw = data.get(key)
-            if raw is None:
+        def parse_rationals(raw: list, pointer: str) -> tuple[Fraction, ...] | None:
+            row = []
+            for j, value in enumerate(raw):
+                try:
+                    row.append(parse_rational(value))
+                except (TypeError, ValueError) as exc:
+                    errors.append((f"{pointer}/{j}", str(exc)))
+            return tuple(row) if len(row) == len(raw) else None
+
+        def parse_vector_list(
+            key: str, required: bool, nonempty: bool
+        ) -> list[tuple[Fraction, ...]] | None:
+            if key not in data:
                 if required:
                     errors.append((f"/{key}", "missing required field"))
                 return None
-            if not isinstance(raw, list):
-                errors.append((f"/{key}", "must be an array of arrays"))
+            raw = data[key]
+            if not isinstance(raw, list) or (nonempty and not raw):
+                errors.append(
+                    (f"/{key}", "must be a non-empty array" if nonempty else "must be an array")
+                )
                 return None
             out = []
             for i, entry in enumerate(raw):
-                if not isinstance(entry, list):
-                    errors.append((f"/{key}/{i}", "must be an array"))
+                if not isinstance(entry, list) or not entry:
+                    errors.append((f"/{key}/{i}", "must be a non-empty array"))
                     continue
-                row = []
-                ok = True
-                for j, value in enumerate(entry):
-                    try:
-                        row.append(parse_rational(value))
-                    except (TypeError, ValueError) as exc:
-                        errors.append((f"/{key}/{i}/{j}", str(exc)))
-                        ok = False
-                if ok:
-                    out.append(tuple(row))
+                row = parse_rationals(entry, f"/{key}/{i}")
+                if row is not None:
+                    out.append(row)
             return out
 
         n = data.get("n")
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             errors.append(("/n", "must be a positive integer"))
             n = None
-        points = parse_vector_list("points", required=True)
-        basis = parse_vector_list("t_basis", required=True)
-        eval_rows = parse_vector_list("eval_matrix", required=False)
+        points = parse_vector_list("points", required=True, nonempty=True)
+        basis = parse_vector_list("t_basis", required=True, nonempty=False)
+        eval_rows = parse_vector_list("eval_matrix", required=False, nonempty=True)
         raw_weights = data.get("weights")
-        weights: list[Fraction] | None = None
-        if raw_weights is None:
+        weights: tuple[Fraction, ...] | None = None
+        if "weights" not in data:
             errors.append(("/weights", "missing required field"))
-        elif not isinstance(raw_weights, list):
-            errors.append(("/weights", "must be an array"))
+        elif not isinstance(raw_weights, list) or not raw_weights:
+            errors.append(("/weights", "must be a non-empty array"))
         else:
-            weights = []
-            for i, value in enumerate(raw_weights):
-                try:
-                    weights.append(parse_rational(value))
-                except (TypeError, ValueError) as exc:
-                    errors.append((f"/weights/{i}", str(exc)))
+            weights = parse_rationals(raw_weights, "/weights")
         known = {"n", "points", "weights", "t_basis", "eval_matrix"}
         for key in sorted(set(data) - known):
             errors.append((f"/{key}", "unknown field"))

@@ -23,6 +23,7 @@ from .errors import (
     DimensionMismatch,
     EmptyPolytope,
     InputValidationError,
+    InvalidPolytope,
     NotUnimodular,
     UnboundedPolytope,
 )
@@ -71,6 +72,8 @@ class Facet:
         offset = parse_rational(self.offset)
         if self.label is not None and not isinstance(self.label, str):
             raise TypeError(f"facet label must be a string, got {self.label!r}")
+        if self.label == "":
+            raise ValueError("facet label must be non-empty")
         object.__setattr__(self, "normal", normal)
         object.__setattr__(self, "offset", offset)
 
@@ -339,7 +342,13 @@ class DelzantPolytope:
 
     @classmethod
     def from_data(cls, data: object) -> "DelzantPolytope":
-        """Build from the JSON wire format, with pointer-tagged errors."""
+        """Build from the JSON wire format, with pointer-tagged errors.
+
+        Every rejection is an InputValidationError: malformed fields are
+        reported at their own pointer, and a well-formed description that
+        is not a polytope (empty, unbounded, degenerate, repeated normal
+        or label) at the document root.
+        """
         errors: list[tuple[str, str]] = []
         if not isinstance(data, dict):
             raise InputValidationError([("", "polytope document must be an object")])
@@ -361,27 +370,34 @@ class DelzantPolytope:
                 errors.append((base, "must be an object"))
                 continue
             normal = entry.get("normal")
-            if (
-                not isinstance(normal, list)
-                or not normal
-                or any(isinstance(x, bool) or not isinstance(x, int) for x in normal)
-            ):
-                errors.append((f"{base}/normal", "must be an array of integers"))
+            if not isinstance(normal, list) or not normal:
+                errors.append((f"{base}/normal", "must be a non-empty array of integers"))
                 normal = None
-            elif dim is not None and len(normal) != dim:
-                errors.append(
-                    (f"{base}/normal", f"length {len(normal)} does not match dim {dim}")
-                )
-                normal = None
+            else:
+                bad = [
+                    j
+                    for j, x in enumerate(normal)
+                    if isinstance(x, bool) or not isinstance(x, int)
+                ]
+                for j in bad:
+                    errors.append((f"{base}/normal/{j}", "must be an integer"))
+                if bad:
+                    normal = None
+                elif dim is not None and len(normal) != dim:
+                    errors.append(
+                        (f"{base}/normal", f"length {len(normal)} does not match dim {dim}")
+                    )
+                    normal = None
             offset = entry.get("offset")
             try:
                 offset = parse_rational(offset)
             except (TypeError, ValueError) as exc:
-                errors.append((f"{base}/offset", str(exc)))
+                message = str(exc) if "offset" in entry else "missing required field"
+                errors.append((f"{base}/offset", message))
                 offset = None
             label = entry.get("label")
-            if label is not None and not isinstance(label, str):
-                errors.append((f"{base}/label", "must be a string"))
+            if "label" in entry and (not isinstance(label, str) or not label):
+                errors.append((f"{base}/label", "must be a non-empty string"))
                 label = None
             for key in sorted(set(entry) - {"normal", "offset", "label"}):
                 errors.append((f"{base}/{key}", "unknown field"))
@@ -393,7 +409,10 @@ class DelzantPolytope:
         if errors:
             raise InputValidationError(errors)
         assert dim is not None
-        return cls(dim=dim, facets=tuple(facets))
+        try:
+            return cls(dim=dim, facets=tuple(facets))
+        except (InvalidPolytope, DegenerateFacet, ValueError) as exc:
+            raise InputValidationError([("", str(exc))]) from exc
 
 
 def enumerate_vertices(poly: DelzantPolytope) -> tuple[Vertex, ...]:

@@ -12,13 +12,16 @@ import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+# ASCII digits only, matched against the whole string: \d would admit any
+# Unicode digit and $ a trailing newline, both outside the wire format.
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def parse_rational(value: int | str | Fraction) -> Fraction:
     """Parse an exact rational from an int or a "p/q" string.
 
-    Floats are rejected: they carry no exactness guarantee.
+    Floats are rejected: they carry no exactness guarantee.  Strings must
+    match ``[+-]?[0-9]+(/[0-9]+)?`` exactly, with no surrounding space.
     Raises ValueError with an "invalid rational" message on bad input,
     including a zero denominator.
     """
@@ -29,15 +32,14 @@ def parse_rational(value: int | str | Fraction) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        text = value.strip()
-        if not _RATIONAL_RE.match(text):
+        if not _RATIONAL_RE.fullmatch(value):
             raise ValueError(f"invalid rational: {value!r}")
-        if "/" in text:
-            num, den = text.split("/")
+        if "/" in value:
+            num, den = value.split("/")
             if int(den) == 0:
                 raise ValueError(f"invalid rational: {value!r} (zero denominator)")
             return Fraction(int(num), int(den))
-        return Fraction(int(text))
+        return Fraction(int(value))
     raise ValueError(f"invalid rational: {value!r} (expected int or 'p/q' string)")
 
 

@@ -244,10 +244,15 @@ def test_spectra_from_data_pointer_errors():
             }
         )
     pointers = [p for p, _ in err.value.errors]
-    assert any(p.startswith("/pairs/0") for p in pointers)
+    assert "/pairs/0/lambda" in pointers
     assert any(p.startswith("/pairs/1") for p in pointers)
     assert "/scale" in pointers
     assert "/bogus" in pointers
+
+    # a JSON integer too large for a float is an input error, not a crash
+    with pytest.raises(InputValidationError) as err:
+        spectra_from_data({"pairs": [{"lambda": 10**400, "mu": 0}]})
+    assert [p for p, _ in err.value.errors] == ["/pairs/0/lambda"]
 
 
 def test_spectra_from_data_requires_pairs():

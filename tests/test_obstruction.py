@@ -260,6 +260,14 @@ def test_configuration_from_data_pointer_errors():
     assert any(p.startswith("/points/1") for p in pointers)
     assert "/nonsense" in pointers
 
+    # zero-length vectors would make every check pass vacuously
+    doc = {"n": 2, "points": [[]], "weights": [1], "t_basis": [[]], "eval_matrix": [[]]}
+    with pytest.raises(InputValidationError) as err:
+        MomentConfiguration.from_data(doc)
+    assert [p for p, _ in err.value.errors] == ["/points/0", "/t_basis/0", "/eval_matrix/0"]
+    with pytest.raises(ValueError, match="at least one coordinate"):
+        _config(points=((),), weights=(1,), t_basis=(), eval_matrix=((),))
+
 
 def test_toric_configuration_auto_fill(triangle):
     cfg = toric_configuration(triangle, "hyp")

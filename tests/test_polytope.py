@@ -334,7 +334,7 @@ def test_from_data_error_pointers():
         "dim": 2,
         "facets": [
             {"normal": [2, 2], "offset": 0},
-            {"normal": [1, 0], "offset": "1/0"},
+            {"normal": [1, 0], "offset": "1/0", "label": ""},
             {"normal": [0, 1], "offset": 0, "extra": 1},
         ],
         "stray": True,
@@ -344,6 +344,7 @@ def test_from_data_error_pointers():
     pointers = dict(err.value.errors)
     assert "not primitive" in pointers["/facets/0"]
     assert "invalid rational" in pointers["/facets/1/offset"]
+    assert "non-empty" in pointers["/facets/1/label"]
     assert pointers["/facets/2/extra"] == "unknown field"
     assert pointers["/stray"] == "unknown field"
 

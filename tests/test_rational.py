@@ -30,7 +30,11 @@ def test_parse_accepts_exact_forms(text, expected):
 
 
 @pytest.mark.parametrize(
-    "bad", ["1/0", "0/0", "1.5", "", "a", "1/2/3", "1 / 2", 1.5, True, False, None, [1]]
+    "bad",
+    [
+        "1/0", "0/0", "1.5", "", "a", "1/2/3", "1 / 2", 1.5, True, False, None, [1],
+        " 3 ", " 1", "3\n", "١/٢", "٠", "１",
+    ],
 )
 def test_parse_rejects_inexact_or_malformed(bad):
     with pytest.raises(ValueError, match="invalid rational"):
