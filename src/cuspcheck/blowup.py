@@ -5,6 +5,14 @@ the sum of the corner's normals; for chop parameter t the lost volume
 is exactly t^n/n!.  A tower repeats this along a distinguished facet:
 each round chops every fixed point created by the previous round while
 leaving the distinguished facet untouched.
+
+The chopped polytope is built in closed form.  At a unimodular corner v
+the edge generators w_i are the columns of the inverse of the active
+normal matrix (Delzant's construction), so the chop at parameter eps
+removes v and adds the vertices v + eps * w_i, each tight on the
+corner's facets but the i-th and on the new facet.  The construction
+verifies the claimed vertex set (feasible, tight exactly where claimed,
+simple, unimodular, closed under edges) rather than re-enumerating it.
 """
 
 from __future__ import annotations
@@ -13,8 +21,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import ChopTooDeep, InteractingChops, NotAVertex, NotUnimodular
-from .linalg import Vector, det_int, dot
+from .errors import (
+    ChopTooDeep,
+    InteractingChops,
+    InvariantViolation,
+    NotAVertex,
+    NotUnimodular,
+)
+from .linalg import IntVector, Vector, dot, inverse_unimodular, transpose
 from .polytope import DelzantPolytope, Facet, Vertex, is_delzant
 from .rational import format_rational, format_rational_vector, parse_rational
 
@@ -27,8 +41,15 @@ def _find_vertex(poly: DelzantPolytope, point: Sequence[Fraction]) -> Vertex:
     raise NotAVertex(f"{format_rational_vector(p)} is not a vertex of the polytope")
 
 
-def _corner_data(poly: DelzantPolytope, vertex: Vertex) -> tuple[tuple[int, ...], Fraction]:
-    """Sum of active normals and offsets at a smooth corner."""
+def _corner(
+    poly: DelzantPolytope, vertex: Vertex
+) -> tuple[IntVector, Fraction, tuple[IntVector, ...]]:
+    """New facet normal, base offset and edge generators of a smooth corner.
+
+    The generators are the columns of the inverse of the active normal
+    matrix, in the order of ``vertex.active``: generator i leaves the
+    i-th active facet and stays on the others.
+    """
     n = poly.dim
     if len(vertex.active) != n:
         raise NotUnimodular(
@@ -36,14 +57,25 @@ def _corner_data(poly: DelzantPolytope, vertex: Vertex) -> tuple[tuple[int, ...]
             f"{len(vertex.active)} facets; chops need a simple corner"
         )
     normals = [poly.facets[i].normal for i in vertex.active]
-    if det_int(normals) not in (1, -1):
+    try:
+        generators = transpose(inverse_unimodular(normals))
+    except NotUnimodular:
         raise NotUnimodular(
             f"corner at {format_rational_vector(vertex.point)} has active "
             "normal determinant other than +-1"
-        )
+        ) from None
     new_normal = tuple(sum(u[k] for u in normals) for k in range(n))
     base_offset = sum((poly.facets[i].offset for i in vertex.active), Fraction(0))
-    return new_normal, base_offset
+    return new_normal, base_offset, generators
+
+
+def _bound(
+    poly: DelzantPolytope, vertex: Vertex, new_normal: IntVector, base_offset: Fraction
+) -> Fraction:
+    others = [w for w in poly.vertices if w.point != vertex.point]
+    if not others:
+        raise InvariantViolation("validated polytopes have at least n+1 vertices")
+    return min(dot(new_normal, w.point) - base_offset for w in others)
 
 
 def max_chop_parameter(poly: DelzantPolytope, vertex: Sequence[Fraction]) -> Fraction:
@@ -54,10 +86,47 @@ def max_chop_parameter(poly: DelzantPolytope, vertex: Sequence[Fraction]) -> Fra
     nearest competing vertex exactly at t*.
     """
     v = _find_vertex(poly, vertex)
-    new_normal, base_offset = _corner_data(poly, v)
-    others = [w for w in poly.vertices if w.point != v.point]
-    assert others, "validated polytopes have at least n+1 vertices"
-    return min(dot(new_normal, w.point) - base_offset for w in others)
+    new_normal, base_offset, _ = _corner(poly, v)
+    return _bound(poly, v, new_normal, base_offset)
+
+
+def _chop(
+    poly: DelzantPolytope,
+    corners: Sequence[tuple[Vertex, IntVector, Fraction, tuple[IntVector, ...]]],
+    eps: Fraction,
+    labels: Sequence[str | None],
+) -> DelzantPolytope:
+    """Chop every corner at parameter eps, appending one facet per corner.
+
+    Each entry of ``corners`` is a vertex with its ``_corner`` data, and
+    each chop must already be below its depth bound.  The vertices one
+    chop creates must strictly satisfy every other chop's inequality,
+    otherwise the chops would share boundary (InteractingChops).
+    """
+    m = len(poly.facets)
+    chopped = {v.point for v, _, _, _ in corners}
+    facets = list(poly.facets)
+    claimed = [v for v in poly.vertices if v.point not in chopped]
+    created = []
+    for k, ((v, normal, base, generators), label) in enumerate(zip(corners, labels)):
+        facets.append(Facet(normal=normal, offset=base + eps, label=label))
+        points = [tuple(x + eps * d for x, d in zip(v.point, w)) for w in generators]
+        for i, point in enumerate(points):
+            active = v.active[:i] + v.active[i + 1 :] + (m + k,)
+            claimed.append(Vertex(point=point, active=active))
+        created.append(points)
+
+    for (v, _, _, _), points in zip(corners, created):
+        for w, normal_w, base_w, _ in corners:
+            if w.point == v.point:
+                continue
+            if any(dot(normal_w, point) <= base_w + eps for point in points):
+                raise InteractingChops(
+                    f"chops at {format_rational_vector(v.point)} and "
+                    f"{format_rational_vector(w.point)} overlap at "
+                    f"parameter {format_rational(eps)}"
+                )
+    return DelzantPolytope._from_claimed_vertices(poly.dim, tuple(facets), claimed)
 
 
 def blow_up_vertex(
@@ -71,21 +140,26 @@ def blow_up_vertex(
     The new facet's normal is the sum of the corner's normals, its
     offset the corner's offset sum plus eps.  Requires 0 < eps <
     max_chop_parameter; at or beyond the bound the chop is rejected as
-    ChopTooDeep because it would swallow a neighbouring vertex.
+    ChopTooDeep because it would swallow a neighbouring vertex.  The
+    result's vertices come from the closed form when the polytope
+    passes the vertex test; otherwise, where the completeness check
+    does not apply, the chopped description is enumerated from scratch.
     """
     eps = parse_rational(eps)
     if eps <= 0:
         raise ValueError(f"chop parameter must be positive, got {format_rational(eps)}")
     v = _find_vertex(poly, vertex)
-    new_normal, base_offset = _corner_data(poly, v)
-    bound = max_chop_parameter(poly, v.point)
+    new_normal, base_offset, generators = _corner(poly, v)
+    bound = _bound(poly, v, new_normal, base_offset)
     if eps >= bound:
         raise ChopTooDeep(
             f"chop parameter {format_rational(eps)} at "
             f"{format_rational_vector(v.point)} reaches the bound {format_rational(bound)}"
         )
-    new_facet = Facet(normal=new_normal, offset=base_offset + eps, label=label)
-    return DelzantPolytope(dim=poly.dim, facets=poly.facets + (new_facet,))
+    if not is_delzant(poly):
+        new_facet = Facet(normal=new_normal, offset=base_offset + eps, label=label)
+        return DelzantPolytope(dim=poly.dim, facets=poly.facets + (new_facet,))
+    return _chop(poly, [(v, new_normal, base_offset, generators)], eps, [label])
 
 
 def free_fixed_points(
@@ -141,7 +215,11 @@ class TowerState:
         out = []
         for v in self.polytope.vertices:
             if any(i in v.active for i in newest):
-                assert self.divisor_facet not in v.active
+                if self.divisor_facet in v.active:
+                    raise InvariantViolation(
+                        "a vertex on the newest chop facets lies on the "
+                        "distinguished facet"
+                    )
                 out.append(v)
         return tuple(out)
 
@@ -174,49 +252,33 @@ def tower_step(state: TowerState, eps: Fraction) -> TowerState:
     """Chop every designated vertex with the common parameter eps.
 
     Each chop is validated against its own depth bound (ChopTooDeep),
-    then pairwise: the vertices a single chop creates must strictly
-    satisfy every other chop's inequality, otherwise the chops would
-    share boundary and the result is rejected as InteractingChops.
+    then pairwise: the vertices a single chop creates, v + eps * w_i in
+    closed form, must strictly satisfy every other chop's inequality,
+    otherwise the chops would share boundary and the result is rejected
+    as InteractingChops.  The chopped polytope is built from those
+    closed-form vertices and verified, not re-enumerated, and must pass
+    the vertex test.
     """
     eps = parse_rational(eps)
     if eps <= 0:
         raise ValueError(f"chop parameter must be positive, got {format_rational(eps)}")
     targets = state.designated_vertices()
-    assert targets, "a validated tower state always designates vertices"
+    if not targets:
+        raise InvariantViolation("a validated tower state always designates vertices")
 
     corners = []
-    for v in targets:
-        bound = max_chop_parameter(state.polytope, v.point)
+    records = []
+    labels = _fresh_labels(state.polytope, len(state.history) + 1, len(targets))
+    for v, label in zip(targets, labels):
+        normal, base, generators = _corner(state.polytope, v)
+        bound = _bound(state.polytope, v, normal, base)
         if eps >= bound:
             raise ChopTooDeep(
                 f"round {state.round + 1} chop at "
                 f"{format_rational_vector(v.point)} needs eps < {format_rational(bound)}, "
                 f"got {format_rational(eps)}"
             )
-        normal, base = _corner_data(state.polytope, v)
-        corners.append((v, normal, base, bound))
-
-    if len(corners) > 1:
-        for v, _, _, _ in corners:
-            single = blow_up_vertex(state.polytope, v.point, eps)
-            new_index = len(single.facets) - 1
-            created = [w.point for w in single.vertices if new_index in w.active]
-            for w, normal_w, base_w, _ in corners:
-                if w.point == v.point:
-                    continue
-                for point in created:
-                    if dot(normal_w, point) <= base_w + eps:
-                        raise InteractingChops(
-                            f"chops at {format_rational_vector(v.point)} and "
-                            f"{format_rational_vector(w.point)} overlap at "
-                            f"parameter {format_rational(eps)}"
-                        )
-
-    labels = _fresh_labels(state.polytope, len(state.history) + 1, len(corners))
-    new_facets = list(state.polytope.facets)
-    records = []
-    for (v, normal, base, bound), label in zip(corners, labels):
-        new_facets.append(Facet(normal=normal, offset=base + eps, label=label))
+        corners.append((v, normal, base, generators))
         records.append(
             BlowupSpec(
                 vertex=v.point,
@@ -226,9 +288,12 @@ def tower_step(state: TowerState, eps: Fraction) -> TowerState:
                 round=state.round + 1,
             )
         )
-    chopped = DelzantPolytope(dim=state.polytope.dim, facets=tuple(new_facets))
+    chopped = _chop(state.polytope, corners, eps, labels)
     report = is_delzant(chopped)
-    assert report, "simultaneous valid corner chops preserve the vertex test"
+    if not report:
+        raise InvariantViolation(
+            f"round {state.round + 1} fails the vertex test: {report.violations[0]}"
+        )
     return TowerState(
         polytope=chopped,
         divisor_facet=state.divisor_facet,

@@ -29,6 +29,7 @@ from .errors import (
     CuspcheckError,
     FormalExtensionWarning,
     InputValidationError,
+    InvariantViolation,
     SingularGram,
 )
 from .extremal import AffineFunction, extremal_affine
@@ -45,7 +46,7 @@ from .obstruction import MomentConfiguration, check_facet_condition, check_hypot
 from .polytope import DelzantPolytope, is_delzant
 from .rational import format_rational, parse_rational
 
-_INT_RE = re.compile(r"^[+-]?\d+$")
+_INT_RE = re.compile(r"[+-]?[0-9]+")
 
 
 class _Rat:
@@ -101,7 +102,7 @@ def _load_polytope(path: str) -> tuple[DelzantPolytope, dict[str, str]]:
 
 
 def _facet_key(text: str) -> int | str:
-    return int(text) if _INT_RE.match(text) else text
+    return int(text) if _INT_RE.fullmatch(text) else text
 
 
 def _rat_vector(values: Sequence[Fraction]) -> list[_Rat]:
@@ -459,7 +460,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         for pointer, message in exc.errors:
             print(f"error at {pointer or '/'}: {message}", file=sys.stderr)
         return 1
-    except (SingularGram, ChartMismatch, AssertionError) as exc:
+    except (SingularGram, ChartMismatch, InvariantViolation, AssertionError) as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return 2
     except (CuspcheckError, ValueError, TypeError, KeyError, IndexError) as exc:

@@ -58,6 +58,10 @@ class InteractingChops(CuspcheckError):
     """Two simultaneous chops would share or cut each other's new vertices."""
 
 
+class InvariantViolation(CuspcheckError):
+    """An internal consistency check failed: a defect, not bad input."""
+
+
 class MissingEvaluationData(CuspcheckError):
     """Kernel condition requested but no evaluation matrix was supplied."""
 

@@ -253,7 +253,9 @@ def _simplex_monomial_integral(
     return volume * math.factorial(n) / math.factorial(n + degree) * total
 
 
-@lru_cache(maxsize=None)
+# Bounded so that a long run (a chop tower) does not keep every polytope
+# alive; one moment check needs far fewer entries than this.
+@lru_cache(maxsize=256)
 def _triangulate(poly: DelzantPolytope) -> tuple[tuple[Vector, ...], ...]:
     """Fan triangulation into simplices, each a tuple of n+1 vertex points.
 

@@ -3,15 +3,23 @@
 A polytope is stored as {x : <u_i, x> >= c_i} with primitive integer
 inward normals u_i and rational offsets c_i.  Construction validates
 everything: non-emptiness, boundedness, full dimension, and that every
-listed halfspace supports an actual facet.  Vertices are enumerated at
+listed halfspace supports an actual facet.  Vertices are found at
 construction time and cached, so downstream code can treat a
 DelzantPolytope as a fully checked immutable value.
+
+User input (direct construction, ``from_data``) finds its vertices by
+the C(m, n) scan over n-subsets of the m facets.  A corner chop
+(``blowup``) knows the new vertices in closed form, v + eps * w_i, and
+builds through ``_from_claimed_vertices``, which verifies the claimed
+set in O(V * m) instead of scanning.  Both paths share the same
+validation tail.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -24,6 +32,7 @@ from .errors import (
     EmptyPolytope,
     InputValidationError,
     InvalidPolytope,
+    InvariantViolation,
     NotUnimodular,
     UnboundedPolytope,
 )
@@ -43,7 +52,7 @@ from .linalg import (
     solve_linear,
     transpose,
 )
-from .rational import format_rational, parse_rational
+from .rational import format_rational, format_rational_vector, parse_rational
 
 
 def _as_int_vector(values: Iterable, what: str) -> IntVector:
@@ -190,6 +199,84 @@ class DelzantPolytope:
     facets: tuple[Facet, ...]
 
     def __post_init__(self) -> None:
+        normals, offsets = self._check_facets()
+        n = self.dim
+        candidates = self._vertex_candidates(normals, offsets)
+        if not candidates:
+            constraints = [
+                (tuple(Fraction(x) for x in u), c) for u, c in zip(normals, offsets)
+            ]
+            if not _fourier_motzkin_feasible(constraints, n):
+                raise EmptyPolytope("no point satisfies all facet inequalities")
+
+        frac_normals = [tuple(Fraction(x) for x in u) for u in normals]
+        if rank(frac_normals) < n:
+            raise UnboundedPolytope("facet normals do not span the ambient space")
+        ray = self._recession_ray(normals)
+        if ray is not None:
+            raise UnboundedPolytope(f"recession direction {ray} is unbounded")
+
+        # Bounded and feasible, hence a polytope: it must have vertices.
+        if not candidates:
+            raise InvariantViolation(
+                "bounded nonempty polyhedron with no vertex candidates"
+            )
+        self._set_vertices(candidates)
+        self._check_faces()
+
+    @classmethod
+    def _from_claimed_vertices(
+        cls, dim: int, facets: Sequence[Facet], claimed: Sequence[Vertex]
+    ) -> "DelzantPolytope":
+        """Build from a claimed vertex set, verified instead of scanned.
+
+        The caller guarantees boundedness: ``facets`` must include those of
+        a polytope, which is why the emptiness and recession tests are
+        skipped.  Every claimed point must satisfy all inequalities, be
+        tight on exactly its claimed active facets, and pass the vertex
+        test.  Completeness is then checked edge by edge: each of the n
+        ridges of a simple vertex must end in exactly one other claimed
+        vertex.  A vertex set closed under edges is the whole vertex set,
+        since the graph of a polytope is connected (Balinski).  Any
+        failure raises InvariantViolation; the face checks of the scan
+        path follow.  The cost is O(V * m), against O(C(m, n) * m) for
+        the scan.
+        """
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "dim", dim)
+        object.__setattr__(poly, "facets", facets)
+        poly._check_facets()
+        claimed_active = {v.point: tuple(sorted(v.active)) for v in claimed}
+        if not claimed_active:
+            raise InvariantViolation("no vertices claimed for the polytope")
+        if len(claimed_active) != len(claimed):
+            raise InvariantViolation("a claimed vertex is listed twice")
+        poly._set_vertices(claimed_active)
+        for v in poly.vertices:
+            if v.active != claimed_active[v.point]:
+                raise InvariantViolation(
+                    f"claimed vertex {format_rational_vector(v.point)} is tight on "
+                    f"facets {list(v.active)}, not {list(claimed_active[v.point])}"
+                )
+        report = is_delzant(poly)
+        if not report:
+            raise InvariantViolation(
+                f"claimed vertex set fails the vertex test: {report.violations[0]}"
+            )
+        ends = Counter(
+            v.active[:i] + v.active[i + 1 :] for v in poly.vertices for i in range(dim)
+        )
+        for ridge, count in ends.items():
+            if count != 2:
+                raise InvariantViolation(
+                    f"the edge on facets {list(ridge)} has {count} claimed "
+                    "endpoints, expected 2"
+                )
+        poly._check_faces()
+        return poly
+
+    def _check_facets(self) -> tuple[list[IntVector], list[Fraction]]:
+        """Dimension, normal lengths, distinct normals and unique labels."""
         if not isinstance(self.dim, int) or isinstance(self.dim, bool) or self.dim < 1:
             raise DimensionMismatch(f"dimension must be a positive integer, got {self.dim!r}")
         facets = tuple(self.facets)
@@ -208,46 +295,43 @@ class DelzantPolytope:
         labels = [f.label for f in facets if f.label is not None]
         if len(labels) != len(set(labels)):
             raise ValueError("facet labels must be unique")
+        return [f.normal for f in facets], [f.offset for f in facets]
 
-        normals = [f.normal for f in facets]
-        offsets = [f.offset for f in facets]
+    def _set_vertices(self, points: Iterable[Vector]) -> None:
+        """Store the vertex points in lexicographic order with their tight facets.
 
-        candidates = self._vertex_candidates(normals, offsets)
-        if not candidates:
-            constraints = [
-                (tuple(Fraction(x) for x in u), c) for u, c in zip(normals, offsets)
-            ]
-            if not _fourier_motzkin_feasible(constraints, n):
-                raise EmptyPolytope("no point satisfies all facet inequalities")
-
-        frac_normals = [tuple(Fraction(x) for x in u) for u in normals]
-        if rank(frac_normals) < n:
-            raise UnboundedPolytope("facet normals do not span the ambient space")
-        ray = self._recession_ray(normals)
-        if ray is not None:
-            raise UnboundedPolytope(f"recession direction {ray} is unbounded")
-
-        # Bounded and feasible, hence a polytope: it must have vertices.
-        assert candidates, "bounded nonempty polyhedron with no vertex candidates"
+        A point outside the polytope is a defect of the caller and raises
+        InvariantViolation.
+        """
         vertices = []
-        for point in sorted(candidates):
-            active = tuple(
-                i for i, (u, c) in enumerate(zip(normals, offsets)) if dot(u, point) == c
-            )
-            vertices.append(Vertex(point=point, active=active))
+        for point in sorted(points):
+            active = []
+            for i, f in enumerate(self.facets):
+                height = dot(f.normal, point)
+                if height < f.offset:
+                    raise InvariantViolation(
+                        f"vertex {format_rational_vector(point)} violates facet {i}"
+                    )
+                if height == f.offset:
+                    active.append(i)
+            vertices.append(Vertex(point=point, active=tuple(active)))
         object.__setattr__(self, "_vertices", tuple(vertices))
 
+    def _check_faces(self) -> None:
+        """Full dimension, and an (n-1)-dimensional face on every facet."""
+        n = self.dim
+        vertices = self.vertices
         barycenter = tuple(
             sum((v.point[i] for v in vertices), Fraction(0)) / len(vertices)
             for i in range(n)
         )
-        for u, c in zip(normals, offsets):
-            if dot(u, barycenter) == c:
+        for f in self.facets:
+            if dot(f.normal, barycenter) == f.offset:
                 raise DegeneratePolytope(
                     "polytope is not full-dimensional: it lies in a facet hyperplane"
                 )
 
-        for i in range(len(facets)):
+        for i in range(len(self.facets)):
             tight = [v.point for v in vertices if i in v.active]
             if affine_rank(tight) != n - 1:
                 raise DegenerateFacet(

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import unit_cube, unit_simplex
 from cuspcheck import (
@@ -10,8 +12,11 @@ from cuspcheck import (
     DelzantPolytope,
     Facet,
     InteractingChops,
+    InvariantViolation,
     NotAVertex,
     NotUnimodular,
+    Vertex,
+    apply_unimodular,
     blow_up_vertex,
     free_fixed_points,
     is_delzant,
@@ -20,6 +25,7 @@ from cuspcheck import (
     start_tower,
     tower_step,
 )
+from cuspcheck.linalg import dot
 
 
 def test_max_chop_frozen_values(triangle, square):
@@ -208,3 +214,203 @@ def test_tower_divisor_vertices_never_chopped(triangle):
 
         facet = state.polytope.facets[divisor]
         assert dot(facet.normal, record.vertex) != facet.offset
+
+
+def test_chop_error_messages_are_frozen(triangle):
+    state = tower_step(start_tower(triangle, "hyp"), Fraction(1, 4))
+    for eps in (Fraction(1, 8), Fraction(3, 16)):
+        with pytest.raises(InteractingChops) as info:
+            tower_step(state, eps)
+        assert str(info.value) == (
+            f"chops at ['0', '1/4'] and ['1/4', '0'] overlap at parameter {eps}"
+        )
+    with pytest.raises(ChopTooDeep) as info:
+        tower_step(state, Fraction(1, 2))
+    assert str(info.value) == "round 2 chop at ['0', '1/4'] needs eps < 1/4, got 1/2"
+    with pytest.raises(ChopTooDeep) as info:
+        blow_up_vertex(triangle, (0, 0), Fraction(3, 2))
+    assert str(info.value) == "chop parameter 3/2 at ['0', '0'] reaches the bound 1"
+    singular = DelzantPolytope(
+        2, (Facet((1, 0), 0), Facet((0, 1), 0), Facet((-1, -2), -2))
+    )
+    for call in (
+        lambda: blow_up_vertex(singular, (0, 1), Fraction(1, 8)),
+        lambda: max_chop_parameter(singular, (0, 1)),
+    ):
+        with pytest.raises(NotUnimodular) as info:
+            call()
+        assert str(info.value) == (
+            "corner at ['0', '1'] has active normal determinant other than +-1"
+        )
+
+
+def test_chop_beside_a_singular_corner_matches_the_scan():
+    # A parent that fails the vertex test is chopped by re-enumeration.
+    singular = DelzantPolytope(
+        2, (Facet((1, 0), 0), Facet((0, 1), 0), Facet((-1, -2), -2))
+    )
+    chopped = blow_up_vertex(singular, (0, 0), Fraction(1, 8))
+    oracle = DelzantPolytope(2, singular.facets + (Facet((1, 1), Fraction(1, 8)),))
+    assert chopped.facets == oracle.facets
+    assert chopped.vertices == oracle.vertices
+
+
+def test_chops_run_no_vertex_scan(monkeypatch):
+    cube = unit_cube(3)
+    simplex = unit_simplex(2)
+    scans = []
+    scan = DelzantPolytope._vertex_candidates
+
+    def counted(self, normals, offsets):
+        scans.append(len(normals))
+        return scan(self, normals, offsets)
+
+    monkeypatch.setattr(DelzantPolytope, "_vertex_candidates", counted)
+    blow_up_vertex(cube, (0, 0, 0), Fraction(1, 4))
+    state = start_tower(simplex, "hyp")
+    for eps in (Fraction(1, 4), Fraction(1, 16), Fraction(1, 64)):
+        state = tower_step(state, eps)
+    assert scans == []
+    DelzantPolytope.from_data(cube.to_data())
+    assert scans == [6]
+
+
+def test_claimed_vertex_sets_are_verified(triangle):
+    chopped = blow_up_vertex(triangle, (0, 0), Fraction(1, 4))
+    facets, good = chopped.facets, list(chopped.vertices)
+    rebuilt = DelzantPolytope._from_claimed_vertices(2, facets, good[::-1])
+    assert rebuilt.vertices == chopped.vertices
+    wrong_active = [Vertex(good[0].point, (0, 2))] + good[1:]
+    outside = good[:-1] + [Vertex((Fraction(2), Fraction(0)), (1, 2))]
+    on_edge = good + [Vertex((Fraction(1, 2), Fraction(1, 2)), (2,))]
+    cases = {
+        "no vertices claimed": [],
+        "listed twice": good + good[:1],
+        "is tight on facets": wrong_active,
+        "violates facet 2": outside,
+        "fails the vertex test": on_edge,
+        "claimed endpoints, expected 2": good[:-1],
+    }
+    for message, claimed in cases.items():
+        with pytest.raises(InvariantViolation, match=message):
+            DelzantPolytope._from_claimed_vertices(2, facets, claimed)
+
+
+# --- differential oracle: closed-form chops against the C(m, n) scan ------
+
+
+def _scan_corner(poly, vertex):
+    """Chop facet data and depth bound, by brute force over the vertices."""
+    normal = tuple(
+        sum(poly.facets[i].normal[k] for i in vertex.active) for k in range(poly.dim)
+    )
+    base = sum((poly.facets[i].offset for i in vertex.active), Fraction(0))
+    bound = min(dot(normal, w.point) - base for w in poly.vertices if w != vertex)
+    return normal, base, bound
+
+
+def _scan_tower_step(state, eps, labels):
+    """One tower round as a per-corner rebuild followed by a full scan."""
+    poly = state.polytope
+    corners = []
+    for v in state.designated_vertices():
+        normal, base, bound = _scan_corner(poly, v)
+        if eps >= bound:
+            raise ChopTooDeep(f"round {state.round + 1}")
+        corners.append((v, normal, base))
+    for v, normal, base in corners:
+        single = DelzantPolytope(poly.dim, poly.facets + (Facet(normal, base + eps),))
+        new_index = len(poly.facets)
+        created = [w.point for w in single.vertices if new_index in w.active]
+        for w, normal_w, base_w in corners:
+            if w != v and any(dot(normal_w, p) <= base_w + eps for p in created):
+                raise InteractingChops(f"{v.point} and {w.point}")
+    new = tuple(
+        Facet(normal, base + eps, label=label)
+        for (_, normal, base), label in zip(corners, labels)
+    )
+    return DelzantPolytope(poly.dim, poly.facets + new)
+
+
+@st.composite
+def framed_bases(draw):
+    """A unit simplex or cube of dimension 2-4 in a random lattice frame."""
+    n = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(["simplex", "cube"]))
+    poly = unit_simplex(n) if kind == "simplex" else unit_cube(n)
+    matrix = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, j, k in draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-2, 2)),
+            max_size=4,
+        )
+    ):
+        if i != j:
+            matrix[i] = [a + k * b for a, b in zip(matrix[i], matrix[j])]
+    if draw(st.booleans()):
+        matrix[0], matrix[1] = matrix[1], matrix[0]
+    shift = draw(
+        st.tuples(*[st.fractions(min_value=-3, max_value=3, max_denominator=4)] * n)
+    )
+    return kind, apply_unimodular(poly, matrix, shift)
+
+
+def _same_polytope(actual, expected):
+    assert actual.facets == expected.facets
+    assert actual.vertices == expected.vertices
+
+
+@given(
+    framed_bases(),
+    st.integers(0, 63),
+    st.sampled_from(
+        [Fraction(1, 8), Fraction(1, 3), Fraction(1, 2), Fraction(5, 6), 1,
+         Fraction(5, 4)]
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_single_chop_matches_scan(base, index, ratio):
+    _, poly = base
+    vertex = poly.vertices[index % len(poly.vertices)]
+    normal, offset, bound = _scan_corner(poly, vertex)
+    eps = bound * ratio
+    if eps >= bound:
+        with pytest.raises(ChopTooDeep):
+            blow_up_vertex(poly, vertex.point, eps)
+        return
+    chopped = blow_up_vertex(poly, vertex.point, eps, label="E")
+    expected = DelzantPolytope(
+        poly.dim, poly.facets + (Facet(normal, offset + eps, label="E"),)
+    )
+    _same_polytope(chopped, expected)
+
+
+# Rounds per base, so that no scan of the oracle exceeds C(16, 4) candidates.
+_MAX_ROUNDS = {
+    ("simplex", 2): 3, ("cube", 2): 3, ("simplex", 3): 3,
+    ("cube", 3): 2, ("simplex", 4): 2, ("cube", 4): 1,
+}
+_TOWER_EPS = [
+    Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(3, 16),
+    Fraction(1, 16), Fraction(1, 64), Fraction(1),
+]
+
+
+@given(framed_bases(), st.lists(st.sampled_from(_TOWER_EPS), min_size=3, max_size=3))
+@settings(max_examples=30, deadline=None)
+def test_tower_matches_scan(base, schedule):
+    kind, poly = base
+    state = start_tower(poly, "hyp" if kind == "simplex" else "top0")
+    for eps in schedule[: _MAX_ROUNDS[(kind, poly.dim)]]:
+        try:
+            chopped = tower_step(state, eps)
+        except (ChopTooDeep, InteractingChops) as exc:
+            with pytest.raises(type(exc)):
+                _scan_tower_step(state, eps, [])
+            return
+        labels = [record.label for record in chopped.history[len(state.history) :]]
+        _same_polytope(chopped.polytope, _scan_tower_step(state, eps, labels))
+        assert [r.vertex for r in chopped.history[len(state.history) :]] == [
+            v.point for v in state.designated_vertices()
+        ]
+        state = chopped

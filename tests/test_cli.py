@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import cuspcheck
-from cuspcheck import cli
+from cuspcheck import DelzantReport, blowup, cli
 
 DATA = Path(__file__).parent / "data"
 
@@ -188,6 +188,13 @@ def test_exit_one_on_semantic_errors(tmp_path, capsys, in_data_dir):
     )
     assert code == 1
 
+    # Only ASCII digits make an index; an Arabic-Indic digit is a label.
+    code, _, err = run_cli(
+        capsys, ["check-obstruction", "simplex2.json", "--facet", "\u0661"]
+    )
+    assert code == 1
+    assert "no facet labelled '\u0661'" in err
+
     code, _, err = run_cli(
         capsys,
         ["blowup", "simplex2.json", "--vertex", "0,0", "--eps", "2"],
@@ -222,6 +229,39 @@ def test_exit_two_on_internal_failure(capsys, monkeypatch, in_data_dir):
     code, out, err = run_cli(capsys, ["moments", "simplex2.json"])
     assert code == 2
     assert "internal invariant failure" in err
+
+
+def test_exit_two_on_failed_tower_invariant(capsys, monkeypatch, in_data_dir):
+    real = blowup.is_delzant
+
+    def fails_after_a_chop(poly):
+        if len(poly.facets) > 3:
+            return DelzantReport(ok=False, violations=("synthetic violation",))
+        return real(poly)
+
+    monkeypatch.setattr(blowup, "is_delzant", fails_after_a_chop)
+    code, out, err = run_cli(capsys, GOLDEN_COMMANDS["tower"])
+    assert code == 2
+    assert out == ""
+    assert "internal invariant failure" in err
+    assert "synthetic violation" in err
+
+
+def test_chops_without_asserts_match_golden():
+    # python -O strips assert statements; no chop result may depend on them.
+    src = str(Path(cuspcheck.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    for name in ("blowup", "tower"):
+        done = subprocess.run(
+            [sys.executable, "-O", "-m", "cuspcheck.cli", *GOLDEN_COMMANDS[name]],
+            cwd=DATA,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == (DATA / "golden" / f"{name}.json").read_text()
 
 
 def test_float_block_added_not_replacing(capsys, in_data_dir):
