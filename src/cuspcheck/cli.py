@@ -157,7 +157,8 @@ def _cmd_moments(args: argparse.Namespace):
     bd = boundary_moments(poly)
     facet_entries: list[Any] = []
     for i, (facet, fm) in enumerate(zip(poly.facets, bd.facets)):
-        assert fm is not None
+        if fm is None:
+            raise InvariantViolation(f"facet {i} has no moments with nothing excluded")
         facet_entries.append(
             {
                 "index": i,

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import EmptySpectrum, InputValidationError
+from .errors import EmptySpectrum, InputValidationError, InvariantViolation
 
 SIGN_CONVENTION = (
     "spectral pairs (lambda, mu) use nonnegative eigenvalues; roots solve "
@@ -137,7 +137,7 @@ def indicial_roots(
             s_check = delta * delta - delta
             residual = abs(a * s_check * s_check + b * s_check + c)
             if residual > tol:
-                raise AssertionError(
+                raise InvariantViolation(
                     f"indicial root {delta} fails its defining equation by {residual}"
                 )
             roots.append(IndicialRoot(delta=delta, s_value=s, source=pair))

@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DimensionMismatch, NotUnimodular
+from .errors import DimensionMismatch, InvariantViolation, NotUnimodular
 
 Vector = tuple[Fraction, ...]
 IntVector = tuple[int, ...]
@@ -265,7 +265,7 @@ def complete_primitive(u: Sequence[int]) -> tuple[IntVector, tuple[IntVector, ..
     column = tuple((x,) for x in u)
     h, t = hermite_normal_form(column)
     if h[0] != (1,) or any(row != (0,) for row in h[1:]):
-        raise AssertionError("HNF of a primitive column must be e_1")
+        raise InvariantViolation("HNF of a primitive column must be e_1")
     # t @ u = e_1, so row 0 of t pairs to 1 with u and the other rows to 0.
     return t[0], t[1:]
 
@@ -283,7 +283,8 @@ def inverse_unimodular(t: Sequence[Sequence[int]]) -> tuple[IntVector, ...]:
     for j in range(n):
         e = [Fraction(1) if i == j else Fraction(0) for i in range(n)]
         col = solve_linear(frac_rows, e)
-        assert col is not None
+        if col is None:
+            raise InvariantViolation(f"matrix of determinant {d} has no inverse")
         cols.append(tuple(int(x) for x in col))
     return tuple(zip(*cols))
 

@@ -1,11 +1,13 @@
 """Exact volume and boundary moments of Delzant polytopes.
 
-Volume integrals go through a fan triangulation and the closed-form
-monomial integral over a simplex; boundary integrals pull facets back
-to their lattice charts, where the chart Lebesgue measure agrees with
+Every integral is a sum of one closed-form simplex integral over one fan
+triangulation of the polytope, which also triangulates each facet.  The
+body carries Lebesgue measure.  A facet with primitive normal u carries
 the lattice boundary measure (the one with d(lattice volume) equal to
-d(boundary measure) wedged with the pairing against the facet normal).
-Everything is Fraction arithmetic; nothing is approximated.
+d(boundary measure) wedged with the pairing against u); on a facet
+simplex its mass is a determinant, |det[u; edges]| / ((n-1)! <u, u>), so
+no facet chart or facet polytope is built.  Everything is Fraction
+arithmetic; nothing is approximated.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .errors import DimensionMismatch, UnsupportedDegree
-from .linalg import Matrix, Vector, affine_rank, det_int, dot
-from .polytope import DelzantPolytope, facet_polytope
+from .errors import DimensionMismatch, InvariantViolation, UnsupportedDegree
+from .linalg import IntVector, Matrix, Vector, affine_rank, det_int, dot
+from .polytope import DelzantPolytope
 
 
 @dataclass(frozen=True)
@@ -215,30 +217,40 @@ class BoundaryMomentData:
 
 
 def _simplex_monomial_integral(
-    vertices: Sequence[Vector], alpha: Sequence[int]
+    vertices: Sequence[Vector], alpha: Sequence[int], normal: IntVector | None = None
 ) -> Fraction:
-    """Integral of x^alpha over the simplex spanned by the vertices.
+    """Integral of x^alpha over the simplex spanned by k + 1 points of R^n.
 
-    Expands the monomial in barycentric coordinates; the integral of a
-    barycentric monomial lambda^beta is vol * n! * prod(beta!)/(n+|beta|)!.
+    Without ``normal`` the simplex is an n-simplex in Lebesgue measure.
+    With a primitive facet normal u it is an (n-1)-simplex in the lattice
+    measure, of mass |det[u; p_1 - p_0; ...]| / ((n-1)! <u, u>), which for
+    n = 1 is the unit point mass.  The monomial is expanded in barycentric
+    coordinates; over a k-simplex of mass mu, lambda^beta integrates to
+    mu * k! * prod(beta!) / (k + |beta|)!.
     """
     n = len(alpha)
-    assert len(vertices) == n + 1
+    k = n if normal is None else n - 1
+    if len(vertices) != k + 1:
+        raise InvariantViolation(f"a {k}-simplex needs {k + 1} points, got {len(vertices)}")
     edges = [
-        [vertices[i][k] - vertices[0][k] for k in range(n)] for i in range(1, n + 1)
+        [vertices[i][j] - vertices[0][j] for j in range(n)] for i in range(1, k + 1)
     ]
     lcm = 1
     for row in edges:
         for x in row:
             lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-    int_edges = [[int(x * lcm) for x in row] for row in edges]
-    volume = Fraction(abs(det_int(int_edges)), math.factorial(n)) / Fraction(lcm) ** n
+    rows = [[int(x * lcm) for x in row] for row in edges]
+    scale = math.factorial(k) * lcm**k
+    if normal is not None:
+        rows.insert(0, list(normal))
+        scale *= sum(x * x for x in normal)
+    mass = Fraction(abs(det_int(rows)), scale)
     degree = sum(alpha)
     if degree == 0:
-        return volume
-    positions = [k for k, a in enumerate(alpha) for _ in range(a)]
+        return mass
+    positions = [j for j, a in enumerate(alpha) for _ in range(a)]
     total = Fraction(0)
-    for choice in itertools.product(range(n + 1), repeat=degree):
+    for choice in itertools.product(range(k + 1), repeat=degree):
         term = Fraction(1)
         for pos, idx in zip(positions, choice):
             term *= vertices[idx][pos]
@@ -250,18 +262,23 @@ def _simplex_monomial_integral(
         for c in counts.values():
             term *= math.factorial(c)
         total += term
-    return volume * math.factorial(n) / math.factorial(n + degree) * total
+    return mass * math.factorial(k) / math.factorial(k + degree) * total
+
+
+Simplices = tuple[tuple[Vector, ...], ...]
 
 
 # Bounded so that a long run (a chop tower) does not keep every polytope
 # alive; one moment check needs far fewer entries than this.
 @lru_cache(maxsize=256)
-def _triangulate(poly: DelzantPolytope) -> tuple[tuple[Vector, ...], ...]:
-    """Fan triangulation into simplices, each a tuple of n+1 vertex points.
+def _triangulate(poly: DelzantPolytope) -> tuple[Simplices, tuple[Simplices, ...]]:
+    """Fan triangulation of the body and, for each facet j, of its face.
 
-    Recursively cones each face from its lexicographically smallest
-    vertex over the face's own facets; faces are identified with their
-    vertex index sets, which makes memoisation across branches exact.
+    Simplices are tuples of vertex points.  The recursion cones each face
+    from its lexicographically smallest vertex over the face's own
+    facets; faces are identified with their vertex index sets, which
+    makes memoisation across branches, and across the body and its
+    facets, exact.
     """
     points = [v.point for v in poly.vertices]
     tight = [frozenset(v.active) for v in poly.vertices]
@@ -295,65 +312,55 @@ def _triangulate(poly: DelzantPolytope) -> tuple[tuple[Vector, ...], ...]:
         cache[face] = result
         return result
 
-    top = frozenset(range(len(points)))
-    return tuple(tuple(points[i] for i in s) for s in tri(top))
+    def simplices(face: frozenset[int]) -> Simplices:
+        return tuple(tuple(points[i] for i in s) for s in tri(face))
+
+    everything = range(len(points))
+    return simplices(frozenset(everything)), tuple(
+        simplices(frozenset(i for i in everything if j in tight[i]))
+        for j in range(nfacets)
+    )
 
 
-def _integrate_monomial(poly: DelzantPolytope, alpha: Sequence[int]) -> Fraction:
-    """Exact integral of x^alpha over the polytope, any degree."""
+def _integrate_monomial(
+    poly: DelzantPolytope, alpha: Sequence[int], facet: int | None = None
+) -> Fraction:
+    """Exact integral of x^alpha, any degree, over the body or one facet in dsigma."""
     if len(alpha) != poly.dim:
         raise DimensionMismatch(
             f"exponent tuple has length {len(alpha)}, polytope dimension is {poly.dim}"
         )
+    body, facets = _triangulate(poly)
+    simplices = body if facet is None else facets[facet]
+    normal = None if facet is None else poly.facets[facet].normal
     return sum(
-        (_simplex_monomial_integral(s, tuple(alpha)) for s in _triangulate(poly)),
+        (_simplex_monomial_integral(s, tuple(alpha), normal) for s in simplices),
         Fraction(0),
     )
+
+
+def _unit(n: int, i: int) -> tuple[int, ...]:
+    return tuple(1 if k == i else 0 for k in range(n))
 
 
 def polytope_moments(poly: DelzantPolytope) -> MomentData:
     """Exact volume, first, and second moments of the polytope."""
     n = poly.dim
-    volume = _integrate_monomial(poly, tuple(0 for _ in range(n)))
-    first = tuple(
-        _integrate_monomial(poly, tuple(1 if k == i else 0 for k in range(n)))
-        for i in range(n)
-    )
-    second_rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if j < i:
-                row.append(second_rows[j][i])
-            else:
-                alpha = tuple(
-                    (1 if k == i else 0) + (1 if k == j else 0) for k in range(n)
-                )
-                row.append(_integrate_monomial(poly, alpha))
-        second_rows.append(row)
+    second = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        alpha = tuple(a + b for a, b in zip(_unit(n, i), _unit(n, j)))
+        second[i][j] = second[j][i] = _integrate_monomial(poly, alpha)
     return MomentData(
-        volume=volume,
-        first_moments=first,
-        second_moments=tuple(tuple(row) for row in second_rows),
+        volume=_integrate_monomial(poly, (0,) * n),
+        first_moments=tuple(_integrate_monomial(poly, _unit(n, i)) for i in range(n)),
+        second_moments=tuple(tuple(row) for row in second),
     )
 
 
 def _facet_moments(poly: DelzantPolytope, index: int) -> FacetMoments:
     n = poly.dim
-    if n == 1:
-        # Zero-dimensional facet: the lattice measure is a unit point mass.
-        f = poly.facets[index]
-        point = tuple(f.offset * x for x in f.normal)
-        return FacetMoments(measure=Fraction(1), first_moments=point)
-    face, chart = facet_polytope(poly, index)
-    m = polytope_moments(face)
-    first = []
-    for k in range(n):
-        value = chart.origin[k] * m.volume
-        for j, b in enumerate(chart.basis):
-            value += b[k] * m.first_moments[j]
-        first.append(value)
-    return FacetMoments(measure=m.volume, first_moments=tuple(first))
+    first = tuple(_integrate_monomial(poly, _unit(n, k), index) for k in range(n))
+    return FacetMoments(_integrate_monomial(poly, (0,) * n, index), first)
 
 
 def boundary_moments(
@@ -369,17 +376,24 @@ def boundary_moments(
     return BoundaryMomentData(facets=tuple(entries), excluded=tuple(skip))
 
 
-def integrate_polynomial(poly: DelzantPolytope, q: Poly2) -> Fraction:
-    """Integral of a degree <= 2 polynomial over the polytope."""
+def _integrate_poly2(
+    poly: DelzantPolytope, q: Poly2, domains: Sequence[int | None]
+) -> Fraction:
+    """Sum of the integrals of q over the body (None) or facets (indices)."""
     if q.dimension != poly.dim:
         raise DimensionMismatch(
             f"polynomial in {q.dimension} variables over a {poly.dim}-dimensional polytope"
         )
-    m = polytope_moments(poly)
-    value = q.constant * m.volume + dot(q.linear, m.first_moments)
-    for i in range(poly.dim):
-        value += dot(q.quad[i], m.second_moments[i])
-    return value
+    monomials = q.to_monomials().items()
+    return sum(
+        (c * _integrate_monomial(poly, a, d) for d in domains for a, c in monomials),
+        Fraction(0),
+    )
+
+
+def integrate_polynomial(poly: DelzantPolytope, q: Poly2) -> Fraction:
+    """Integral of a degree <= 2 polynomial over the polytope."""
+    return _integrate_poly2(poly, q, [None])
 
 
 def integrate_polynomial_boundary(
@@ -387,24 +401,7 @@ def integrate_polynomial_boundary(
 ) -> Fraction:
     """Integral of q over the boundary minus excluded facets, in dsigma.
 
-    Each facet integral is the chart pullback of q integrated over the
-    facet polytope, which is exactly the lattice boundary integral.
+    With every facet excluded the integral is 0.
     """
-    if q.dimension != poly.dim:
-        raise DimensionMismatch(
-            f"polynomial in {q.dimension} variables over a {poly.dim}-dimensional polytope"
-        )
     skip = {poly.resolve_facet(key) for key in excluded}
-    total = Fraction(0)
-    for i in range(len(poly.facets)):
-        if i in skip:
-            continue
-        if poly.dim == 1:
-            f = poly.facets[i]
-            point = tuple(f.offset * x for x in f.normal)
-            total += q(point)
-            continue
-        face, chart = facet_polytope(poly, i)
-        pulled = q.compose_affine(chart.origin, chart.basis)
-        total += integrate_polynomial(face, pulled)
-    return total
+    return _integrate_poly2(poly, q, [i for i in range(len(poly.facets)) if i not in skip])

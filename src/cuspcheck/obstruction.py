@@ -19,6 +19,7 @@ from .blowup import free_fixed_points
 from .errors import (
     DimensionMismatch,
     InputValidationError,
+    InvariantViolation,
     MissingEvaluationData,
 )
 from .extremal import AffineFunction, extremal_affine, restrict_affine
@@ -192,8 +193,8 @@ class MomentConfiguration:
             errors.append((f"/{key}", "unknown field"))
         if errors:
             raise InputValidationError(errors)
-        assert n is not None and points is not None
-        assert basis is not None and weights is not None
+        if n is None or points is None or basis is None or weights is None:
+            raise InvariantViolation("a required field was dropped without an error")
         try:
             return cls(
                 n=n,

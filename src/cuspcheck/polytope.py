@@ -134,7 +134,8 @@ class FacetChart:
         gram = [[dot(bi, bj) for bj in self.basis] for bi in self.basis]
         rhs = [dot(bi, diff) for bi in self.basis]
         y = solve_linear(gram, rhs)
-        assert y is not None, "chart basis vectors are independent"
+        if y is None:
+            raise InvariantViolation("chart basis vectors are dependent")
         return y
 
 
@@ -180,7 +181,8 @@ def _primitive_int_vector(v: Sequence[Fraction]) -> IntVector:
         lcm = lcm * fx.denominator // math.gcd(lcm, fx.denominator)
     ints = [int(Fraction(x) * lcm) for x in v]
     g = gcd_vector(ints)
-    assert g > 0
+    if g == 0:
+        raise InvariantViolation("the zero vector has no primitive direction")
     return tuple(x // g for x in ints)
 
 
@@ -351,7 +353,10 @@ class DelzantPolytope:
                 [tuple(Fraction(x) for x in row) for row in mat],
                 [offsets[i] for i in subset],
             )
-            assert point is not None
+            if point is None:
+                raise InvariantViolation(
+                    f"facets {list(subset)} have a nonzero determinant but no common point"
+                )
             if all(dot(u, point) >= c for u, c in zip(normals, offsets)):
                 cands.add(point)
         return cands
@@ -492,7 +497,8 @@ class DelzantPolytope:
                     errors.append((base, str(exc)))
         if errors:
             raise InputValidationError(errors)
-        assert dim is not None
+        if dim is None:
+            raise InvariantViolation("/dim was dropped without an error")
         try:
             return cls(dim=dim, facets=tuple(facets))
         except (InvalidPolytope, DegenerateFacet, ValueError) as exc:
@@ -589,7 +595,8 @@ def facet_polytope(
         coeffs = tuple(int(dot(other.normal, b)) for b in basis)
         offset = other.offset - dot(other.normal, origin)
         g = gcd_vector(coeffs)
-        assert g > 0, "ridge facet cannot be parallel to the chart"
+        if g == 0:
+            raise InvariantViolation(f"ridge facet {j} is parallel to the chart")
         induced.append(
             Facet(
                 normal=tuple(x // g for x in coeffs),

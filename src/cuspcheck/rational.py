@@ -57,7 +57,3 @@ def parse_rational_vector(values: Sequence[int | str]) -> tuple[Fraction, ...]:
 
 def format_rational_vector(values: Iterable[Fraction]) -> list[str]:
     return [format_rational(v) for v in values]
-
-
-def format_rational_matrix(rows: Iterable[Iterable[Fraction]]) -> list[list[str]]:
-    return [[format_rational(v) for v in row] for row in rows]

@@ -1,5 +1,6 @@
 """Command-line surface: golden files, round trips, exit discipline."""
 
+import ast
 import io
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import cuspcheck
-from cuspcheck import DelzantReport, blowup, cli
+from cuspcheck import DelzantReport, cli, polytope
 
 DATA = Path(__file__).parent / "data"
 
@@ -232,14 +233,15 @@ def test_exit_two_on_internal_failure(capsys, monkeypatch, in_data_dir):
 
 
 def test_exit_two_on_failed_tower_invariant(capsys, monkeypatch, in_data_dir):
-    real = blowup.is_delzant
+    # A chopped polytope is verified by the vertex test in cuspcheck.polytope.
+    real = polytope.is_delzant
 
     def fails_after_a_chop(poly):
         if len(poly.facets) > 3:
             return DelzantReport(ok=False, violations=("synthetic violation",))
         return real(poly)
 
-    monkeypatch.setattr(blowup, "is_delzant", fails_after_a_chop)
+    monkeypatch.setattr(polytope, "is_delzant", fails_after_a_chop)
     code, out, err = run_cli(capsys, GOLDEN_COMMANDS["tower"])
     assert code == 2
     assert out == ""
@@ -248,10 +250,10 @@ def test_exit_two_on_failed_tower_invariant(capsys, monkeypatch, in_data_dir):
 
 
 def test_chops_without_asserts_match_golden():
-    # python -O strips assert statements; no chop result may depend on them.
+    # python -O strips assert statements; no result may depend on them.
     src = str(Path(cuspcheck.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    for name in ("blowup", "tower"):
+    for name in sorted(GOLDEN_COMMANDS):
         done = subprocess.run(
             [sys.executable, "-O", "-m", "cuspcheck.cli", *GOLDEN_COMMANDS[name]],
             cwd=DATA,
@@ -262,6 +264,20 @@ def test_chops_without_asserts_match_golden():
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout == (DATA / "golden" / f"{name}.json").read_text()
+
+
+def test_package_has_no_assert_statements():
+    # Invariants raise InvariantViolation, which python -O cannot strip.
+    package = Path(cuspcheck.__file__).resolve().parent
+    sources = sorted(package.glob("*.py"))
+    assert len(sources) > 5
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_float_block_added_not_replacing(capsys, in_data_dir):

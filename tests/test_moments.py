@@ -2,8 +2,10 @@
 
 2-dimensional bodies are cross-checked with sympy's polytope_integrate
 (an independent Green's-theorem implementation); the 3-simplex against
-iterated symbolic integrals; everything exact except the Monte-Carlo
-smoke check.
+iterated symbolic integrals; facet integrals in dimensions 1-5 against
+Euler's identity for homogeneous integrands and against the facet
+polytope's own moments in its lattice chart; everything exact except the
+Monte-Carlo smoke check.
 """
 
 import random
@@ -11,19 +13,27 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.abc import x, y, z
 from sympy.geometry import Point, Polygon
 from sympy.integrals.intpoly import polytope_integrate
 
 from conftest import interval, unit_cube, unit_simplex
 from cuspcheck import (
+    DelzantPolytope,
+    Facet,
     Poly2,
     UnsupportedDegree,
+    apply_unimodular,
     blow_up_vertex,
     boundary_moments,
+    facet_polytope,
     integrate_polynomial,
+    max_chop_parameter,
     polytope_moments,
 )
+from cuspcheck.linalg import dot
 from cuspcheck.moments import integrate_polynomial_boundary
 
 _RNG = random.Random(515253)
@@ -276,3 +286,144 @@ def test_triangulation_additivity(triangle):
     m_whole = polytope_moments(triangle)
     m_chop = polytope_moments(chopped)
     assert m_whole.volume - m_chop.volume == eps**2 / 2
+
+
+# --- facet integrals against oracles that do not triangulate the facets ---
+
+
+def _pyramid():
+    # square pyramid: the apex lies on four facets, so it is not simple
+    return DelzantPolytope(
+        3,
+        (
+            Facet((0, 0, 1), 0),
+            Facet((1, 0, -1), 0),
+            Facet((0, 1, -1), 0),
+            Facet((-1, 0, -1), -1),
+            Facet((0, -1, -1), -1),
+        ),
+    )
+
+
+def _skew_triangle():
+    # the vertex (0, 1) has active normals of determinant -2
+    return DelzantPolytope(
+        2, (Facet((1, 0), 0), Facet((0, 1), 0), Facet((-1, -2), -2, label="h"))
+    )
+
+
+@st.composite
+def framed_chopped(draw):
+    """A simplex (dimension 1-5) or cube (1-4), chopped up to twice, in a lattice frame."""
+    n = draw(st.integers(1, 5))
+    kind = "simplex" if n == 5 else draw(st.sampled_from(["simplex", "cube"]))
+    poly = unit_simplex(n) if kind == "simplex" else unit_cube(n)
+    for _ in range(draw(st.integers(0, 2)) if n > 1 else 0):
+        vertex = draw(st.sampled_from(poly.vertices)).point
+        ratio = draw(st.sampled_from([Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)]))
+        poly = blow_up_vertex(poly, vertex, max_chop_parameter(poly, vertex) * ratio)
+    matrix = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, j, k in draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-2, 2)),
+            max_size=4,
+        )
+    ):
+        if i != j:
+            matrix[i] = [a + k * b for a, b in zip(matrix[i], matrix[j])]
+    shift = draw(
+        st.tuples(*[st.fractions(min_value=-3, max_value=3, max_denominator=4)] * n)
+    )
+    return apply_unimodular(poly, matrix, shift)
+
+
+def _monomials(n):
+    """Exponent tuples of every monomial of degree at most two in n variables."""
+    out = [(0,) * n]
+    for i in range(n):
+        out.append(tuple(int(k == i) for k in range(n)))
+        for j in range(i, n):
+            out.append(tuple(int(k == i) + int(k == j) for k in range(n)))
+    return out
+
+
+def _facet_integral(poly, q, index):
+    others = [i for i in range(len(poly.facets)) if i != index]
+    return integrate_polynomial_boundary(poly, q, excluded=others)
+
+
+def _assert_euler_identity(poly):
+    # Divergence of x * f for f homogeneous of degree d is (n + d) f; on
+    # the facet <u, x> = c the outward flux density against the lattice
+    # measure is -c, so (n + d) int_P f dx = -sum_F c_F int_F f dsigma.
+    n = poly.dim
+    m = polytope_moments(poly)
+    for alpha in _monomials(n):
+        support = [k for k, a in enumerate(alpha) for _ in range(a)]
+        if not support:
+            volume = m.volume
+        elif len(support) == 1:
+            volume = m.first_moments[support[0]]
+        else:
+            volume = m.second_moments[support[0]][support[1]]
+        q = Poly2.from_monomials(n, {alpha: 1})
+        boundary = sum(
+            (f.offset * _facet_integral(poly, q, i) for i, f in enumerate(poly.facets)),
+            Fraction(0),
+        )
+        assert (n + len(support)) * volume == -boundary, alpha
+
+
+def _assert_chart_route(poly):
+    # The old route to facet integrals: the facet polytope's own volume
+    # moments in its lattice chart, whose Lebesgue measure is the lattice
+    # measure, pushed forward (first moments) or pulled back (q).
+    n = poly.dim
+    q = Poly2.from_monomials(n, {alpha: k + 1 for k, alpha in enumerate(_monomials(n))})
+    bd = boundary_moments(poly)
+    for index, fm in enumerate(bd.facets):
+        face, chart = facet_polytope(poly, index)
+        m = polytope_moments(face)
+        first = tuple(
+            chart.origin[k] * m.volume
+            + sum((b[k] * mj for b, mj in zip(chart.basis, m.first_moments)), Fraction(0))
+            for k in range(n)
+        )
+        assert (fm.measure, fm.first_moments) == (m.volume, first)
+        pulled = q.compose_affine(chart.origin, chart.basis)
+        expected = pulled.constant * m.volume + dot(pulled.linear, m.first_moments)
+        for row, moments in zip(pulled.quad, m.second_moments):
+            expected += dot(row, moments)
+        assert _facet_integral(poly, q, index) == expected
+
+
+@given(framed_chopped())
+@settings(max_examples=20, deadline=None)
+def test_facet_integrals_satisfy_euler_identity(poly):
+    _assert_euler_identity(poly)
+
+
+@given(framed_chopped().filter(lambda poly: poly.dim >= 2))
+@settings(max_examples=20, deadline=None)
+def test_facet_moments_match_chart_push_forward(poly):
+    _assert_chart_route(poly)
+
+
+@pytest.mark.parametrize(
+    "build", [_pyramid, _skew_triangle, lambda: interval(Fraction(1, 3), 2)]
+)
+def test_euler_identity_on_non_simple_and_non_unimodular(build):
+    # Shifted so that no facet passes through the origin: such a facet has
+    # offset 0 and would drop out of the identity.
+    poly = build()
+    n = poly.dim
+    frame = [[int(i == j) for j in range(n)] for i in range(n)]
+    shift = (Fraction(1, 3), Fraction(-1, 2), Fraction(2))[:n]
+    moved = apply_unimodular(poly, frame, shift)
+    assert all(f.offset != 0 for f in moved.facets)
+    _assert_euler_identity(moved)
+
+
+@pytest.mark.parametrize("build", [_pyramid, _skew_triangle])
+def test_chart_push_forward_on_non_simple_and_non_unimodular(build):
+    _assert_chart_route(build())
