@@ -6,13 +6,15 @@ is exactly t^n/n!.  A tower repeats this along a distinguished facet:
 each round chops every fixed point created by the previous round while
 leaving the distinguished facet untouched.
 
-The chopped polytope is built in closed form.  At a unimodular corner v
-the edge generators w_i are the columns of the inverse of the active
-normal matrix (Delzant's construction), so the chop at parameter eps
-removes v and adds the vertices v + eps * w_i, each tight on the
-corner's facets but the i-th and on the new facet.  The construction
-verifies the claimed vertex set (feasible, tight exactly where claimed,
-simple, unimodular, closed under edges) rather than re-enumerating it.
+Everything here reads the polytope's cone table: the edge generators
+w_i of a corner v and the neighbour at the end of each edge.  Since
+<new normal, w_i> = 1, the lattice length of edge i is the new facet's
+functional at neighbour i minus the base offset; the depth bound is the
+shortest such edge, and two chops interact exactly when an edge of
+length <= 2 * eps joins their corners.  The chop removes v and adds the
+vertices v + eps * w_i, tight on the new facet and on the corner's
+facets but the i-th, with edge generators w_k - w_i (k != i) and w_i;
+the construction verifies these claims rather than re-enumerating.
 """
 
 from __future__ import annotations
@@ -28,104 +30,103 @@ from .errors import (
     NotAVertex,
     NotUnimodular,
 )
-from .linalg import IntVector, Vector, dot, inverse_unimodular, transpose
+from .linalg import IntVector, Vector, dot
 from .polytope import DelzantPolytope, Facet, Vertex, is_delzant
 from .rational import format_rational, format_rational_vector, parse_rational
 
 
-def _find_vertex(poly: DelzantPolytope, point: Sequence[Fraction]) -> Vertex:
+def _find_vertex(poly: DelzantPolytope, point: Sequence[Fraction]) -> int:
     p = tuple(Fraction(x) for x in point)
-    for v in poly.vertices:
+    for k, v in enumerate(poly.vertices):
         if v.point == p:
-            return v
+            return k
     raise NotAVertex(f"{format_rational_vector(p)} is not a vertex of the polytope")
 
 
 def _corner(
-    poly: DelzantPolytope, vertex: Vertex
-) -> tuple[IntVector, Fraction, tuple[IntVector, ...]]:
-    """New facet normal, base offset and edge generators of a smooth corner.
+    poly: DelzantPolytope, k: int
+) -> tuple[IntVector, Fraction, tuple[IntVector, ...], tuple[Fraction, ...]]:
+    """New facet normal, base offset, edge generators and edge lengths.
 
-    The generators are the columns of the inverse of the active normal
-    matrix, in the order of ``vertex.active``: generator i leaves the
-    i-th active facet and stays on the others.
+    The generators and lengths follow the order of the corner's active
+    facets: generator i leaves the i-th active facet, and length i is
+    the lattice length of the edge along it.
     """
-    n = poly.dim
-    if len(vertex.active) != n:
+    vertex, cone = poly.vertices[k], poly.cones[k]
+    if len(vertex.active) != poly.dim:
         raise NotUnimodular(
             f"vertex {format_rational_vector(vertex.point)} lies on "
             f"{len(vertex.active)} facets; chops need a simple corner"
         )
-    normals = [poly.facets[i].normal for i in vertex.active]
-    try:
-        generators = transpose(inverse_unimodular(normals))
-    except NotUnimodular:
+    if cone.generators is None:
         raise NotUnimodular(
             f"corner at {format_rational_vector(vertex.point)} has active "
             "normal determinant other than +-1"
-        ) from None
-    new_normal = tuple(sum(u[k] for u in normals) for k in range(n))
+        )
+    new_normal = tuple(map(sum, zip(*(poly.facets[i].normal for i in vertex.active))))
     base_offset = sum((poly.facets[i].offset for i in vertex.active), Fraction(0))
-    return new_normal, base_offset, generators
-
-
-def _bound(
-    poly: DelzantPolytope, vertex: Vertex, new_normal: IntVector, base_offset: Fraction
-) -> Fraction:
-    others = [w for w in poly.vertices if w.point != vertex.point]
-    if not others:
-        raise InvariantViolation("validated polytopes have at least n+1 vertices")
-    return min(dot(new_normal, w.point) - base_offset for w in others)
+    lengths = tuple(
+        dot(new_normal, poly.vertices[j].point) - base_offset for j in cone.neighbours
+    )
+    return new_normal, base_offset, cone.generators, lengths
 
 
 def max_chop_parameter(poly: DelzantPolytope, vertex: Sequence[Fraction]) -> Fraction:
     """Largest bound t* so chops with parameter < t* stay inside the corner.
 
-    Equals the minimum over the other vertices of the new facet's
-    functional minus its base offset; the chop hyperplane reaches the
-    nearest competing vertex exactly at t*.
+    t* is the lattice length of the shortest edge at the corner, whose
+    other end the chop hyperplane reaches at t*.  No other vertex comes
+    first: the second-lowest vertex of the new facet's functional has a
+    descending edge, which can only lead to the corner.
     """
-    v = _find_vertex(poly, vertex)
-    new_normal, base_offset, _ = _corner(poly, v)
-    return _bound(poly, v, new_normal, base_offset)
+    return min(_corner(poly, _find_vertex(poly, vertex))[3])
 
 
 def _chop(
     poly: DelzantPolytope,
-    corners: Sequence[tuple[Vertex, IntVector, Fraction, tuple[IntVector, ...]]],
+    corners: Sequence[
+        tuple[int, IntVector, Fraction, tuple[IntVector, ...], tuple[Fraction, ...]]
+    ],
     eps: Fraction,
     labels: Sequence[str | None],
 ) -> DelzantPolytope:
     """Chop every corner at parameter eps, appending one facet per corner.
 
-    Each entry of ``corners`` is a vertex with its ``_corner`` data, and
-    each chop must already be below its depth bound.  The vertices one
-    chop creates must strictly satisfy every other chop's inequality,
-    otherwise the chops would share boundary (InteractingChops).
+    Each entry of ``corners`` is a vertex index with its ``_corner`` data,
+    and each chop must already be below its depth bound.  Two chops share
+    boundary (InteractingChops) exactly when an edge of length t <= 2 * eps
+    joins their corners, since the new vertex on it lies t - eps above the
+    other chop's base.  The first such pair in corner order is reported.
     """
-    m = len(poly.facets)
-    chopped = {v.point for v, _, _, _ in corners}
+    order = {k: pos for pos, (k, *_) in enumerate(corners)}
+    for k, _, _, _, lengths in corners:
+        partners = [
+            j
+            for j, t in zip(poly.cones[k].neighbours, lengths)
+            if j in order and t <= 2 * eps
+        ]
+        if partners:
+            other = poly.vertices[min(partners, key=order.__getitem__)]
+            raise InteractingChops(
+                f"chops at {format_rational_vector(poly.vertices[k].point)} and "
+                f"{format_rational_vector(other.point)} overlap at "
+                f"parameter {format_rational(eps)}"
+            )
     facets = list(poly.facets)
-    claimed = [v for v in poly.vertices if v.point not in chopped]
-    created = []
-    for k, ((v, normal, base, generators), label) in enumerate(zip(corners, labels)):
+    claimed = [
+        (v, cone.generators)
+        for k, (v, cone) in enumerate(zip(poly.vertices, poly.cones))
+        if k not in order
+    ]
+    for (k, normal, base, generators, _), label in zip(corners, labels):
+        v = poly.vertices[k]
         facets.append(Facet(normal=normal, offset=base + eps, label=label))
-        points = [tuple(x + eps * d for x, d in zip(v.point, w)) for w in generators]
-        for i, point in enumerate(points):
-            active = v.active[:i] + v.active[i + 1 :] + (m + k,)
-            claimed.append(Vertex(point=point, active=active))
-        created.append(points)
-
-    for (v, _, _, _), points in zip(corners, created):
-        for w, normal_w, base_w, _ in corners:
-            if w.point == v.point:
-                continue
-            if any(dot(normal_w, point) <= base_w + eps for point in points):
-                raise InteractingChops(
-                    f"chops at {format_rational_vector(v.point)} and "
-                    f"{format_rational_vector(w.point)} overlap at "
-                    f"parameter {format_rational(eps)}"
-                )
+        for i, w in enumerate(generators):
+            point = tuple(x + eps * d for x, d in zip(v.point, w))
+            active = v.active[:i] + v.active[i + 1 :] + (len(facets) - 1,)
+            others = generators[:i] + generators[i + 1 :]
+            cone = tuple(tuple(a - b for a, b in zip(g, w)) for g in others) + (w,)
+            claimed.append((Vertex(point=point, active=active), cone))
     return DelzantPolytope._from_claimed_vertices(poly.dim, tuple(facets), claimed)
 
 
@@ -148,18 +149,19 @@ def blow_up_vertex(
     eps = parse_rational(eps)
     if eps <= 0:
         raise ValueError(f"chop parameter must be positive, got {format_rational(eps)}")
-    v = _find_vertex(poly, vertex)
-    new_normal, base_offset, generators = _corner(poly, v)
-    bound = _bound(poly, v, new_normal, base_offset)
+    k = _find_vertex(poly, vertex)
+    corner = _corner(poly, k)
+    bound = min(corner[3])
     if eps >= bound:
         raise ChopTooDeep(
             f"chop parameter {format_rational(eps)} at "
-            f"{format_rational_vector(v.point)} reaches the bound {format_rational(bound)}"
+            f"{format_rational_vector(poly.vertices[k].point)} reaches the bound "
+            f"{format_rational(bound)}"
         )
     if not is_delzant(poly):
-        new_facet = Facet(normal=new_normal, offset=base_offset + eps, label=label)
+        new_facet = Facet(normal=corner[0], offset=corner[1] + eps, label=label)
         return DelzantPolytope(dim=poly.dim, facets=poly.facets + (new_facet,))
-    return _chop(poly, [(v, new_normal, base_offset, generators)], eps, [label])
+    return _chop(poly, [(k, *corner)], eps, [label])
 
 
 def free_fixed_points(
@@ -252,12 +254,11 @@ def tower_step(state: TowerState, eps: Fraction) -> TowerState:
     """Chop every designated vertex with the common parameter eps.
 
     Each chop is validated against its own depth bound (ChopTooDeep),
-    then pairwise: the vertices a single chop creates, v + eps * w_i in
-    closed form, must strictly satisfy every other chop's inequality,
-    otherwise the chops would share boundary and the result is rejected
-    as InteractingChops.  The chopped polytope is built from those
-    closed-form vertices and verified, not re-enumerated; the
-    verification includes the vertex test.
+    then pairwise: two designated corners joined by an edge of length at
+    most 2 * eps would share boundary (InteractingChops).  The chopped
+    polytope is built from the closed-form vertices and cones and
+    verified, not re-enumerated; the verification includes the vertex
+    test.
     """
     eps = parse_rational(eps)
     if eps <= 0:
@@ -269,16 +270,17 @@ def tower_step(state: TowerState, eps: Fraction) -> TowerState:
     corners = []
     records = []
     labels = _fresh_labels(state.polytope, len(state.history) + 1, len(targets))
+    index = {v.point: k for k, v in enumerate(state.polytope.vertices)}
     for v, label in zip(targets, labels):
-        normal, base, generators = _corner(state.polytope, v)
-        bound = _bound(state.polytope, v, normal, base)
+        corner = _corner(state.polytope, index[v.point])
+        bound = min(corner[3])
         if eps >= bound:
             raise ChopTooDeep(
                 f"round {state.round + 1} chop at "
                 f"{format_rational_vector(v.point)} needs eps < {format_rational(bound)}, "
                 f"got {format_rational(eps)}"
             )
-        corners.append((v, normal, base, generators))
+        corners.append((index[v.point], *corner))
         records.append(
             BlowupSpec(
                 vertex=v.point,

@@ -36,7 +36,7 @@ def is_primitive(v: Sequence[int]) -> bool:
 def dot(a: Sequence, b: Sequence) -> Fraction:
     if len(a) != len(b):
         raise DimensionMismatch(f"dot of length {len(a)} with length {len(b)}")
-    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
+    return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
 def mat_vec(m: Sequence[Sequence], v: Sequence) -> Vector:

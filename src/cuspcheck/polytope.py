@@ -5,24 +5,27 @@ inward normals u_i and rational offsets c_i.  Construction validates
 everything: non-emptiness, boundedness, full dimension, and that every
 listed halfspace supports an actual facet.  Vertices are found at
 construction time and cached, so downstream code can treat a
-DelzantPolytope as a fully checked immutable value.
+DelzantPolytope as a fully checked immutable value.  The cone table
+``cones``, built on first use, stores each vertex's edge generators
+(Delzant's construction) and edge neighbours once for every caller.
 
 User input (direct construction, ``from_data``) finds its vertices by
 the C(m, n) scan over n-subsets of the m facets.  A corner chop
-(``blowup``) knows the new vertices in closed form, v + eps * w_i, and
-builds through ``_from_claimed_vertices``, which verifies the claimed
-set in O(V * m) instead of scanning.  Both paths share the same
-validation tail.
+(``blowup``) knows the new vertices and their cones in closed form and
+builds through ``_from_claimed_vertices``, which verifies the claim in
+O(V * m) instead of scanning.  Both paths share the same validation
+tail.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     ChartMismatch,
@@ -44,6 +47,7 @@ from .linalg import (
     det_int,
     dot,
     gcd_vector,
+    identity_int,
     inverse_unimodular,
     is_primitive,
     mat_vec,
@@ -93,6 +97,18 @@ class Vertex:
 
     point: Vector
     active: tuple[int, ...]
+
+
+class VertexCone(NamedTuple):
+    """Edges at a vertex, in the order of its active facets.
+
+    Generator i is the primitive edge direction that leaves the i-th
+    active facet, None unless the vertex is simple and unimodular;
+    neighbour i indexes the edge's other end, None unless it is simple.
+    """
+
+    generators: tuple[IntVector, ...] | None
+    neighbours: tuple[int, ...] | None
 
 
 @dataclass(frozen=True)
@@ -228,27 +244,30 @@ class DelzantPolytope:
 
     @classmethod
     def _from_claimed_vertices(
-        cls, dim: int, facets: Sequence[Facet], claimed: Sequence[Vertex]
+        cls,
+        dim: int,
+        facets: Sequence[Facet],
+        claimed: Sequence[tuple[Vertex, tuple[IntVector, ...]]],
     ) -> "DelzantPolytope":
-        """Build from a claimed vertex set, verified instead of scanned.
+        """Build from claimed vertices and their edge generators, verified.
 
         The caller guarantees boundedness: ``facets`` must include those of
         a polytope, which is why the emptiness and recession tests are
-        skipped.  Every claimed point must satisfy all inequalities, be
-        tight on exactly its claimed active facets, and pass the vertex
-        test.  Completeness is then checked edge by edge: each of the n
-        ridges of a simple vertex must end in exactly one other claimed
-        vertex.  A vertex set closed under edges is the whole vertex set,
-        since the graph of a polytope is connected (Balinski).  Any
-        failure raises InvariantViolation; the face checks of the scan
-        path follow.  The cost is O(V * m), against O(C(m, n) * m) for
-        the scan.
+        skipped.  Every claimed point must satisfy all inequalities and be
+        tight on exactly its claimed active facets.  The cone table then
+        verifies each claimed cone, which is the vertex test, and checks
+        completeness edge by edge: each of the n ridges of a simple vertex
+        must end in exactly one other claimed vertex.  A vertex set closed
+        under edges is the whole vertex set, since the graph of a polytope
+        is connected (Balinski).  Any failure raises InvariantViolation;
+        the face checks of the scan path follow.  The cost is O(V * m),
+        against O(C(m, n) * m) for the scan.
         """
         poly = object.__new__(cls)
         object.__setattr__(poly, "dim", dim)
         object.__setattr__(poly, "facets", facets)
         poly._check_facets()
-        claimed_active = {v.point: tuple(sorted(v.active)) for v in claimed}
+        claimed_active = {v.point: tuple(sorted(v.active)) for v, _ in claimed}
         if not claimed_active:
             raise InvariantViolation("no vertices claimed for the polytope")
         if len(claimed_active) != len(claimed):
@@ -260,20 +279,13 @@ class DelzantPolytope:
                     f"claimed vertex {format_rational_vector(v.point)} is tight on "
                     f"facets {list(v.active)}, not {list(claimed_active[v.point])}"
                 )
+        cones = poly._vertex_cones({v.point: generators for v, generators in claimed})
+        object.__setattr__(poly, "cones", cones)
         report = is_delzant(poly)
         if not report:
             raise InvariantViolation(
                 f"claimed vertex set fails the vertex test: {report.violations[0]}"
             )
-        ends = Counter(
-            v.active[:i] + v.active[i + 1 :] for v in poly.vertices for i in range(dim)
-        )
-        for ridge, count in ends.items():
-            if count != 2:
-                raise InvariantViolation(
-                    f"the edge on facets {list(ridge)} has {count} claimed "
-                    "endpoints, expected 2"
-                )
         poly._check_faces()
         return poly
 
@@ -318,6 +330,52 @@ class DelzantPolytope:
                     active.append(i)
             vertices.append(Vertex(point=point, active=tuple(active)))
         object.__setattr__(self, "_vertices", tuple(vertices))
+
+    def _vertex_cones(
+        self, claimed: dict[Vector, tuple[IntVector, ...]]
+    ) -> tuple[VertexCone, ...]:
+        """One VertexCone per vertex; claimed generators are verified.
+
+        A claim must satisfy <u_a, g_b> = delta_ab over the active normals,
+        which holds only at a simple vertex with unimodular normals; other
+        generators are inverted from the normals.  A simple vertex's ridge
+        active - {i} is an edge, tight at it and at its neighbour only.
+        """
+        n = self.dim
+        generators = []
+        for v in self.vertices:
+            normals = [self.facets[i].normal for i in v.active]
+            cone = claimed.get(v.point)
+            if cone is None and len(normals) == n:
+                with contextlib.suppress(NotUnimodular):
+                    cone = transpose(inverse_unimodular(normals))
+            elif cone is not None and identity_int(n) != tuple(
+                tuple(sum(x * y for x, y in zip(u, g)) for g in cone) for u in normals
+            ):
+                raise InvariantViolation(
+                    "claimed vertex set fails the vertex test: edge generators "
+                    f"{list(cone)} do not invert the normals of facets "
+                    f"{list(v.active)} at {format_rational_vector(v.point)}"
+                )
+            generators.append(cone)
+        ends: dict[tuple[int, ...], list[int]] = {}
+        for k, v in enumerate(self.vertices):
+            for ridge in itertools.combinations(v.active, n - 1):
+                ends.setdefault(ridge, []).append(k)
+        cones = []
+        for k, (v, cone) in enumerate(zip(self.vertices, generators)):
+            neighbours = None
+            if len(v.active) == n:
+                ridges = [v.active[:i] + v.active[i + 1 :] for i in range(n)]
+                for ridge in ridges:
+                    if len(ends[ridge]) != 2:
+                        raise InvariantViolation(
+                            f"the edge on facets {list(ridge)} has "
+                            f"{len(ends[ridge])} claimed endpoints, expected 2"
+                        )
+                neighbours = tuple(sum(ends[ridge]) - k for ridge in ridges)
+            cones.append(VertexCone(generators=cone, neighbours=neighbours))
+        return tuple(cones)
 
     def _check_faces(self) -> None:
         """Full dimension, and an (n-1)-dimensional face on every facet."""
@@ -383,13 +441,10 @@ class DelzantPolytope:
     def vertices(self) -> tuple[Vertex, ...]:
         return self._vertices  # type: ignore[attr-defined]
 
-    @property
-    def normals(self) -> tuple[IntVector, ...]:
-        return tuple(f.normal for f in self.facets)
-
-    @property
-    def offsets(self) -> tuple[Fraction, ...]:
-        return tuple(f.offset for f in self.facets)
+    @functools.cached_property
+    def cones(self) -> tuple[VertexCone, ...]:
+        """The cone table, parallel to ``vertices``, built on first use."""
+        return self._vertex_cones({})
 
     def contains(self, point: Sequence[Fraction], strict: bool = False) -> bool:
         p = tuple(Fraction(x) for x in point)
@@ -400,12 +455,6 @@ class DelzantPolytope:
         if strict:
             return all(dot(f.normal, p) > f.offset for f in self.facets)
         return all(dot(f.normal, p) >= f.offset for f in self.facets)
-
-    def tight_facets(self, point: Sequence[Fraction]) -> tuple[int, ...]:
-        p = tuple(Fraction(x) for x in point)
-        return tuple(
-            i for i, f in enumerate(self.facets) if dot(f.normal, p) == f.offset
-        )
 
     def resolve_facet(self, key: int | str) -> int:
         """Map a facet index or label to the facet's index."""
@@ -511,21 +560,22 @@ def enumerate_vertices(poly: DelzantPolytope) -> tuple[Vertex, ...]:
 
 
 def is_delzant(poly: DelzantPolytope) -> DelzantReport:
-    """Vertexwise smoothness test: simple vertices with unimodular normals."""
+    """Vertexwise smoothness test: every vertex has edge generators, that
+    is, it is simple with unimodular active normals."""
     violations = []
-    for v in poly.vertices:
+    for v, cone in zip(poly.vertices, poly.cones):
+        if cone.generators is not None:
+            continue
         point = tuple(format_rational(x) for x in v.point)
         if len(v.active) != poly.dim:
             violations.append(
                 f"vertex {point} lies on {len(v.active)} facets, expected {poly.dim}"
             )
             continue
-        mat = [poly.facets[i].normal for i in v.active]
-        d = det_int(mat)
-        if d not in (1, -1):
-            violations.append(
-                f"vertex {point} has active normal determinant {d}, expected +-1"
-            )
+        d = det_int([poly.facets[i].normal for i in v.active])
+        violations.append(
+            f"vertex {point} has active normal determinant {d}, expected +-1"
+        )
     return DelzantReport(ok=not violations, violations=tuple(violations))
 
 

@@ -1,5 +1,6 @@
 """Corner chops, Seshadri-type bounds, and the symmetric tower."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from cuspcheck import (
     start_tower,
     tower_step,
 )
+from cuspcheck import linalg
 from cuspcheck.linalg import dot
 
 
@@ -36,21 +38,35 @@ def test_max_chop_frozen_values(triangle, square):
     assert max_chop_parameter(quarter, (0, Fraction(1, 4))) == Fraction(1, 4)
 
 
-def test_max_chop_brute_force_agreement(simplex3):
-    # independent minimum over the other vertices
-    from cuspcheck.linalg import dot
+def _bounds_match_brute_force(poly):
+    """Compare max_chop_parameter with the minimum over the other vertices
+    at every smooth corner; return the number of corners compared."""
+    cones = zip(poly.vertices, poly.cones)
+    corners = [v for v, cone in cones if cone.generators is not None]
+    for v in corners:
+        assert max_chop_parameter(poly, v.point) == _scan_corner(poly, v)[2]
+    return len(corners)
 
-    for v in simplex3.vertices:
-        normal = tuple(
-            sum(simplex3.facets[i].normal[k] for i in v.active) for k in range(3)
-        )
-        base = sum(simplex3.facets[i].offset for i in v.active)
-        competing = min(
-            dot(normal, w.point) - base
-            for w in simplex3.vertices
-            if w.point != v.point
-        )
-        assert max_chop_parameter(simplex3, v.point) == competing
+
+def test_max_chop_brute_force_agreement(simplex3):
+    assert _bounds_match_brute_force(simplex3) == 4
+    # the square pyramid: four simple corners around a non-simple apex
+    pyramid = DelzantPolytope(
+        3,
+        (
+            Facet((0, 0, 1), 0),
+            Facet((1, 0, -1), 0),
+            Facet((0, 1, -1), 0),
+            Facet((-1, 0, -1), -1),
+            Facet((0, -1, -1), -1),
+        ),
+    )
+    assert _bounds_match_brute_force(pyramid) == 4
+    # the triangle with normal (-1, -2): two smooth corners, one singular
+    singular = DelzantPolytope(
+        2, (Facet((1, 0), 0), Facet((0, 1), 0), Facet((-1, -2), -2))
+    )
+    assert _bounds_match_brute_force(singular) == 2
 
 
 def test_blow_up_vertex_frozen(triangle):
@@ -259,30 +275,46 @@ def test_chops_run_no_vertex_scan(monkeypatch):
     cube = unit_cube(3)
     simplex = unit_simplex(2)
     scans = []
+    inversions = []
     scan = DelzantPolytope._vertex_candidates
+    invert = linalg.inverse_unimodular
 
     def counted(self, normals, offsets):
         scans.append(len(normals))
         return scan(self, normals, offsets)
 
+    def counted_inverse(matrix):
+        inversions.append(matrix)
+        return invert(matrix)
+
     monkeypatch.setattr(DelzantPolytope, "_vertex_candidates", counted)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cuspcheck") and getattr(module, "inverse_unimodular", None) is invert:
+            monkeypatch.setattr(module, "inverse_unimodular", counted_inverse)
     blow_up_vertex(cube, (0, 0, 0), Fraction(1, 4))
     state = start_tower(simplex, "hyp")
+    # each scan-built input inverts its corners once, for its cone table
+    assert len(inversions) == 8 + 3
     for eps in (Fraction(1, 4), Fraction(1, 16), Fraction(1, 64)):
         state = tower_step(state, eps)
+        assert is_delzant(state.polytope).ok
     assert scans == []
+    assert len(inversions) == 8 + 3
     DelzantPolytope.from_data(cube.to_data())
     assert scans == [6]
 
 
 def test_claimed_vertex_sets_are_verified(triangle):
     chopped = blow_up_vertex(triangle, (0, 0), Fraction(1, 4))
-    facets, good = chopped.facets, list(chopped.vertices)
+    facets = chopped.facets
+    good = [(v, cone.generators) for v, cone in zip(chopped.vertices, chopped.cones)]
     rebuilt = DelzantPolytope._from_claimed_vertices(2, facets, good[::-1])
     assert rebuilt.vertices == chopped.vertices
-    wrong_active = [Vertex(good[0].point, (0, 2))] + good[1:]
-    outside = good[:-1] + [Vertex((Fraction(2), Fraction(0)), (1, 2))]
-    on_edge = good + [Vertex((Fraction(1, 2), Fraction(1, 2)), (2,))]
+    assert rebuilt.cones == chopped.cones
+    (first, cone), rest = good[0], good[1:]
+    wrong_active = [(Vertex(first.point, (0, 2)), cone)] + rest
+    outside = good[:-1] + [(Vertex((Fraction(2), Fraction(0)), (1, 2)), cone)]
+    on_edge = good + [(Vertex((Fraction(1, 2), Fraction(1, 2)), (2,)), ((1, -1),))]
     cases = {
         "no vertices claimed": [],
         "listed twice": good + good[:1],
@@ -293,6 +325,21 @@ def test_claimed_vertex_sets_are_verified(triangle):
     }
     for message, claimed in cases.items():
         with pytest.raises(InvariantViolation, match=message):
+            DelzantPolytope._from_claimed_vertices(2, facets, claimed)
+
+    # The chop at (0, 0) creates (1/4, 0) along w_0 = (1, 0) of the corner's
+    # cone (w_0, w_1) = ((1, 0), (0, 1)); its cone is (w_1 - w_0, w_0).
+    k = [v.point for v, _ in good].index((Fraction(1, 4), Fraction(0)))
+    created, cone = good[k]
+    assert cone == ((-1, 1), (1, 0))
+    wrong_cones = {
+        "swapped generators": (cone[1], cone[0]),
+        "sign flip": ((1, -1), cone[1]),
+        "w_1 in place of w_1 - w_0": ((0, 1), cone[1]),
+    }
+    for wrong in wrong_cones.values():
+        claimed = good[:k] + [(created, wrong)] + good[k + 1 :]
+        with pytest.raises(InvariantViolation, match="do not invert the normals"):
             DelzantPolytope._from_claimed_vertices(2, facets, claimed)
 
 
@@ -358,6 +405,7 @@ def framed_bases(draw):
 def _same_polytope(actual, expected):
     assert actual.facets == expected.facets
     assert actual.vertices == expected.vertices
+    assert actual.cones == expected.cones
 
 
 @given(
@@ -383,6 +431,22 @@ def test_single_chop_matches_scan(base, index, ratio):
         poly.dim, poly.facets + (Facet(normal, offset + eps, label="E"),)
     )
     _same_polytope(chopped, expected)
+
+
+@given(framed_bases(), st.sampled_from([Fraction(1, 4), Fraction(1, 8), Fraction(1, 16)]))
+@settings(max_examples=30, deadline=None)
+def test_max_chop_framed_brute_force_agreement(base, eps):
+    # every corner of a framed base, then of its first two tower rounds
+    kind, poly = base
+    state = start_tower(poly, "hyp" if kind == "simplex" else "top0")
+    assert _bounds_match_brute_force(state.polytope) == len(poly.vertices)
+    for _ in range(2):
+        try:
+            state = tower_step(state, eps)
+        except (ChopTooDeep, InteractingChops):
+            return
+        polytope = state.polytope
+        assert _bounds_match_brute_force(polytope) == len(polytope.vertices)
 
 
 # Rounds per base, so that no scan of the oracle exceeds C(16, 4) candidates.

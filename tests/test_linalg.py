@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from cuspcheck.errors import NotUnimodular
+from cuspcheck.errors import DimensionMismatch, NotUnimodular
 from cuspcheck.linalg import (
     affine_rank,
     complete_primitive,
@@ -130,6 +130,20 @@ def test_projection_splits_orthogonally():
             assert dot(v, res) == 0
         # proj in the span
         assert rank(list(basis) + [proj]) == rank(basis)
+
+
+def test_dot_is_an_exact_fraction():
+    for a, b, expected in (
+        ((1, 2, 3), (4, 5, 6), 32),
+        ((0, 0), (0, 0), 0),
+        ((1, -2, 3), (Fraction(1, 2), Fraction(1, 3), Fraction(-1, 6)), Fraction(-2, 3)),
+        ((), (), 0),
+    ):
+        result = dot(a, b)
+        assert type(result) is Fraction
+        assert result == expected
+    with pytest.raises(DimensionMismatch):
+        dot((1, 2), (1,))
 
 
 def test_projection_empty_basis():
