@@ -43,11 +43,6 @@ def mat_vec(m: Sequence[Sequence], v: Sequence) -> Vector:
     return tuple(dot(row, v) for row in m)
 
 
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
-    bt = list(zip(*b))
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
-
-
 def transpose(m: Sequence[Sequence]) -> tuple[tuple, ...]:
     return tuple(zip(*m))
 
@@ -288,25 +283,3 @@ def inverse_unimodular(t: Sequence[Sequence[int]]) -> tuple[IntVector, ...]:
         cols.append(tuple(int(x) for x in col))
     return tuple(zip(*cols))
 
-
-def leading_principal_minors(m: Sequence[Sequence[Fraction]]) -> tuple[Fraction, ...]:
-    """Determinants of the k x k upper-left blocks, k = 1..n, exact."""
-    n = len(m)
-    out = []
-    for k in range(1, n + 1):
-        block = [_clear_denominators(row[:k]) for row in m[:k]]
-        scale = Fraction(1)
-        for row, orig in zip(block, m[:k]):
-            # _clear_denominators multiplied each row by its lcm; recover it.
-            lcm = 1
-            for x in orig[:k]:
-                fx = Fraction(x)
-                lcm = lcm * fx.denominator // math.gcd(lcm, fx.denominator)
-            scale *= lcm
-        out.append(Fraction(det_int(block)) / scale)
-    return tuple(out)
-
-
-def is_positive_definite(m: Sequence[Sequence[Fraction]]) -> bool:
-    """Exact Sylvester criterion for a symmetric rational matrix."""
-    return all(minor > 0 for minor in leading_principal_minors(m))

@@ -53,14 +53,6 @@ class Poly2:
     def dimension(self) -> int:
         return len(self.linear)
 
-    @property
-    def degree(self) -> int:
-        if any(x != 0 for row in self.quad for x in row):
-            return 2
-        if any(x != 0 for x in self.linear):
-            return 1
-        return 0
-
     def __call__(self, point: Sequence[Fraction]) -> Fraction:
         p = tuple(Fraction(x) for x in point)
         if len(p) != self.dimension:
@@ -143,23 +135,6 @@ class Poly2:
                     )
                     out[key] = 2 * self.quad[i][j]
         return out
-
-    def compose_affine(
-        self, origin: Sequence[Fraction], columns: Sequence[Sequence[Fraction]]
-    ) -> "Poly2":
-        """Pull back along y -> origin + sum_j y_j columns[j]."""
-        o = tuple(Fraction(x) for x in origin)
-        cols = [tuple(Fraction(x) for x in col) for col in columns]
-        if len(o) != self.dimension or any(len(c) != self.dimension for c in cols):
-            raise DimensionMismatch("affine substitution does not match dimension")
-        qo = tuple(dot(row, o) for row in self.quad)
-        constant = self.constant + dot(self.linear, o) + dot(o, qo)
-        linear = tuple(dot(self.linear, c) + 2 * dot(qo, c) for c in cols)
-        quad = tuple(
-            tuple(dot(ci, tuple(dot(row, cj) for row in self.quad)) for cj in cols)
-            for ci in cols
-        )
-        return Poly2(constant=constant, linear=linear, quad=quad)
 
 
 @dataclass(frozen=True)

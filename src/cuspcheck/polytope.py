@@ -10,11 +10,17 @@ DelzantPolytope as a fully checked immutable value.  The cone table
 (Delzant's construction) and edge neighbours once for every caller.
 
 User input (direct construction, ``from_data``) finds its vertices by
-the C(m, n) scan over n-subsets of the m facets.  A corner chop
-(``blowup``) knows the new vertices and their cones in closed form and
-builds through ``_from_claimed_vertices``, which verifies the claim in
-O(V * m) instead of scanning.  Both paths share the same validation
-tail.
+the C(m, n) scan over n-subsets of the m facets, and that scan also
+decides emptiness and boundedness.  When the normals span R^n the
+polyhedron is pointed: it is nonempty iff the scan finds a vertex, and
+unbounded iff some vertex has an edge that is a ray, a ridge of its
+active facets tight at no other vertex whose line is a recession
+direction.  When they do not span, the polyhedron is unbounded unless
+it is empty, and the same scan over the normals' pivot columns decides
+which.  A corner chop (``blowup``) knows the new vertices and their
+cones in closed form and builds through ``_from_claimed_vertices``,
+which verifies the claim in O(V * m) instead of scanning.  Both paths
+share the same validation tail.
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ from .linalg import (
     is_primitive,
     mat_vec,
     nullspace,
-    rank,
+    rref,
     solve_linear,
     transpose,
 )
@@ -166,30 +172,6 @@ class DelzantReport:
         return self.ok
 
 
-def _fourier_motzkin_feasible(
-    constraints: list[tuple[tuple[Fraction, ...], Fraction]], nvars: int
-) -> bool:
-    # Constraints are sum(coef * x) >= rhs; eliminate the trailing
-    # variable each round. Sizes here are tiny, blowup is a non-issue.
-    cons = constraints
-    for var in range(nvars - 1, -1, -1):
-        lower, upper, rest = [], [], []
-        for coef, rhs in cons:
-            a = coef[var]
-            if a > 0:
-                lower.append((coef, rhs))
-            elif a < 0:
-                upper.append((coef, rhs))
-            else:
-                rest.append((coef[:var], rhs))
-        for (cl, rl), (cu, ru) in itertools.product(lower, upper):
-            al, au = cl[var], cu[var]
-            coef = tuple(-au * a + al * b for a, b in zip(cl[:var], cu[:var]))
-            rest.append((coef, -au * rl + al * ru))
-        cons = list(dict.fromkeys(rest))
-    return all(rhs <= 0 for _, rhs in cons)
-
-
 def _primitive_int_vector(v: Sequence[Fraction]) -> IntVector:
     lcm = 1
     for x in v:
@@ -202,6 +184,29 @@ def _primitive_int_vector(v: Sequence[Fraction]) -> IntVector:
     return tuple(x // g for x in ints)
 
 
+def _vertex_candidates(
+    normals: Sequence[IntVector], offsets: Sequence[Fraction]
+) -> set[Vector]:
+    """Feasible points cut out by n independent facets: the C(m, n) scan."""
+    n = len(normals[0])
+    cands: set[Vector] = set()
+    for subset in itertools.combinations(range(len(normals)), n):
+        mat = [normals[i] for i in subset]
+        if det_int(mat) == 0:
+            continue
+        point = solve_linear(
+            [tuple(Fraction(x) for x in row) for row in mat],
+            [offsets[i] for i in subset],
+        )
+        if point is None:
+            raise InvariantViolation(
+                f"facets {list(subset)} have a nonzero determinant but no common point"
+            )
+        if all(dot(u, point) >= c for u, c in zip(normals, offsets)):
+            cands.add(point)
+    return cands
+
+
 @dataclass(frozen=True)
 class DelzantPolytope:
     """Compact full-dimensional rational polytope in halfspace form.
@@ -210,7 +215,10 @@ class DelzantPolytope:
     DegeneratePolytope, or DegenerateFacet rather than ever producing an
     invalid instance. The checks run in that order, so an empty
     description is reported as empty even when its recession data also
-    looks unbounded.
+    looks unbounded.  One vertex scan decides the first two: no vertex
+    means empty (or, for normals that do not span, a second scan over
+    their pivot columns tells empty from unbounded), and a ray edge at
+    a vertex means unbounded.
     """
 
     dim: int
@@ -218,28 +226,25 @@ class DelzantPolytope:
 
     def __post_init__(self) -> None:
         normals, offsets = self._check_facets()
-        n = self.dim
-        candidates = self._vertex_candidates(normals, offsets)
-        if not candidates:
-            constraints = [
-                (tuple(Fraction(x) for x in u), c) for u, c in zip(normals, offsets)
-            ]
-            if not _fourier_motzkin_feasible(constraints, n):
-                raise EmptyPolytope("no point satisfies all facet inequalities")
-
-        frac_normals = [tuple(Fraction(x) for x in u) for u in normals]
-        if rank(frac_normals) < n:
+        if not normals:
             raise UnboundedPolytope("facet normals do not span the ambient space")
-        ray = self._recession_ray(normals)
+        candidates = _vertex_candidates(normals, offsets)
+        if not candidates:
+            # Normals of full rank make the polyhedron pointed, so it is
+            # empty exactly when it has no vertex.  Otherwise Ux ranges
+            # over the same set as the pivot columns' U'y, a system of
+            # full column rank, and the same scan decides it.
+            pivots = rref(normals)[1]
+            if len(pivots) == self.dim:
+                raise EmptyPolytope("no point satisfies all facet inequalities")
+            restricted = [tuple(u[j] for j in pivots) for u in normals]
+            if not _vertex_candidates(restricted, offsets):
+                raise EmptyPolytope("no point satisfies all facet inequalities")
+            raise UnboundedPolytope("facet normals do not span the ambient space")
+        self._set_vertices(candidates)
+        ray = self._ray_edge()
         if ray is not None:
             raise UnboundedPolytope(f"recession direction {ray} is unbounded")
-
-        # Bounded and feasible, hence a polytope: it must have vertices.
-        if not candidates:
-            raise InvariantViolation(
-                "bounded nonempty polyhedron with no vertex candidates"
-            )
-        self._set_vertices(candidates)
         self._check_faces()
 
     @classmethod
@@ -252,9 +257,9 @@ class DelzantPolytope:
         """Build from claimed vertices and their edge generators, verified.
 
         The caller guarantees boundedness: ``facets`` must include those of
-        a polytope, which is why the emptiness and recession tests are
-        skipped.  Every claimed point must satisfy all inequalities and be
-        tight on exactly its claimed active facets.  The cone table then
+        a polytope, which is why the ray-edge test is skipped.  Every
+        claimed point must satisfy all inequalities and be tight on
+        exactly its claimed active facets.  The cone table then
         verifies each claimed cone, which is the vertex test, and checks
         completeness edge by edge: each of the n ridges of a simple vertex
         must end in exactly one other claimed vertex.  A vertex set closed
@@ -358,10 +363,7 @@ class DelzantPolytope:
                     f"{list(v.active)} at {format_rational_vector(v.point)}"
                 )
             generators.append(cone)
-        ends: dict[tuple[int, ...], list[int]] = {}
-        for k, v in enumerate(self.vertices):
-            for ridge in itertools.combinations(v.active, n - 1):
-                ends.setdefault(ridge, []).append(k)
+        ends = self._ridge_ends()
         cones = []
         for k, (v, cone) in enumerate(zip(self.vertices, generators)):
             neighbours = None
@@ -398,37 +400,30 @@ class DelzantPolytope:
                     f"facet {i} does not support an (n-1)-dimensional face"
                 )
 
-    def _vertex_candidates(
-        self, normals: list[IntVector], offsets: list[Fraction]
-    ) -> set[Vector]:
-        n = self.dim
-        cands: set[Vector] = set()
-        for subset in itertools.combinations(range(len(normals)), n):
-            mat = [normals[i] for i in subset]
-            if det_int(mat) == 0:
-                continue
-            point = solve_linear(
-                [tuple(Fraction(x) for x in row) for row in mat],
-                [offsets[i] for i in subset],
-            )
-            if point is None:
-                raise InvariantViolation(
-                    f"facets {list(subset)} have a nonzero determinant but no common point"
-                )
-            if all(dot(u, point) >= c for u, c in zip(normals, offsets)):
-                cands.add(point)
-        return cands
+    def _ridge_ends(self) -> dict[tuple[int, ...], list[int]]:
+        """Each (n-1)-subset of a vertex's active facets, mapped to the
+        indices of the vertices tight on all of it."""
+        ends: dict[tuple[int, ...], list[int]] = {}
+        for k, v in enumerate(self.vertices):
+            for ridge in itertools.combinations(v.active, self.dim - 1):
+                ends.setdefault(ridge, []).append(k)
+        return ends
 
-    def _recession_ray(self, normals: list[IntVector]) -> IntVector | None:
-        # The recession cone is pointed once the normals span R^n; a
-        # nontrivial pointed cone has an extreme ray cut out by n-1
-        # independent tight constraints, so scanning those suffices.
-        n = self.dim
-        for subset in itertools.combinations(range(len(normals)), n - 1):
-            mat = [tuple(Fraction(x) for x in normals[i]) for i in subset]
-            if mat and rank(mat) != n - 1:
+    def _ray_edge(self) -> IntVector | None:
+        """Primitive direction of an edge that is a ray, or None.
+
+        Such an edge lies on n-1 independent facets active at its only
+        vertex, so it is a ridge with one end whose kernel line points
+        into the recession cone; any such line is a recession direction.
+        A simple vertex of a polytope has no one-ended ridge, so only
+        ridges at non-simple vertices or rays pay for a null space.
+        """
+        normals = [f.normal for f in self.facets]
+        for ridge, tight in self._ridge_ends().items():
+            if len(tight) != 1:
                 continue
-            kernel = nullspace(mat, ncols=n)
+            mat = [tuple(Fraction(x) for x in normals[i]) for i in ridge]
+            kernel = nullspace(mat, ncols=self.dim)
             if len(kernel) != 1:
                 continue
             z = _primitive_int_vector(kernel[0])

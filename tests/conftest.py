@@ -1,10 +1,38 @@
-"""Shared builders for the test suite."""
+"""Shared builders and exact matrix helpers for the test suite."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from cuspcheck import DelzantPolytope, Facet
+from cuspcheck.linalg import det_int, dot
+
+
+def mat_mul(a, b):
+    bt = list(zip(*b))
+    return tuple(tuple(dot(row, col) for col in bt) for row in a)
+
+
+def leading_principal_minors(m):
+    """Determinants of the k x k upper-left blocks, k = 1..n, exact."""
+    out = []
+    for k in range(1, len(m) + 1):
+        # Scale each row of the block to integers and divide the scale out.
+        scale = 1
+        block = []
+        for row in m[:k]:
+            fracs = [Fraction(x) for x in row[:k]]
+            lcm = math.lcm(*(x.denominator for x in fracs))
+            scale *= lcm
+            block.append([int(x * lcm) for x in fracs])
+        out.append(Fraction(det_int(block), scale))
+    return tuple(out)
+
+
+def is_positive_definite(m):
+    """Exact Sylvester criterion for a symmetric rational matrix."""
+    return all(minor > 0 for minor in leading_principal_minors(m))
 
 
 def unit_simplex(n: int) -> DelzantPolytope:

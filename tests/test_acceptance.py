@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import unit_cube, unit_simplex
+from conftest import is_positive_definite, unit_cube, unit_simplex
 from cuspcheck import (
     MomentConfiguration,
     SpectralPair,
@@ -40,7 +40,6 @@ from cuspcheck import (
     tower_step,
 )
 from cuspcheck import DelzantPolytope, Facet, cli
-from cuspcheck.linalg import is_positive_definite
 
 DATA = Path(__file__).parent / "data"
 

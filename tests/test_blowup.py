@@ -26,7 +26,7 @@ from cuspcheck import (
     start_tower,
     tower_step,
 )
-from cuspcheck import linalg
+from cuspcheck import linalg, polytope
 from cuspcheck.linalg import dot
 
 
@@ -276,18 +276,18 @@ def test_chops_run_no_vertex_scan(monkeypatch):
     simplex = unit_simplex(2)
     scans = []
     inversions = []
-    scan = DelzantPolytope._vertex_candidates
+    scan = polytope._vertex_candidates
     invert = linalg.inverse_unimodular
 
-    def counted(self, normals, offsets):
+    def counted(normals, offsets):
         scans.append(len(normals))
-        return scan(self, normals, offsets)
+        return scan(normals, offsets)
 
     def counted_inverse(matrix):
         inversions.append(matrix)
         return invert(matrix)
 
-    monkeypatch.setattr(DelzantPolytope, "_vertex_candidates", counted)
+    monkeypatch.setattr(polytope, "_vertex_candidates", counted)
     for name, module in list(sys.modules.items()):
         if name.startswith("cuspcheck") and getattr(module, "inverse_unimodular", None) is invert:
             monkeypatch.setattr(module, "inverse_unimodular", counted_inverse)

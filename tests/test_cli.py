@@ -209,6 +209,23 @@ def test_exit_one_on_semantic_errors(tmp_path, capsys, in_data_dir):
     assert code == 1
 
 
+def test_empty_document_refused_in_bounded_time():
+    # 14 facets in dimension 4 with no common point.  The vertex scan
+    # decides emptiness, so no elimination may make the refusal exponential.
+    src = str(Path(cuspcheck.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-m", "cuspcheck.cli", "vertices", "empty4d.json"],
+        cwd=DATA,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert done.returncode == 1
+    assert "error at /: no point satisfies all facet inequalities" in done.stderr
+
+
 def test_exit_one_on_usage_errors(capsys, in_data_dir):
     with pytest.raises(SystemExit) as exc:
         cli.run(["vertices", "--bogus", "simplex2.json"])

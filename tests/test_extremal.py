@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from conftest import interval, unit_cube, unit_simplex
+from conftest import interval, is_positive_definite, unit_cube, unit_simplex
 from cuspcheck import (
     AffineFunction,
     FormalExtensionWarning,
@@ -25,7 +25,6 @@ from cuspcheck import (
     relative_futaki,
     restrict_affine,
 )
-from cuspcheck.linalg import is_positive_definite
 
 _RNG = random.Random(97531)
 

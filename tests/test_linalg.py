@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from conftest import is_positive_definite, leading_principal_minors, mat_mul
 from cuspcheck.errors import DimensionMismatch, NotUnimodular
 from cuspcheck.linalg import (
     affine_rank,
@@ -19,10 +20,7 @@ from cuspcheck.linalg import (
     hermite_normal_form,
     identity_int,
     inverse_unimodular,
-    is_positive_definite,
     is_primitive,
-    leading_principal_minors,
-    mat_mul,
     mat_vec,
     nullspace,
     project_onto_columns,

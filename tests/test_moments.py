@@ -39,6 +39,20 @@ from cuspcheck.moments import integrate_polynomial_boundary
 _RNG = random.Random(515253)
 
 
+def compose_affine(q, origin, columns):
+    """Pull q back along y -> origin + sum_j y_j columns[j]."""
+    o = tuple(Fraction(x) for x in origin)
+    cols = [tuple(Fraction(x) for x in col) for col in columns]
+    qo = tuple(dot(row, o) for row in q.quad)
+    constant = q.constant + dot(q.linear, o) + dot(o, qo)
+    linear = tuple(dot(q.linear, c) + 2 * dot(qo, c) for c in cols)
+    quad = tuple(
+        tuple(dot(ci, tuple(dot(row, cj) for row in q.quad)) for cj in cols)
+        for ci in cols
+    )
+    return Poly2(constant=constant, linear=linear, quad=quad)
+
+
 def _sympy_polygon(poly):
     # ccw ordering by angle around the barycenter
     pts = [tuple(v.point) for v in poly.vertices]
@@ -263,8 +277,8 @@ def test_poly2_eval_and_compose():
     q = Poly2.from_monomials(2, {(0, 0): 1, (1, 0): 2, (1, 1): 3})
     assert q((Fraction(1), Fraction(2))) == 1 + 2 + 6
     # substitute x = 1 + 2t, y = t
-    composed = q.compose_affine(
-        (Fraction(1), Fraction(0)), ((Fraction(2), Fraction(1)),)
+    composed = compose_affine(
+        q, (Fraction(1), Fraction(0)), ((Fraction(2), Fraction(1)),)
     )
     for t in (Fraction(0), Fraction(1, 2), Fraction(-3)):
         assert composed((t,)) == q((1 + 2 * t, t))
@@ -390,7 +404,7 @@ def _assert_chart_route(poly):
             for k in range(n)
         )
         assert (fm.measure, fm.first_moments) == (m.volume, first)
-        pulled = q.compose_affine(chart.origin, chart.basis)
+        pulled = compose_affine(q, chart.origin, chart.basis)
         expected = pulled.constant * m.volume + dot(pulled.linear, m.first_moments)
         for row, moments in zip(pulled.quad, m.second_moments):
             expected += dot(row, moments)

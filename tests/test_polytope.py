@@ -2,13 +2,20 @@
 
 scipy's qhull wrapper recomputes vertex sets from the same halfspaces;
 interior points for it come from an independent Chebyshev-center LP.
+Emptiness and boundedness are checked against an exact oracle, a
+Fourier-Motzkin elimination and a scan of every (n-1)-subset of facets
+for a recession ray.
 """
 
+import ast
+import itertools
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.spatial import HalfspaceIntersection
 
@@ -29,7 +36,10 @@ from cuspcheck import (
     enumerate_vertices,
     facet_polytope,
     is_delzant,
+    polytope,
 )
+from cuspcheck.errors import InvalidPolytope
+from cuspcheck.linalg import dot, is_primitive, nullspace, rank
 
 _RNG = random.Random(8141)
 
@@ -148,6 +158,29 @@ def test_unbounded_polytope_detected():
     # bounded in one direction only
     with pytest.raises(UnboundedPolytope):
         DelzantPolytope(2, (Facet((1, 0), 0), Facet((-1, 0), -1), Facet((0, 1), 0)))
+
+
+def test_rank_deficient_empty_system_is_empty():
+    # x >= 1 and -x >= 0 in the plane: the normals span only a line
+    with pytest.raises(EmptyPolytope, match="no point satisfies"):
+        DelzantPolytope(2, (Facet((1, 0), 1), Facet((-1, 0), 0)))
+
+
+def test_strip_normals_do_not_span():
+    with pytest.raises(UnboundedPolytope, match="facet normals do not span"):
+        DelzantPolytope(2, (Facet((1, 0), 0), Facet((-1, 0), -1)))
+
+
+def test_cone_with_non_simple_apex_is_unbounded():
+    normals = ((1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1))
+    with pytest.raises(UnboundedPolytope, match="recession direction") as err:
+        DelzantPolytope(3, tuple(Facet(u, 0) for u in normals))
+    _assert_names_recession_ray(str(err.value), normals)
+
+
+def test_one_dimensional_ray_is_unbounded():
+    with pytest.raises(UnboundedPolytope, match=r"recession direction \(1,\)"):
+        DelzantPolytope(1, (Facet((1,), 0),))
 
 
 def test_lower_dimensional_body_rejected():
@@ -356,3 +389,116 @@ def test_from_data_requires_object():
         DelzantPolytope.from_data({"dim": 0, "facets": []})
     pointers = dict(err.value.errors)
     assert "/dim" in pointers and "/facets" in pointers
+
+
+# Exact oracle for emptiness and boundedness, in the constructor's order:
+# Fourier-Motzkin elimination when the scan finds no vertex, then the
+# rank of the normals, then a recession ray over all (n-1)-subsets.
+
+
+def _fourier_motzkin_feasible(
+    constraints: list[tuple[tuple[Fraction, ...], Fraction]], nvars: int
+) -> bool:
+    # Constraints are sum(coef * x) >= rhs; eliminate the trailing
+    # variable each round.
+    cons = constraints
+    for var in range(nvars - 1, -1, -1):
+        lower, upper, rest = [], [], []
+        for coef, rhs in cons:
+            a = coef[var]
+            if a > 0:
+                lower.append((coef, rhs))
+            elif a < 0:
+                upper.append((coef, rhs))
+            else:
+                rest.append((coef[:var], rhs))
+        for (cl, rl), (cu, ru) in itertools.product(lower, upper):
+            al, au = cl[var], cu[var]
+            coef = tuple(-au * a + al * b for a, b in zip(cl[:var], cu[:var]))
+            rest.append((coef, -au * rl + al * ru))
+        cons = list(dict.fromkeys(rest))
+    return all(rhs <= 0 for _, rhs in cons)
+
+
+def _recession_ray(normals, n):
+    # The recession cone is pointed once the normals span R^n; a
+    # nontrivial pointed cone has an extreme ray cut out by n-1
+    # independent tight constraints, so scanning those suffices.
+    for subset in itertools.combinations(range(len(normals)), n - 1):
+        mat = [tuple(Fraction(x) for x in normals[i]) for i in subset]
+        if mat and rank(mat) != n - 1:
+            continue
+        kernel = nullspace(mat, ncols=n)
+        if len(kernel) != 1:
+            continue
+        z = polytope._primitive_int_vector(kernel[0])
+        for candidate in (z, tuple(-x for x in z)):
+            if all(dot(u, candidate) >= 0 for u in normals):
+                return candidate
+    return None
+
+
+def _oracle_vertices(dim, facets):
+    poly = object.__new__(DelzantPolytope)
+    object.__setattr__(poly, "dim", dim)
+    object.__setattr__(poly, "facets", facets)
+    normals, offsets = poly._check_facets()
+    candidates = polytope._vertex_candidates(normals, offsets) if normals else set()
+    if not candidates:
+        constraints = [
+            (tuple(Fraction(x) for x in u), c) for u, c in zip(normals, offsets)
+        ]
+        if not _fourier_motzkin_feasible(constraints, dim):
+            raise EmptyPolytope("no point satisfies all facet inequalities")
+    if rank([tuple(Fraction(x) for x in u) for u in normals]) < dim:
+        raise UnboundedPolytope("facet normals do not span the ambient space")
+    ray = _recession_ray(normals, dim)
+    if ray is not None:
+        raise UnboundedPolytope(f"recession direction {ray} is unbounded")
+    poly._set_vertices(candidates)
+    poly._check_faces()
+    return poly.vertices
+
+
+def _outcome(build):
+    try:
+        return "ok", build()
+    except (InvalidPolytope, DegenerateFacet) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_names_recession_ray(message, normals):
+    ray = ast.literal_eval(message.split("recession direction ", 1)[1].split(" is")[0])
+    assert any(ray)
+    assert all(dot(u, ray) >= 0 for u in normals)
+
+
+@st.composite
+def halfspace_systems(draw):
+    """Primitive normals with entries in [-2, 2], half-integer offsets."""
+    n = draw(st.integers(1, 4))
+    primitive = [u for u in itertools.product(range(-2, 3), repeat=n) if is_primitive(u)]
+    m = draw(st.integers(0, 2 if n == 1 else n + 4))
+    # Half the systems start from the box normals +-e_i, so that bounded
+    # polytopes and their degenerate cuts are common too.
+    box = [u for u in primitive if sum(map(abs, u)) == 1] if draw(st.booleans()) else []
+    extra = max(m - len(box), 0)
+    rest = st.sampled_from(primitive).filter(lambda u: u not in box)
+    normals = box[:m] + draw(st.lists(rest, min_size=extra, max_size=extra, unique=True))
+    halves = draw(st.lists(st.integers(-6, 2), min_size=m, max_size=m))
+    return n, tuple(Facet(u, Fraction(h, 2)) for u, h in zip(normals, halves))
+
+
+@given(halfspace_systems())
+@settings(max_examples=300, deadline=None)
+def test_constructor_matches_exact_oracle(system):
+    dim, facets = system
+    got = _outcome(lambda: DelzantPolytope(dim, facets).vertices)
+    expected = _outcome(lambda: _oracle_vertices(dim, facets))
+    recession = "recession direction "
+    if got[0] is UnboundedPolytope and got[1].startswith(recession):
+        assert expected[0] is UnboundedPolytope
+        assert expected[1].startswith(recession)
+        _assert_names_recession_ray(got[1], [f.normal for f in facets])
+    else:
+        assert got == expected

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import unit_cube, unit_simplex
+from conftest import is_positive_definite, unit_cube, unit_simplex
 from cuspcheck import (
     DelzantPolytope,
     Facet,
@@ -26,7 +26,7 @@ from cuspcheck import (
     polytope_moments,
     roots_in_window,
 )
-from cuspcheck.linalg import dot, is_positive_definite, mat_vec
+from cuspcheck.linalg import dot, mat_vec
 from cuspcheck.moments import integrate_polynomial_boundary
 
 settings.register_profile("suite", deadline=None)
