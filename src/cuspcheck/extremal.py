@@ -23,9 +23,8 @@ from .errors import DimensionMismatch, FormalExtensionWarning, SingularGram
 from .linalg import Matrix, Vector, dot, mat_vec, solve_linear
 from .moments import (
     Poly2,
-    _integrate_monomial,
+    _integrate,
     boundary_moments,
-    integrate_polynomial,
     integrate_polynomial_boundary,
     polytope_moments,
 )
@@ -141,12 +140,6 @@ def relative_futaki(
     report = extremal_affine(poly, excluded)
     affine = report.affine
     boundary = integrate_polynomial_boundary(poly, q, excluded)
-    # q * A has degree up to three; integrate monomial by monomial.
-    volume_side = affine.constant * integrate_polynomial(poly, q)
-    for alpha, coeff in q.to_monomials().items():
-        for i, g in enumerate(affine.gradient):
-            if g == 0 or coeff == 0:
-                continue
-            shifted = tuple(a + (1 if k == i else 0) for k, a in enumerate(alpha))
-            volume_side += g * coeff * _integrate_monomial(poly, shifted)
+    # q * A has degree up to three, which the simplex rule integrates exactly.
+    (volume_side,) = _integrate(poly, lambda x: (q(x) * affine(x),))
     return boundary - volume_side

@@ -1,13 +1,18 @@
 """Exact volume and boundary moments of Delzant polytopes.
 
-Every integral is a sum of one closed-form simplex integral over one fan
-triangulation of the polytope, which also triangulates each facet.  The
-body carries Lebesgue measure.  A facet with primitive normal u carries
-the lattice boundary measure (the one with d(lattice volume) equal to
-d(boundary measure) wedged with the pairing against u); on a facet
-simplex its mass is a determinant, |det[u; edges]| / ((n-1)! <u, u>), so
-no facet chart or facet polytope is built.  Everything is Fraction
-arithmetic; nothing is approximated.
+Every integral is one weighted sum over one fan triangulation of the
+polytope, which also triangulates each facet: on each simplex the
+integrand is evaluated at k + 2 rational nodes of the degree-3 rule of
+Grundmann and Moeller (SIAM J. Numer. Anal. 15, 1978; Stroud's T_n:3-1).
+Degree 3 suffices because every integrand in the package has degree at
+most 3: the moments and ``Poly2`` have degree at most 2, and the volume
+side of ``relative_futaki`` integrates q * A, a quadratic times an
+affine function.  The body carries Lebesgue measure.  A facet with
+primitive normal u carries the lattice boundary measure (the one with
+d(lattice volume) equal to d(boundary measure) wedged with the pairing
+against u); on a facet simplex its mass is a determinant,
+|det[u; edges]| / ((n-1)! <u, u>), so no facet chart or facet polytope
+is built.  Everything is Fraction arithmetic; nothing is approximated.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import DimensionMismatch, InvariantViolation, UnsupportedDegree
 from .linalg import IntVector, Matrix, Vector, affine_rank, det_int, dot
@@ -65,16 +70,6 @@ class Poly2:
         return value
 
     @classmethod
-    def zero(cls, dimension: int) -> "Poly2":
-        return cls(
-            constant=Fraction(0),
-            linear=tuple(Fraction(0) for _ in range(dimension)),
-            quad=tuple(
-                tuple(Fraction(0) for _ in range(dimension)) for _ in range(dimension)
-            ),
-        )
-
-    @classmethod
     def from_monomials(
         cls, dimension: int, monomials: Mapping[tuple[int, ...], Fraction]
     ) -> "Poly2":
@@ -112,29 +107,6 @@ class Poly2:
             linear=tuple(linear),
             quad=tuple(tuple(row) for row in quad),
         )
-
-    def to_monomials(self) -> dict[tuple[int, ...], Fraction]:
-        n = self.dimension
-        out: dict[tuple[int, ...], Fraction] = {}
-
-        def unit(i: int) -> tuple[int, ...]:
-            return tuple(1 if k == i else 0 for k in range(n))
-
-        if self.constant != 0:
-            out[tuple(0 for _ in range(n))] = self.constant
-        for i, c in enumerate(self.linear):
-            if c != 0:
-                out[unit(i)] = c
-        for i in range(n):
-            if self.quad[i][i] != 0:
-                out[tuple(2 if k == i else 0 for k in range(n))] = self.quad[i][i]
-            for j in range(i + 1, n):
-                if self.quad[i][j] != 0:
-                    key = tuple(
-                        (1 if k == i else 0) + (1 if k == j else 0) for k in range(n)
-                    )
-                    out[key] = 2 * self.quad[i][j]
-        return out
 
 
 @dataclass(frozen=True)
@@ -191,19 +163,22 @@ class BoundaryMomentData:
         )
 
 
-def _simplex_monomial_integral(
-    vertices: Sequence[Vector], alpha: Sequence[int], normal: IntVector | None = None
-) -> Fraction:
-    """Integral of x^alpha over the simplex spanned by k + 1 points of R^n.
+Rule = tuple[tuple[Fraction, Vector], ...]
+
+
+def _simplex_rule(vertices: Sequence[Vector], normal: IntVector | None = None) -> Rule:
+    """(weight, node) pairs that integrate degree <= 3 exactly over a simplex.
 
     Without ``normal`` the simplex is an n-simplex in Lebesgue measure.
     With a primitive facet normal u it is an (n-1)-simplex in the lattice
     measure, of mass |det[u; p_1 - p_0; ...]| / ((n-1)! <u, u>), which for
-    n = 1 is the unit point mass.  The monomial is expanded in barycentric
-    coordinates; over a k-simplex of mass mu, lambda^beta integrates to
-    mu * k! * prod(beta!) / (k + |beta|)!.
+    n = 1 is the unit point mass.  The nodes of the k-simplex are its
+    centroid, of weight -(k+1)^2 / (4(k+2)), and for each vertex p the
+    point (sum of the vertices + 2p) / (k+3), of weight
+    (k+3)^2 / (4(k+1)(k+2)); the weights sum to 1 and are scaled by the
+    mass.  For k = 0 both nodes are the point itself.
     """
-    n = len(alpha)
+    n = len(vertices[0])
     k = n if normal is None else n - 1
     if len(vertices) != k + 1:
         raise InvariantViolation(f"a {k}-simplex needs {k + 1} points, got {len(vertices)}")
@@ -220,24 +195,13 @@ def _simplex_monomial_integral(
         rows.insert(0, list(normal))
         scale *= sum(x * x for x in normal)
     mass = Fraction(abs(det_int(rows)), scale)
-    degree = sum(alpha)
-    if degree == 0:
-        return mass
-    positions = [j for j, a in enumerate(alpha) for _ in range(a)]
-    total = Fraction(0)
-    for choice in itertools.product(range(k + 1), repeat=degree):
-        term = Fraction(1)
-        for pos, idx in zip(positions, choice):
-            term *= vertices[idx][pos]
-        if term == 0:
-            continue
-        counts: dict[int, int] = {}
-        for idx in choice:
-            counts[idx] = counts.get(idx, 0) + 1
-        for c in counts.values():
-            term *= math.factorial(c)
-        total += term
-    return mass * math.factorial(k) / math.factorial(k + degree) * total
+    total = [sum((p[j] for p in vertices), Fraction(0)) for j in range(n)]
+    centroid = tuple(t / (k + 1) for t in total)
+    rule = [(-mass * (k + 1) ** 2 / (4 * (k + 2)), centroid)]
+    weight = mass * (k + 3) ** 2 / (4 * (k + 1) * (k + 2))
+    for p in vertices:
+        rule.append((weight, tuple((t + 2 * x) / (k + 3) for t, x in zip(total, p))))
+    return tuple(rule)
 
 
 Simplices = tuple[tuple[Vector, ...], ...]
@@ -297,45 +261,48 @@ def _triangulate(poly: DelzantPolytope) -> tuple[Simplices, tuple[Simplices, ...
     )
 
 
-def _integrate_monomial(
-    poly: DelzantPolytope, alpha: Sequence[int], facet: int | None = None
-) -> Fraction:
-    """Exact integral of x^alpha, any degree, over the body or one facet in dsigma."""
-    if len(alpha) != poly.dim:
-        raise DimensionMismatch(
-            f"exponent tuple has length {len(alpha)}, polytope dimension is {poly.dim}"
-        )
+def _integrate(
+    poly: DelzantPolytope,
+    f: Callable[[Vector], Sequence[Fraction]],
+    facet: int | None = None,
+) -> tuple[Fraction, ...]:
+    """Exact integral of f, componentwise, over the body or one facet in dsigma.
+
+    f maps a point to a tuple of Fractions, and every component must be
+    a polynomial of degree <= 3: that is the degree ``_simplex_rule``
+    integrates exactly.
+    """
     body, facets = _triangulate(poly)
     simplices = body if facet is None else facets[facet]
     normal = None if facet is None else poly.facets[facet].normal
-    return sum(
-        (_simplex_monomial_integral(s, tuple(alpha), normal) for s in simplices),
-        Fraction(0),
-    )
-
-
-def _unit(n: int, i: int) -> tuple[int, ...]:
-    return tuple(1 if k == i else 0 for k in range(n))
+    total: list[Fraction] = []
+    for s in simplices:
+        for weight, node in _simplex_rule(s, normal):
+            terms = [weight * v for v in f(node)]
+            total = [a + b for a, b in zip(total, terms)] if total else terms
+    return tuple(total)
 
 
 def polytope_moments(poly: DelzantPolytope) -> MomentData:
     """Exact volume, first, and second moments of the polytope."""
     n = poly.dim
+    pairs = list(itertools.combinations_with_replacement(range(n), 2))
+    values = _integrate(
+        poly, lambda x: (Fraction(1), *x, *(x[i] * x[j] for i, j in pairs))
+    )
     second = [[Fraction(0)] * n for _ in range(n)]
-    for i, j in itertools.combinations_with_replacement(range(n), 2):
-        alpha = tuple(a + b for a, b in zip(_unit(n, i), _unit(n, j)))
-        second[i][j] = second[j][i] = _integrate_monomial(poly, alpha)
+    for (i, j), value in zip(pairs, values[n + 1 :]):
+        second[i][j] = second[j][i] = value
     return MomentData(
-        volume=_integrate_monomial(poly, (0,) * n),
-        first_moments=tuple(_integrate_monomial(poly, _unit(n, i)) for i in range(n)),
+        volume=values[0],
+        first_moments=values[1 : n + 1],
         second_moments=tuple(tuple(row) for row in second),
     )
 
 
 def _facet_moments(poly: DelzantPolytope, index: int) -> FacetMoments:
-    n = poly.dim
-    first = tuple(_integrate_monomial(poly, _unit(n, k), index) for k in range(n))
-    return FacetMoments(_integrate_monomial(poly, (0,) * n, index), first)
+    values = _integrate(poly, lambda x: (Fraction(1), *x), index)
+    return FacetMoments(values[0], values[1:])
 
 
 def boundary_moments(
@@ -359,10 +326,8 @@ def _integrate_poly2(
         raise DimensionMismatch(
             f"polynomial in {q.dimension} variables over a {poly.dim}-dimensional polytope"
         )
-    monomials = q.to_monomials().items()
     return sum(
-        (c * _integrate_monomial(poly, a, d) for d in domains for a, c in monomials),
-        Fraction(0),
+        (_integrate(poly, lambda x: (q(x),), d)[0] for d in domains), Fraction(0)
     )
 
 

@@ -306,11 +306,18 @@ class DelzantPolytope:
                 raise DimensionMismatch(
                     f"facet {i} has normal of length {len(f.normal)}, expected {n}"
                 )
-        for i, j in itertools.combinations(range(len(facets)), 2):
-            if facets[i].normal == facets[j].normal:
-                raise DegenerateFacet(
-                    f"facets {i} and {j} share the normal {facets[i].normal}"
-                )
+        # Report the least pair i < j of equal normals.
+        first: dict[IntVector, int] = {}
+        shared = []
+        for j, f in enumerate(facets):
+            i = first.setdefault(f.normal, j)
+            if i != j:
+                shared.append((i, j))
+        if shared:
+            i, j = min(shared)
+            raise DegenerateFacet(
+                f"facets {i} and {j} share the normal {facets[i].normal}"
+            )
         labels = [f.label for f in facets if f.label is not None]
         if len(labels) != len(set(labels)):
             raise ValueError("facet labels must be unique")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 # ASCII digits only, matched against the whole string: \d would admit any
 # Unicode digit and $ a trailing newline, both outside the wire format.
@@ -49,10 +49,6 @@ def format_rational(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
-
-
-def parse_rational_vector(values: Sequence[int | str]) -> tuple[Fraction, ...]:
-    return tuple(parse_rational(v) for v in values)
 
 
 def format_rational_vector(values: Iterable[Fraction]) -> list[str]:

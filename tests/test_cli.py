@@ -297,6 +297,40 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+# Floating point is allowed only where it is the product: the indicial
+# roots and weights (indicial.py, and the --window bounds parsed for it)
+# and the --float rendering of exact results.
+_FLOAT_MODULES = {"indicial.py"}
+_FLOAT_FUNCTIONS = {("cli.py", "_render"), ("cli.py", "_cmd_indicial_roots")}
+
+
+def test_package_has_no_float_outside_the_float_paths():
+    # A float literal or float(...) call in an exact path would silently
+    # round; every rational stays a Fraction or an int.
+    package = Path(cuspcheck.__file__).resolve().parent
+    sources = [p for p in sorted(package.glob("*.py")) if p.name not in _FLOAT_MODULES]
+    assert len(sources) > 5
+    found = []
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        exempt = {
+            id(node)
+            for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef) and (path.name, func.name) in _FLOAT_FUNCTIONS
+            for node in ast.walk(func)
+        }
+        for node in ast.walk(tree):
+            is_literal = isinstance(node, ast.Constant) and isinstance(node.value, float)
+            is_call = (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "float"
+            )
+            if (is_literal or is_call) and id(node) not in exempt:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_float_block_added_not_replacing(capsys, in_data_dir):
     code, out, _ = run_cli(capsys, ["moments", "simplex2.json", "--float", "5"])
     assert code == 0

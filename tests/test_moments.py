@@ -8,8 +8,11 @@ polytope's own moments in its lattice chart; everything exact except the
 Monte-Carlo smoke check.
 """
 
+import itertools
+import math
 import random
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 import sympy
@@ -33,8 +36,9 @@ from cuspcheck import (
     max_chop_parameter,
     polytope_moments,
 )
-from cuspcheck.linalg import dot
-from cuspcheck.moments import integrate_polynomial_boundary
+from cuspcheck.errors import InvariantViolation
+from cuspcheck.linalg import IntVector, Vector, det_int, dot
+from cuspcheck.moments import _integrate, _triangulate, integrate_polynomial_boundary
 
 _RNG = random.Random(515253)
 
@@ -441,3 +445,94 @@ def test_euler_identity_on_non_simple_and_non_unimodular(build):
 @pytest.mark.parametrize("build", [_pyramid, _skew_triangle])
 def test_chart_push_forward_on_non_simple_and_non_unimodular(build):
     _assert_chart_route(build())
+
+
+# --- the simplex rule against the barycentric expansion it replaced ---
+
+
+def _simplex_monomial_integral(
+    vertices: Sequence[Vector], alpha: Sequence[int], normal: IntVector | None = None
+) -> Fraction:
+    """Integral of x^alpha over the simplex spanned by k + 1 points of R^n.
+
+    Without ``normal`` the simplex is an n-simplex in Lebesgue measure.
+    With a primitive facet normal u it is an (n-1)-simplex in the lattice
+    measure, of mass |det[u; p_1 - p_0; ...]| / ((n-1)! <u, u>), which for
+    n = 1 is the unit point mass.  The monomial is expanded in barycentric
+    coordinates; over a k-simplex of mass mu, lambda^beta integrates to
+    mu * k! * prod(beta!) / (k + |beta|)!.
+    """
+    n = len(alpha)
+    k = n if normal is None else n - 1
+    if len(vertices) != k + 1:
+        raise InvariantViolation(f"a {k}-simplex needs {k + 1} points, got {len(vertices)}")
+    edges = [
+        [vertices[i][j] - vertices[0][j] for j in range(n)] for i in range(1, k + 1)
+    ]
+    lcm = 1
+    for row in edges:
+        for x in row:
+            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
+    rows = [[int(x * lcm) for x in row] for row in edges]
+    scale = math.factorial(k) * lcm**k
+    if normal is not None:
+        rows.insert(0, list(normal))
+        scale *= sum(x * x for x in normal)
+    mass = Fraction(abs(det_int(rows)), scale)
+    degree = sum(alpha)
+    if degree == 0:
+        return mass
+    positions = [j for j, a in enumerate(alpha) for _ in range(a)]
+    total = Fraction(0)
+    for choice in itertools.product(range(k + 1), repeat=degree):
+        term = Fraction(1)
+        for pos, idx in zip(positions, choice):
+            term *= vertices[idx][pos]
+        if term == 0:
+            continue
+        counts: dict[int, int] = {}
+        for idx in choice:
+            counts[idx] = counts.get(idx, 0) + 1
+        for c in counts.values():
+            term *= math.factorial(c)
+        total += term
+    return mass * math.factorial(k) / math.factorial(k + degree) * total
+
+
+def _monomials_to_degree_three(n):
+    """Exponent tuples of every monomial of degree at most three in n variables."""
+    out = []
+    for degree in range(4):
+        for support in itertools.combinations_with_replacement(range(n), degree):
+            out.append(tuple(support.count(k) for k in range(n)))
+    return out
+
+
+def _assert_rule_matches_expansion(poly):
+    # Same triangulation, two integrators: the degree-3 rule at k + 2 nodes
+    # per simplex against the expansion over all vertex tuples, exactly.
+    alphas = _monomials_to_degree_three(poly.dim)
+
+    def monomials(x):
+        return tuple(math.prod(xi**a for xi, a in zip(x, alpha)) for alpha in alphas)
+
+    body, facets = _triangulate(poly)
+    for index, simplices in [(None, body), *enumerate(facets)]:
+        normal = None if index is None else poly.facets[index].normal
+        expected = tuple(
+            sum((_simplex_monomial_integral(s, alpha, normal) for s in simplices), Fraction(0))
+            for alpha in alphas
+        )
+        assert _integrate(poly, monomials, index) == expected, index
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@given(data=st.data())
+@settings(max_examples=3, deadline=None)
+def test_simplex_rule_matches_barycentric_expansion(n, data):
+    _assert_rule_matches_expansion(data.draw(framed_chopped().filter(lambda p: p.dim == n)))
+
+
+@pytest.mark.parametrize("build", [_pyramid, _skew_triangle])
+def test_simplex_rule_matches_expansion_on_non_simple_and_non_unimodular(build):
+    _assert_rule_matches_expansion(build())

@@ -203,6 +203,21 @@ def test_duplicate_normals_rejected():
         )
 
 
+def test_duplicate_normals_report_the_least_pair():
+    # normals A, B, B, A: the pair (0, 3) comes before (1, 2)
+    with pytest.raises(DegenerateFacet) as exc:
+        DelzantPolytope(
+            2,
+            (
+                Facet((1, 0), 0),
+                Facet((0, 1), 0),
+                Facet((0, 1), -1),
+                Facet((1, 0), -2),
+            ),
+        )
+    assert str(exc.value) == "facets 0 and 3 share the normal (1, 0)"
+
+
 def test_facet_without_ridge_support_rejected():
     # the diagonal halfspace only touches the square at one corner
     with pytest.raises(DegenerateFacet):

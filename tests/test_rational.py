@@ -8,7 +8,6 @@ from cuspcheck.rational import (
     format_rational,
     format_rational_vector,
     parse_rational,
-    parse_rational_vector,
 )
 
 
@@ -49,7 +48,6 @@ def test_format_lowest_terms():
 
 
 def test_vector_helpers():
-    assert parse_rational_vector(["1/2", 3]) == (Fraction(1, 2), Fraction(3))
     assert format_rational_vector([Fraction(1, 2), Fraction(3)]) == ["1/2", "3"]
 
 
