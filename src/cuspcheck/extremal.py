@@ -20,9 +20,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionMismatch, FormalExtensionWarning, SingularGram
-from .linalg import Matrix, Vector, dot, mat_vec, solve_linear
+from .linalg import IntVector, Matrix, Vector, dot, mat_vec, solve_linear
 from .moments import (
     Poly2,
+    _graded,
     _integrate,
     boundary_moments,
     integrate_polynomial_boundary,
@@ -140,6 +141,13 @@ def relative_futaki(
     report = extremal_affine(poly, excluded)
     affine = report.affine
     boundary = integrate_polynomial_boundary(poly, q, excluded)
-    # q * A has degree up to three, which the simplex rule integrates exactly.
-    (volume_side,) = _integrate(poly, lambda x: (q(x) * affine(x),))
+    # The homogeneous parts of q * A, of degree <= 3, the simplex rule's bound.
+    q_scale, q_parts = _graded(q)
+    a_scale, a_parts = _graded(affine.as_poly2())
+
+    def parts(x: IntVector) -> tuple[int, ...]:
+        (q0, q1, q2), (a0, a1, _) = q_parts(x), a_parts(x)
+        return q0 * a0, q0 * a1 + q1 * a0, q1 * a1 + q2 * a0, q2 * a1
+
+    volume_side = sum(_integrate(poly, parts, (0, 1, 2, 3))) / (q_scale * a_scale)
     return boundary - volume_side

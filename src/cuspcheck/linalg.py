@@ -2,10 +2,12 @@
 
 Everything here is deterministic and division-free where it matters:
 integer determinants and linear solves go through fraction-free Bareiss
-elimination, lattice computations through a schoolbook Hermite normal
-form with a tracked unimodular transform.  Matrices are tuples of row
-tuples; sizes are tiny (n <= 5 plus a handful of constraints), so
-asymptotics are irrelevant next to exactness.
+elimination, ranks through fraction-free elimination on rows scaled to
+integers, lattice computations through a schoolbook Hermite normal form
+with a tracked unimodular transform; only ``rref`` (null spaces, pivot
+columns) works in Fractions.  Matrices are tuples of row tuples; sizes
+are tiny (n <= 5 plus a handful of constraints), so asymptotics are
+irrelevant next to exactness.
 """
 
 from __future__ import annotations
@@ -74,12 +76,9 @@ def det_int(m: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _clear_denominators(row: Sequence[Fraction]) -> list[int]:
-    lcm = 1
-    fracs = [Fraction(x) for x in row]
-    for x in fracs:
-        lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-    return [int(x * lcm) for x in fracs]
+def _clear_denominators(row: Sequence[Fraction | int]) -> list[int]:
+    lcm = math.lcm(*[x.denominator for x in row])
+    return [x.numerator * (lcm // x.denominator) for x in row]
 
 
 def solve_linear(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Vector | None:
@@ -143,18 +142,24 @@ def rref(m: Sequence[Sequence[Fraction]]) -> tuple[Matrix, tuple[int, ...]]:
 
 
 def rank(m: Sequence[Sequence[Fraction]]) -> int:
-    if not m:
-        return 0
-    return len(rref(m)[1])
+    """Row rank by fraction-free elimination: each pass clears one pivot's
+    column from the other integer rows, divides them by their gcd and drops
+    the zero rows; the rank is the number of passes."""
+    rows = [row for row in map(_clear_denominators, m) if any(row)]
+    count = 0
+    while rows:
+        pivot = rows.pop()
+        c = next(j for j, x in enumerate(pivot) if x)
+        reduced = ([pivot[c] * x - row[c] * y for x, y in zip(row, pivot)] for row in rows)
+        rows = [[x // g for x in row] for row in reduced if (g := gcd_vector(row))]
+        count += 1
+    return count
 
 
 def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
-    """Dimension of the affine span of the given points (-1 if none)."""
-    if not points:
-        return -1
-    base = points[0]
-    diffs = [tuple(Fraction(x) - Fraction(y) for x, y in zip(p, base)) for p in points[1:]]
-    return rank(diffs)
+    """Dimension of the affine span of the given points (-1 if none): the
+    rank of the rows (1, p) less one, so no differences are formed."""
+    return rank([(1, *p) for p in points]) - 1
 
 
 def nullspace(m: Sequence[Sequence[Fraction]], ncols: int | None = None) -> tuple[Vector, ...]:

@@ -2,7 +2,7 @@
 
 Every integral is one weighted sum over one fan triangulation of the
 polytope, which also triangulates each facet: on each simplex the
-integrand is evaluated at k + 2 rational nodes of the degree-3 rule of
+integrand is evaluated at the k + 2 nodes of the degree-3 rule of
 Grundmann and Moeller (SIAM J. Numer. Anal. 15, 1978; Stroud's T_n:3-1).
 Degree 3 suffices because every integrand in the package has degree at
 most 3: the moments and ``Poly2`` have degree at most 2, and the volume
@@ -12,7 +12,9 @@ primitive normal u carries the lattice boundary measure (the one with
 d(lattice volume) equal to d(boundary measure) wedged with the pairing
 against u); on a facet simplex its mass is a determinant,
 |det[u; edges]| / ((n-1)! <u, u>), so no facet chart or facet polytope
-is built.  Everything is Fraction arithmetic; nothing is approximated.
+is built.  The sums run on ints: scaled by one common denominator per
+domain, nodes and weights are integers, and each homogeneous form of the
+integrand is divided once at the end.  Nothing is approximated.
 """
 
 from __future__ import annotations
@@ -109,6 +111,21 @@ class Poly2:
         )
 
 
+def _graded(q: Poly2) -> tuple[int, Callable[[IntVector], tuple[int, ...]]]:
+    """L and X -> L (q_0, q_1(X), q_2(X)) in ints, L the lcm of q's denominators."""
+    n = q.dimension
+    terms = [((), q.constant), *(((i,), c) for i, c in enumerate(q.linear))]
+    terms += [((i, j), q.quad[i][j] * (1 + (i < j))) for i in range(n) for j in range(i, n)]
+    lcm = math.lcm(*[c.denominator for _, c in terms])
+    parts = [
+        [(idx, c.numerator * (lcm // c.denominator)) for idx, c in terms if c and len(idx) == d]
+        for d in range(3)
+    ]
+    return lcm, lambda x: tuple(
+        sum(c * math.prod(x[i] for i in idx) for idx, c in part) for part in parts
+    )
+
+
 @dataclass(frozen=True)
 class MomentData:
     """Volume, first, and second moments of a polytope."""
@@ -163,44 +180,28 @@ class BoundaryMomentData:
         )
 
 
-Rule = tuple[tuple[Fraction, Vector], ...]
+def _simplex_rule(
+    points: Sequence[IntVector], k: int, normal: IntVector | None = None
+) -> tuple[tuple[int, IntVector], ...]:
+    """Integer (weight, node) pairs of the degree-3 rule on a k-simplex.
 
-
-def _simplex_rule(vertices: Sequence[Vector], normal: IntVector | None = None) -> Rule:
-    """(weight, node) pairs that integrate degree <= 3 exactly over a simplex.
-
-    Without ``normal`` the simplex is an n-simplex in Lebesgue measure.
-    With a primitive facet normal u it is an (n-1)-simplex in the lattice
-    measure, of mass |det[u; p_1 - p_0; ...]| / ((n-1)! <u, u>), which for
-    n = 1 is the unit point mass.  The nodes of the k-simplex are its
-    centroid, of weight -(k+1)^2 / (4(k+2)), and for each vertex p the
-    point (sum of the vertices + 2p) / (k+3), of weight
-    (k+3)^2 / (4(k+1)(k+2)); the weights sum to 1 and are scaled by the
-    mass.  For k = 0 both nodes are the point itself.
+    ``points`` are the vertices Q times a common denominator D, and a node
+    X stands for X / S, S = D (k+1)(k+3): the centroid (k+3) sum Q, of
+    weight -(k+1)^3 |det|, and per vertex (k+1)(sum Q + 2 Q_p), of weight
+    (k+3)^2 |det|, det = det[u; Q_1 - Q_0; ...] with u the facet normal if
+    given.  ``_integrate`` divides by 4(k+1)(k+2) k! D^k (times <u, u>).
     """
-    n = len(vertices[0])
-    k = n if normal is None else n - 1
-    if len(vertices) != k + 1:
-        raise InvariantViolation(f"a {k}-simplex needs {k + 1} points, got {len(vertices)}")
-    edges = [
-        [vertices[i][j] - vertices[0][j] for j in range(n)] for i in range(1, k + 1)
-    ]
-    lcm = 1
-    for row in edges:
-        for x in row:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-    rows = [[int(x * lcm) for x in row] for row in edges]
-    scale = math.factorial(k) * lcm**k
+    if len(points) != k + 1:
+        raise InvariantViolation(f"a {k}-simplex needs {k + 1} points, got {len(points)}")
+    rows = [[a - b for a, b in zip(p, points[0])] for p in points[1:]]
     if normal is not None:
         rows.insert(0, list(normal))
-        scale *= sum(x * x for x in normal)
-    mass = Fraction(abs(det_int(rows)), scale)
-    total = [sum((p[j] for p in vertices), Fraction(0)) for j in range(n)]
-    centroid = tuple(t / (k + 1) for t in total)
-    rule = [(-mass * (k + 1) ** 2 / (4 * (k + 2)), centroid)]
-    weight = mass * (k + 3) ** 2 / (4 * (k + 1) * (k + 2))
-    for p in vertices:
-        rule.append((weight, tuple((t + 2 * x) / (k + 3) for t, x in zip(total, p))))
+    det = abs(det_int(rows))
+    total = [sum(column) for column in zip(*points)]
+    rule = [(-((k + 1) ** 3) * det, tuple((k + 3) * t for t in total))]
+    weight = (k + 3) ** 2 * det
+    for p in points:
+        rule.append((weight, tuple((k + 1) * (t + 2 * x) for t, x in zip(total, p))))
     return tuple(rule)
 
 
@@ -255,32 +256,45 @@ def _triangulate(poly: DelzantPolytope) -> tuple[Simplices, tuple[Simplices, ...
         return tuple(tuple(points[i] for i in s) for s in tri(face))
 
     everything = range(len(points))
-    return simplices(frozenset(everything)), tuple(
+    result = simplices(frozenset(everything)), tuple(
         simplices(frozenset(i for i in everything if j in tight[i]))
         for j in range(nfacets)
     )
+    del tri  # breaks the closure cycle, so the memo dies now, not at the next gc
+    return result
 
 
 def _integrate(
     poly: DelzantPolytope,
-    f: Callable[[Vector], Sequence[Fraction]],
+    forms: Callable[[IntVector], Sequence[int]],
+    degrees: Sequence[int],
     facet: int | None = None,
 ) -> tuple[Fraction, ...]:
-    """Exact integral of f, componentwise, over the body or one facet in dsigma.
+    """Exact integrals of homogeneous forms over the body or one facet in dsigma.
 
-    f maps a point to a tuple of Fractions, and every component must be
-    a polynomial of degree <= 3: that is the degree ``_simplex_rule``
-    integrates exactly.
+    ``forms`` maps an integer node X to one int per component, component c
+    of degree ``degrees[c]`` <= 3.  Vertices are scaled to integers by the
+    lcm D of their denominators; each sum is divided once at the end.
     """
+    if any(d > 3 for d in degrees):
+        raise InvariantViolation(f"the degree-3 rule cannot integrate degrees {tuple(degrees)}")
     body, facets = _triangulate(poly)
     simplices = body if facet is None else facets[facet]
     normal = None if facet is None else poly.facets[facet].normal
-    total: list[Fraction] = []
+    k = poly.dim if normal is None else poly.dim - 1
+    lcm = math.lcm(*{x.denominator for s in simplices for p in s for x in p})
+    total = [0] * len(degrees)
     for s in simplices:
-        for weight, node in _simplex_rule(s, normal):
-            terms = [weight * v for v in f(node)]
-            total = [a + b for a, b in zip(total, terms)] if total else terms
-    return tuple(total)
+        points = [[x.numerator * (lcm // x.denominator) for x in p] for p in s]
+        for weight, node in _simplex_rule(points, k, normal):
+            total = [t + weight * v for t, v in zip(total, forms(node))]
+    scale = 4 * (k + 1) * (k + 2) * math.factorial(k) * lcm**k
+    if normal is not None:
+        scale *= sum(x * x for x in normal)
+    s_node = lcm * (k + 1) * (k + 3)
+    return tuple(
+        Fraction(t, scale * s_node**d) for t, d in zip(total, degrees, strict=True)
+    )
 
 
 def polytope_moments(poly: DelzantPolytope) -> MomentData:
@@ -288,7 +302,9 @@ def polytope_moments(poly: DelzantPolytope) -> MomentData:
     n = poly.dim
     pairs = list(itertools.combinations_with_replacement(range(n), 2))
     values = _integrate(
-        poly, lambda x: (Fraction(1), *x, *(x[i] * x[j] for i, j in pairs))
+        poly,
+        lambda x: (1, *x, *(x[i] * x[j] for i, j in pairs)),
+        (0, *[1] * n, *[2] * len(pairs)),
     )
     second = [[Fraction(0)] * n for _ in range(n)]
     for (i, j), value in zip(pairs, values[n + 1 :]):
@@ -301,7 +317,7 @@ def polytope_moments(poly: DelzantPolytope) -> MomentData:
 
 
 def _facet_moments(poly: DelzantPolytope, index: int) -> FacetMoments:
-    values = _integrate(poly, lambda x: (Fraction(1), *x), index)
+    values = _integrate(poly, lambda x: (1, *x), (0, *[1] * poly.dim), index)
     return FacetMoments(values[0], values[1:])
 
 
@@ -326,9 +342,10 @@ def _integrate_poly2(
         raise DimensionMismatch(
             f"polynomial in {q.dimension} variables over a {poly.dim}-dimensional polytope"
         )
+    scale, parts = _graded(q)
     return sum(
-        (_integrate(poly, lambda x: (q(x),), d)[0] for d in domains), Fraction(0)
-    )
+        (sum(_integrate(poly, parts, (0, 1, 2), d)) for d in domains), Fraction(0)
+    ) / scale
 
 
 def integrate_polynomial(poly: DelzantPolytope, q: Poly2) -> Fraction:

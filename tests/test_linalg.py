@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import is_positive_definite, leading_principal_minors, mat_mul
 from cuspcheck.errors import DimensionMismatch, NotUnimodular
@@ -82,6 +84,65 @@ def test_rank_and_rref_match_sympy():
                 [Fraction(str(x)) for x in s_reduced.row(i)]
                 for i in range(s_reduced.rows)
             ]
+
+
+# Denominators mix small primes with powers of 4, as chop towers with
+# eps = 4^-r produce them.
+_DENOMINATORS = (1, 2, 3, 5, 4**3, 4**6, 7 * 4**2)
+_RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.sampled_from(_DENOMINATORS))
+
+
+@st.composite
+def _rational_rows(draw, count, width):
+    """count rows of length width: random, zero, repeated, or a combination of earlier rows."""
+    rows = []
+    for _ in range(count):
+        kind = draw(st.sampled_from(["random", "zero", "repeat", "combination"]))
+        if kind == "zero":
+            row = (Fraction(0),) * width
+        elif kind == "repeat" and rows:
+            row = draw(st.sampled_from(rows))
+        elif kind == "combination" and rows:
+            a, b = draw(_RATIONALS), draw(_RATIONALS)
+            r, t = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            row = tuple(a * x + b * y for x, y in zip(r, t))
+        else:
+            row = tuple(draw(_RATIONALS) for _ in range(width))
+        rows.append(row)
+    return tuple(rows)
+
+
+@st.composite
+def _rational_matrices(draw):
+    """Empty, 1 x n, wide and tall rational matrices with dependent rows."""
+    return draw(_rational_rows(draw(st.integers(0, 7)), draw(st.integers(1, 6))))
+
+
+@given(m=_rational_matrices())
+@example(m=())
+@example(m=((Fraction(0), Fraction(0), Fraction(0)),))
+@example(m=((Fraction(1, 4**6), Fraction(-3, 5), Fraction(0), Fraction(7, 64)),))
+@settings(max_examples=150, deadline=None)
+def test_rank_matches_rref_and_sympy_on_rational_matrices(m):
+    expected = len(rref(m)[1])
+    assert rank(m) == expected
+    assert expected == (_to_sympy(m).rank() if m else 0)
+
+
+def _affine_rank_by_differences(points):
+    # The route affine_rank replaced: rref of the differences to the first point.
+    if not points:
+        return -1
+    base = points[0]
+    return len(rref([tuple(x - y for x, y in zip(p, base)) for p in points[1:]])[1])
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_affine_rank_matches_differences_on_rational_points(data):
+    n = data.draw(st.integers(1, 5))
+    points = data.draw(_rational_rows(data.draw(st.integers(0, 7)), n))
+    assert affine_rank(points) == _affine_rank_by_differences(points)
 
 
 def test_nullspace_matches_sympy_span():

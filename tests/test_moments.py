@@ -523,7 +523,28 @@ def _assert_rule_matches_expansion(poly):
             sum((_simplex_monomial_integral(s, alpha, normal) for s in simplices), Fraction(0))
             for alpha in alphas
         )
-        assert _integrate(poly, monomials, index) == expected, index
+        assert _integrate(poly, monomials, [sum(a) for a in alphas], index) == expected, index
+
+
+def test_integrate_refuses_degree_four(triangle):
+    with pytest.raises(InvariantViolation):
+        _integrate(triangle, lambda x: (1, x[0] ** 4), (0, 4))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: unit_cube(1), lambda: unit_cube(3), lambda: unit_simplex(2), _skew_triangle],
+)
+def test_moment_fields_are_fractions_not_ints(build):
+    # The integer kernel divides once at the end; integral values such as
+    # the unit cube's volume must still come back as Fractions.
+    poly = build()
+    moments = polytope_moments(poly)
+    values = [moments.volume, *moments.first_moments]
+    values += [x for row in moments.second_moments for x in row]
+    for fm in boundary_moments(poly).facets:
+        values += [fm.measure, *fm.first_moments]
+    assert all(type(x) is Fraction for x in values)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
