@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .errors import (
@@ -30,7 +31,7 @@ from .errors import (
     NotAVertex,
     NotUnimodular,
 )
-from .linalg import IntVector, Vector, dot
+from .linalg import IntVector, Vector
 from .polytope import DelzantPolytope, Facet, Vertex, is_delzant
 from .rational import format_rational, format_rational_vector, parse_rational
 
@@ -65,8 +66,10 @@ def _corner(
         )
     new_normal = tuple(map(sum, zip(*(poly.facets[i].normal for i in vertex.active))))
     base_offset = sum((poly.facets[i].offset for i in vertex.active), Fraction(0))
+    scale, table = poly.scaled_vertices
     lengths = tuple(
-        dot(new_normal, poly.vertices[j].point) - base_offset for j in cone.neighbours
+        Fraction(sum(map(mul, new_normal, table[j])), scale) - base_offset
+        for j in cone.neighbours
     )
     return new_normal, base_offset, cone.generators, lengths
 

@@ -149,5 +149,6 @@ def relative_futaki(
         (q0, q1, q2), (a0, a1, _) = q_parts(x), a_parts(x)
         return q0 * a0, q0 * a1 + q1 * a0, q1 * a1 + q2 * a0, q2 * a1
 
-    volume_side = sum(_integrate(poly, parts, (0, 1, 2, 3))) / (q_scale * a_scale)
+    (volume,) = _integrate(poly, parts, (0, 1, 2, 3))
+    volume_side = sum(volume) / (q_scale * a_scale)
     return boundary - volume_side

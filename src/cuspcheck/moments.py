@@ -12,9 +12,11 @@ primitive normal u carries the lattice boundary measure (the one with
 d(lattice volume) equal to d(boundary measure) wedged with the pairing
 against u); on a facet simplex its mass is a determinant,
 |det[u; edges]| / ((n-1)! <u, u>), so no facet chart or facet polytope
-is built.  The sums run on ints: scaled by one common denominator per
-domain, nodes and weights are integers, and each homogeneous form of the
-integrand is divided once at the end.  Nothing is approximated.
+is built.  The sums run on ints: the triangulation's simplices index the
+polytope's integer vertex table (``DelzantPolytope.scaled_vertices``, the
+points D * v), so nodes and weights are integers, and each homogeneous
+form of the integrand is divided once at the end.  Nothing is
+approximated.
 """
 
 from __future__ import annotations
@@ -205,7 +207,7 @@ def _simplex_rule(
     return tuple(rule)
 
 
-Simplices = tuple[tuple[Vector, ...], ...]
+Simplices = tuple[tuple[int, ...], ...]
 
 
 # Bounded so that a long run (a chop tower) does not keep every polytope
@@ -214,29 +216,30 @@ Simplices = tuple[tuple[Vector, ...], ...]
 def _triangulate(poly: DelzantPolytope) -> tuple[Simplices, tuple[Simplices, ...]]:
     """Fan triangulation of the body and, for each facet j, of its face.
 
-    Simplices are tuples of vertex points.  The recursion cones each face
-    from its lexicographically smallest vertex over the face's own
+    Simplices are tuples of vertex indices into ``poly.vertices``.  The
+    recursion cones each face from its lexicographically smallest vertex,
+    its least index since vertices are sorted, over the face's own
     facets; faces are identified with their vertex index sets, which
     makes memoisation across branches, and across the body and its
-    facets, exact.
+    facets, exact.  Face dimensions are ranks on the integer vertex table.
     """
-    points = [v.point for v in poly.vertices]
+    table = poly.scaled_vertices[1]
     tight = [frozenset(v.active) for v in poly.vertices]
     nfacets = len(poly.facets)
-    cache: dict[frozenset[int], tuple[tuple[int, ...], ...]] = {}
+    cache: dict[frozenset[int], Simplices] = {}
 
     def face_rank(face: frozenset[int]) -> int:
-        return affine_rank([points[i] for i in face])
+        return affine_rank([table[i] for i in face])
 
-    def tri(face: frozenset[int]) -> tuple[tuple[int, ...], ...]:
+    def tri(face: frozenset[int]) -> Simplices:
         if face in cache:
             return cache[face]
         d = face_rank(face)
         if len(face) == d + 1:
-            result: tuple[tuple[int, ...], ...] = (tuple(sorted(face)),)
+            result: Simplices = (tuple(sorted(face)),)
             cache[face] = result
             return result
-        apex = min(face, key=lambda i: points[i])
+        apex = min(face)
         subfaces = set()
         for j in range(nfacets):
             sub = frozenset(i for i in face if j in tight[i])
@@ -252,13 +255,9 @@ def _triangulate(poly: DelzantPolytope) -> tuple[Simplices, tuple[Simplices, ...
         cache[face] = result
         return result
 
-    def simplices(face: frozenset[int]) -> Simplices:
-        return tuple(tuple(points[i] for i in s) for s in tri(face))
-
-    everything = range(len(points))
-    result = simplices(frozenset(everything)), tuple(
-        simplices(frozenset(i for i in everything if j in tight[i]))
-        for j in range(nfacets)
+    everything = range(len(table))
+    result = tri(frozenset(everything)), tuple(
+        tri(frozenset(i for i in everything if j in tight[i])) for j in range(nfacets)
     )
     del tri  # breaks the closure cycle, so the memo dies now, not at the next gc
     return result
@@ -268,40 +267,43 @@ def _integrate(
     poly: DelzantPolytope,
     forms: Callable[[IntVector], Sequence[int]],
     degrees: Sequence[int],
-    facet: int | None = None,
-) -> tuple[Fraction, ...]:
-    """Exact integrals of homogeneous forms over the body or one facet in dsigma.
+    domains: Sequence[int | None] = (None,),
+) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact integrals of homogeneous forms over the body or facets in dsigma.
 
     ``forms`` maps an integer node X to one int per component, component c
-    of degree ``degrees[c]`` <= 3.  Vertices are scaled to integers by the
-    lcm D of their denominators; each sum is divided once at the end.
+    of degree ``degrees[c]`` <= 3.  Each domain is the body (None) or a
+    facet index, and gets one tuple of integrals.  The simplices index
+    the polytope's integer vertex table, points D * v, so every node is
+    an int; each sum is divided once at the end.
     """
     if any(d > 3 for d in degrees):
         raise InvariantViolation(f"the degree-3 rule cannot integrate degrees {tuple(degrees)}")
-    body, facets = _triangulate(poly)
-    simplices = body if facet is None else facets[facet]
-    normal = None if facet is None else poly.facets[facet].normal
-    k = poly.dim if normal is None else poly.dim - 1
-    lcm = math.lcm(*{x.denominator for s in simplices for p in s for x in p})
-    total = [0] * len(degrees)
-    for s in simplices:
-        points = [[x.numerator * (lcm // x.denominator) for x in p] for p in s]
-        for weight, node in _simplex_rule(points, k, normal):
-            total = [t + weight * v for t, v in zip(total, forms(node))]
-    scale = 4 * (k + 1) * (k + 2) * math.factorial(k) * lcm**k
-    if normal is not None:
-        scale *= sum(x * x for x in normal)
-    s_node = lcm * (k + 1) * (k + 3)
-    return tuple(
-        Fraction(t, scale * s_node**d) for t, d in zip(total, degrees, strict=True)
-    )
+    body, faces = _triangulate(poly)
+    lcm, table = poly.scaled_vertices
+    out = []
+    for facet in domains:
+        normal = None if facet is None else poly.facets[facet].normal
+        k = poly.dim if normal is None else poly.dim - 1
+        total = [0] * len(degrees)
+        for s in body if facet is None else faces[facet]:
+            for weight, node in _simplex_rule([table[i] for i in s], k, normal):
+                total = [t + weight * v for t, v in zip(total, forms(node))]
+        scale = 4 * (k + 1) * (k + 2) * math.factorial(k) * lcm**k
+        if normal is not None:
+            scale *= sum(x * x for x in normal)
+        s_node = lcm * (k + 1) * (k + 3)
+        out.append(
+            tuple(Fraction(t, scale * s_node**d) for t, d in zip(total, degrees, strict=True))
+        )
+    return tuple(out)
 
 
 def polytope_moments(poly: DelzantPolytope) -> MomentData:
     """Exact volume, first, and second moments of the polytope."""
     n = poly.dim
     pairs = list(itertools.combinations_with_replacement(range(n), 2))
-    values = _integrate(
+    (values,) = _integrate(
         poly,
         lambda x: (1, *x, *(x[i] * x[j] for i, j in pairs)),
         (0, *[1] * n, *[2] * len(pairs)),
@@ -316,11 +318,6 @@ def polytope_moments(poly: DelzantPolytope) -> MomentData:
     )
 
 
-def _facet_moments(poly: DelzantPolytope, index: int) -> FacetMoments:
-    values = _integrate(poly, lambda x: (1, *x), (0, *[1] * poly.dim), index)
-    return FacetMoments(values[0], values[1:])
-
-
 def boundary_moments(
     poly: DelzantPolytope, excluded: Sequence[int | str] = ()
 ) -> BoundaryMomentData:
@@ -328,10 +325,13 @@ def boundary_moments(
     skip = sorted({poly.resolve_facet(key) for key in excluded})
     if len(skip) == len(poly.facets):
         raise ValueError("cannot exclude every facet of the polytope")
-    entries: list[FacetMoments | None] = []
-    for i in range(len(poly.facets)):
-        entries.append(None if i in skip else _facet_moments(poly, i))
-    return BoundaryMomentData(facets=tuple(entries), excluded=tuple(skip))
+    kept = [i for i in range(len(poly.facets)) if i not in skip]
+    values = dict(zip(kept, _integrate(poly, lambda x: (1, *x), (0, *[1] * poly.dim), kept)))
+    entries = tuple(
+        None if i in skip else FacetMoments(values[i][0], values[i][1:])
+        for i in range(len(poly.facets))
+    )
+    return BoundaryMomentData(facets=entries, excluded=tuple(skip))
 
 
 def _integrate_poly2(
@@ -343,9 +343,8 @@ def _integrate_poly2(
             f"polynomial in {q.dimension} variables over a {poly.dim}-dimensional polytope"
         )
     scale, parts = _graded(q)
-    return sum(
-        (sum(_integrate(poly, parts, (0, 1, 2), d)) for d in domains), Fraction(0)
-    ) / scale
+    integrals = _integrate(poly, parts, (0, 1, 2), domains)
+    return sum((sum(values) for values in integrals), Fraction(0)) / scale
 
 
 def integrate_polynomial(poly: DelzantPolytope, q: Poly2) -> Fraction:

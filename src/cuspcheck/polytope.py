@@ -21,6 +21,15 @@ which.  A corner chop (``blowup``) knows the new vertices and their
 cones in closed form and builds through ``_from_claimed_vertices``,
 which verifies the claim in O(V * m) instead of scanning.  Both paths
 share the same validation tail.
+
+Setting the vertices also clears their denominators once: the integer
+vertex table ``scaled_vertices`` holds D, the lcm of the vertex
+denominators, and the points D * v in ``vertices`` order.  Every exact
+test of vertices against facets reads it in int: a height <u, v> >= c
+is <u, D v> >= D c, both sides multiplied by whatever of c's denominator
+D does not clear; the barycentre and face-rank tests, the ridge test of
+``facet_polytope``, and the triangulation and integrals of ``moments``
+read the same table.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -184,25 +194,45 @@ def _primitive_int_vector(v: Sequence[Fraction]) -> IntVector:
     return tuple(x // g for x in ints)
 
 
+def _height_rows(
+    normals: Sequence[IntVector], offsets: Sequence[Fraction], scale: int
+) -> list[tuple[IntVector, int]]:
+    """Each facet test <u, x> >= c as <r u, X> >= r scale c on X = scale x.
+
+    r is the part of c's denominator that ``scale`` does not clear, 1 when
+    it clears it all, so both sides are ints and the comparison is exact.
+    """
+    rows = []
+    for u, c in zip(normals, offsets):
+        g = math.gcd(scale, c.denominator)
+        r = c.denominator // g
+        rows.append((u if r == 1 else tuple(r * x for x in u), c.numerator * (scale // g)))
+    return rows
+
+
 def _vertex_candidates(
     normals: Sequence[IntVector], offsets: Sequence[Fraction]
 ) -> set[Vector]:
-    """Feasible points cut out by n independent facets: the C(m, n) scan."""
+    """Feasible points cut out by n independent facets: the C(m, n) scan.
+
+    Each solved point is scaled to integers by its own denominators once,
+    and its feasibility is checked in int by cross-multiplication.
+    """
     n = len(normals[0])
+    split = [(u, c.numerator, c.denominator) for u, c in zip(normals, offsets)]
     cands: set[Vector] = set()
     for subset in itertools.combinations(range(len(normals)), n):
         mat = [normals[i] for i in subset]
         if det_int(mat) == 0:
             continue
-        point = solve_linear(
-            [tuple(Fraction(x) for x in row) for row in mat],
-            [offsets[i] for i in subset],
-        )
+        point = solve_linear(mat, [offsets[i] for i in subset])
         if point is None:
             raise InvariantViolation(
                 f"facets {list(subset)} have a nonzero determinant but no common point"
             )
-        if all(dot(u, point) >= c for u, c in zip(normals, offsets)):
+        scale = math.lcm(*[x.denominator for x in point])
+        scaled = [x.numerator * (scale // x.denominator) for x in point]
+        if all(q * sum(map(mul, u, scaled)) >= p * scale for u, p, q in split):
             cands.add(point)
     return cands
 
@@ -324,24 +354,36 @@ class DelzantPolytope:
         return [f.normal for f in facets], [f.offset for f in facets]
 
     def _set_vertices(self, points: Iterable[Vector]) -> None:
-        """Store the vertex points in lexicographic order with their tight facets.
+        """Store the vertex points in lexicographic order with their tight
+        facets, and the polytope's integer vertex table beside them.
 
-        A point outside the polytope is a defect of the caller and raises
-        InvariantViolation.
+        The table is D, the lcm of the vertex denominators, and the points
+        D * v in the same order; every height is compared on it in int
+        (``_height_rows``).  A point outside the polytope is a defect of
+        the caller and raises InvariantViolation.
         """
+        ordered = sorted(points)
+        scale = math.lcm(*[x.denominator for p in ordered for x in p])
+        table = tuple(
+            tuple(x.numerator * (scale // x.denominator) for x in p) for p in ordered
+        )
+        rows = _height_rows(
+            [f.normal for f in self.facets], [f.offset for f in self.facets], scale
+        )
         vertices = []
-        for point in sorted(points):
+        for point, scaled in zip(ordered, table):
             active = []
-            for i, f in enumerate(self.facets):
-                height = dot(f.normal, point)
-                if height < f.offset:
+            for i, (u, rhs) in enumerate(rows):
+                height = sum(map(mul, u, scaled))
+                if height < rhs:
                     raise InvariantViolation(
                         f"vertex {format_rational_vector(point)} violates facet {i}"
                     )
-                if height == f.offset:
+                if height == rhs:
                     active.append(i)
             vertices.append(Vertex(point=point, active=tuple(active)))
         object.__setattr__(self, "_vertices", tuple(vertices))
+        object.__setattr__(self, "_scaled_vertices", (scale, table))
 
     def _vertex_cones(
         self, claimed: dict[Vector, tuple[IntVector, ...]]
@@ -387,22 +429,29 @@ class DelzantPolytope:
         return tuple(cones)
 
     def _check_faces(self) -> None:
-        """Full dimension, and an (n-1)-dimensional face on every facet."""
+        """Full dimension, and an (n-1)-dimensional face on every facet.
+
+        Both tests read the integer table: the barycentre sum(X) / (V D)
+        lies on a facet iff <u, sum(X)> = V D c, and each facet's tight
+        points are ranked as ints.
+        """
         n = self.dim
-        vertices = self.vertices
-        barycenter = tuple(
-            sum((v.point[i] for v in vertices), Fraction(0)) / len(vertices)
-            for i in range(n)
-        )
-        for f in self.facets:
-            if dot(f.normal, barycenter) == f.offset:
+        scale, table = self.scaled_vertices
+        total = [sum(column) for column in zip(*table)]
+        normals = [f.normal for f in self.facets]
+        offsets = [f.offset for f in self.facets]
+        for u, rhs in _height_rows(normals, offsets, scale * len(table)):
+            if sum(map(mul, u, total)) == rhs:
                 raise DegeneratePolytope(
                     "polytope is not full-dimensional: it lies in a facet hyperplane"
                 )
 
-        for i in range(len(self.facets)):
-            tight = [v.point for v in vertices if i in v.active]
-            if affine_rank(tight) != n - 1:
+        tight: list[list[IntVector]] = [[] for _ in normals]
+        for v, point in zip(self.vertices, table):
+            for i in v.active:
+                tight[i].append(point)
+        for i, points in enumerate(tight):
+            if affine_rank(points) != n - 1:
                 raise DegenerateFacet(
                     f"facet {i} does not support an (n-1)-dimensional face"
                 )
@@ -435,13 +484,19 @@ class DelzantPolytope:
                 continue
             z = _primitive_int_vector(kernel[0])
             for candidate in (z, tuple(-x for x in z)):
-                if all(dot(u, candidate) >= 0 for u in normals):
+                if all(sum(map(mul, u, candidate)) >= 0 for u in normals):
                     return candidate
         return None
 
     @property
     def vertices(self) -> tuple[Vertex, ...]:
         return self._vertices  # type: ignore[attr-defined]
+
+    @property
+    def scaled_vertices(self) -> tuple[int, tuple[IntVector, ...]]:
+        """The integer vertex table: D, the lcm of the vertex denominators,
+        and the integer points D * v, parallel to ``vertices``."""
+        return self._scaled_vertices  # type: ignore[attr-defined]
 
     @functools.cached_property
     def cones(self) -> tuple[VertexCone, ...]:
@@ -636,12 +691,13 @@ def facet_polytope(
         basis=basis,
     )
 
-    on_facet = [v for v in poly.vertices if index in v.active]
+    table = poly.scaled_vertices[1]
+    on_facet = [(v.active, p) for v, p in zip(poly.vertices, table) if index in v.active]
     induced = []
     for j, other in enumerate(poly.facets):
         if j == index:
             continue
-        shared = [v.point for v in on_facet if j in v.active]
+        shared = [p for active, p in on_facet if j in active]
         if affine_rank(shared) != n - 2:
             continue
         coeffs = tuple(int(dot(other.normal, b)) for b in basis)

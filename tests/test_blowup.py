@@ -304,6 +304,25 @@ def test_chops_run_no_vertex_scan(monkeypatch):
     assert scans == [6]
 
 
+def test_builds_and_chops_compare_no_fraction_heights(monkeypatch):
+    # Every height test reads the integer vertex table, so neither a
+    # scan-built polytope nor three tower rounds call the Fraction dot.
+    cube = unit_cube(3)
+    calls = []
+    fraction_dot = polytope.dot
+
+    def counted(a, b):
+        calls.append((a, b))
+        return fraction_dot(a, b)
+
+    monkeypatch.setattr(polytope, "dot", counted)
+    DelzantPolytope.from_data(cube.to_data())
+    state = start_tower(unit_simplex(2), "hyp")
+    for eps in (Fraction(1, 4), Fraction(1, 16), Fraction(1, 64)):
+        state = tower_step(state, eps)
+    assert calls == []
+
+
 def test_claimed_vertex_sets_are_verified(triangle):
     chopped = blow_up_vertex(triangle, (0, 0), Fraction(1, 4))
     facets = chopped.facets

@@ -516,14 +516,23 @@ def _assert_rule_matches_expansion(poly):
     def monomials(x):
         return tuple(math.prod(xi**a for xi, a in zip(x, alpha)) for alpha in alphas)
 
+    # The triangulation indexes the vertex list; the expansion takes points.
+    points = [v.point for v in poly.vertices]
     body, facets = _triangulate(poly)
     for index, simplices in [(None, body), *enumerate(facets)]:
         normal = None if index is None else poly.facets[index].normal
         expected = tuple(
-            sum((_simplex_monomial_integral(s, alpha, normal) for s in simplices), Fraction(0))
+            sum(
+                (
+                    _simplex_monomial_integral([points[i] for i in s], alpha, normal)
+                    for s in simplices
+                ),
+                Fraction(0),
+            )
             for alpha in alphas
         )
-        assert _integrate(poly, monomials, [sum(a) for a in alphas], index) == expected, index
+        (got,) = _integrate(poly, monomials, [sum(a) for a in alphas], [index])
+        assert got == expected, index
 
 
 def test_integrate_refuses_degree_four(triangle):

@@ -4,11 +4,15 @@ scipy's qhull wrapper recomputes vertex sets from the same halfspaces;
 interior points for it come from an independent Chebyshev-center LP.
 Emptiness and boundedness are checked against an exact oracle, a
 Fourier-Motzkin elimination and a scan of every (n-1)-subset of facets
-for a recession ray.
+for a recession ray.  Vertices, active sets and face checks are checked
+against a reference in Fraction heights, one dot per vertex and facet,
+while the constructor compares integer heights on its vertex table.
 """
 
 import ast
+import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -31,15 +35,19 @@ from cuspcheck import (
     InputValidationError,
     NotUnimodular,
     UnboundedPolytope,
+    Vertex,
     apply_unimodular,
     blow_up_vertex,
     enumerate_vertices,
     facet_polytope,
     is_delzant,
     polytope,
+    start_tower,
+    tower_step,
 )
-from cuspcheck.errors import InvalidPolytope
-from cuspcheck.linalg import dot, is_primitive, nullspace, rank
+from cuspcheck.errors import InvalidPolytope, InvariantViolation
+from cuspcheck.linalg import dot, is_primitive, nullspace, rank, rref, solve_linear
+from cuspcheck.rational import format_rational_vector
 
 _RNG = random.Random(8141)
 
@@ -453,12 +461,66 @@ def _recession_ray(normals, n):
     return None
 
 
-def _oracle_vertices(dim, facets):
+def _reference_candidates(normals, offsets):
+    # The C(m, n) scan with Fraction heights.
+    n = len(normals[0])
+    found = set()
+    for subset in itertools.combinations(range(len(normals)), n):
+        mat = [tuple(Fraction(x) for x in normals[i]) for i in subset]
+        point = solve_linear(mat, [offsets[i] for i in subset])
+        if point is not None and all(dot(u, point) >= c for u, c in zip(normals, offsets)):
+            found.add(point)
+    return found
+
+
+def _reference_vertices(facets, points):
+    # One Fraction dot per vertex and facet, in the constructor's order.
+    vertices = []
+    for point in sorted(points):
+        active = []
+        for i, f in enumerate(facets):
+            height = dot(f.normal, point)
+            if height < f.offset:
+                raise InvariantViolation(
+                    f"vertex {format_rational_vector(point)} violates facet {i}"
+                )
+            if height == f.offset:
+                active.append(i)
+        vertices.append(Vertex(point=point, active=tuple(active)))
+    return tuple(vertices)
+
+
+def _affine_dimension(points):
+    # rref of the differences to the first point; -1 for no points.
+    if not points:
+        return -1
+    return len(rref([[a - b for a, b in zip(p, points[0])] for p in points[1:]])[1])
+
+
+def _reference_faces(dim, facets, vertices):
+    barycenter = tuple(
+        sum((v.point[i] for v in vertices), Fraction(0)) / len(vertices) for i in range(dim)
+    )
+    if any(dot(f.normal, barycenter) == f.offset for f in facets):
+        raise DegeneratePolytope(
+            "polytope is not full-dimensional: it lies in a facet hyperplane"
+        )
+    for i in range(len(facets)):
+        if _affine_dimension([v.point for v in vertices if i in v.active]) != dim - 1:
+            raise DegenerateFacet(f"facet {i} does not support an (n-1)-dimensional face")
+
+
+def _checked_facets(dim, facets):
+    # The constructor's own facet checks, which run before any vertex.
     poly = object.__new__(DelzantPolytope)
     object.__setattr__(poly, "dim", dim)
     object.__setattr__(poly, "facets", facets)
-    normals, offsets = poly._check_facets()
-    candidates = polytope._vertex_candidates(normals, offsets) if normals else set()
+    return poly._check_facets()
+
+
+def _oracle_vertices(dim, facets):
+    normals, offsets = _checked_facets(dim, facets)
+    candidates = _reference_candidates(normals, offsets) if normals else set()
     if not candidates:
         constraints = [
             (tuple(Fraction(x) for x in u), c) for u, c in zip(normals, offsets)
@@ -470,15 +532,15 @@ def _oracle_vertices(dim, facets):
     ray = _recession_ray(normals, dim)
     if ray is not None:
         raise UnboundedPolytope(f"recession direction {ray} is unbounded")
-    poly._set_vertices(candidates)
-    poly._check_faces()
-    return poly.vertices
+    vertices = _reference_vertices(facets, candidates)
+    _reference_faces(dim, facets, vertices)
+    return vertices
 
 
 def _outcome(build):
     try:
         return "ok", build()
-    except (InvalidPolytope, DegenerateFacet) as exc:
+    except (InvalidPolytope, DegenerateFacet, InvariantViolation) as exc:
         return type(exc), str(exc)
 
 
@@ -517,3 +579,110 @@ def test_constructor_matches_exact_oracle(system):
         _assert_names_recession_ray(got[1], [f.normal for f in facets])
     else:
         assert got == expected
+
+
+# --- integer heights against the Fraction reference ---
+
+_PYRAMID = (
+    Facet((0, 0, 1), 0),
+    Facet((1, 0, -1), 0),
+    Facet((0, 1, -1), 0),
+    Facet((-1, 0, -1), -1),
+    Facet((0, -1, -1), -1),
+)
+_SKEW_TRIANGLE = (Facet((1, 0), 0), Facet((0, 1), 0), Facet((-1, -2), -2))
+
+
+@functools.cache
+def _tower_rounds():
+    """Rounds 1-8 of the 2D tower over the simplex's hyp facet, eps = 4^-r."""
+    state = start_tower(unit_simplex(2), "hyp")
+    rounds = []
+    for r in range(1, 9):
+        state = tower_step(state, Fraction(1, 4**r))
+        rounds.append(state.polytope)
+    return tuple(rounds)
+
+
+@st.composite
+def _odd_cut(draw, dim, points, never_tight=False):
+    """A facet with an offset in thirds or fifths near the points' heights."""
+    primitive = [u for u in itertools.product(range(-2, 3), repeat=dim) if is_primitive(u)]
+    normal = draw(st.sampled_from(primitive))
+    d = draw(st.sampled_from((3, 5)))
+    heights = [dot(normal, p) * d for p in points]
+    k = draw(st.integers(math.floor(min(heights)) - d, math.ceil(max(heights)) + d))
+    if never_tight and k % d == 0:
+        k += 1
+    return Facet(normal, Fraction(k, d))
+
+
+@st.composite
+def odd_offset_cases(draw):
+    """(dim, facets, claimed): a scan-built case when claimed is None.
+
+    Scan-built cases cut a box in quarters, the square pyramid or the
+    skew triangle by one facet in thirds or fifths.  Claimed cases are
+    2D tower rounds 1-8, rebuilt from their vertices and cones, perhaps
+    with a facet in thirds or fifths added that no vertex is tight on.
+    """
+    kind = draw(st.sampled_from(("box", "pyramid", "skew", "tower")))
+    if kind == "tower":
+        poly = _tower_rounds()[draw(st.integers(0, 7))]
+        claimed = [(v, cone.generators) for v, cone in zip(poly.vertices, poly.cones)]
+        facets = poly.facets
+        if draw(st.booleans()):
+            points = [v.point for v in poly.vertices]
+            facets += (draw(_odd_cut(2, points, never_tight=True)),)
+        return 2, facets, claimed
+    if kind == "box":
+        dim = draw(st.integers(2, 3))
+        facets = []
+        for i in range(dim):
+            low = draw(st.integers(-6, 6))
+            width = draw(st.integers(1, 8))
+            e = tuple(int(j == i) for j in range(dim))
+            minus_e = tuple(-x for x in e)
+            facets += [Facet(e, Fraction(low, 4)), Facet(minus_e, Fraction(-low - width, 4))]
+        facets = tuple(facets)
+    else:
+        facets = _PYRAMID if kind == "pyramid" else _SKEW_TRIANGLE
+        dim = len(facets[0].normal)
+    points = [v.point for v in DelzantPolytope(dim, facets).vertices]
+    return dim, facets + (draw(_odd_cut(dim, points)),), None
+
+
+def _reference_claimed(dim, facets, points):
+    _checked_facets(dim, facets)
+    vertices = _reference_vertices(facets, points)
+    _reference_faces(dim, facets, vertices)
+    return vertices
+
+
+@given(odd_offset_cases())
+@settings(max_examples=120, deadline=None)
+def test_integer_heights_match_fraction_reference(case):
+    dim, facets, claimed = case
+    if claimed is None:
+        got = _outcome(lambda: DelzantPolytope(dim, facets).vertices)
+        expected = _outcome(lambda: _oracle_vertices(dim, facets))
+    else:
+        got = _outcome(
+            lambda: DelzantPolytope._from_claimed_vertices(dim, facets, claimed).vertices
+        )
+        expected = _outcome(
+            lambda: _reference_claimed(dim, facets, [v.point for v, _ in claimed])
+        )
+    assert got == expected
+
+
+def test_claimed_point_outside_a_third_offset_facet_is_named():
+    # Points in quarters against x >= 1/3: the heights cross-multiply by 3.
+    facets = (Facet((1, 0), Fraction(1, 3)), Facet((0, 1), 0), Facet((-1, -1), -2))
+    claimed = [
+        (Vertex(point=(Fraction(1, 4), Fraction(0)), active=(0, 1)), None),
+        (Vertex(point=(Fraction(2), Fraction(0)), active=(1, 2)), None),
+        (Vertex(point=(Fraction(1, 4), Fraction(7, 4)), active=(0, 2)), None),
+    ]
+    with pytest.raises(InvariantViolation, match=r"vertex \['1/4', '0'\] violates facet 0"):
+        DelzantPolytope._from_claimed_vertices(2, facets, claimed)
