@@ -13,8 +13,9 @@ functional at neighbour i minus the base offset; the depth bound is the
 shortest such edge, and two chops interact exactly when an edge of
 length <= 2 * eps joins their corners.  The chop removes v and adds the
 vertices v + eps * w_i, tight on the new facet and on the corner's
-facets but the i-th, with edge generators w_k - w_i (k != i) and w_i;
-the construction verifies these claims rather than re-enumerating.
+facets but the i-th, with edge generators w_k - w_i (k != i) and w_i.
+Every chop claims these points and generators, and the construction
+derives their tight facets and verifies them rather than re-enumerating.
 """
 
 from __future__ import annotations
@@ -117,19 +118,18 @@ def _chop(
             )
     facets = list(poly.facets)
     claimed = [
-        (v, cone.generators)
+        (v.point, cone.generators)
         for k, (v, cone) in enumerate(zip(poly.vertices, poly.cones))
         if k not in order
     ]
     for (k, normal, base, generators, _), label in zip(corners, labels):
-        v = poly.vertices[k]
+        corner = poly.vertices[k].point
         facets.append(Facet(normal=normal, offset=base + eps, label=label))
         for i, w in enumerate(generators):
-            point = tuple(x + eps * d for x, d in zip(v.point, w))
-            active = v.active[:i] + v.active[i + 1 :] + (len(facets) - 1,)
+            point = tuple(x + eps * d for x, d in zip(corner, w))
             others = generators[:i] + generators[i + 1 :]
             cone = tuple(tuple(a - b for a, b in zip(g, w)) for g in others) + (w,)
-            claimed.append((Vertex(point=point, active=active), cone))
+            claimed.append((point, cone))
     return DelzantPolytope._from_claimed_vertices(poly.dim, tuple(facets), claimed)
 
 
@@ -145,9 +145,8 @@ def blow_up_vertex(
     offset the corner's offset sum plus eps.  Requires 0 < eps <
     max_chop_parameter; at or beyond the bound the chop is rejected as
     ChopTooDeep because it would swallow a neighbouring vertex.  The
-    result's vertices come from the closed form when the polytope
-    passes the vertex test; otherwise, where the completeness check
-    does not apply, the chopped description is enumerated from scratch.
+    result's vertices come from the closed form and are verified, also
+    when other vertices of the polytope are singular or not simple.
     """
     eps = parse_rational(eps)
     if eps <= 0:
@@ -161,9 +160,6 @@ def blow_up_vertex(
             f"{format_rational_vector(poly.vertices[k].point)} reaches the bound "
             f"{format_rational(bound)}"
         )
-    if not is_delzant(poly):
-        new_facet = Facet(normal=corner[0], offset=corner[1] + eps, label=label)
-        return DelzantPolytope(dim=poly.dim, facets=poly.facets + (new_facet,))
     return _chop(poly, [(k, *corner)], eps, [label])
 
 
@@ -207,8 +203,13 @@ class TowerState:
         distinguished facet; afterwards, the vertices created by the
         newest round's facets (none of which can touch that facet).
         """
+        return tuple(self.polytope.vertices[k] for k in self._designated())
+
+    def _designated(self) -> list[int]:
+        """Indices of ``designated_vertices`` in the polytope's vertices."""
+        vertices = self.polytope.vertices
         if not self.history:
-            return free_fixed_points(self.polytope, self.divisor_facet)
+            return [k for k, v in enumerate(vertices) if self.divisor_facet not in v.active]
         last_labels = {
             record.label for record in self.history if record.round == self.round
         }
@@ -218,15 +219,15 @@ class TowerState:
             if f.label in last_labels
         )
         out = []
-        for v in self.polytope.vertices:
+        for k, v in enumerate(vertices):
             if any(i in v.active for i in newest):
                 if self.divisor_facet in v.active:
                     raise InvariantViolation(
                         "a vertex on the newest chop facets lies on the "
                         "distinguished facet"
                     )
-                out.append(v)
-        return tuple(out)
+                out.append(k)
+        return out
 
 
 def start_tower(poly: DelzantPolytope, divisor_facet: int | str) -> TowerState:
@@ -259,34 +260,33 @@ def tower_step(state: TowerState, eps: Fraction) -> TowerState:
     Each chop is validated against its own depth bound (ChopTooDeep),
     then pairwise: two designated corners joined by an edge of length at
     most 2 * eps would share boundary (InteractingChops).  The chopped
-    polytope is built from the closed-form vertices and cones and
-    verified, not re-enumerated; the verification includes the vertex
-    test.
+    polytope is built from the closed-form vertex points and edge
+    generators and verified, not re-enumerated.
     """
     eps = parse_rational(eps)
     if eps <= 0:
         raise ValueError(f"chop parameter must be positive, got {format_rational(eps)}")
-    targets = state.designated_vertices()
+    targets = state._designated()
     if not targets:
         raise InvariantViolation("a validated tower state always designates vertices")
 
     corners = []
     records = []
     labels = _fresh_labels(state.polytope, len(state.history) + 1, len(targets))
-    index = {v.point: k for k, v in enumerate(state.polytope.vertices)}
-    for v, label in zip(targets, labels):
-        corner = _corner(state.polytope, index[v.point])
+    for k, label in zip(targets, labels):
+        point = state.polytope.vertices[k].point
+        corner = _corner(state.polytope, k)
         bound = min(corner[3])
         if eps >= bound:
             raise ChopTooDeep(
                 f"round {state.round + 1} chop at "
-                f"{format_rational_vector(v.point)} needs eps < {format_rational(bound)}, "
+                f"{format_rational_vector(point)} needs eps < {format_rational(bound)}, "
                 f"got {format_rational(eps)}"
             )
-        corners.append((index[v.point], *corner))
+        corners.append((k, *corner))
         records.append(
             BlowupSpec(
-                vertex=v.point,
+                vertex=point,
                 parameter=eps,
                 bound=bound,
                 label=label,

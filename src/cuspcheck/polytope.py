@@ -10,17 +10,17 @@ DelzantPolytope as a fully checked immutable value.  The cone table
 (Delzant's construction) and edge neighbours once for every caller.
 
 User input (direct construction, ``from_data``) finds its vertices by
-the C(m, n) scan over n-subsets of the m facets, and that scan also
-decides emptiness and boundedness.  When the normals span R^n the
-polyhedron is pointed: it is nonempty iff the scan finds a vertex, and
-unbounded iff some vertex has an edge that is a ray, a ridge of its
-active facets tight at no other vertex whose line is a recession
-direction.  When they do not span, the polyhedron is unbounded unless
-it is empty, and the same scan over the normals' pivot columns decides
-which.  A corner chop (``blowup``) knows the new vertices and their
-cones in closed form and builds through ``_from_claimed_vertices``,
-which verifies the claim in O(V * m) instead of scanning.  Both paths
-share the same validation tail.
+the C(m, n) scan over n-subsets of the m facets.  When the normals span
+R^n the polyhedron is pointed, so it is empty iff the scan finds no
+vertex; when they do not, it is unbounded unless empty, and the same
+scan over the normals' pivot columns decides which.  A corner chop
+(``blowup``) claims its vertex points and edge generators in closed
+form, and ``_from_claimed_vertices`` derives the tight facets and
+verifies the claim in O(V * m) instead of scanning.  Both paths run one
+open-edge test, for a ridge of a vertex's active facets tight at no
+other vertex whose line leaves the vertex into the polytope: over the
+scan's complete vertex set it is a ray, and over a chop's bounded
+polyhedron it ends in an unclaimed vertex.
 
 Setting the vertices also clears their denominators once: the integer
 vertex table ``scaled_vertices`` holds D, the lcm of the vertex
@@ -40,7 +40,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -68,6 +68,7 @@ from .linalg import (
     is_primitive,
     mat_vec,
     nullspace,
+    rank,
     rref,
     solve_linear,
     transpose,
@@ -247,8 +248,8 @@ class DelzantPolytope:
     description is reported as empty even when its recession data also
     looks unbounded.  One vertex scan decides the first two: no vertex
     means empty (or, for normals that do not span, a second scan over
-    their pivot columns tells empty from unbounded), and a ray edge at
-    a vertex means unbounded.
+    their pivot columns tells empty from unbounded), and an open edge at
+    a vertex of the complete vertex set is a ray, so unbounded.
     """
 
     dim: int
@@ -271,10 +272,10 @@ class DelzantPolytope:
             if not _vertex_candidates(restricted, offsets):
                 raise EmptyPolytope("no point satisfies all facet inequalities")
             raise UnboundedPolytope("facet normals do not span the ambient space")
-        self._set_vertices(candidates)
-        ray = self._ray_edge()
-        if ray is not None:
-            raise UnboundedPolytope(f"recession direction {ray} is unbounded")
+        self._set_vertices(sorted(candidates))
+        edge = self._open_edge(self._ridge_ends())
+        if edge is not None:
+            raise UnboundedPolytope(f"recession direction {edge[1]} is unbounded")
         self._check_faces()
 
     @classmethod
@@ -282,45 +283,38 @@ class DelzantPolytope:
         cls,
         dim: int,
         facets: Sequence[Facet],
-        claimed: Sequence[tuple[Vertex, tuple[IntVector, ...]]],
+        claimed: Sequence[tuple[Vector, tuple[IntVector, ...] | None]],
     ) -> "DelzantPolytope":
-        """Build from claimed vertices and their edge generators, verified.
+        """Build from claimed vertex points and edge generators, verified.
 
         The caller guarantees boundedness: ``facets`` must include those of
-        a polytope, which is why the ray-edge test is skipped.  Every
-        claimed point must satisfy all inequalities and be tight on
-        exactly its claimed active facets.  The cone table then
-        verifies each claimed cone, which is the vertex test, and checks
-        completeness edge by edge: each of the n ridges of a simple vertex
-        must end in exactly one other claimed vertex.  A vertex set closed
-        under edges is the whole vertex set, since the graph of a polytope
-        is connected (Balinski).  Any failure raises InvariantViolation;
-        the face checks of the scan path follow.  The cost is O(V * m),
-        against O(C(m, n) * m) for the scan.
+        a polytope.  Every claimed point must satisfy all inequalities, and
+        its tight facets are derived.  Completeness is the open-edge test,
+        since an edge from a claimed vertex to an unclaimed one is open,
+        and a vertex set closed under edges is the whole vertex set: the
+        graph of a polytope is connected (Balinski).  The cone table then
+        checks that every point is a vertex.  Any failure raises
+        InvariantViolation; the face checks of the scan path follow.  The
+        cost is O(V * m), against O(C(m, n) * m) for the scan.
         """
         poly = object.__new__(cls)
         object.__setattr__(poly, "dim", dim)
         object.__setattr__(poly, "facets", facets)
         poly._check_facets()
-        claimed_active = {v.point: tuple(sorted(v.active)) for v, _ in claimed}
-        if not claimed_active:
+        ordered = sorted(claimed, key=itemgetter(0))
+        if not ordered:
             raise InvariantViolation("no vertices claimed for the polytope")
-        if len(claimed_active) != len(claimed):
+        if any(a[0] == b[0] for a, b in zip(ordered, ordered[1:])):
             raise InvariantViolation("a claimed vertex is listed twice")
-        poly._set_vertices(claimed_active)
-        for v in poly.vertices:
-            if v.active != claimed_active[v.point]:
-                raise InvariantViolation(
-                    f"claimed vertex {format_rational_vector(v.point)} is tight on "
-                    f"facets {list(v.active)}, not {list(claimed_active[v.point])}"
-                )
-        cones = poly._vertex_cones({v.point: generators for v, generators in claimed})
-        object.__setattr__(poly, "cones", cones)
-        report = is_delzant(poly)
-        if not report:
+        poly._set_vertices([point for point, _ in ordered])
+        ends = poly._ridge_ends()
+        edge = poly._open_edge(ends)
+        if edge is not None:
             raise InvariantViolation(
-                f"claimed vertex set fails the vertex test: {report.violations[0]}"
+                f"the edge on facets {list(edge[0])} has 1 claimed endpoints, expected 2"
             )
+        cones = poly._vertex_cones([generators for _, generators in ordered], ends)
+        object.__setattr__(poly, "cones", cones)
         poly._check_faces()
         return poly
 
@@ -353,8 +347,8 @@ class DelzantPolytope:
             raise ValueError("facet labels must be unique")
         return [f.normal for f in facets], [f.offset for f in facets]
 
-    def _set_vertices(self, points: Iterable[Vector]) -> None:
-        """Store the vertex points in lexicographic order with their tight
+    def _set_vertices(self, ordered: Sequence[Vector]) -> None:
+        """Store the vertex points, in lexicographic order, with their tight
         facets, and the polytope's integer vertex table beside them.
 
         The table is D, the lcm of the vertex denominators, and the points
@@ -362,7 +356,6 @@ class DelzantPolytope:
         (``_height_rows``).  A point outside the polytope is a defect of
         the caller and raises InvariantViolation.
         """
-        ordered = sorted(points)
         scale = math.lcm(*[x.denominator for p in ordered for x in p])
         table = tuple(
             tuple(x.numerator * (scale // x.denominator) for x in p) for p in ordered
@@ -386,20 +379,23 @@ class DelzantPolytope:
         object.__setattr__(self, "_scaled_vertices", (scale, table))
 
     def _vertex_cones(
-        self, claimed: dict[Vector, tuple[IntVector, ...]]
+        self,
+        claimed: Sequence[tuple[IntVector, ...] | None],
+        ends: dict[tuple[int, ...], list[int]],
     ) -> tuple[VertexCone, ...]:
-        """One VertexCone per vertex; claimed generators are verified.
+        """One VertexCone per vertex, from claimed generators parallel to
+        ``vertices`` (None where none are claimed) and the ridge ends.
 
         A claim must satisfy <u_a, g_b> = delta_ab over the active normals,
         which holds only at a simple vertex with unimodular normals; other
-        generators are inverted from the normals.  A simple vertex's ridge
-        active - {i} is an edge, tight at it and at its neighbour only.
+        generators are inverted from the normals, and normals that are not
+        inverted must still have rank n.  With no open edge, a simple
+        vertex's ridge active - {i} ends at it and at its neighbour only.
         """
         n = self.dim
         generators = []
-        for v in self.vertices:
+        for v, cone in zip(self.vertices, claimed):
             normals = [self.facets[i].normal for i in v.active]
-            cone = claimed.get(v.point)
             if cone is None and len(normals) == n:
                 with contextlib.suppress(NotUnimodular):
                     cone = transpose(inverse_unimodular(normals))
@@ -411,20 +407,18 @@ class DelzantPolytope:
                     f"{list(cone)} do not invert the normals of facets "
                     f"{list(v.active)} at {format_rational_vector(v.point)}"
                 )
+            if cone is None and rank(normals) != n:
+                raise InvariantViolation(
+                    f"claimed point {format_rational_vector(v.point)} is not a vertex"
+                )
             generators.append(cone)
-        ends = self._ridge_ends()
         cones = []
         for k, (v, cone) in enumerate(zip(self.vertices, generators)):
             neighbours = None
             if len(v.active) == n:
-                ridges = [v.active[:i] + v.active[i + 1 :] for i in range(n)]
-                for ridge in ridges:
-                    if len(ends[ridge]) != 2:
-                        raise InvariantViolation(
-                            f"the edge on facets {list(ridge)} has "
-                            f"{len(ends[ridge])} claimed endpoints, expected 2"
-                        )
-                neighbours = tuple(sum(ends[ridge]) - k for ridge in ridges)
+                neighbours = tuple(
+                    sum(ends[v.active[:i] + v.active[i + 1 :]]) - k for i in range(n)
+                )
             cones.append(VertexCone(generators=cone, neighbours=neighbours))
         return tuple(cones)
 
@@ -465,17 +459,19 @@ class DelzantPolytope:
                 ends.setdefault(ridge, []).append(k)
         return ends
 
-    def _ray_edge(self) -> IntVector | None:
-        """Primitive direction of an edge that is a ray, or None.
+    def _open_edge(
+        self, ends: dict[tuple[int, ...], list[int]]
+    ) -> tuple[tuple[int, ...], IntVector] | None:
+        """The first ridge tight at one vertex only whose kernel line
+        leaves it into the polytope, <u, z> >= 0 over the vertex's active
+        normals, as (ridge, z); None if there is none.
 
-        Such an edge lies on n-1 independent facets active at its only
-        vertex, so it is a ridge with one end whose kernel line points
-        into the recession cone; any such line is a recession direction.
-        A simple vertex of a polytope has no one-ended ridge, so only
-        ridges at non-simple vertices or rays pay for a null space.
+        The edge along z then has no other vertex, so over a complete
+        vertex set it is a ray, and over a bounded polyhedron its other end
+        is missing.  Only one-ended ridges pay for a null space.
         """
         normals = [f.normal for f in self.facets]
-        for ridge, tight in self._ridge_ends().items():
+        for ridge, tight in ends.items():
             if len(tight) != 1:
                 continue
             mat = [tuple(Fraction(x) for x in normals[i]) for i in ridge]
@@ -483,9 +479,10 @@ class DelzantPolytope:
             if len(kernel) != 1:
                 continue
             z = _primitive_int_vector(kernel[0])
+            active = [normals[i] for i in self.vertices[tight[0]].active]
             for candidate in (z, tuple(-x for x in z)):
-                if all(sum(map(mul, u, candidate)) >= 0 for u in normals):
-                    return candidate
+                if all(sum(map(mul, u, candidate)) >= 0 for u in active):
+                    return ridge, candidate
         return None
 
     @property
@@ -501,7 +498,7 @@ class DelzantPolytope:
     @functools.cached_property
     def cones(self) -> tuple[VertexCone, ...]:
         """The cone table, parallel to ``vertices``, built on first use."""
-        return self._vertex_cones({})
+        return self._vertex_cones([None] * len(self.vertices), self._ridge_ends())
 
     def contains(self, point: Sequence[Fraction], strict: bool = False) -> bool:
         p = tuple(Fraction(x) for x in point)

@@ -16,7 +16,6 @@ from cuspcheck import (
     InvariantViolation,
     NotAVertex,
     NotUnimodular,
-    Vertex,
     apply_unimodular,
     blow_up_vertex,
     free_fixed_points,
@@ -261,14 +260,64 @@ def test_chop_error_messages_are_frozen(triangle):
 
 
 def test_chop_beside_a_singular_corner_matches_the_scan():
-    # A parent that fails the vertex test is chopped by re-enumeration.
-    singular = DelzantPolytope(
+    # Parents that fail the vertex test are chopped by the same closed
+    # form: the skew triangle beside its singular corner, and the square
+    # pyramid beside its non-simple apex.
+    skew = DelzantPolytope(
         2, (Facet((1, 0), 0), Facet((0, 1), 0), Facet((-1, -2), -2))
     )
-    chopped = blow_up_vertex(singular, (0, 0), Fraction(1, 8))
-    oracle = DelzantPolytope(2, singular.facets + (Facet((1, 1), Fraction(1, 8)),))
-    assert chopped.facets == oracle.facets
-    assert chopped.vertices == oracle.vertices
+    pyramid = DelzantPolytope(
+        3,
+        (
+            Facet((0, 0, 1), 0),
+            Facet((1, 0, -1), 0),
+            Facet((0, 1, -1), 0),
+            Facet((-1, 0, -1), -1),
+            Facet((0, -1, -1), -1),
+        ),
+    )
+    chops = 0
+    for poly in (skew, pyramid):
+        assert not is_delzant(poly).ok
+        for v, cone in zip(poly.vertices, poly.cones):
+            if cone.generators is None:
+                continue
+            bound = max_chop_parameter(poly, v.point)
+            for eps in (bound / 2, bound / 3):
+                chopped = blow_up_vertex(poly, v.point, eps, label="E")
+                oracle = DelzantPolytope(poly.dim, chopped.facets)
+                assert chopped.facets[:-1] == poly.facets
+                assert chopped.vertices == oracle.vertices
+                assert chopped.cones == oracle.cones
+                assert is_delzant(chopped) == is_delzant(oracle)
+                assert not is_delzant(chopped).ok
+                chops += 1
+    assert chops == 2 * (2 + 4)
+
+
+def _tower_rounds(dim, rounds):
+    state = start_tower(unit_simplex(dim), "hyp")
+    polytopes = []
+    for r in range(1, rounds + 1):
+        state = tower_step(state, Fraction(1, 4**r))
+        polytopes.append(state.polytope)
+    return tuple(polytopes)
+
+
+def test_every_dropped_vertex_is_found_missing():
+    # A claim that leaves out any one vertex leaves an edge of one of its
+    # neighbours with a single claimed end.
+    cases = _tower_rounds(2, 4) + _tower_rounds(3, 2)
+    for poly in cases:
+        claims = [(v.point, cone.generators) for v, cone in zip(poly.vertices, poly.cones)]
+        rebuilt = DelzantPolytope._from_claimed_vertices(poly.dim, poly.facets, claims)
+        assert rebuilt.vertices == poly.vertices
+        for k in range(len(claims)):
+            with pytest.raises(InvariantViolation, match="claimed endpoints, expected 2"):
+                DelzantPolytope._from_claimed_vertices(
+                    poly.dim, poly.facets, claims[:k] + claims[k + 1 :]
+                )
+    assert [len(poly.vertices) for poly in cases] == [4, 6, 10, 18, 6, 12]
 
 
 def test_chops_run_no_vertex_scan(monkeypatch):
@@ -326,18 +375,19 @@ def test_builds_and_chops_compare_no_fraction_heights(monkeypatch):
 def test_claimed_vertex_sets_are_verified(triangle):
     chopped = blow_up_vertex(triangle, (0, 0), Fraction(1, 4))
     facets = chopped.facets
-    good = [(v, cone.generators) for v, cone in zip(chopped.vertices, chopped.cones)]
+    good = [(v.point, cone.generators) for v, cone in zip(chopped.vertices, chopped.cones)]
     rebuilt = DelzantPolytope._from_claimed_vertices(2, facets, good[::-1])
     assert rebuilt.vertices == chopped.vertices
     assert rebuilt.cones == chopped.cones
-    (first, cone), rest = good[0], good[1:]
-    wrong_active = [(Vertex(first.point, (0, 2)), cone)] + rest
-    outside = good[:-1] + [(Vertex((Fraction(2), Fraction(0)), (1, 2)), cone)]
-    on_edge = good + [(Vertex((Fraction(1, 2), Fraction(1, 2)), (2,)), ((1, -1),))]
+    cone = good[0][1]
+    midpoint = (Fraction(1, 2), Fraction(1, 2))
+    outside = good[:-1] + [((Fraction(2), Fraction(0)), cone)]
+    on_edge = good + [(midpoint, ((1, -1),))]
     cases = {
         "no vertices claimed": [],
         "listed twice": good + good[:1],
-        "is tight on facets": wrong_active,
+        # tight on the hypotenuse alone: rank 1, so no vertex
+        "is not a vertex": good + [(midpoint, None)],
         "violates facet 2": outside,
         "fails the vertex test": on_edge,
         "claimed endpoints, expected 2": good[:-1],
@@ -348,7 +398,7 @@ def test_claimed_vertex_sets_are_verified(triangle):
 
     # The chop at (0, 0) creates (1/4, 0) along w_0 = (1, 0) of the corner's
     # cone (w_0, w_1) = ((1, 0), (0, 1)); its cone is (w_1 - w_0, w_0).
-    k = [v.point for v, _ in good].index((Fraction(1, 4), Fraction(0)))
+    k = [point for point, _ in good].index((Fraction(1, 4), Fraction(0)))
     created, cone = good[k]
     assert cone == ((-1, 1), (1, 0))
     wrong_cones = {

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import cuspcheck
-from cuspcheck import DelzantReport, cli, polytope
+from cuspcheck import cli, polytope
 
 DATA = Path(__file__).parent / "data"
 
@@ -250,20 +250,21 @@ def test_exit_two_on_internal_failure(capsys, monkeypatch, in_data_dir):
 
 
 def test_exit_two_on_failed_tower_invariant(capsys, monkeypatch, in_data_dir):
-    # A chopped polytope is verified by the vertex test in cuspcheck.polytope.
-    real = polytope.is_delzant
+    # A chopped polytope's claimed vertex set is checked for completeness
+    # by the open-edge test in cuspcheck.polytope.
+    real = polytope.DelzantPolytope._open_edge
 
-    def fails_after_a_chop(poly):
+    def fails_after_a_chop(poly, ends):
         if len(poly.facets) > 3:
-            return DelzantReport(ok=False, violations=("synthetic violation",))
-        return real(poly)
+            return (97, 98), (1, 0)
+        return real(poly, ends)
 
-    monkeypatch.setattr(polytope, "is_delzant", fails_after_a_chop)
+    monkeypatch.setattr(polytope.DelzantPolytope, "_open_edge", fails_after_a_chop)
     code, out, err = run_cli(capsys, GOLDEN_COMMANDS["tower"])
     assert code == 2
     assert out == ""
     assert "internal invariant failure" in err
-    assert "synthetic violation" in err
+    assert "the edge on facets [97, 98] has 1 claimed endpoints, expected 2" in err
 
 
 def test_chops_without_asserts_match_golden():

@@ -629,7 +629,7 @@ def odd_offset_cases(draw):
     kind = draw(st.sampled_from(("box", "pyramid", "skew", "tower")))
     if kind == "tower":
         poly = _tower_rounds()[draw(st.integers(0, 7))]
-        claimed = [(v, cone.generators) for v, cone in zip(poly.vertices, poly.cones)]
+        claimed = [(v.point, cone.generators) for v, cone in zip(poly.vertices, poly.cones)]
         facets = poly.facets
         if draw(st.booleans()):
             points = [v.point for v in poly.vertices]
@@ -671,7 +671,7 @@ def test_integer_heights_match_fraction_reference(case):
             lambda: DelzantPolytope._from_claimed_vertices(dim, facets, claimed).vertices
         )
         expected = _outcome(
-            lambda: _reference_claimed(dim, facets, [v.point for v, _ in claimed])
+            lambda: _reference_claimed(dim, facets, [point for point, _ in claimed])
         )
     assert got == expected
 
@@ -680,9 +680,9 @@ def test_claimed_point_outside_a_third_offset_facet_is_named():
     # Points in quarters against x >= 1/3: the heights cross-multiply by 3.
     facets = (Facet((1, 0), Fraction(1, 3)), Facet((0, 1), 0), Facet((-1, -1), -2))
     claimed = [
-        (Vertex(point=(Fraction(1, 4), Fraction(0)), active=(0, 1)), None),
-        (Vertex(point=(Fraction(2), Fraction(0)), active=(1, 2)), None),
-        (Vertex(point=(Fraction(1, 4), Fraction(7, 4)), active=(0, 2)), None),
+        ((Fraction(1, 4), Fraction(0)), None),
+        ((Fraction(2), Fraction(0)), None),
+        ((Fraction(1, 4), Fraction(7, 4)), None),
     ]
     with pytest.raises(InvariantViolation, match=r"vertex \['1/4', '0'\] violates facet 0"):
         DelzantPolytope._from_claimed_vertices(2, facets, claimed)
