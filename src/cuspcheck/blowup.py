@@ -207,27 +207,18 @@ class TowerState:
 
     def _designated(self) -> list[int]:
         """Indices of ``designated_vertices`` in the polytope's vertices."""
-        vertices = self.polytope.vertices
+        faces = self.polytope.facet_vertices
         if not self.history:
-            return [k for k, v in enumerate(vertices) if self.divisor_facet not in v.active]
-        last_labels = {
-            record.label for record in self.history if record.round == self.round
-        }
-        newest = tuple(
-            i
-            for i, f in enumerate(self.polytope.facets)
-            if f.label in last_labels
+            return sorted(set(range(len(self.polytope.vertices))) - faces[self.divisor_facet])
+        last = {record.label for record in self.history if record.round == self.round}
+        out = set().union(
+            *(faces[i] for i, f in enumerate(self.polytope.facets) if f.label in last)
         )
-        out = []
-        for k, v in enumerate(vertices):
-            if any(i in v.active for i in newest):
-                if self.divisor_facet in v.active:
-                    raise InvariantViolation(
-                        "a vertex on the newest chop facets lies on the "
-                        "distinguished facet"
-                    )
-                out.append(k)
-        return out
+        if not out.isdisjoint(faces[self.divisor_facet]):
+            raise InvariantViolation(
+                "a vertex on the newest chop facets lies on the distinguished facet"
+            )
+        return sorted(out)
 
 
 def start_tower(poly: DelzantPolytope, divisor_facet: int | str) -> TowerState:

@@ -156,12 +156,6 @@ def rank(m: Sequence[Sequence[Fraction]]) -> int:
     return count
 
 
-def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
-    """Dimension of the affine span of the given points (-1 if none): the
-    rank of the rows (1, p) less one, so no differences are formed."""
-    return rank([(1, *p) for p in points]) - 1
-
-
 def nullspace(m: Sequence[Sequence[Fraction]], ncols: int | None = None) -> tuple[Vector, ...]:
     """Deterministic rational basis of the right null space."""
     if not m:

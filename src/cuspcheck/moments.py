@@ -29,7 +29,7 @@ from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 from .errors import DimensionMismatch, InvariantViolation, UnsupportedDegree
-from .linalg import IntVector, Matrix, Vector, affine_rank, det_int, dot
+from .linalg import IntVector, Matrix, Vector, det_int, dot
 from .polytope import DelzantPolytope
 
 
@@ -221,43 +221,37 @@ def _triangulate(poly: DelzantPolytope) -> tuple[Simplices, tuple[Simplices, ...
     its least index since vertices are sorted, over the face's own
     facets; faces are identified with their vertex index sets, which
     makes memoisation across branches, and across the body and its
-    facets, exact.  Face dimensions are ranks on the integer vertex table.
+    facets, exact.  The facet faces are the incidence table
+    ``poly.facet_vertices``; the subfaces of a face missing its apex are
+    its intersections with the facets tight at some vertex of the face
+    but not at the apex, kept when ``poly.face_dim`` is one less.
     """
-    table = poly.scaled_vertices[1]
-    tight = [frozenset(v.active) for v in poly.vertices]
-    nfacets = len(poly.facets)
+    vertices = poly.vertices
+    facet_faces = poly.facet_vertices
     cache: dict[frozenset[int], Simplices] = {}
 
-    def face_rank(face: frozenset[int]) -> int:
-        return affine_rank([table[i] for i in face])
-
-    def tri(face: frozenset[int]) -> Simplices:
+    def tri(face: frozenset[int], d: int) -> Simplices:
         if face in cache:
             return cache[face]
-        d = face_rank(face)
         if len(face) == d + 1:
             result: Simplices = (tuple(sorted(face)),)
             cache[face] = result
             return result
         apex = min(face)
-        subfaces = set()
-        for j in range(nfacets):
-            sub = frozenset(i for i in face if j in tight[i])
-            if apex in sub or not sub:
-                continue
-            if face_rank(sub) == d - 1:
-                subfaces.add(sub)
+        near = {j for i in face for j in vertices[i].active}.difference(vertices[apex].active)
+        subfaces = {face & facet_faces[j] for j in near}
         simplices = []
         for sub in sorted(subfaces, key=sorted):
-            for s in tri(sub):
-                simplices.append(s + (apex,))
+            if poly.face_dim(sub) == d - 1:
+                for s in tri(sub, d - 1):
+                    simplices.append(s + (apex,))
         result = tuple(simplices)
         cache[face] = result
         return result
 
-    everything = range(len(table))
-    result = tri(frozenset(everything)), tuple(
-        tri(frozenset(i for i in everything if j in tight[i])) for j in range(nfacets)
+    n = poly.dim
+    result = tri(frozenset(range(len(vertices))), n), tuple(
+        tri(face, n - 1) for face in facet_faces
     )
     del tri  # breaks the closure cycle, so the memo dies now, not at the next gc
     return result

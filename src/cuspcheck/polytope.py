@@ -27,9 +27,11 @@ vertex table ``scaled_vertices`` holds D, the lcm of the vertex
 denominators, and the points D * v in ``vertices`` order.  Every exact
 test of vertices against facets reads it in int: a height <u, v> >= c
 is <u, D v> >= D c, both sides multiplied by whatever of c's denominator
-D does not clear; the barycentre and face-rank tests, the ridge test of
-``facet_polytope``, and the triangulation and integrals of ``moments``
-read the same table.
+D does not clear.  The same pass stores the incidence table
+``facet_vertices``, the vertices tight on each facet, and ``face_dim``
+gives a face's dimension from the facets tight on all of it; the facet
+test, the ridge test of ``facet_polytope`` and the triangulation of
+``moments`` read that rule, and no rank of vertex points is taken.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ from .errors import (
 from .linalg import (
     IntVector,
     Vector,
-    affine_rank,
     complete_primitive,
     det_int,
     dot,
@@ -349,7 +350,8 @@ class DelzantPolytope:
 
     def _set_vertices(self, ordered: Sequence[Vector]) -> None:
         """Store the vertex points, in lexicographic order, with their tight
-        facets, and the polytope's integer vertex table beside them.
+        facets, and beside them the polytope's integer vertex table and its
+        incidence table (the vertices tight on each facet).
 
         The table is D, the lcm of the vertex denominators, and the points
         D * v in the same order; every height is compared on it in int
@@ -364,7 +366,8 @@ class DelzantPolytope:
             [f.normal for f in self.facets], [f.offset for f in self.facets], scale
         )
         vertices = []
-        for point, scaled in zip(ordered, table):
+        incidence: list[list[int]] = [[] for _ in rows]
+        for k, (point, scaled) in enumerate(zip(ordered, table)):
             active = []
             for i, (u, rhs) in enumerate(rows):
                 height = sum(map(mul, u, scaled))
@@ -374,9 +377,11 @@ class DelzantPolytope:
                     )
                 if height == rhs:
                     active.append(i)
+                    incidence[i].append(k)
             vertices.append(Vertex(point=point, active=tuple(active)))
         object.__setattr__(self, "_vertices", tuple(vertices))
         object.__setattr__(self, "_scaled_vertices", (scale, table))
+        object.__setattr__(self, "_facet_vertices", tuple(map(frozenset, incidence)))
 
     def _vertex_cones(
         self,
@@ -425,11 +430,12 @@ class DelzantPolytope:
     def _check_faces(self) -> None:
         """Full dimension, and an (n-1)-dimensional face on every facet.
 
-        Both tests read the integer table: the barycentre sum(X) / (V D)
-        lies on a facet iff <u, sum(X)> = V D c, and each facet's tight
-        points are ranked as ints.
+        The barycentre sum(X) / (V D) of the integer table lies on a facet
+        iff <u, sum(X)> = V D c; once it lies on none, ``face_dim`` of each
+        facet's vertices in the incidence table must be n - 1.  Both
+        constructors call this last, after the open-edge test and the cone
+        table have verified the vertex set that ``face_dim`` relies on.
         """
-        n = self.dim
         scale, table = self.scaled_vertices
         total = [sum(column) for column in zip(*table)]
         normals = [f.normal for f in self.facets]
@@ -439,16 +445,27 @@ class DelzantPolytope:
                 raise DegeneratePolytope(
                     "polytope is not full-dimensional: it lies in a facet hyperplane"
                 )
-
-        tight: list[list[IntVector]] = [[] for _ in normals]
-        for v, point in zip(self.vertices, table):
-            for i in v.active:
-                tight[i].append(point)
-        for i, points in enumerate(tight):
-            if affine_rank(points) != n - 1:
+        for i, face in enumerate(self.facet_vertices):
+            if self.face_dim(face) != self.dim - 1:
                 raise DegenerateFacet(
                     f"facet {i} does not support an (n-1)-dimensional face"
                 )
+
+    def face_dim(self, face: Iterable[int]) -> int:
+        """Dimension of the face with these vertex indices, -1 if empty:
+        n minus the rank of the normals of the facets tight on all of it,
+        which cut out its affine hull (Ziegler, Lectures on Polytopes,
+        ch. 2), or minus their number if a vertex of the face is simple.
+        Valid only on the verified vertex set of a full-dimensional
+        polytope, so ``_check_faces`` runs last in both constructors.
+        """
+        active = [self.vertices[k].active for k in face]
+        if not active:
+            return -1
+        common = set(active[0]).intersection(*active[1:])
+        if any(len(a) == self.dim for a in active):
+            return self.dim - len(common)
+        return self.dim - rank([self.facets[i].normal for i in common])
 
     def _ridge_ends(self) -> dict[tuple[int, ...], list[int]]:
         """Each (n-1)-subset of a vertex's active facets, mapped to the
@@ -494,6 +511,12 @@ class DelzantPolytope:
         """The integer vertex table: D, the lcm of the vertex denominators,
         and the integer points D * v, parallel to ``vertices``."""
         return self._scaled_vertices  # type: ignore[attr-defined]
+
+    @property
+    def facet_vertices(self) -> tuple[frozenset[int], ...]:
+        """The incidence table: for each facet, the indices of the vertices
+        tight on it."""
+        return self._facet_vertices  # type: ignore[attr-defined]
 
     @functools.cached_property
     def cones(self) -> tuple[VertexCone, ...]:
@@ -688,14 +711,10 @@ def facet_polytope(
         basis=basis,
     )
 
-    table = poly.scaled_vertices[1]
-    on_facet = [(v.active, p) for v, p in zip(poly.vertices, table) if index in v.active]
+    on_facet = poly.facet_vertices[index]
     induced = []
     for j, other in enumerate(poly.facets):
-        if j == index:
-            continue
-        shared = [p for active, p in on_facet if j in active]
-        if affine_rank(shared) != n - 2:
+        if j == index or poly.face_dim(on_facet & poly.facet_vertices[j]) != n - 2:
             continue
         coeffs = tuple(int(dot(other.normal, b)) for b in basis)
         offset = other.offset - dot(other.normal, origin)

@@ -1,12 +1,13 @@
 """Shared builders and exact matrix helpers for the test suite."""
 
+import functools
 import math
 from fractions import Fraction
 
 import pytest
 
-from cuspcheck import DelzantPolytope, Facet
-from cuspcheck.linalg import det_int, dot
+from cuspcheck import DelzantPolytope, Facet, start_tower, tower_step
+from cuspcheck.linalg import det_int, dot, rank
 
 
 def mat_mul(a, b):
@@ -35,6 +36,12 @@ def is_positive_definite(m):
     return all(minor > 0 for minor in leading_principal_minors(m))
 
 
+def affine_rank(points):
+    """Dimension of the affine span of the given points (-1 if none): the
+    rank of the rows (1, p) less one, so no differences are formed."""
+    return rank([(1, *p) for p in points]) - 1
+
+
 def unit_simplex(n: int) -> DelzantPolytope:
     """x_i >= 0, x_1 + ... + x_n <= 1, hypotenuse labelled 'hyp'."""
     facets = [
@@ -53,6 +60,17 @@ def unit_cube(n: int) -> DelzantPolytope:
         facets.append(Facet(e, 0, label=f"bot{i}"))
         facets.append(Facet(tuple(-x for x in e), -1, label=f"top{i}"))
     return DelzantPolytope(n, tuple(facets))
+
+
+@functools.cache
+def tower_rounds() -> tuple[DelzantPolytope, ...]:
+    """Rounds 1-8 of the 2D tower over the simplex's hyp facet, eps = 4^-r."""
+    state = start_tower(unit_simplex(2), "hyp")
+    rounds = []
+    for r in range(1, 9):
+        state = tower_step(state, Fraction(1, 4**r))
+        rounds.append(state.polytope)
+    return tuple(rounds)
 
 
 def interval(a, b) -> DelzantPolytope:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import unit_cube, unit_simplex
 from cuspcheck import (
+    BlowupSpec,
     ChopTooDeep,
     DelzantPolytope,
     Facet,
@@ -16,6 +17,7 @@ from cuspcheck import (
     InvariantViolation,
     NotAVertex,
     NotUnimodular,
+    TowerState,
     apply_unimodular,
     blow_up_vertex,
     free_fixed_points,
@@ -423,6 +425,28 @@ def _scan_corner(poly, vertex):
     base = sum((poly.facets[i].offset for i in vertex.active), Fraction(0))
     bound = min(dot(normal, w.point) - base for w in poly.vertices if w != vertex)
     return normal, base, bound
+
+
+def test_designated_vertices_are_those_on_the_newest_chop_facets():
+    state = start_tower(unit_simplex(2), "hyp")
+    for r in range(1, 6):
+        state = tower_step(state, Fraction(1, 4**r))
+        labels = {record.label for record in state.history if record.round == r}
+        newest = {i for i, f in enumerate(state.polytope.facets) if f.label in labels}
+        expected = [v for v in state.polytope.vertices if newest & set(v.active)]
+        assert list(state.designated_vertices()) == expected
+
+
+def test_designated_vertex_on_the_distinguished_facet_is_refused(triangle):
+    # The chop at the origin leaves E1 meeting x0 = 0 at (0, 1/4).
+    chopped = blow_up_vertex(triangle, (0, 0), Fraction(1, 4), label="E1")
+    spec = BlowupSpec((0, 0), Fraction(1, 4), Fraction(1), "E1", 1)
+    state = TowerState(chopped, chopped.resolve_facet("x0"), 1, (spec,))
+    with pytest.raises(
+        InvariantViolation,
+        match="a vertex on the newest chop facets lies on the distinguished facet",
+    ):
+        state.designated_vertices()
 
 
 def _scan_tower_step(state, eps, labels):

@@ -209,6 +209,21 @@ def test_exit_one_on_semantic_errors(tmp_path, capsys, in_data_dir):
     assert code == 1
 
 
+def test_exit_one_on_facet_tight_on_a_non_simple_edge(tmp_path, capsys):
+    # The unit cube and (1, 1, 0) >= 0, tight only on the edge x = y = 0.
+    facets = [
+        {"normal": [s * int(j == i) for j in range(3)], "offset": (s - 1) // 2}
+        for i in range(3)
+        for s in (1, -1)
+    ]
+    facets.append({"normal": [1, 1, 0], "offset": 0})
+    bad = tmp_path / "edge.json"
+    bad.write_text(json.dumps({"dim": 3, "facets": facets}))
+    code, _, err = run_cli(capsys, ["vertices", str(bad)])
+    assert code == 1
+    assert "facet 6 does not support an (n-1)-dimensional face" in err
+
+
 def test_empty_document_refused_in_bounded_time():
     # 14 facets in dimension 4 with no common point.  The vertex scan
     # decides emptiness, so no elimination may make the refusal exponential.

@@ -12,10 +12,9 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import is_positive_definite, leading_principal_minors, mat_mul
+from conftest import affine_rank, is_positive_definite, leading_principal_minors, mat_mul
 from cuspcheck.errors import DimensionMismatch, NotUnimodular
 from cuspcheck.linalg import (
-    affine_rank,
     complete_primitive,
     det_int,
     dot,

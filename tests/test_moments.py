@@ -4,8 +4,9 @@
 (an independent Green's-theorem implementation); the 3-simplex against
 iterated symbolic integrals; facet integrals in dimensions 1-5 against
 Euler's identity for homogeneous integrands and against the facet
-polytope's own moments in its lattice chart; everything exact except the
-Monte-Carlo smoke check.
+polytope's own moments in its lattice chart; the triangulation and facet
+polytopes against the ranks of vertex points that the face rule replaced;
+everything exact except the Monte-Carlo smoke check.
 """
 
 import itertools
@@ -22,10 +23,11 @@ from sympy.abc import x, y, z
 from sympy.geometry import Point, Polygon
 from sympy.integrals.intpoly import polytope_integrate
 
-from conftest import interval, unit_cube, unit_simplex
+from conftest import affine_rank, interval, tower_rounds, unit_cube, unit_simplex
 from cuspcheck import (
     DelzantPolytope,
     Facet,
+    FacetChart,
     Poly2,
     UnsupportedDegree,
     apply_unimodular,
@@ -37,7 +39,7 @@ from cuspcheck import (
     polytope_moments,
 )
 from cuspcheck.errors import InvariantViolation
-from cuspcheck.linalg import IntVector, Vector, det_int, dot
+from cuspcheck.linalg import IntVector, Vector, complete_primitive, det_int, dot, gcd_vector
 from cuspcheck.moments import _integrate, _triangulate, integrate_polynomial_boundary
 
 _RNG = random.Random(515253)
@@ -331,9 +333,9 @@ def _skew_triangle():
 
 
 @st.composite
-def framed_chopped(draw):
-    """A simplex (dimension 1-5) or cube (1-4), chopped up to twice, in a lattice frame."""
-    n = draw(st.integers(1, 5))
+def framed_chopped(draw, n=None):
+    """A simplex (dimension 1-5, or n) or cube (1-4), chopped up to twice, in a lattice frame."""
+    n = draw(st.integers(1, 5)) if n is None else n
     kind = "simplex" if n == 5 else draw(st.sampled_from(["simplex", "cube"]))
     poly = unit_simplex(n) if kind == "simplex" else unit_cube(n)
     for _ in range(draw(st.integers(0, 2)) if n > 1 else 0):
@@ -445,6 +447,104 @@ def test_euler_identity_on_non_simple_and_non_unimodular(build):
 @pytest.mark.parametrize("build", [_pyramid, _skew_triangle])
 def test_chart_push_forward_on_non_simple_and_non_unimodular(build):
     _assert_chart_route(build())
+
+
+# --- faces from the incidence table against ranks of vertex points ---
+
+
+def _triangulate_by_point_ranks(poly):
+    """The triangulation as it was before the face rule: every face and
+    candidate subface ranked by ``affine_rank`` on the integer vertex
+    table, and subfaces sought over all m facets."""
+    table = poly.scaled_vertices[1]
+    tight = [frozenset(v.active) for v in poly.vertices]
+    nfacets = len(poly.facets)
+    cache = {}
+
+    def face_rank(face):
+        return affine_rank([table[i] for i in face])
+
+    def tri(face):
+        if face in cache:
+            return cache[face]
+        d = face_rank(face)
+        if len(face) == d + 1:
+            cache[face] = (tuple(sorted(face)),)
+            return cache[face]
+        apex = min(face)
+        subfaces = set()
+        for j in range(nfacets):
+            sub = frozenset(i for i in face if j in tight[i])
+            if apex in sub or not sub:
+                continue
+            if face_rank(sub) == d - 1:
+                subfaces.add(sub)
+        cache[face] = tuple(
+            s + (apex,) for sub in sorted(subfaces, key=sorted) for s in tri(sub)
+        )
+        return cache[face]
+
+    everything = range(len(table))
+    return tri(frozenset(everything)), tuple(
+        tri(frozenset(i for i in everything if j in tight[i])) for j in range(nfacets)
+    )
+
+
+def _facet_polytope_by_point_ranks(poly, index):
+    """``facet_polytope`` with its ridge test as it was: facet j bounds the
+    facet polytope when the points tight on both have affine rank n - 2."""
+    n = poly.dim
+    chosen = poly.facets[index]
+    w, basis = complete_primitive(chosen.normal)
+    origin = tuple(chosen.offset * x for x in w)
+    chart = FacetChart(index, chosen.normal, chosen.offset, origin, basis)
+    table = poly.scaled_vertices[1]
+    on_facet = [(v.active, p) for v, p in zip(poly.vertices, table) if index in v.active]
+    induced = []
+    for j, other in enumerate(poly.facets):
+        shared = [p for active, p in on_facet if j in active]
+        if j == index or affine_rank(shared) != n - 2:
+            continue
+        coeffs = tuple(int(dot(other.normal, b)) for b in basis)
+        g = gcd_vector(coeffs)
+        offset = (other.offset - dot(other.normal, origin)) / g
+        induced.append(Facet(tuple(x // g for x in coeffs), offset, other.label))
+    return DelzantPolytope(n - 1, tuple(induced)), chart
+
+
+def _assert_faces_match_point_ranks(poly):
+    # Identical simplex tuples, not just equal integrals; the same for each
+    # facet polytope, whose facets, chart and vertices must also agree.
+    assert poly.facet_vertices == tuple(
+        frozenset(k for k, v in enumerate(poly.vertices) if i in v.active)
+        for i in range(len(poly.facets))
+    )
+    assert _triangulate(poly) == _triangulate_by_point_ranks(poly)
+    if poly.dim < 2:
+        return
+    for index in range(len(poly.facets)):
+        face, chart = facet_polytope(poly, index)
+        expected_face, expected_chart = _facet_polytope_by_point_ranks(poly, index)
+        assert (face.facets, chart) == (expected_face.facets, expected_chart)
+        assert face.vertices == expected_face.vertices
+        assert _triangulate(face) == _triangulate_by_point_ranks(face)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@given(data=st.data())
+@settings(max_examples=12, deadline=None)
+def test_face_rule_matches_point_ranks(n, data):
+    _assert_faces_match_point_ranks(data.draw(framed_chopped(n)))
+
+
+@pytest.mark.parametrize("build", [_pyramid, _skew_triangle])
+def test_face_rule_matches_point_ranks_on_non_simple_and_non_unimodular(build):
+    _assert_faces_match_point_ranks(build())
+
+
+@pytest.mark.parametrize("round_", range(1, 9))
+def test_face_rule_matches_point_ranks_on_tower_rounds(round_):
+    _assert_faces_match_point_ranks(tower_rounds()[round_ - 1])
 
 
 # --- the simplex rule against the barycentric expansion it replaced ---

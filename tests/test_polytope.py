@@ -10,7 +10,6 @@ while the constructor compares integer heights on its vertex table.
 """
 
 import ast
-import functools
 import itertools
 import math
 import random
@@ -23,7 +22,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.spatial import HalfspaceIntersection
 
-from conftest import interval, unit_cube, unit_simplex
+from conftest import interval, tower_rounds, unit_cube, unit_simplex
 from cuspcheck import (
     ChartMismatch,
     DegenerateFacet,
@@ -42,8 +41,6 @@ from cuspcheck import (
     facet_polytope,
     is_delzant,
     polytope,
-    start_tower,
-    tower_step,
 )
 from cuspcheck.errors import InvalidPolytope, InvariantViolation
 from cuspcheck.linalg import dot, is_primitive, nullspace, rank, rref, solve_linear
@@ -239,6 +236,37 @@ def test_facet_without_ridge_support_rejected():
                 Facet((1, 1), 0),
             ),
         )
+
+
+def _cube_with_edge_facet():
+    # (1, 1, 0) >= 0 touches the unit cube only along the edge x = y = 0,
+    # and both ends of that edge lie on four facets, so neither is simple.
+    cube = unit_cube(3)
+    return cube, cube.facets + (Facet((1, 1, 0), 0),)
+
+
+def test_facet_tight_on_a_non_simple_edge_is_refused():
+    cube, facets = _cube_with_edge_facet()
+    message = "facet 6 does not support an (n-1)-dimensional face"
+    with pytest.raises(DegenerateFacet) as exc:
+        DelzantPolytope(3, facets)
+    assert str(exc.value) == message
+    claimed = [(v.point, None) for v in cube.vertices]
+    with pytest.raises(DegenerateFacet) as exc:
+        DelzantPolytope._from_claimed_vertices(3, facets, claimed)
+    assert str(exc.value) == message
+
+
+def test_face_dim_on_the_square_pyramid():
+    pyramid = DelzantPolytope(3, _PYRAMID)
+    (apex,) = [k for k, v in enumerate(pyramid.vertices) if len(v.active) == 4]
+    base = [k for k in range(len(pyramid.vertices)) if k != apex]
+    assert pyramid.face_dim(()) == -1
+    assert pyramid.face_dim({apex}) == 0
+    assert [pyramid.face_dim({apex, k}) for k in base] == [1] * 4
+    assert [pyramid.face_dim(face) for face in pyramid.facet_vertices] == [2] * 5
+    assert pyramid.facet_vertices[0] == frozenset(base)
+    assert pyramid.face_dim(range(len(pyramid.vertices))) == 3
 
 
 def test_duplicate_labels_rejected():
@@ -593,17 +621,6 @@ _PYRAMID = (
 _SKEW_TRIANGLE = (Facet((1, 0), 0), Facet((0, 1), 0), Facet((-1, -2), -2))
 
 
-@functools.cache
-def _tower_rounds():
-    """Rounds 1-8 of the 2D tower over the simplex's hyp facet, eps = 4^-r."""
-    state = start_tower(unit_simplex(2), "hyp")
-    rounds = []
-    for r in range(1, 9):
-        state = tower_step(state, Fraction(1, 4**r))
-        rounds.append(state.polytope)
-    return tuple(rounds)
-
-
 @st.composite
 def _odd_cut(draw, dim, points, never_tight=False):
     """A facet with an offset in thirds or fifths near the points' heights."""
@@ -628,7 +645,7 @@ def odd_offset_cases(draw):
     """
     kind = draw(st.sampled_from(("box", "pyramid", "skew", "tower")))
     if kind == "tower":
-        poly = _tower_rounds()[draw(st.integers(0, 7))]
+        poly = tower_rounds()[draw(st.integers(0, 7))]
         claimed = [(v.point, cone.generators) for v, cone in zip(poly.vertices, poly.cones)]
         facets = poly.facets
         if draw(st.booleans()):
