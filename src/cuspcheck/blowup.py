@@ -20,7 +20,6 @@ derives their tight facets and verifies them rather than re-enumerating.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Sequence
@@ -35,6 +34,7 @@ from .errors import (
 from .linalg import IntVector, Vector
 from .polytope import DelzantPolytope, Facet, Vertex, is_delzant
 from .rational import format_rational, format_rational_vector, parse_rational
+from .record import Record
 
 
 def _find_vertex(poly: DelzantPolytope, point: Sequence[Fraction]) -> int:
@@ -171,8 +171,7 @@ def free_fixed_points(
     return tuple(v for v in poly.vertices if index not in v.active)
 
 
-@dataclass(frozen=True)
-class BlowupSpec:
+class BlowupSpec(Record):
     """One executed chop: the corner, its depth, bound, label, and round."""
 
     vertex: Vector
@@ -182,8 +181,7 @@ class BlowupSpec:
     round: int
 
 
-@dataclass(frozen=True)
-class TowerState:
+class TowerState(Record):
     """Snapshot of an iterated chop construction.
 
     ``history`` lists every executed chop; each entry records the round

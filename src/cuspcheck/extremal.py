@@ -15,7 +15,6 @@ the solve is exact and cannot fail on validated input.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -30,10 +29,10 @@ from .moments import (
     polytope_moments,
 )
 from .polytope import DelzantPolytope, FacetChart
+from .record import Record
 
 
-@dataclass(frozen=True)
-class AffineFunction:
+class AffineFunction(Record):
     """constant + <gradient, x>, exact rational coefficients."""
 
     constant: Fraction
@@ -66,8 +65,7 @@ class AffineFunction:
         )
 
 
-@dataclass(frozen=True)
-class ExtremalSolveReport:
+class ExtremalSolveReport(Record):
     """Solved affine function plus the exact linear system behind it."""
 
     affine: AffineFunction

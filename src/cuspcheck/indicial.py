@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import EmptySpectrum, InputValidationError, InvariantViolation
+from .record import Record
 
 SIGN_CONVENTION = (
     "spectral pairs (lambda, mu) use nonnegative eigenvalues; roots solve "
@@ -46,8 +46,7 @@ def _as_real(value: object, name: str) -> float:
     return out
 
 
-@dataclass(frozen=True)
-class SpectralPair:
+class SpectralPair(Record):
     """One cross-section eigenvalue pair (lambda, mu), with multiplicity."""
 
     lam: float
@@ -74,8 +73,7 @@ class SpectralPair:
         object.__setattr__(self, "scale", scale)
 
 
-@dataclass(frozen=True)
-class ModelCoefficients:
+class ModelCoefficients(Record):
     """Separated-operator coefficients (c2, c1, c0); unit-scale defaults."""
 
     square: float = 0.5
@@ -93,8 +91,7 @@ class ModelCoefficients:
         object.__setattr__(self, "linear", linear)
 
 
-@dataclass(frozen=True)
-class IndicialRoot:
+class IndicialRoot(Record):
     """A root delta, the s-value it came from, and its source pair."""
 
     delta: complex
@@ -168,8 +165,7 @@ def roots_in_window(
     return tuple(found)
 
 
-@dataclass(frozen=True)
-class WeightCertificate:
+class WeightCertificate(Record):
     """Distance from a candidate weight to the nearest root's real part."""
 
     eta: float

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping, Sequence
@@ -31,10 +30,10 @@ from typing import Callable, Mapping, Sequence
 from .errors import DimensionMismatch, InvariantViolation, UnsupportedDegree
 from .linalg import IntVector, Matrix, Vector, det_int, dot
 from .polytope import DelzantPolytope
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Poly2:
+class Poly2(Record):
     """Polynomial of degree at most two: constant + linear.x + x.quad.x.
 
     ``quad`` is kept symmetric, so the quadratic part evaluates as the
@@ -128,8 +127,7 @@ def _graded(q: Poly2) -> tuple[int, Callable[[IntVector], tuple[int, ...]]]:
     )
 
 
-@dataclass(frozen=True)
-class MomentData:
+class MomentData(Record):
     """Volume, first, and second moments of a polytope."""
 
     volume: Fraction
@@ -151,16 +149,14 @@ class MomentData:
         return tuple(rows)
 
 
-@dataclass(frozen=True)
-class FacetMoments:
+class FacetMoments(Record):
     """Lattice measure and ambient first moments of a single facet."""
 
     measure: Fraction
     first_moments: Vector
 
 
-@dataclass(frozen=True)
-class BoundaryMomentData:
+class BoundaryMomentData(Record):
     """Per-facet boundary moments; excluded facets carry None entries."""
 
     facets: tuple[FacetMoments | None, ...]

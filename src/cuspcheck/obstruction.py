@@ -11,7 +11,6 @@ condition, and a kernel condition tied to evaluation data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -26,10 +25,10 @@ from .extremal import AffineFunction, extremal_affine, restrict_affine
 from .linalg import Matrix, Vector, nullspace, project_onto_columns, rank
 from .polytope import DelzantPolytope, facet_polytope
 from .rational import parse_rational
+from .record import Record
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(Record):
     """Comparison of the pair's affine function with the facet's own.
 
     ``satisfied`` is the exact gradient equality in the facet chart;
@@ -74,8 +73,7 @@ def check_facet_condition(
     )
 
 
-@dataclass(frozen=True)
-class MomentConfiguration:
+class MomentConfiguration(Record):
     """Weighted fixed-point data against a distinguished subspace.
 
     ``n`` is the complex dimension entering the weight exponent,
@@ -207,8 +205,7 @@ class MomentConfiguration:
             raise InputValidationError([("", str(exc))]) from exc
 
 
-@dataclass(frozen=True)
-class BalanceResult:
+class BalanceResult(Record):
     """Weighted point sum, its part in the subspace, and what is left over."""
 
     combination: Vector
@@ -267,8 +264,7 @@ def check_kernel_condition(config: MomentConfiguration) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class HypothesesReport:
+class HypothesesReport(Record):
     """Joint outcome of the balance, genericity, and kernel checks."""
 
     balance: BalanceResult

@@ -40,7 +40,6 @@ import contextlib
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter, mul
 from typing import Iterable, NamedTuple, Sequence
@@ -75,6 +74,7 @@ from .linalg import (
     transpose,
 )
 from .rational import format_rational, format_rational_vector, parse_rational
+from .record import Record
 
 
 def _as_int_vector(values: Iterable, what: str) -> IntVector:
@@ -86,8 +86,7 @@ def _as_int_vector(values: Iterable, what: str) -> IntVector:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Facet:
+class Facet(Record):
     """One halfspace <normal, x> >= offset with a primitive inward normal."""
 
     normal: IntVector
@@ -109,8 +108,7 @@ class Facet:
         object.__setattr__(self, "offset", offset)
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(Record):
     """A vertex point together with the indices of all facets tight there."""
 
     point: Vector
@@ -129,8 +127,7 @@ class VertexCone(NamedTuple):
     neighbours: tuple[int, ...] | None
 
 
-@dataclass(frozen=True)
-class FacetChart:
+class FacetChart(Record):
     """Lattice-adapted affine chart of a facet hyperplane.
 
     Maps y in R^{n-1} to origin + sum_k y_k basis[k], which parametrises
@@ -173,8 +170,7 @@ class FacetChart:
         return y
 
 
-@dataclass(frozen=True)
-class DelzantReport:
+class DelzantReport(Record):
     """Outcome of the vertexwise Delzant test; falsy when violated."""
 
     ok: bool
@@ -239,8 +235,7 @@ def _vertex_candidates(
     return cands
 
 
-@dataclass(frozen=True)
-class DelzantPolytope:
+class DelzantPolytope(Record):
     """Compact full-dimensional rational polytope in halfspace form.
 
     The constructor raises EmptyPolytope, UnboundedPolytope,
@@ -405,7 +400,7 @@ class DelzantPolytope:
                 with contextlib.suppress(NotUnimodular):
                     cone = transpose(inverse_unimodular(normals))
             elif cone is not None and identity_int(n) != tuple(
-                tuple(sum(x * y for x, y in zip(u, g)) for g in cone) for u in normals
+                tuple(sum(map(mul, u, g)) for g in cone) for u in normals
             ):
                 raise InvariantViolation(
                     "claimed vertex set fails the vertex test: edge generators "
@@ -716,8 +711,9 @@ def facet_polytope(
     for j, other in enumerate(poly.facets):
         if j == index or poly.face_dim(on_facet & poly.facet_vertices[j]) != n - 2:
             continue
-        coeffs = tuple(int(dot(other.normal, b)) for b in basis)
-        offset = other.offset - dot(other.normal, origin)
+        coeffs = tuple(sum(map(mul, other.normal, b)) for b in basis)
+        # origin = c_F w, so <u_j, origin> = c_F <u_j, w>, in int.
+        offset = other.offset - chosen.offset * sum(map(mul, other.normal, w))
         g = gcd_vector(coeffs)
         if g == 0:
             raise InvariantViolation(f"ridge facet {j} is parallel to the chart")

@@ -357,7 +357,8 @@ def test_chops_run_no_vertex_scan(monkeypatch):
 
 def test_builds_and_chops_compare_no_fraction_heights(monkeypatch):
     # Every height test reads the integer vertex table, so neither a
-    # scan-built polytope nor three tower rounds call the Fraction dot.
+    # scan-built polytope, three tower rounds nor the facet polytopes and
+    # charts of either call the Fraction dot.
     cube = unit_cube(3)
     calls = []
     fraction_dot = polytope.dot
@@ -367,10 +368,13 @@ def test_builds_and_chops_compare_no_fraction_heights(monkeypatch):
         return fraction_dot(a, b)
 
     monkeypatch.setattr(polytope, "dot", counted)
-    DelzantPolytope.from_data(cube.to_data())
+    built = DelzantPolytope.from_data(cube.to_data())
     state = start_tower(unit_simplex(2), "hyp")
     for eps in (Fraction(1, 4), Fraction(1, 16), Fraction(1, 64)):
         state = tower_step(state, eps)
+    for poly in (built, state.polytope):
+        for j in range(len(poly.facets)):
+            polytope.facet_polytope(poly, j)
     assert calls == []
 
 

@@ -474,3 +474,53 @@ def test_runs_without_jsonschema():
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+_STARTUP_GUARD_CHILD = """
+import io, json, sys
+from contextlib import redirect_stdout
+
+REFUSED = ("dataclasses", "inspect")
+tried = []
+
+
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        if name in REFUSED:
+            tried.append(name)
+            raise ImportError(f"{name} is refused on the start-up path")
+        return None
+
+
+if any(name in sys.modules for name in REFUSED):
+    sys.exit("the interpreter loaded a refused module before cuspcheck")
+sys.meta_path.insert(0, Refuse())
+import cuspcheck.cli
+
+for name, argv in json.loads(sys.argv[1]).items():
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cuspcheck.cli.run(argv)
+    with open(f"golden/{name}.json") as handle:
+        if code != 0 or out.getvalue() != handle.read():
+            sys.exit(f"{name}: exit {code}, or stdout differs from the golden file")
+if tried:
+    sys.exit(f"cuspcheck tried to import {tried}")
+"""
+
+
+def test_runs_without_dataclasses_or_inspect():
+    # Each run is a fresh interpreter, so start-up imports are paid on every
+    # call; dataclasses and inspect cost more than the golden commands
+    # compute.  -S keeps site-packages hooks from loading either first.
+    src = str(Path(cuspcheck.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _STARTUP_GUARD_CHILD, json.dumps(GOLDEN_COMMANDS)],
+        cwd=DATA,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
