@@ -1,22 +1,24 @@
 """Exact linear algebra over the integers and rationals.
 
-Everything here is deterministic and division-free where it matters:
-integer determinants and linear solves go through fraction-free Bareiss
-elimination, ranks through fraction-free elimination on rows scaled to
-integers, lattice computations through a schoolbook Hermite normal form
-with a tracked unimodular transform; only ``rref`` (null spaces, pivot
-columns) works in Fractions.  Matrices are tuples of row tuples; sizes
-are tiny (n <= 5 plus a handful of constraints), so asymptotics are
-irrelevant next to exactness.
+Every elimination is one fraction-free (Bareiss) row echelon form on
+integer rows, ``_eliminate``, with one integer back substitution beside
+it: determinants, linear solves, ranks, pivot columns, null spaces and
+unimodular inverses all read its pivots.  Each entry it makes is a minor
+of the input, so the arithmetic stays in int; rational rows are scaled
+to integers first, and Fractions appear only in the answers.
+``complete_primitive`` runs Euclid on its one column instead.  Matrices
+are tuples of row tuples; sizes are tiny (n <= 5 plus a handful of
+constraints), so asymptotics are irrelevant next to exactness.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
-from .errors import DimensionMismatch, InvariantViolation, NotUnimodular
+from .errors import DimensionMismatch, NotUnimodular
 
 Vector = tuple[Fraction, ...]
 IntVector = tuple[int, ...]
@@ -53,27 +55,54 @@ def identity_int(n: int) -> tuple[IntVector, ...]:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def det_int(m: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix via fraction-free Bareiss."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
+def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) row echelon form of integer rows, in place.
+
+    Pivots are sought in the first ``ncols`` columns, skipping a column
+    with none; the later columns are carried along.  Every entry stays an
+    integer, a minor of the input.  Returns the pivot columns and d, the
+    last pivot times the sign of the row swaps (1 with no pivot): the
+    determinant of the pivot block, so of a square matrix of full rank.
+    """
+    nrows = len(rows)
+    pivots: list[int] = []
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot_row = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot_row is None:
-                return 0
-            a[k], a[pivot_row] = a[pivot_row], a[k]
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        if rows[r][c] == 0:
+            k = next((i for i in range(r + 1, nrows) if rows[i][c] != 0), None)
+            if k is None:
+                continue
+            rows[r], rows[k] = rows[k], rows[r]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+        top = rows[r]
+        p = top[c]
+        for row in rows[r + 1 :]:
+            f = row[c]
+            for j in range(c + 1, len(top)):
+                row[j] = (row[j] * p - f * top[j]) // prev
+            row[c] = 0
+        prev = p
+        pivots.append(c)
+    return pivots, sign * prev
+
+
+def _back_substitute(
+    rows: list[list[int]], pivots: list[int], d: int, y: list[int], target: list[int]
+) -> None:
+    """Fill y at the pivot columns with d x, where x solves the echelon rows
+    rows[r] . x = target[r] over the first len(y) columns, given d x in y
+    at the other columns for an x integral there.  d is as ``_eliminate``
+    returns it, so d x is integral by Cramer's rule and each division is
+    exact.
+    """
+    for r in range(len(pivots) - 1, -1, -1):
+        c = pivots[r]
+        row = rows[r]
+        y[c] = (d * target[r] - sum(map(mul, row[c + 1 :], y[c + 1 :]))) // row[c]
 
 
 def _clear_denominators(row: Sequence[Fraction | int]) -> list[int]:
@@ -81,97 +110,71 @@ def _clear_denominators(row: Sequence[Fraction | int]) -> list[int]:
     return [x.numerator * (lcm // x.denominator) for x in row]
 
 
+def det_int(m: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix."""
+    rows = [list(row) for row in m]
+    pivots, d = _eliminate(rows, len(rows))
+    return d if len(pivots) == len(rows) else 0
+
+
+def solve_int(rows: Sequence[Sequence[int]]) -> tuple[IntVector, int] | None:
+    """Solve the n integer rows [A | b], of length n + 1, as A x = b.
+
+    Returns (y, d) with d > 0 and x = y / d, so a caller can test x in
+    int before it builds a Fraction; None if A is singular.
+    """
+    n = len(rows)
+    aug = [list(row) for row in rows]
+    pivots, d = _eliminate(aug, n)
+    if len(pivots) < n:
+        return None
+    y = [0] * n
+    _back_substitute(aug, pivots, d, y, [row[n] for row in aug])
+    if d < 0:
+        return tuple(-v for v in y), -d
+    return tuple(y), d
+
+
 def solve_linear(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Vector | None:
     """Solve the square system a x = b exactly; None if a is singular.
-
-    Rows are scaled to integers, the forward pass is fraction-free
-    Bareiss, back substitution reintroduces fractions.
-    """
+    The rows [a | b] are scaled to integers for ``solve_int``."""
     n = len(a)
-    if n == 0:
-        return ()
     if any(len(row) != n for row in a) or len(b) != n:
         raise DimensionMismatch("solve_linear needs a square system")
-    aug = [_clear_denominators(list(row) + [rhs]) for row, rhs in zip(a, b)]
-    prev = 1
-    for k in range(n - 1):
-        if aug[k][k] == 0:
-            pivot_row = next((i for i in range(k + 1, n) if aug[i][k] != 0), None)
-            if pivot_row is None:
-                return None
-            aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n + 1):
-                aug[i][j] = (aug[i][j] * aug[k][k] - aug[i][k] * aug[k][j]) // prev
-            aug[i][k] = 0
-        prev = aug[k][k]
-    if aug[n - 1][n - 1] == 0:
+    solved = solve_int([_clear_denominators([*row, rhs]) for row, rhs in zip(a, b)])
+    if solved is None:
         return None
-    x: list[Fraction] = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        acc = Fraction(aug[i][n])
-        for j in range(i + 1, n):
-            acc -= aug[i][j] * x[j]
-        x[i] = acc / aug[i][i]
-    return tuple(x)
+    y, d = solved
+    return tuple(Fraction(v, d) for v in y)
 
 
-def rref(m: Sequence[Sequence[Fraction]]) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form over the rationals, with pivot columns."""
-    rows = [[Fraction(x) for x in row] for row in m]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return tuple(tuple(row) for row in rows), tuple(pivots)
+def pivot_columns(m: Sequence[Sequence[Fraction]]) -> tuple[int, ...]:
+    """The pivot columns of a row echelon form of m, in order."""
+    rows = [_clear_denominators(row) for row in m]
+    return tuple(_eliminate(rows, len(rows[0]) if rows else 0)[0])
 
 
 def rank(m: Sequence[Sequence[Fraction]]) -> int:
-    """Row rank by fraction-free elimination: each pass clears one pivot's
-    column from the other integer rows, divides them by their gcd and drops
-    the zero rows; the rank is the number of passes."""
-    rows = [row for row in map(_clear_denominators, m) if any(row)]
-    count = 0
-    while rows:
-        pivot = rows.pop()
-        c = next(j for j, x in enumerate(pivot) if x)
-        reduced = ([pivot[c] * x - row[c] * y for x, y in zip(row, pivot)] for row in rows)
-        rows = [[x // g for x in row] for row in reduced if (g := gcd_vector(row))]
-        count += 1
-    return count
+    """Row rank: the number of pivot columns."""
+    return len(pivot_columns(m))
 
 
 def nullspace(m: Sequence[Sequence[Fraction]], ncols: int | None = None) -> tuple[Vector, ...]:
-    """Deterministic rational basis of the right null space."""
-    if not m:
-        if ncols is None:
-            raise DimensionMismatch("nullspace of empty matrix needs ncols")
-        return tuple(tuple(Fraction(1 if i == j else 0) for j in range(ncols)) for i in range(ncols))
-    ncols = len(m[0])
-    reduced, pivots = rref(m)
-    free_cols = [c for c in range(ncols) if c not in pivots]
+    """Deterministic rational basis of the right null space: one vector per
+    non-pivot column, 1 there and 0 at the other non-pivot columns."""
+    if m:
+        ncols = len(m[0])
+    elif ncols is None:
+        raise DimensionMismatch("nullspace of empty matrix needs ncols")
+    rows = [_clear_denominators(row) for row in m]
+    pivots, d = _eliminate(rows, ncols)
     basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -reduced[r][fc]
-        basis.append(tuple(vec))
+    for free in range(ncols):
+        if free not in pivots:
+            y = [0] * ncols
+            y[free] = d
+            _back_substitute(rows, pivots, d, y, [0] * len(pivots))
+            basis.append(tuple(Fraction(v, d) for v in y))
     return tuple(basis)
 
 
@@ -201,84 +204,49 @@ def project_onto_columns(basis: Sequence[Sequence[Fraction]], y: Sequence[Fracti
     return tuple(proj), residual
 
 
-def hermite_normal_form(m: Sequence[Sequence[int]]) -> tuple[tuple[IntVector, ...], tuple[IntVector, ...]]:
-    """Row-style Hermite normal form with transform: U @ m = H, det(U) = +-1.
-
-    Pivots are positive, entries above a pivot are reduced into
-    [0, pivot), zero rows sink to the bottom.  Deterministic.
-    """
-    nrows = len(m)
-    h = [list(row) for row in m]
-    u = [list(row) for row in identity_int(nrows)]
-    ncols = len(h[0]) if nrows else 0
-    r = 0
-    for c in range(ncols):
-        while True:
-            nonzero = [i for i in range(r, nrows) if h[i][c] != 0]
-            if not nonzero:
-                break
-            i0 = min(nonzero, key=lambda i: (abs(h[i][c]), i))
-            if i0 != r:
-                h[r], h[i0] = h[i0], h[r]
-                u[r], u[i0] = u[i0], u[r]
-            finished = True
-            for i in range(r + 1, nrows):
-                if h[i][c] != 0:
-                    q = h[i][c] // h[r][c]
-                    h[i] = [a - q * b for a, b in zip(h[i], h[r])]
-                    u[i] = [a - q * b for a, b in zip(u[i], u[r])]
-                    if h[i][c] != 0:
-                        finished = False
-            if finished:
-                break
-        if r < nrows and h[r][c] != 0:
-            if h[r][c] < 0:
-                h[r] = [-a for a in h[r]]
-                u[r] = [-a for a in u[r]]
-            for i in range(r):
-                q = h[i][c] // h[r][c]
-                if q:
-                    h[i] = [a - q * b for a, b in zip(h[i], h[r])]
-                    u[i] = [a - q * b for a, b in zip(u[i], u[r])]
-            r += 1
-            if r == nrows:
-                break
-    return tuple(tuple(row) for row in h), tuple(tuple(row) for row in u)
-
-
 def complete_primitive(u: Sequence[int]) -> tuple[IntVector, tuple[IntVector, ...]]:
     """Complete a primitive vector to a unimodular lattice frame.
 
     Returns (w, basis) with <u, w> = 1 and basis a Z-basis of the
     sublattice {z in Z^n : <u, z> = 0}; together [w, basis...] form a
-    unimodular matrix.  Built from the Hermite normal form of u viewed
-    as an n x 1 column.
+    unimodular matrix.  Euclid runs on u as a column, each row operation
+    applied to the identity too: the least nonzero entry (by size, then
+    index) moves to the top and reduces the others by floor division,
+    until the top entry is gcd(u) = +-1, whose sign is fixed last.  The
+    frame then maps u to e_1: row 0 pairs to 1 with u, the others to 0.
     """
     if not is_primitive(u):
         raise ValueError(f"vector {tuple(u)} is not primitive")
-    column = tuple((x,) for x in u)
-    h, t = hermite_normal_form(column)
-    if h[0] != (1,) or any(row != (0,) for row in h[1:]):
-        raise InvariantViolation("HNF of a primitive column must be e_1")
-    # t @ u = e_1, so row 0 of t pairs to 1 with u and the other rows to 0.
-    return t[0], t[1:]
+    column = list(u)
+    frame = [list(row) for row in identity_int(len(column))]
+    while any(column[1:]):
+        k = min((i for i, x in enumerate(column) if x), key=lambda i: (abs(column[i]), i))
+        column[0], column[k] = column[k], column[0]
+        frame[0], frame[k] = frame[k], frame[0]
+        for i in range(1, len(column)):
+            q = column[i] // column[0]
+            column[i] -= q * column[0]
+            frame[i] = [a - q * b for a, b in zip(frame[i], frame[0])]
+    if column[0] < 0:
+        frame[0] = [-a for a in frame[0]]
+    return tuple(frame[0]), tuple(tuple(row) for row in frame[1:])
 
 
 def inverse_unimodular(t: Sequence[Sequence[int]]) -> tuple[IntVector, ...]:
-    """Exact integer inverse of a matrix with determinant +-1."""
+    """Exact integer inverse of a matrix with determinant +-1, from one
+    elimination of [t | I]."""
     n = len(t)
     if any(len(row) != n for row in t):
         raise DimensionMismatch("matrix is not square")
-    d = det_int(t)
+    rows = [[*row, *unit] for row, unit in zip(t, identity_int(n))]
+    pivots, d = _eliminate(rows, n)
+    if len(pivots) < n:
+        d = 0
     if d not in (1, -1):
         raise NotUnimodular(f"determinant {d} is not +-1")
     cols = []
-    frac_rows = [tuple(Fraction(x) for x in row) for row in t]
-    for j in range(n):
-        e = [Fraction(1) if i == j else Fraction(0) for i in range(n)]
-        col = solve_linear(frac_rows, e)
-        if col is None:
-            raise InvariantViolation(f"matrix of determinant {d} has no inverse")
-        cols.append(tuple(int(x) for x in col))
+    for k in range(n, 2 * n):
+        y = [0] * n
+        _back_substitute(rows, pivots, d, y, [row[k] for row in rows])
+        cols.append(tuple(d * v for v in y))  # x = y / d = d y
     return tuple(zip(*cols))
-

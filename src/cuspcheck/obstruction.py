@@ -110,7 +110,7 @@ class MomentConfiguration(Record):
         basis = tuple(tuple(Fraction(x) for x in col) for col in self.t_basis)
         if any(len(col) != dim for col in basis):
             raise DimensionMismatch("subspace basis columns must match point length")
-        if basis and rank(basis) != len(basis):
+        if rank(basis) != len(basis):
             raise ValueError("subspace basis columns must be linearly independent")
         eval_matrix = self.eval_matrix
         if eval_matrix is not None:
@@ -257,7 +257,7 @@ def check_kernel_condition(config: MomentConfiguration) -> bool:
             "the kernel condition needs an evaluation matrix"
         )
     kernel = nullspace(config.eval_matrix, ncols=config.dimension)
-    base_rank = rank(config.t_basis) if config.t_basis else 0
+    base_rank = rank(config.t_basis)
     for vec in kernel:
         if rank(list(config.t_basis) + [vec]) != base_rank:
             return False

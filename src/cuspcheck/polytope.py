@@ -67,9 +67,9 @@ from .linalg import (
     inverse_unimodular,
     is_primitive,
     mat_vec,
-    nullspace,
+    pivot_columns,
     rank,
-    rref,
+    solve_int,
     solve_linear,
     transpose,
 )
@@ -180,18 +180,6 @@ class DelzantReport(Record):
         return self.ok
 
 
-def _primitive_int_vector(v: Sequence[Fraction]) -> IntVector:
-    lcm = 1
-    for x in v:
-        fx = Fraction(x)
-        lcm = lcm * fx.denominator // math.gcd(lcm, fx.denominator)
-    ints = [int(Fraction(x) * lcm) for x in v]
-    g = gcd_vector(ints)
-    if g == 0:
-        raise InvariantViolation("the zero vector has no primitive direction")
-    return tuple(x // g for x in ints)
-
-
 def _height_rows(
     normals: Sequence[IntVector], offsets: Sequence[Fraction], scale: int
 ) -> list[tuple[IntVector, int]]:
@@ -213,25 +201,21 @@ def _vertex_candidates(
 ) -> set[Vector]:
     """Feasible points cut out by n independent facets: the C(m, n) scan.
 
-    Each solved point is scaled to integers by its own denominators once,
-    and its feasibility is checked in int by cross-multiplication.
+    Each facet is its integer height row (q u, p) for c = p / q, built
+    once, and each n-subset is one fraction-free elimination
+    (``solve_int``): it gives the point as y / d with d > 0, so the
+    feasibility <q u, y> >= p d is tested in int before any Fraction.
     """
-    n = len(normals[0])
-    split = [(u, c.numerator, c.denominator) for u, c in zip(normals, offsets)]
+    heights = _height_rows(normals, offsets, 1)
+    rows = [(*u, rhs) for u, rhs in heights]
     cands: set[Vector] = set()
-    for subset in itertools.combinations(range(len(normals)), n):
-        mat = [normals[i] for i in subset]
-        if det_int(mat) == 0:
+    for subset in itertools.combinations(rows, len(normals[0])):
+        solved = solve_int(subset)
+        if solved is None:
             continue
-        point = solve_linear(mat, [offsets[i] for i in subset])
-        if point is None:
-            raise InvariantViolation(
-                f"facets {list(subset)} have a nonzero determinant but no common point"
-            )
-        scale = math.lcm(*[x.denominator for x in point])
-        scaled = [x.numerator * (scale // x.denominator) for x in point]
-        if all(q * sum(map(mul, u, scaled)) >= p * scale for u, p, q in split):
-            cands.add(point)
+        y, d = solved
+        if all(sum(map(mul, u, y)) >= rhs * d for u, rhs in heights):
+            cands.add(tuple(Fraction(v, d) for v in y))
     return cands
 
 
@@ -261,11 +245,9 @@ class DelzantPolytope(Record):
             # empty exactly when it has no vertex.  Otherwise Ux ranges
             # over the same set as the pivot columns' U'y, a system of
             # full column rank, and the same scan decides it.
-            pivots = rref(normals)[1]
-            if len(pivots) == self.dim:
-                raise EmptyPolytope("no point satisfies all facet inequalities")
+            pivots = pivot_columns(normals)
             restricted = [tuple(u[j] for j in pivots) for u in normals]
-            if not _vertex_candidates(restricted, offsets):
+            if len(pivots) == self.dim or not _vertex_candidates(restricted, offsets):
                 raise EmptyPolytope("no point satisfies all facet inequalities")
             raise UnboundedPolytope("facet normals do not span the ambient space")
         self._set_vertices(sorted(candidates))
@@ -480,17 +462,25 @@ class DelzantPolytope(Record):
 
         The edge along z then has no other vertex, so over a complete
         vertex set it is a ray, and over a bounded polyhedron its other end
-        is missing.  Only one-ended ridges pay for a null space.
+        is missing.  Only one-ended ridges pay for the kernel line, read
+        off the n signed maximal minors of the ridge's n - 1 normals and
+        divided by their gcd; all minors vanish when the normals are
+        dependent.  At a vertex the active normals span R^n, so only one
+        of z and -z can leave it, and z needs no sign convention.
         """
+        n = self.dim
         normals = [f.normal for f in self.facets]
         for ridge, tight in ends.items():
             if len(tight) != 1:
                 continue
-            mat = [tuple(Fraction(x) for x in normals[i]) for i in ridge]
-            kernel = nullspace(mat, ncols=self.dim)
-            if len(kernel) != 1:
+            mat = [normals[i] for i in ridge]
+            minors = [
+                (-1) ** j * det_int([u[:j] + u[j + 1 :] for u in mat]) for j in range(n)
+            ]
+            g = gcd_vector(minors)
+            if g == 0:
                 continue
-            z = _primitive_int_vector(kernel[0])
+            z = tuple(x // g for x in minors)
             active = [normals[i] for i in self.vertices[tight[0]].active]
             for candidate in (z, tuple(-x for x in z)):
                 if all(sum(map(mul, u, candidate)) >= 0 for u in active):

@@ -42,6 +42,98 @@ def affine_rank(points):
     return rank([(1, *p) for p in points]) - 1
 
 
+def rref(m):
+    """Reduced row echelon form over the rationals, with pivot columns:
+    Fraction Gauss-Jordan, the oracle for the pivot columns, rank and null
+    space of the package's fraction-free elimination."""
+    rows = [[Fraction(x) for x in row] for row in m]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = rows[r][c]
+        rows[r] = [x / inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return tuple(tuple(row) for row in rows), tuple(pivots)
+
+
+def rref_nullspace(m, ncols):
+    """Null space basis read off ``rref``: one vector per non-pivot column,
+    1 there, 0 at the other non-pivot columns."""
+    if not m:
+        return tuple(tuple(Fraction(int(i == j)) for j in range(ncols)) for i in range(ncols))
+    reduced, pivots = rref(m)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -reduced[r][fc]
+        basis.append(tuple(vec))
+    return tuple(basis)
+
+
+def hermite_normal_form(m):
+    """Row-style Hermite normal form with transform: U @ m = H, det(U) = +-1.
+
+    Pivots are positive, entries above a pivot are reduced into
+    [0, pivot), zero rows sink to the bottom.  Deterministic.  On one
+    primitive column it is the oracle for ``complete_primitive``: U maps
+    the column to e_1.
+    """
+    nrows = len(m)
+    h = [list(row) for row in m]
+    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+    ncols = len(h[0]) if nrows else 0
+    r = 0
+    for c in range(ncols):
+        while True:
+            nonzero = [i for i in range(r, nrows) if h[i][c] != 0]
+            if not nonzero:
+                break
+            i0 = min(nonzero, key=lambda i: (abs(h[i][c]), i))
+            if i0 != r:
+                h[r], h[i0] = h[i0], h[r]
+                u[r], u[i0] = u[i0], u[r]
+            finished = True
+            for i in range(r + 1, nrows):
+                if h[i][c] != 0:
+                    q = h[i][c] // h[r][c]
+                    h[i] = [a - q * b for a, b in zip(h[i], h[r])]
+                    u[i] = [a - q * b for a, b in zip(u[i], u[r])]
+                    if h[i][c] != 0:
+                        finished = False
+            if finished:
+                break
+        if r < nrows and h[r][c] != 0:
+            if h[r][c] < 0:
+                h[r] = [-a for a in h[r]]
+                u[r] = [-a for a in u[r]]
+            for i in range(r):
+                q = h[i][c] // h[r][c]
+                if q:
+                    h[i] = [a - q * b for a, b in zip(h[i], h[r])]
+                    u[i] = [a - q * b for a, b in zip(u[i], u[r])]
+            r += 1
+            if r == nrows:
+                break
+    return tuple(tuple(row) for row in h), tuple(tuple(row) for row in u)
+
+
 def unit_simplex(n: int) -> DelzantPolytope:
     """x_i >= 0, x_1 + ... + x_n <= 1, hypotenuse labelled 'hyp'."""
     facets = [

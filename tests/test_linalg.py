@@ -1,9 +1,12 @@
 """Exact linear algebra against a symbolic oracle.
 
 sympy recomputes determinants, solutions, ranks, and null spaces
-independently; everything is compared as exact rationals.
+independently; everything is compared as exact rationals.  The Fraction
+Gauss-Jordan ``rref`` and the Hermite normal form in conftest are the
+oracles for the fraction-free elimination and the column Euclid.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,21 +15,28 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import affine_rank, is_positive_definite, leading_principal_minors, mat_mul
+from conftest import (
+    affine_rank,
+    hermite_normal_form,
+    is_positive_definite,
+    leading_principal_minors,
+    mat_mul,
+    rref,
+    rref_nullspace,
+)
 from cuspcheck.errors import DimensionMismatch, NotUnimodular
 from cuspcheck.linalg import (
     complete_primitive,
     det_int,
     dot,
-    hermite_normal_form,
     identity_int,
     inverse_unimodular,
     is_primitive,
     mat_vec,
     nullspace,
+    pivot_columns,
     project_onto_columns,
     rank,
-    rref,
     solve_linear,
 )
 
@@ -41,11 +51,14 @@ def _to_sympy(m):
     return sympy.Matrix([[sympy.Rational(x) for x in row] for row in m])
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_det_matches_sympy(n):
     for _ in range(25):
         m = _rand_int_matrix(n, n)
         assert det_int(m) == int(_to_sympy(m).det())
+    # A zero first column has no pivot, so the elimination skips it.
+    for _ in range(5):
+        assert det_int(tuple((0, *row[1:]) for row in _rand_int_matrix(n, n))) == 0
 
 
 def test_solve_matches_sympy():
@@ -68,6 +81,12 @@ def test_solve_matches_sympy():
 def test_solve_singular_inconsistent_is_none():
     a = ((1, 1), (1, 1))
     assert solve_linear(a, (Fraction(0), Fraction(1))) is None
+
+
+def test_solve_singular_with_zero_first_column_is_none():
+    a = ((0, 1, 2), (0, 3, 1), (0, -1, 4))
+    assert solve_linear(a, (Fraction(1), Fraction(2), Fraction(3))) is None
+    assert solve_linear(a, (Fraction(0), Fraction(0), Fraction(0))) is None
 
 
 def test_rank_and_rref_match_sympy():
@@ -121,11 +140,17 @@ def _rational_matrices(draw):
 @example(m=())
 @example(m=((Fraction(0), Fraction(0), Fraction(0)),))
 @example(m=((Fraction(1, 4**6), Fraction(-3, 5), Fraction(0), Fraction(7, 64)),))
+@example(m=((Fraction(0), Fraction(2), Fraction(1)), (Fraction(0), Fraction(4), Fraction(2))))
 @settings(max_examples=150, deadline=None)
 def test_rank_matches_rref_and_sympy_on_rational_matrices(m):
     expected = len(rref(m)[1])
     assert rank(m) == expected
     assert expected == (_to_sympy(m).rank() if m else 0)
+    # The fraction-free elimination against Fraction Gauss-Jordan: the
+    # same pivot columns and, exactly, the same canonical null space.
+    ncols = len(m[0]) if m else 3
+    assert pivot_columns(m) == rref(m)[1]
+    assert nullspace(m, ncols=ncols) == rref_nullspace(m, ncols)
 
 
 def _affine_rank_by_differences(points):
@@ -161,6 +186,8 @@ def test_nullspace_matches_sympy_span():
 def test_nullspace_of_zero_row_needs_ncols():
     basis = nullspace((), ncols=3)
     assert len(basis) == 3
+    with pytest.raises(DimensionMismatch):
+        nullspace(())
 
 
 def test_affine_rank_cases():
@@ -220,6 +247,18 @@ def test_hermite_normal_form_properties():
             assert mat_mul(u, m) == tuple(tuple(Fraction(x) for x in row) for row in h)
 
 
+def test_complete_primitive_matches_hermite_form_oracle():
+    # The column Euclid makes the Hermite form's row operations, so on every
+    # primitive vector of a small box it returns its transform's rows.
+    for n, bound in ((1, 6), (2, 6), (3, 4), (4, 2)):
+        for u in itertools.product(range(-bound, bound + 1), repeat=n):
+            if not is_primitive(u):
+                continue
+            h, t = hermite_normal_form(tuple((x,) for x in u))
+            assert h == ((1,),) + ((0,),) * (n - 1)
+            assert complete_primitive(u) == (t[0], t[1:])
+
+
 def test_complete_primitive_gives_unimodular_chart():
     for n in (1, 2, 3, 4):
         for _ in range(25):
@@ -240,6 +279,33 @@ def test_inverse_unimodular():
     assert mat_mul(t, inv) == tuple(tuple(Fraction(x) for x in row) for row in identity_int(2))
     with pytest.raises(NotUnimodular):
         inverse_unimodular(((2, 0), (0, 1)))
+    with pytest.raises(NotUnimodular, match=r"^determinant 0 is not \+-1$"):
+        inverse_unimodular(((0, 1, 2), (0, 3, 1), (0, -1, 4)))
+
+
+def _random_unimodular(rng, n):
+    # A product of random elementary row operations, a swap and a sign.
+    t = [list(row) for row in identity_int(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        q = rng.randint(-3, 3)
+        t[i] = [a + q * b for a, b in zip(t[i], t[j])]
+    i, j = rng.sample(range(n), 2)
+    t[i], t[j] = t[j], t[i]
+    t[0] = [-a for a in t[0]]
+    return tuple(tuple(row) for row in t)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_inverse_unimodular_inverts_random_unimodular(n):
+    rng = random.Random(1968 + n)
+    identity = tuple(tuple(Fraction(x) for x in row) for row in identity_int(n))
+    for _ in range(25):
+        t = _random_unimodular(rng, n)
+        inv = inverse_unimodular(t)
+        assert all(type(x) is int for row in inv for x in row)
+        assert mat_mul(t, inv) == identity
+        assert mat_mul(inv, t) == identity
 
 
 def test_positive_definite_matches_numpy():

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.spatial import HalfspaceIntersection
 
-from conftest import interval, tower_rounds, unit_cube, unit_simplex
+from conftest import interval, rref, rref_nullspace, tower_rounds, unit_cube, unit_simplex
 from cuspcheck import (
     ChartMismatch,
     DegenerateFacet,
@@ -40,10 +40,9 @@ from cuspcheck import (
     enumerate_vertices,
     facet_polytope,
     is_delzant,
-    polytope,
 )
 from cuspcheck.errors import InvalidPolytope, InvariantViolation
-from cuspcheck.linalg import dot, is_primitive, nullspace, rank, rref, solve_linear
+from cuspcheck.linalg import dot, gcd_vector, is_primitive, rank, solve_linear
 from cuspcheck.rational import format_rational_vector
 
 _RNG = random.Random(8141)
@@ -471,18 +470,28 @@ def _fourier_motzkin_feasible(
     return all(rhs <= 0 for _, rhs in cons)
 
 
+def _primitive_int_vector(v):
+    # The primitive integer vector along a nonzero rational vector.
+    lcm = math.lcm(*(Fraction(x).denominator for x in v))
+    ints = [int(Fraction(x) * lcm) for x in v]
+    g = gcd_vector(ints)
+    return tuple(x // g for x in ints)
+
+
 def _recession_ray(normals, n):
     # The recession cone is pointed once the normals span R^n; a
     # nontrivial pointed cone has an extreme ray cut out by n-1
-    # independent tight constraints, so scanning those suffices.
+    # independent tight constraints, so scanning those suffices.  The
+    # kernel line comes from the Fraction null space of rref, not from
+    # the minors the constructor takes.
     for subset in itertools.combinations(range(len(normals)), n - 1):
         mat = [tuple(Fraction(x) for x in normals[i]) for i in subset]
         if mat and rank(mat) != n - 1:
             continue
-        kernel = nullspace(mat, ncols=n)
+        kernel = rref_nullspace(mat, n)
         if len(kernel) != 1:
             continue
-        z = polytope._primitive_int_vector(kernel[0])
+        z = _primitive_int_vector(kernel[0])
         for candidate in (z, tuple(-x for x in z)):
             if all(dot(u, candidate) >= 0 for u in normals):
                 return candidate
