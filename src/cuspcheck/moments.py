@@ -17,6 +17,13 @@ polytope's integer vertex table (``DelzantPolytope.scaled_vertices``, the
 points D * v), so nodes and weights are integers, and each homogeneous
 form of the integrand is divided once at the end.  Nothing is
 approximated.
+
+``polytope_moments`` and ``boundary_moments`` keep their integrals in
+one store keyed on the polytope's value and bounded at 256 polytopes, as
+the triangulation is: each polytope's body and each of its facets is
+integrated at most once, and an excluded facet is not integrated at all.
+So checking every facet of a polytope, one divisor at a time, integrates
+its body and boundary once, and a tower's divisor facet costs nothing.
 """
 
 from __future__ import annotations
@@ -157,10 +164,18 @@ class FacetMoments(Record):
 
 
 class BoundaryMomentData(Record):
-    """Per-facet boundary moments; excluded facets carry None entries."""
+    """Per-facet boundary moments; excluded facets carry None entries.
+
+    At least one entry must be a ``FacetMoments``: the boundary of a
+    polytope minus all of its facets has no first moments to report.
+    """
 
     facets: tuple[FacetMoments | None, ...]
     excluded: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if all(fm is None for fm in self.facets):
+            raise ValueError("cannot exclude every facet of the polytope")
 
     @property
     def measure(self) -> Fraction:
@@ -289,8 +304,25 @@ def _integrate(
     return tuple(out)
 
 
+# Bounded for the reason _triangulate is.  An entry maps a domain, as
+# _integrate names it (None for the body, else a facet index), to its
+# MomentData or FacetMoments, and is written only once that domain's
+# integral has completed.
+@lru_cache(maxsize=256)
+def _moment_store(poly: DelzantPolytope) -> dict[int | None, MomentData | FacetMoments]:
+    """The moments of ``poly`` integrated so far; equal polytopes share them."""
+    return {}
+
+
 def polytope_moments(poly: DelzantPolytope) -> MomentData:
-    """Exact volume, first, and second moments of the polytope."""
+    """Exact volume, first, and second moments of the polytope.
+
+    The body is integrated once per polytope, for up to 256 polytopes;
+    later calls, also with an equal polytope, read the stored result.
+    """
+    stored = _moment_store(poly)
+    if None in stored:
+        return stored[None]
     n = poly.dim
     pairs = list(itertools.combinations_with_replacement(range(n), 2))
     (values,) = _integrate(
@@ -301,25 +333,31 @@ def polytope_moments(poly: DelzantPolytope) -> MomentData:
     second = [[Fraction(0)] * n for _ in range(n)]
     for (i, j), value in zip(pairs, values[n + 1 :]):
         second[i][j] = second[j][i] = value
-    return MomentData(
+    stored[None] = moments = MomentData(
         volume=values[0],
         first_moments=values[1 : n + 1],
         second_moments=tuple(tuple(row) for row in second),
     )
+    return moments
 
 
 def boundary_moments(
     poly: DelzantPolytope, excluded: Sequence[int | str] = ()
 ) -> BoundaryMomentData:
-    """Lattice boundary moments, facet by facet, skipping excluded facets."""
+    """Lattice boundary moments, facet by facet, skipping excluded facets.
+
+    Excluded facets are not integrated.  Each kept facet is integrated
+    once per polytope, for up to 256 polytopes: one ``_integrate`` call
+    covers the kept facets that no earlier call integrated.
+    """
     skip = sorted({poly.resolve_facet(key) for key in excluded})
-    if len(skip) == len(poly.facets):
-        raise ValueError("cannot exclude every facet of the polytope")
-    kept = [i for i in range(len(poly.facets)) if i not in skip]
-    values = dict(zip(kept, _integrate(poly, lambda x: (1, *x), (0, *[1] * poly.dim), kept)))
+    stored = _moment_store(poly)
+    missing = [i for i in range(len(poly.facets)) if i not in skip and i not in stored]
+    if missing:
+        values = _integrate(poly, lambda x: (1, *x), (0, *[1] * poly.dim), missing)
+        stored.update((i, FacetMoments(v[0], v[1:])) for i, v in zip(missing, values))
     entries = tuple(
-        None if i in skip else FacetMoments(values[i][0], values[i][1:])
-        for i in range(len(poly.facets))
+        None if i in skip else stored[i] for i in range(len(poly.facets))
     )
     return BoundaryMomentData(facets=entries, excluded=tuple(skip))
 

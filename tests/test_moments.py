@@ -25,6 +25,7 @@ from sympy.integrals.intpoly import polytope_integrate
 
 from conftest import affine_rank, interval, tower_rounds, unit_cube, unit_simplex
 from cuspcheck import (
+    BoundaryMomentData,
     DelzantPolytope,
     Facet,
     FacetChart,
@@ -33,14 +34,22 @@ from cuspcheck import (
     apply_unimodular,
     blow_up_vertex,
     boundary_moments,
+    check_facet_condition,
     facet_polytope,
     integrate_polynomial,
     max_chop_parameter,
     polytope_moments,
+    start_tower,
+    tower_step,
 )
 from cuspcheck.errors import InvariantViolation
 from cuspcheck.linalg import IntVector, Vector, complete_primitive, det_int, dot, gcd_vector
-from cuspcheck.moments import _integrate, _triangulate, integrate_polynomial_boundary
+from cuspcheck.moments import (
+    _integrate,
+    _moment_store,
+    _triangulate,
+    integrate_polynomial_boundary,
+)
 
 _RNG = random.Random(515253)
 
@@ -228,8 +237,12 @@ def test_boundary_interval_point_masses():
 
 def test_boundary_rejects_excluding_everything():
     poly = interval(0, 1)
-    with pytest.raises(ValueError):
+    refused = "cannot exclude every facet of the polytope"
+    with pytest.raises(ValueError, match=refused):
         boundary_moments(poly, excluded=("lo", "hi"))
+    for facets in [(None,), ()]:
+        with pytest.raises(ValueError, match=refused):
+            BoundaryMomentData(facets=facets, excluded=tuple(range(len(facets))))
 
 
 def test_boundary_resolves_labels_and_indices(triangle):
@@ -666,3 +679,40 @@ def test_simplex_rule_matches_barycentric_expansion(n, data):
 @pytest.mark.parametrize("build", [_pyramid, _skew_triangle])
 def test_simplex_rule_matches_expansion_on_non_simple_and_non_unimodular(build):
     _assert_rule_matches_expansion(build())
+
+
+def _store_corpus() -> list[DelzantPolytope]:
+    """Simplices and cubes in dimensions 2-5, 2D tower rounds 1-6, 3D rounds 1-3."""
+    polys = [unit_simplex(n) for n in range(2, 6)] + [unit_cube(n) for n in range(2, 6)]
+    polys += tower_rounds()[:6]
+    state = start_tower(unit_simplex(3), "hyp")
+    for r in range(1, 4):
+        state = tower_step(state, Fraction(1, 4**r))
+        polys.append(state.polytope)
+    return polys
+
+
+def test_moment_store_answers_do_not_depend_on_order():
+    """Through the store, in a shuffled order, every exclusion set of size
+    0 and 1 and every facet check reads what a cleared store computes."""
+    polys = _store_corpus()
+    asks = [(p, None) for p in polys]
+    asks += [(p, skip) for p in polys for skip in [(), *((i,) for i in range(len(p.facets)))]]
+    asks += [(p, i) for p in polys for i in range(len(p.facets))]
+
+    def answer(poly, what):
+        if what is None:
+            return polytope_moments(poly)
+        if isinstance(what, tuple):
+            return boundary_moments(poly, what)
+        return check_facet_condition(poly, what)
+
+    fresh = []
+    for poly, what in asks:
+        _moment_store.cache_clear()
+        fresh.append(answer(poly, what))
+    order = list(range(len(asks)))
+    random.Random(14).shuffle(order)
+    _moment_store.cache_clear()
+    for k in order:
+        assert answer(*asks[k]) == fresh[k], asks[k]

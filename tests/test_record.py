@@ -1,11 +1,22 @@
 """Value records keep the semantics the frozen value classes had."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
 
-from conftest import tower_rounds, unit_cube
-from cuspcheck import DegenerateFacet, DelzantPolytope, Facet, ModelCoefficients, moments
+from conftest import interval, tower_rounds, unit_cube
+from cuspcheck import (
+    DegenerateFacet,
+    DelzantPolytope,
+    Facet,
+    ModelCoefficients,
+    check_facet_condition,
+    extremal_affine,
+    facet_polytope,
+    moments,
+)
 from cuspcheck.moments import FacetMoments
 from cuspcheck.polytope import Vertex
 
@@ -80,3 +91,55 @@ def test_triangulation_cache_hits_an_equal_rebuilt_polytope():
     hits = moments._triangulate.cache_info().hits
     assert moments._triangulate(rebuilt) is moments._triangulate(poly)
     assert moments._triangulate.cache_info().hits == hits + 2
+
+
+def test_moment_store_entry_is_shared_by_an_equal_rebuilt_polytope():
+    poly = tower_rounds()[2]
+    rebuilt = DelzantPolytope.from_data(poly.to_data())
+    moments._moment_store.cache_clear()
+    body = moments.polytope_moments(poly)
+    facets = moments.boundary_moments(poly).facets
+    assert moments._moment_store(rebuilt) is moments._moment_store(poly)
+    assert moments.polytope_moments(rebuilt) is body
+    assert all(a is b for a, b in zip(moments.boundary_moments(rebuilt).facets, facets))
+    assert moments._moment_store.cache_info().currsize == 1
+
+
+def test_excluded_facet_is_not_integrated():
+    cube = unit_cube(3)
+    moments._moment_store.cache_clear()
+    extremal_affine(cube, [2])
+    assert set(moments._moment_store(cube)) == {None, 0, 1, 3, 4, 5}
+
+
+def test_checking_every_facet_integrates_the_body_once():
+    # _integrate triangulates once per call, so the triangulation cache's
+    # lookups count integrations: on the cube, its body, then facets 1-7
+    # (facet 0 excluded), then facet 0; on each distinct facet polytope,
+    # its body and its boundary.
+    cube = unit_cube(4)
+    faces = {facet_polytope(cube, i)[0] for i in range(8)}
+    moments._moment_store.cache_clear()
+    moments._triangulate.cache_clear()
+    check_facet_condition(cube, 0)
+    body = moments._moment_store(cube)[None]
+    for i in range(8):
+        check_facet_condition(cube, i)
+    assert moments._moment_store(cube)[None] is body
+    assert set(moments._moment_store(cube)) == {None, *range(8)}
+    info = moments._triangulate.cache_info()
+    assert info.misses == 1 + len(faces)
+    assert info.hits + info.misses == 3 + 2 * len(faces)
+
+
+def test_moment_store_is_bounded_and_lets_evicted_polytopes_go():
+    moments._moment_store.cache_clear()
+    first = interval(0, 1)
+    moments.polytope_moments(first)
+    gone = weakref.ref(first)
+    del first
+    for b in range(2, 300):
+        moments.polytope_moments(interval(0, b))
+        assert moments._moment_store.cache_info().currsize <= 256
+    gc.collect()
+    assert gone() is None
