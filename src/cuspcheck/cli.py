@@ -1,13 +1,15 @@
 """Command-line entry point: parse, validate, compute, report.
 
-Each input document is validated once, by the ``from_data`` parser of
-its type, which reports every problem at its JSON pointer on stderr.
-Every invocation emits exactly one report on stdout, as JSON by default
-or as an indented table with --pretty.  Exit codes: 0 success (and, for
-check-* subcommands, condition satisfied), 3 condition violated, 1
-input error (including an invalid document), 2 internal invariant
-failure.  Rationals appear as exact strings; --float D adds a parallel
-block with decimal renderings, never replacing the exact values.
+Each input document is validated once, against its shipped schema by
+the ``from_data`` parser of its type, which reports every problem at its
+JSON pointer on stderr.  Every invocation emits exactly one report on
+stdout, as JSON by default or as an indented table with --pretty.  Exit
+codes: 0 success (and, for check-* subcommands, condition satisfied), 3
+condition violated, 1 input error (including an invalid document and a
+result too long to print), 2 internal invariant failure.  Rationals
+appear as exact strings; --float D adds a parallel block with decimal
+renderings, never replacing the exact values; a value beyond float range
+shows as inf or -inf.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import re
 import sys
@@ -62,7 +65,11 @@ def _render(obj: Any, digits: int | None) -> Any:
     if isinstance(obj, _Rat):
         if digits is None:
             return format_rational(obj.value)
-        return f"{float(obj.value):.{digits}g}"
+        try:
+            value = float(obj.value)
+        except OverflowError:
+            value = math.inf if obj.value > 0 else -math.inf
+        return f"{value:.{digits}g}"
     if isinstance(obj, dict):
         return {k: _render(v, digits) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -456,7 +463,16 @@ def run(argv: Sequence[str] | None = None) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             result, satisfied, inputs = _COMMANDS[args.command](args)
-        diagnostics = [str(w.message) for w in caught]
+        report: dict[str, Any] = {
+            "subcommand": args.command,
+            "inputs": inputs,
+            "result": _render(result, None),
+            "diagnostics": [str(w.message) for w in caught],
+            "version": __version__,
+        }
+        if args.float is not None:
+            report["result_float"] = _render(result, args.float)
+        text = _pretty_text(report) if args.pretty else json.dumps(report, indent=2)
     except InputValidationError as exc:
         for pointer, message in exc.errors:
             print(f"error at {pointer or '/'}: {message}", file=sys.stderr)
@@ -468,19 +484,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 1
-    report: dict[str, Any] = {
-        "subcommand": args.command,
-        "inputs": inputs,
-        "result": _render(result, None),
-        "diagnostics": diagnostics,
-        "version": __version__,
-    }
-    if args.float is not None:
-        report["result_float"] = _render(result, args.float)
-    if args.pretty:
-        print(_pretty_text(report))
-    else:
-        print(json.dumps(report, indent=2))
+    print(text)
     return 3 if satisfied is False else 0
 
 

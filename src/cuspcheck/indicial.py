@@ -22,6 +22,7 @@ import cmath
 import math
 from typing import Sequence
 
+from . import schema
 from .errors import EmptySpectrum, InputValidationError, InvariantViolation
 from .record import Record
 
@@ -204,81 +205,23 @@ def certify_weight(
 def spectra_from_data(
     data: object,
 ) -> tuple[tuple[SpectralPair, ...], ModelCoefficients | None]:
-    """Parse the spectra wire format, with pointer-tagged errors.
-
-    Expected shape: {"pairs": [{"lambda": x, "mu": y, "mult": m}],
-    "scale": a, "coefficients": {"square": .., "mixed": .., "linear": ..}}
-    with mult, scale, and coefficients optional.
-    """
-    errors: list[tuple[str, str]] = []
-    if not isinstance(data, dict):
-        raise InputValidationError([("", "spectra document must be an object")])
-
-    def number_at(
-        raw: object, pointer: str, name: str, nonnegative: bool = False
-    ) -> float | None:
-        try:
-            value = _as_real(raw, name)
-        except (TypeError, ValueError) as exc:
-            errors.append((pointer, str(exc)))
-            return None
-        if nonnegative and value < 0:
-            errors.append((pointer, f"{name} must be nonnegative, got {value}"))
-            return None
-        return value
-
-    scale = 1.0
-    if "scale" in data:
-        parsed_scale = number_at(data["scale"], "/scale", "scale")
-        if parsed_scale is not None:
-            if parsed_scale <= 0:
-                errors.append(("/scale", "must be positive"))
-            else:
-                scale = parsed_scale
-    raw_pairs = data.get("pairs")
-    if not isinstance(raw_pairs, list) or not raw_pairs:
-        errors.append(("/pairs", "must be a non-empty array"))
-        raw_pairs = []
-    pairs: list[SpectralPair] = []
-    for i, entry in enumerate(raw_pairs):
-        base = f"/pairs/{i}"
-        if not isinstance(entry, dict):
-            errors.append((base, "must be an object"))
-            continue
-        lam = number_at(entry.get("lambda"), f"{base}/lambda", "lambda", nonnegative=True)
-        mu = number_at(entry.get("mu"), f"{base}/mu", "mu", nonnegative=True)
-        mult = entry.get("mult", 1)
-        if isinstance(mult, bool) or not isinstance(mult, int) or mult < 1:
-            errors.append((f"{base}/mult", "must be a positive integer"))
-            mult = 1
-        for key in sorted(set(entry) - {"lambda", "mu", "mult"}):
-            errors.append((f"{base}/{key}", "unknown field"))
-        if lam is None or mu is None:
-            continue
-        try:
-            pairs.append(SpectralPair(lam=lam, mu=mu, multiplicity=mult, scale=scale))
-        except (TypeError, ValueError) as exc:
-            errors.append((base, str(exc)))
-    coefficients = None
-    if "coefficients" in data:
-        raw_coeff = data["coefficients"]
-        if not isinstance(raw_coeff, dict):
-            errors.append(("/coefficients", "must be an object"))
-        else:
-            values = {}
-            for key in ("square", "mixed", "linear"):
-                if key in raw_coeff:
-                    value = number_at(raw_coeff[key], f"/coefficients/{key}", key)
-                    if value is not None:
-                        values[key] = value
-            for key in sorted(set(raw_coeff) - {"square", "mixed", "linear"}):
-                errors.append((f"/coefficients/{key}", "unknown field"))
-            try:
-                coefficients = ModelCoefficients(**values)
-            except (TypeError, ValueError) as exc:
-                errors.append(("/coefficients", str(exc)))
-    for key in sorted(set(data) - {"pairs", "scale", "coefficients"}):
-        errors.append((f"/{key}", "unknown field"))
+    """Parse the spectra wire format, ``schemas/spectra-v1.json``, with
+    pointer-tagged errors; every number must also be a finite float."""
+    doc, errors = schema.load(
+        "spectra-v1",
+        data,
+        lambda p, v: v if p.endswith("/mult") else _as_real(v, p.split("/")[-1]),
+    )
     if errors:
         raise InputValidationError(errors)
-    return tuple(pairs), coefficients
+    raw = doc.get("coefficients")
+    try:
+        coefficients = None if raw is None else ModelCoefficients(**raw)
+    except ValueError as exc:
+        raise InputValidationError([("/coefficients", str(exc))]) from exc
+    scale = doc.get("scale", 1.0)
+    pairs = tuple(
+        SpectralPair(pair["lambda"], pair["mu"], pair.get("mult", 1), scale)
+        for pair in doc["pairs"]
+    )
+    return pairs, coefficients

@@ -14,11 +14,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from . import schema
 from .blowup import free_fixed_points
 from .errors import (
     DimensionMismatch,
     InputValidationError,
-    InvariantViolation,
     MissingEvaluationData,
 )
 from .extremal import AffineFunction, extremal_affine, restrict_affine
@@ -73,6 +73,15 @@ def check_facet_condition(
     )
 
 
+# check_balance raises each weight to the power n - 1.  A weight other
+# than one whose numerator or denominator has b bits gives a power of
+# about (n - 1) * b bits; a configuration past this budget is refused
+# before any power is computed, so a short document cannot ask for
+# unbounded work.  At the budget, check_hypotheses on three weights in
+# the plane takes about 0.1 s (2-CPU Linux machine).
+_MAX_POWER_BITS = 1 << 16
+
+
 class MomentConfiguration(Record):
     """Weighted fixed-point data against a distinguished subspace.
 
@@ -107,6 +116,13 @@ class MomentConfiguration(Record):
             )
         if any(w <= 0 for w in weights):
             raise ValueError("weights must be positive")
+        bits = max(
+            (max(w.numerator, w.denominator).bit_length() for w in weights if w != 1), default=0
+        )
+        if (self.n - 1) * bits > _MAX_POWER_BITS:
+            raise ValueError(
+                f"weight powers w**(n - 1) exceed the limit of {_MAX_POWER_BITS} bits"
+            )
         basis = tuple(tuple(Fraction(x) for x in col) for col in self.t_basis)
         if any(len(col) != dim for col in basis):
             raise DimensionMismatch("subspace basis columns must match point length")
@@ -135,72 +151,13 @@ class MomentConfiguration(Record):
     @classmethod
     def from_data(cls, data: object) -> "MomentConfiguration":
         """Build from the JSON wire format, with pointer-tagged errors."""
-        errors: list[tuple[str, str]] = []
-        if not isinstance(data, dict):
-            raise InputValidationError([("", "configuration must be an object")])
-
-        def parse_rationals(raw: list, pointer: str) -> tuple[Fraction, ...] | None:
-            row = []
-            for j, value in enumerate(raw):
-                try:
-                    row.append(parse_rational(value))
-                except (TypeError, ValueError) as exc:
-                    errors.append((f"{pointer}/{j}", str(exc)))
-            return tuple(row) if len(row) == len(raw) else None
-
-        def parse_vector_list(
-            key: str, required: bool, nonempty: bool
-        ) -> list[tuple[Fraction, ...]] | None:
-            if key not in data:
-                if required:
-                    errors.append((f"/{key}", "missing required field"))
-                return None
-            raw = data[key]
-            if not isinstance(raw, list) or (nonempty and not raw):
-                errors.append(
-                    (f"/{key}", "must be a non-empty array" if nonempty else "must be an array")
-                )
-                return None
-            out = []
-            for i, entry in enumerate(raw):
-                if not isinstance(entry, list) or not entry:
-                    errors.append((f"/{key}/{i}", "must be a non-empty array"))
-                    continue
-                row = parse_rationals(entry, f"/{key}/{i}")
-                if row is not None:
-                    out.append(row)
-            return out
-
-        n = data.get("n")
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            errors.append(("/n", "must be a positive integer"))
-            n = None
-        points = parse_vector_list("points", required=True, nonempty=True)
-        basis = parse_vector_list("t_basis", required=True, nonempty=False)
-        eval_rows = parse_vector_list("eval_matrix", required=False, nonempty=True)
-        raw_weights = data.get("weights")
-        weights: tuple[Fraction, ...] | None = None
-        if "weights" not in data:
-            errors.append(("/weights", "missing required field"))
-        elif not isinstance(raw_weights, list) or not raw_weights:
-            errors.append(("/weights", "must be a non-empty array"))
-        else:
-            weights = parse_rationals(raw_weights, "/weights")
-        known = {"n", "points", "weights", "t_basis", "eval_matrix"}
-        for key in sorted(set(data) - known):
-            errors.append((f"/{key}", "unknown field"))
+        doc, errors = schema.load(
+            "moment-configuration-v1", data, lambda p, v: v if p == "/n" else parse_rational(v)
+        )
         if errors:
             raise InputValidationError(errors)
-        if n is None or points is None or basis is None or weights is None:
-            raise InvariantViolation("a required field was dropped without an error")
         try:
-            return cls(
-                n=n,
-                points=tuple(points),
-                weights=tuple(weights),
-                t_basis=tuple(basis),
-                eval_matrix=tuple(eval_rows) if eval_rows is not None else None,
-            )
+            return cls(**doc)
         except (ValueError, DimensionMismatch) as exc:
             raise InputValidationError([("", str(exc))]) from exc
 

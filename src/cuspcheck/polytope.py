@@ -44,6 +44,7 @@ from fractions import Fraction
 from operator import itemgetter, mul
 from typing import Iterable, NamedTuple, Sequence
 
+from . import schema
 from .errors import (
     ChartMismatch,
     DegenerateFacet,
@@ -549,67 +550,27 @@ class DelzantPolytope(Record):
         is not a polytope (empty, unbounded, degenerate, repeated normal
         or label) at the document root.
         """
-        errors: list[tuple[str, str]] = []
-        if not isinstance(data, dict):
-            raise InputValidationError([("", "polytope document must be an object")])
-        dim = data.get("dim")
-        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-            errors.append(("/dim", "must be a positive integer"))
-            dim = None
-        raw_facets = data.get("facets")
-        if not isinstance(raw_facets, list) or not raw_facets:
-            errors.append(("/facets", "must be a non-empty array"))
-            raw_facets = []
-        unknown = set(data) - {"dim", "facets"}
-        for key in sorted(unknown):
-            errors.append((f"/{key}", "unknown field"))
-        facets = []
-        for i, entry in enumerate(raw_facets):
-            base = f"/facets/{i}"
-            if not isinstance(entry, dict):
-                errors.append((base, "must be an object"))
+        doc, errors = schema.load(
+            "polytope-v1", data, lambda p, v: parse_rational(v) if p.endswith("/offset") else v
+        )
+        if doc is None:
+            raise InputValidationError(errors)
+        dim, facets = doc.get("dim"), []
+        for i, entry in enumerate(doc.get("facets") or ()):
+            normal = None if entry is None else entry.get("normal")
+            if normal is None or None in normal:
                 continue
-            normal = entry.get("normal")
-            if not isinstance(normal, list) or not normal:
-                errors.append((f"{base}/normal", "must be a non-empty array of integers"))
-                normal = None
-            else:
-                bad = [
-                    j
-                    for j, x in enumerate(normal)
-                    if isinstance(x, bool) or not isinstance(x, int)
-                ]
-                for j in bad:
-                    errors.append((f"{base}/normal/{j}", "must be an integer"))
-                if bad:
-                    normal = None
-                elif dim is not None and len(normal) != dim:
-                    errors.append(
-                        (f"{base}/normal", f"length {len(normal)} does not match dim {dim}")
-                    )
-                    normal = None
-            offset = entry.get("offset")
-            try:
-                offset = parse_rational(offset)
-            except (TypeError, ValueError) as exc:
-                message = str(exc) if "offset" in entry else "missing required field"
-                errors.append((f"{base}/offset", message))
-                offset = None
-            label = entry.get("label")
-            if "label" in entry and (not isinstance(label, str) or not label):
-                errors.append((f"{base}/label", "must be a non-empty string"))
-                label = None
-            for key in sorted(set(entry) - {"normal", "offset", "label"}):
-                errors.append((f"{base}/{key}", "unknown field"))
-            if normal is not None and offset is not None:
+            if dim is not None and len(normal) != dim:
+                errors.append(
+                    (f"/facets/{i}/normal", f"length {len(normal)} does not match dim {dim}")
+                )
+            elif "offset" in entry and None not in entry.values():
                 try:
-                    facets.append(Facet(normal=tuple(normal), offset=offset, label=label))
+                    facets.append(Facet(**entry))
                 except DegenerateFacet as exc:
-                    errors.append((base, str(exc)))
+                    errors.append((f"/facets/{i}", str(exc)))
         if errors:
             raise InputValidationError(errors)
-        if dim is None:
-            raise InvariantViolation("/dim was dropped without an error")
         try:
             return cls(dim=dim, facets=tuple(facets))
         except (InvalidPolytope, DegenerateFacet, ValueError) as exc:

@@ -1,0 +1,105 @@
+"""Structural checks of input documents against the shipped JSON schemas.
+
+``schemas/<kind>.json`` is the one description of each input document's
+shape, and ``violations`` walks a document against it.  Only the part of
+JSON Schema draft 2020-12 that the three schemas use is implemented:
+``type``, ``required``, ``properties`` with ``additionalProperties:
+false``, ``items``, ``minItems``, ``minLength``, ``minimum``,
+``exclusiveMinimum``, ``pattern``, ``oneOf`` and local ``$ref``.
+``"integer"`` admits neither bool nor float, and ``"number"`` no bool.
+"""
+
+from __future__ import annotations
+
+import functools
+import json
+import os
+import re
+from typing import Any, Callable
+
+_TYPES = {"object": dict, "array": list, "string": str, "integer": int, "number": (int, float)}
+
+
+@functools.cache
+def _schema(kind: str) -> dict:
+    with open(os.path.join(os.path.dirname(__file__), "schemas", f"{kind}.json")) as handle:
+        return json.load(handle)
+
+
+def violations(kind: str, document: object) -> list[tuple[str, str]]:
+    """Every ``(json_pointer, message)`` by which ``document`` breaks
+    ``schemas/<kind>.json``, in document order.  A missing or unknown
+    field is reported at its own pointer."""
+    root = _schema(kind)
+    return _walk(root, root, document, "")
+
+
+def load(kind: str, document: object, leaf: Callable[[str, Any], Any]) -> tuple[Any, list]:
+    """Walk ``document`` against ``schemas/<kind>.json`` and convert it.
+
+    Returns the converted document and the errors: the walk's violations,
+    then each ValueError that ``leaf`` raised, at its leaf's pointer.  Every
+    leaf that passed the walk is replaced by ``leaf(pointer, value)``, every
+    value that the walk or ``leaf`` refused by None (no schema admits a JSON
+    null), and a missing field stays absent.
+    """
+    errors = violations(kind, document)
+    refused = {pointer for pointer, _ in errors}
+
+    def convert(value: object, pointer: str) -> Any:
+        if pointer in refused:
+            return None
+        if isinstance(value, dict):
+            return {key: convert(item, f"{pointer}/{key}") for key, item in value.items()}
+        if isinstance(value, list):
+            return [convert(item, f"{pointer}/{i}") for i, item in enumerate(value)]
+        try:
+            return leaf(pointer, value)
+        except ValueError as exc:
+            errors.append((pointer, str(exc)))
+            return None
+
+    return convert(document, ""), errors
+
+
+def _walk(root: dict, node: dict, value: object, pointer: str) -> list[tuple[str, str]]:
+    if "$ref" in node:  # local only: "#/$defs/<name>"
+        node = functools.reduce(dict.__getitem__, node["$ref"][2:].split("/"), root)
+    if "oneOf" in node:
+        if sum(not _walk(root, alt, value, pointer) for alt in node["oneOf"]) == 1:
+            return []
+        forms = ", ".join(
+            alt["type"] + (f" matching {alt['pattern']!r}" if "pattern" in alt else "")
+            for alt in node["oneOf"]
+        )
+        return [(pointer, f"must be exactly one of: {forms}")]
+    kind = node["type"]
+    if isinstance(value, bool) or not isinstance(value, _TYPES[kind]):
+        return [(pointer, f"must be of type {kind}")]
+    out = []
+    if kind == "object":
+        properties = node.get("properties", {})
+        for key in node.get("required", ()):
+            if key not in value:
+                out.append((f"{pointer}/{key}", "missing required field"))
+        for key, item in value.items():
+            if key in properties:
+                out += _walk(root, properties[key], item, f"{pointer}/{key}")
+            elif node.get("additionalProperties") is False:
+                out.append((f"{pointer}/{key}", "unknown field"))
+    elif kind in ("array", "string"):
+        least = node.get("minItems" if kind == "array" else "minLength", 0)
+        if len(value) < least:
+            short = "must be non-empty" if least == 1 else f"must have length at least {least}"
+            out.append((pointer, short))
+        if "items" in node:
+            for i, item in enumerate(value):
+                out += _walk(root, node["items"], item, f"{pointer}/{i}")
+        if "pattern" in node and not re.search(node["pattern"], value):
+            out.append((pointer, f"must match {node['pattern']!r}"))
+    else:
+        if "minimum" in node and value < node["minimum"]:
+            out.append((pointer, f"must be at least {node['minimum']}"))
+        if "exclusiveMinimum" in node and value <= node["exclusiveMinimum"]:
+            out.append((pointer, f"must be greater than {node['exclusiveMinimum']}"))
+    return out

@@ -363,6 +363,43 @@ def test_float_digits_validated(capsys, in_data_dir):
     capsys.readouterr()
 
 
+def _simplex_doc(dim, offset):
+    # {x : x_i <= 0, sum x_i >= offset}: the corner simplex of size -offset.
+    facets = [
+        {"normal": [-int(j == i) for j in range(dim)], "offset": 0} for i in range(dim)
+    ]
+    facets.append({"normal": [1] * dim, "offset": offset})
+    return {"dim": dim, "facets": facets}
+
+
+def test_float_rendering_beyond_float_range_is_infinite(tmp_path, capsys):
+    # The exact volume has 800 digits, beyond a float but printable.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(_simplex_doc(2, -(10**400))))
+    code, out, err = run_cli(capsys, ["moments", str(path), "--float", "6"])
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["result"]["volume"] == str(10**800 // 2)
+    assert doc["result_float"]["volume"] == "inf"
+    assert doc["result_float"]["first_moments"] == ["-inf", "-inf"]
+
+
+def test_unprintable_exact_value_is_an_input_error(tmp_path, capsys):
+    # The 4-simplex of size 10**1500 has a volume of about 6000 digits,
+    # past Python's default limit for int-to-str conversion.
+    path = tmp_path / "huge4d.json"
+    path.write_text(json.dumps(_simplex_doc(4, -(10**1500))))
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run_cli(capsys, ["moments", str(path)])
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "4300" in err
+
+
 def test_pretty_output_no_ansi_when_disabled(capsys, monkeypatch, in_data_dir):
     monkeypatch.setenv("CUSPCHECK_COLOR", "0")
     code, out, _ = run_cli(capsys, ["vertices", "simplex2.json", "--pretty"])
@@ -462,7 +499,8 @@ for name, argv in json.loads(sys.argv[1]).items():
 
 
 def test_runs_without_jsonschema():
-    # The schemas are documentation; validation needs no third-party library.
+    # The package walks its shipped schemas itself; validation needs no
+    # third-party library.
     src = str(Path(cuspcheck.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run(

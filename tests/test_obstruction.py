@@ -269,6 +269,26 @@ def test_configuration_from_data_pointer_errors():
         _config(points=((),), weights=(1,), t_basis=(), eval_matrix=((),))
 
 
+def test_configuration_with_oversized_weight_powers_refused():
+    # check_balance raises each weight to the power n - 1; (3/2)**(10**7 - 1)
+    # alone has about 1.6e7 bits, so the record refuses it up front.
+    doc = {
+        "n": 10**7,
+        "points": [[1, 0], [0, 1]],
+        "weights": ["3/2", "5/3"],
+        "t_basis": [[1, 1]],
+        "eval_matrix": [[1, -1]],
+    }
+    with pytest.raises(InputValidationError) as err:
+        MomentConfiguration.from_data(doc)
+    [(pointer, message)] = err.value.errors
+    assert pointer == ""
+    assert "limit of 65536 bits" in message
+    # Weights equal to one have powers of one bit at any n.
+    ones = MomentConfiguration.from_data({**doc, "n": 10**400, "weights": [1, 1]})
+    assert check_balance(ones).satisfied
+
+
 def test_toric_configuration_auto_fill(triangle):
     cfg = toric_configuration(triangle, "hyp")
     assert cfg.n == 2

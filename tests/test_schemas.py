@@ -1,10 +1,13 @@
-"""The published JSON schemas against the validator the package runs.
+"""The shipped JSON schemas, the package's walker of them, and jsonschema.
 
-``src/cuspcheck/schemas/`` describe the three input documents, but the
-package itself validates with ``from_data`` alone.  These tests run both
-on one corpus and require that ``from_data`` rejects everything the
-schema rejects, at the schema's pointer or below it, and that a document
-the schema accepts either parses or fails with InputValidationError.
+``src/cuspcheck/schemas/`` describe the three input documents, and the
+package validates their structure by walking them with
+``cuspcheck.schema``, a subset of draft 2020-12; each ``from_data`` adds
+only what no schema states.  These tests run ``jsonschema`` as an
+independent oracle on one corpus and require that the walker alone, and
+``from_data`` as a whole, reject everything the schema rejects, at the
+schema's pointer or below it, and that a document the schema accepts
+either parses or fails with InputValidationError.
 """
 
 import copy
@@ -17,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
-from cuspcheck import DelzantPolytope, MomentConfiguration, spectra_from_data
+from cuspcheck import DelzantPolytope, MomentConfiguration, schema, spectra_from_data
 from cuspcheck.errors import InputValidationError
 
 DATA = Path(__file__).parent / "data"
@@ -129,11 +132,23 @@ def _at_or_below(pointer, ancestor):
     return pointer == ancestor or pointer.startswith(ancestor + "/")
 
 
+def _assert_at_or_below(name, pointers, schema_pointers):
+    for p in pointers:
+        assert any(_at_or_below(p, s) for s in schema_pointers), (
+            f"{name} reports {p!r}, schema reports {sorted(schema_pointers)}"
+        )
+    for s in schema_pointers:
+        assert any(_at_or_below(p, s) for p in pointers), (
+            f"schema reports {s!r}, {name} reports {pointers}"
+        )
+
+
 def check_agreement(kind, doc):
-    """Run the schema and from_data on one document and compare."""
+    """Run the schema, the walker and from_data on one document and compare."""
     schema_pointers = {
         _pointer(e.absolute_path) for e in VALIDATORS[kind].iter_errors(doc)
     }
+    walked = [p for p, _ in schema.violations(kind, doc)]
     try:
         PARSERS[kind](doc)
     except InputValidationError as exc:
@@ -143,14 +158,8 @@ def check_agreement(kind, doc):
     if not schema_pointers:
         return
     assert pointers is not None, f"schema rejects at {sorted(schema_pointers)}"
-    for p in pointers:
-        assert any(_at_or_below(p, s) for s in schema_pointers), (
-            f"from_data reports {p!r}, schema reports {sorted(schema_pointers)}"
-        )
-    for s in schema_pointers:
-        assert any(_at_or_below(p, s) for p in pointers), (
-            f"schema reports {s!r}, from_data reports {pointers}"
-        )
+    _assert_at_or_below("schema.violations", walked, schema_pointers)
+    _assert_at_or_below("from_data", pointers, schema_pointers)
 
 
 def test_schema_files_ship_and_are_valid_schemas():
@@ -158,10 +167,38 @@ def test_schema_files_ship_and_are_valid_schemas():
         assert kind in VALIDATORS[kind].schema["$id"]
 
 
+# The draft 2020-12 keywords cuspcheck.schema implements, with the
+# annotations it ignores; a schema using any other would be half-checked.
+WALKED_KEYWORDS = {
+    "$schema", "$id", "$defs", "$ref", "title", "description", "type",
+    "required", "properties", "additionalProperties", "items", "minItems",
+    "minLength", "minimum", "exclusiveMinimum", "pattern", "oneOf",
+}
+
+
+def _subschemas(node):
+    yield node
+    children = [*node.get("properties", {}).values(), *node.get("$defs", {}).values()]
+    children += [node["items"]] if "items" in node else []
+    for child in children + node.get("oneOf", []):
+        yield from _subschemas(child)
+
+
+def test_walker_implements_every_keyword_the_schemas_use():
+    # The walker also needs a "type" on every subschema that is not a
+    # oneOf or a bare $ref, and additionalProperties only ever false.
+    for kind, validator in VALIDATORS.items():
+        for node in _subschemas(validator.schema):
+            assert set(node) <= WALKED_KEYWORDS, (kind, node)
+            assert "type" in node or "oneOf" in node or set(node) == {"$ref"}, (kind, node)
+            assert node.get("additionalProperties", False) is False, (kind, node)
+
+
 @pytest.mark.parametrize("index", range(len(VALID)))
 def test_valid_corpus_accepted_by_both(index):
     kind, doc = VALID[index]
     assert not list(VALIDATORS[kind].iter_errors(doc))
+    assert schema.violations(kind, doc) == []
     PARSERS[kind](doc)
 
 
@@ -178,6 +215,7 @@ def test_former_disagreements_now_agree(case):
 def test_schema_valid_polytopes_refused_as_input_errors(case):
     doc = SEMANTIC_REJECTS[case]
     assert not list(VALIDATORS["polytope-v1"].iter_errors(doc))
+    assert schema.violations("polytope-v1", doc) == []
     with pytest.raises(InputValidationError):
         DelzantPolytope.from_data(doc)
 
@@ -276,3 +314,41 @@ def mutated_documents(draw):
 def test_mutated_documents_agree(case):
     kind, doc = case
     check_agreement(kind, doc)
+
+
+# Arbitrary JSON built from the documents' own keys and awkward scalars:
+# whatever its shape, each parser returns or raises InputValidationError.
+
+DOCUMENT_KEYS = sorted(
+    {
+        key
+        for validator in VALIDATORS.values()
+        for path, node in _paths(validator.schema)
+        if path and path[-1] == "properties"
+        for key in node
+    }
+)
+
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.sampled_from([10**400, -(10**400), float("nan"), float("inf"), -float("inf"), 1.5]),
+    st.sampled_from(["1/2", "-3/4", "1/0", "1\n", " 1", "٠", "", "x"]),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(DOCUMENT_KEYS) | st.text(max_size=2), children, max_size=5),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(json_values)
+def test_arbitrary_json_never_crashes_a_parser(value):
+    for parse in PARSERS.values():
+        try:
+            parse(value)
+        except InputValidationError:
+            pass
