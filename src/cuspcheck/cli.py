@@ -50,6 +50,7 @@ from .polytope import DelzantPolytope, is_delzant
 from .rational import format_rational, parse_rational
 
 _INT_RE = re.compile(r"[+-]?[0-9]+")
+_TOO_MANY_DIGITS = "an integer has over {} digits; set PYTHONINTMAXSTRDIGITS to raise the limit"
 
 
 class _Rat:
@@ -98,8 +99,10 @@ def _load_json(path: str) -> tuple[Any, dict[str, str]]:
     digest = hashlib.sha256(raw).hexdigest()
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputValidationError([("", f"invalid JSON: {exc}")]) from exc
+    except ValueError as exc:  # int() of a number literal past the limit
+        raise ValueError(_TOO_MANY_DIGITS.format(sys.get_int_max_str_digits())) from exc
     return doc, {"path": path, "digest": f"sha256:{digest}"}
 
 
@@ -365,18 +368,17 @@ def _build_parser() -> _Parser:
         default=None,
         help="add decimal renderings at this precision alongside exact values",
     )
+    polytope = argparse.ArgumentParser(add_help=False)
+    polytope.add_argument("input", help="polytope JSON file, or - for stdin")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("vertices", parents=[common], help="enumerate vertices")
-    p.add_argument("input", help="polytope JSON file, or - for stdin")
+    sub.add_parser("vertices", parents=[common, polytope], help="enumerate vertices")
 
-    p = sub.add_parser("moments", parents=[common], help="volume and boundary moments")
-    p.add_argument("input", help="polytope JSON file, or - for stdin")
+    sub.add_parser("moments", parents=[common, polytope], help="volume and boundary moments")
 
     p = sub.add_parser(
-        "extremal-affine", parents=[common], help="solve for the affine function"
+        "extremal-affine", parents=[common, polytope], help="solve for the affine function"
     )
-    p.add_argument("input", help="polytope JSON file, or - for stdin")
     p.add_argument(
         "--exclude",
         action="append",
@@ -385,14 +387,12 @@ def _build_parser() -> _Parser:
         help="facet label or index to exclude from the boundary (repeatable)",
     )
 
-    p = sub.add_parser("blowup", parents=[common], help="chop one corner")
-    p.add_argument("input", help="polytope JSON file, or - for stdin")
+    p = sub.add_parser("blowup", parents=[common, polytope], help="chop one corner")
     p.add_argument("--vertex", required=True, help="corner as comma-separated rationals")
     p.add_argument("--eps", required=True, help="chop parameter as a rational")
     p.add_argument("--label", default=None, help="label for the new facet")
 
-    p = sub.add_parser("tower", parents=[common], help="iterate chops round by round")
-    p.add_argument("input", help="polytope JSON file, or - for stdin")
+    p = sub.add_parser("tower", parents=[common, polytope], help="iterate chops round by round")
     p.add_argument("--facet", required=True, help="distinguished facet label or index")
     p.add_argument("--rounds", required=True, type=int, help="number of rounds")
     p.add_argument(
@@ -400,9 +400,8 @@ def _build_parser() -> _Parser:
     )
 
     p = sub.add_parser(
-        "check-obstruction", parents=[common], help="facet compatibility check"
+        "check-obstruction", parents=[common, polytope], help="facet compatibility check"
     )
-    p.add_argument("input", help="polytope JSON file, or - for stdin")
     p.add_argument("--facet", required=True, help="distinguished facet label or index")
 
     p = sub.add_parser(
@@ -463,16 +462,19 @@ def run(argv: Sequence[str] | None = None) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             result, satisfied, inputs = _COMMANDS[args.command](args)
-        report: dict[str, Any] = {
-            "subcommand": args.command,
-            "inputs": inputs,
-            "result": _render(result, None),
-            "diagnostics": [str(w.message) for w in caught],
-            "version": __version__,
-        }
-        if args.float is not None:
-            report["result_float"] = _render(result, args.float)
-        text = _pretty_text(report) if args.pretty else json.dumps(report, indent=2)
+        try:
+            report: dict[str, Any] = {
+                "subcommand": args.command,
+                "inputs": inputs,
+                "result": _render(result, None),
+                "diagnostics": [str(w.message) for w in caught],
+                "version": __version__,
+            }
+            if args.float is not None:
+                report["result_float"] = _render(result, args.float)
+            text = _pretty_text(report) if args.pretty else json.dumps(report, indent=2)
+        except ValueError as exc:  # str() of an int past the limit
+            raise ValueError(_TOO_MANY_DIGITS.format(sys.get_int_max_str_digits())) from exc
     except InputValidationError as exc:
         for pointer, message in exc.errors:
             print(f"error at {pointer or '/'}: {message}", file=sys.stderr)

@@ -78,11 +78,17 @@ class InputValidationError(CuspcheckError):
     """Every problem found while validating one input document.
 
     ``errors`` is a list of ``(json_pointer, message)`` pairs; the pointer
-    names the offending value, or ``""`` for the document as a whole.
+    names the offending value, or ``""`` for the document as a whole.  They
+    are sorted by pointer, token by token, array indices as integers and
+    keys as strings; messages at one pointer keep their given order.
     """
 
     def __init__(self, errors):
-        self.errors = list(errors)
+        # An array index is a canonical decimal: it sorts by length, then text.
+        self.errors = sorted(errors, key=lambda error: [
+            (0, len(t), t) if t.isascii() and t.isdigit() else (1, 0, t)
+            for t in error[0].split("/")[1:]
+        ])
         super().__init__("; ".join(f"{ptr}: {msg}" for ptr, msg in self.errors))
 
 

@@ -18,10 +18,10 @@ points D * v), so nodes and weights are integers, and each homogeneous
 form of the integrand is divided once at the end.  Nothing is
 approximated.
 
-``polytope_moments`` and ``boundary_moments`` keep their integrals in
-one store keyed on the polytope's value and bounded at 256 polytopes, as
-the triangulation is: each polytope's body and each of its facets is
-integrated at most once, and an excluded facet is not integrated at all.
+One store entry per polytope, keyed on its value and bounded at 256
+polytopes, holds its fan triangulation and the moments integrated so
+far, which ``polytope_moments`` and ``boundary_moments`` read first: each
+body and facet is integrated at most once, an excluded facet not at all.
 So checking every facet of a polytope, one divisor at a time, integrates
 its body and boundary once, and a tower's divisor facet costs nothing.
 """
@@ -221,51 +221,50 @@ def _simplex_rule(
 Simplices = tuple[tuple[int, ...], ...]
 
 
+def _fan(
+    poly: DelzantPolytope, face: frozenset[int], d: int, memo: dict[frozenset[int], Simplices]
+) -> Simplices:
+    """Fan triangulation of the d-dimensional face with these vertex indices.
+
+    Simplices are tuples of vertex indices into ``poly.vertices``.  The
+    face is coned from its lexicographically smallest vertex, its least
+    index since vertices are sorted, over its subfaces missing the apex:
+    its intersections with the facets tight at some vertex of the face
+    but not at the apex, kept when ``poly.face_dim`` is one less.  Faces
+    are vertex index sets, which makes ``memo`` exact across branches,
+    and across the body and its facets.
+    """
+    if face not in memo:
+        if len(face) == d + 1:
+            memo[face] = (tuple(sorted(face)),)
+        else:
+            apex = min(face)
+            active = poly.vertices[apex].active
+            near = {j for i in face for j in poly.vertices[i].active}.difference(active)
+            subfaces = sorted({face & poly.facet_vertices[j] for j in near}, key=sorted)
+            memo[face] = tuple(
+                s + (apex,)
+                for sub in subfaces
+                if poly.face_dim(sub) == d - 1
+                for s in _fan(poly, sub, d - 1, memo)
+            )
+    return memo[face]
+
+
 # Bounded so that a long run (a chop tower) does not keep every polytope
 # alive; one moment check needs far fewer entries than this.
 @lru_cache(maxsize=256)
-def _triangulate(poly: DelzantPolytope) -> tuple[Simplices, tuple[Simplices, ...]]:
-    """Fan triangulation of the body and, for each facet j, of its face.
-
-    Simplices are tuples of vertex indices into ``poly.vertices``.  The
-    recursion cones each face from its lexicographically smallest vertex,
-    its least index since vertices are sorted, over the face's own
-    facets; faces are identified with their vertex index sets, which
-    makes memoisation across branches, and across the body and its
-    facets, exact.  The facet faces are the incidence table
-    ``poly.facet_vertices``; the subfaces of a face missing its apex are
-    its intersections with the facets tight at some vertex of the face
-    but not at the apex, kept when ``poly.face_dim`` is one less.
-    """
-    vertices = poly.vertices
-    facet_faces = poly.facet_vertices
-    cache: dict[frozenset[int], Simplices] = {}
-
-    def tri(face: frozenset[int], d: int) -> Simplices:
-        if face in cache:
-            return cache[face]
-        if len(face) == d + 1:
-            result: Simplices = (tuple(sorted(face)),)
-            cache[face] = result
-            return result
-        apex = min(face)
-        near = {j for i in face for j in vertices[i].active}.difference(vertices[apex].active)
-        subfaces = {face & facet_faces[j] for j in near}
-        simplices = []
-        for sub in sorted(subfaces, key=sorted):
-            if poly.face_dim(sub) == d - 1:
-                for s in tri(sub, d - 1):
-                    simplices.append(s + (apex,))
-        result = tuple(simplices)
-        cache[face] = result
-        return result
-
+def _triangulate(
+    poly: DelzantPolytope,
+) -> tuple[Simplices, tuple[Simplices, ...], dict[int | None, MomentData | FacetMoments]]:
+    """The store entry of ``poly``: the fan triangulations of its body and
+    of each facet's face, and the moments integrated so far, by domain as
+    ``_integrate`` names it (None for the body, else a facet index), each
+    written once its integral has completed."""
+    memo: dict[frozenset[int], Simplices] = {}
     n = poly.dim
-    result = tri(frozenset(range(len(vertices))), n), tuple(
-        tri(face, n - 1) for face in facet_faces
-    )
-    del tri  # breaks the closure cycle, so the memo dies now, not at the next gc
-    return result
+    body = _fan(poly, frozenset(range(len(poly.vertices))), n, memo)
+    return body, tuple(_fan(poly, face, n - 1, memo) for face in poly.facet_vertices), {}
 
 
 def _integrate(
@@ -284,7 +283,7 @@ def _integrate(
     """
     if any(d > 3 for d in degrees):
         raise InvariantViolation(f"the degree-3 rule cannot integrate degrees {tuple(degrees)}")
-    body, faces = _triangulate(poly)
+    body, faces, _ = _triangulate(poly)
     lcm, table = poly.scaled_vertices
     out = []
     for facet in domains:
@@ -304,23 +303,13 @@ def _integrate(
     return tuple(out)
 
 
-# Bounded for the reason _triangulate is.  An entry maps a domain, as
-# _integrate names it (None for the body, else a facet index), to its
-# MomentData or FacetMoments, and is written only once that domain's
-# integral has completed.
-@lru_cache(maxsize=256)
-def _moment_store(poly: DelzantPolytope) -> dict[int | None, MomentData | FacetMoments]:
-    """The moments of ``poly`` integrated so far; equal polytopes share them."""
-    return {}
-
-
 def polytope_moments(poly: DelzantPolytope) -> MomentData:
     """Exact volume, first, and second moments of the polytope.
 
     The body is integrated once per polytope, for up to 256 polytopes;
     later calls, also with an equal polytope, read the stored result.
     """
-    stored = _moment_store(poly)
+    stored = _triangulate(poly)[2]
     if None in stored:
         return stored[None]
     n = poly.dim
@@ -351,7 +340,7 @@ def boundary_moments(
     covers the kept facets that no earlier call integrated.
     """
     skip = sorted({poly.resolve_facet(key) for key in excluded})
-    stored = _moment_store(poly)
+    stored = _triangulate(poly)[2]
     missing = [i for i in range(len(poly.facets)) if i not in skip and i not in stored]
     if missing:
         values = _integrate(poly, lambda x: (1, *x), (0, *[1] * poly.dim), missing)

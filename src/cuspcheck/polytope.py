@@ -231,6 +231,10 @@ class DelzantPolytope(Record):
     means empty (or, for normals that do not span, a second scan over
     their pivot columns tells empty from unbounded), and an open edge at
     a vertex of the complete vertex set is a ray, so unbounded.
+
+    Equality is on (dim, facets), whose hash each instance computes once,
+    as ``moments`` looks a polytope up on every integral; a pickle leaves
+    it out, since a str hash differs between processes.
     """
 
     dim: int
@@ -327,9 +331,9 @@ class DelzantPolytope(Record):
         return [f.normal for f in facets], [f.offset for f in facets]
 
     def _set_vertices(self, ordered: Sequence[Vector]) -> None:
-        """Store the vertex points, in lexicographic order, with their tight
-        facets, and beside them the polytope's integer vertex table and its
-        incidence table (the vertices tight on each facet).
+        """Store ``vertices``, the points in lexicographic order with their
+        tight facets, the integer vertex table ``scaled_vertices`` and the
+        incidence table ``facet_vertices``, the vertices tight on each facet.
 
         The table is D, the lcm of the vertex denominators, and the points
         D * v in the same order; every height is compared on it in int
@@ -357,9 +361,9 @@ class DelzantPolytope(Record):
                     active.append(i)
                     incidence[i].append(k)
             vertices.append(Vertex(point=point, active=tuple(active)))
-        object.__setattr__(self, "_vertices", tuple(vertices))
-        object.__setattr__(self, "_scaled_vertices", (scale, table))
-        object.__setattr__(self, "_facet_vertices", tuple(map(frozenset, incidence)))
+        object.__setattr__(self, "vertices", tuple(vertices))
+        object.__setattr__(self, "scaled_vertices", (scale, table))
+        object.__setattr__(self, "facet_vertices", tuple(map(frozenset, incidence)))
 
     def _vertex_cones(
         self,
@@ -488,21 +492,15 @@ class DelzantPolytope(Record):
                     return ridge, candidate
         return None
 
-    @property
-    def vertices(self) -> tuple[Vertex, ...]:
-        return self._vertices  # type: ignore[attr-defined]
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.dim, self.facets))
 
-    @property
-    def scaled_vertices(self) -> tuple[int, tuple[IntVector, ...]]:
-        """The integer vertex table: D, the lcm of the vertex denominators,
-        and the integer points D * v, parallel to ``vertices``."""
-        return self._scaled_vertices  # type: ignore[attr-defined]
+    def __hash__(self) -> int:
+        return self._hash
 
-    @property
-    def facet_vertices(self) -> tuple[frozenset[int], ...]:
-        """The incidence table: for each facet, the indices of the vertices
-        tight on it."""
-        return self._facet_vertices  # type: ignore[attr-defined]
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     @functools.cached_property
     def cones(self) -> tuple[VertexCone, ...]:

@@ -146,11 +146,13 @@ def test_exit_one_on_missing_file(capsys):
 
 
 def test_exit_one_on_invalid_json(tmp_path, capsys):
+    # Text that does not parse, and bytes that are not UTF-8 text at all.
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    code, _, err = run_cli(capsys, ["vertices", str(bad)])
-    assert code == 1
-    assert "invalid JSON" in err
+    for raw in (b"{not json", b'{"dim": "\xff"}'):
+        bad.write_bytes(raw)
+        code, _, err = run_cli(capsys, ["vertices", str(bad)])
+        assert code == 1
+        assert "invalid JSON" in err
 
 
 def test_exit_one_on_schema_violation_with_pointers(tmp_path, capsys):
@@ -385,19 +387,26 @@ def test_float_rendering_beyond_float_range_is_infinite(tmp_path, capsys):
 
 
 def test_unprintable_exact_value_is_an_input_error(tmp_path, capsys):
-    # The 4-simplex of size 10**1500 has a volume of about 6000 digits,
-    # past Python's default limit for int-to-str conversion.
-    path = tmp_path / "huge4d.json"
-    path.write_text(json.dumps(_simplex_doc(4, -(10**1500))))
+    # Past Python's default limit for int-str conversion, 4300 digits: on
+    # output, the volume of the 4-simplex of size 10**1500, about 6000
+    # digits; on input, an offset literal of 4400 digits.
+    huge = tmp_path / "huge4d.json"
+    huge.write_text(json.dumps(_simplex_doc(4, -(10**1500))))
+    literal = tmp_path / "literal.json"
+    literal.write_text(
+        json.dumps(_simplex_doc(2, -1)).replace('"offset": -1}', f'"offset": -1{"0" * 4399}}}')
+    )
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:
-        code, out, err = run_cli(capsys, ["moments", str(path)])
+        runs = [run_cli(capsys, ["moments", str(huge)]), run_cli(capsys, ["vertices", str(literal)])]
     finally:
         sys.set_int_max_str_digits(old)
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: ") and "4300" in err
+    for code, out, err in runs:
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "4300" in err, err
+        assert "PYTHONINTMAXSTRDIGITS" in err and "sys.set_int_max_str_digits" not in err
 
 
 def test_pretty_output_no_ansi_when_disabled(capsys, monkeypatch, in_data_dir):

@@ -264,7 +264,7 @@ def test_configuration_from_data_pointer_errors():
     doc = {"n": 2, "points": [[]], "weights": [1], "t_basis": [[]], "eval_matrix": [[]]}
     with pytest.raises(InputValidationError) as err:
         MomentConfiguration.from_data(doc)
-    assert [p for p, _ in err.value.errors] == ["/points/0", "/t_basis/0", "/eval_matrix/0"]
+    assert [p for p, _ in err.value.errors] == ["/eval_matrix/0", "/points/0", "/t_basis/0"]
     with pytest.raises(ValueError, match="at least one coordinate"):
         _config(points=((),), weights=(1,), t_basis=(), eval_matrix=((),))
 

@@ -424,12 +424,28 @@ def test_from_data_error_pointers():
     }
     with pytest.raises(InputValidationError) as err:
         DelzantPolytope.from_data(doc)
+    # One order for the schema's and the parsers' errors alike: by pointer,
+    # token by token, array indices as integers.
+    assert [p for p, _ in err.value.errors] == [
+        "/facets/0", "/facets/1/label", "/facets/1/offset", "/facets/2/extra", "/stray"
+    ]
     pointers = dict(err.value.errors)
     assert "not primitive" in pointers["/facets/0"]
     assert "invalid rational" in pointers["/facets/1/offset"]
     assert "non-empty" in pointers["/facets/1/label"]
     assert pointers["/facets/2/extra"] == "unknown field"
     assert pointers["/stray"] == "unknown field"
+
+
+def test_input_errors_sort_by_pointer_with_integer_indices_and_keep_ties_in_order():
+    err = InputValidationError(
+        [("/a/10", "x"), ("/b", "first"), ("/a/2/k", "y"), ("", "root"), ("/b", "second"),
+         ("/a/2", "z"), ("/a/9", "w")]
+    )
+    assert err.errors == [
+        ("", "root"), ("/a/2", "z"), ("/a/2/k", "y"), ("/a/9", "w"), ("/a/10", "x"),
+        ("/b", "first"), ("/b", "second"),
+    ]
 
 
 def test_from_data_requires_object():

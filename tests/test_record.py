@@ -1,6 +1,8 @@
 """Value records keep the semantics the frozen value classes had."""
 
+import collections
 import gc
+import pickle
 import weakref
 from fractions import Fraction
 
@@ -96,50 +98,92 @@ def test_triangulation_cache_hits_an_equal_rebuilt_polytope():
 def test_moment_store_entry_is_shared_by_an_equal_rebuilt_polytope():
     poly = tower_rounds()[2]
     rebuilt = DelzantPolytope.from_data(poly.to_data())
-    moments._moment_store.cache_clear()
+    moments._triangulate.cache_clear()
     body = moments.polytope_moments(poly)
     facets = moments.boundary_moments(poly).facets
-    assert moments._moment_store(rebuilt) is moments._moment_store(poly)
+    assert moments._triangulate(rebuilt) is moments._triangulate(poly)
     assert moments.polytope_moments(rebuilt) is body
     assert all(a is b for a, b in zip(moments.boundary_moments(rebuilt).facets, facets))
-    assert moments._moment_store.cache_info().currsize == 1
+    assert moments._triangulate.cache_info().currsize == 1
 
 
 def test_excluded_facet_is_not_integrated():
     cube = unit_cube(3)
-    moments._moment_store.cache_clear()
+    moments._triangulate.cache_clear()
     extremal_affine(cube, [2])
-    assert set(moments._moment_store(cube)) == {None, 0, 1, 3, 4, 5}
+    assert set(moments._triangulate(cube)[2]) == {None, 0, 1, 3, 4, 5}
 
 
-def test_checking_every_facet_integrates_the_body_once():
-    # _integrate triangulates once per call, so the triangulation cache's
-    # lookups count integrations: on the cube, its body, then facets 1-7
-    # (facet 0 excluded), then facet 0; on each distinct facet polytope,
-    # its body and its boundary.
+def test_checking_every_facet_integrates_the_body_once(monkeypatch):
+    # On the cube: its body, then facets 1-7 (facet 0 excluded), then
+    # facet 0; on each distinct facet polytope, its body and its boundary.
     cube = unit_cube(4)
     faces = {facet_polytope(cube, i)[0] for i in range(8)}
-    moments._moment_store.cache_clear()
+    calls = []
+    integrate = moments._integrate
+
+    def counting(poly, forms, degrees, domains=(None,)):
+        calls.append((poly, tuple(domains)))
+        return integrate(poly, forms, degrees, domains)
+
+    monkeypatch.setattr(moments, "_integrate", counting)
     moments._triangulate.cache_clear()
     check_facet_condition(cube, 0)
-    body = moments._moment_store(cube)[None]
+    body = moments._triangulate(cube)[2][None]
     for i in range(8):
         check_facet_condition(cube, i)
-    assert moments._moment_store(cube)[None] is body
-    assert set(moments._moment_store(cube)) == {None, *range(8)}
-    info = moments._triangulate.cache_info()
-    assert info.misses == 1 + len(faces)
-    assert info.hits + info.misses == 3 + 2 * len(faces)
+    assert moments._triangulate(cube)[2][None] is body
+    assert set(moments._triangulate(cube)[2]) == {None, *range(8)}
+    assert [domains for poly, domains in calls if poly == cube] == [
+        (None,), tuple(range(1, 8)), (0,)
+    ]
+    for face in faces:
+        assert [domains for poly, domains in calls if poly == face] == [
+            (None,), tuple(range(len(face.facets)))
+        ]
+    assert len(calls) == 3 + 2 * len(faces)
+    assert moments._triangulate.cache_info().misses == 1 + len(faces)
 
 
 def test_moment_store_is_bounded_and_lets_evicted_polytopes_go():
-    moments._moment_store.cache_clear()
-    first = interval(0, 1)
-    moments.polytope_moments(first)
-    gone = weakref.ref(first)
-    del first
-    for b in range(2, 300):
-        moments.polytope_moments(interval(0, b))
-        assert moments._moment_store.cache_info().currsize <= 256
-    gc.collect()
-    assert gone() is None
+    # With the cycle collector off: an evicted entry is in no reference
+    # cycle, so it and its polytope go as soon as the store drops them.
+    moments._triangulate.cache_clear()
+    gc.disable()
+    try:
+        first = interval(0, 1)
+        moments.polytope_moments(first)
+        gone = weakref.ref(first)
+        del first
+        for b in range(2, 300):
+            moments.polytope_moments(interval(0, b))
+            assert moments._triangulate.cache_info().currsize <= 256
+        assert gone() is None
+    finally:
+        gc.enable()
+
+
+def test_a_polytope_hashes_its_value_at_most_once(monkeypatch):
+    # Hashing (dim, facets) hashes each facet, and in one check each facet
+    # belongs to one polytope: the parent, or the divisor's facet polytope.
+    poly = DelzantPolytope.from_data(tower_rounds()[5].to_data())
+    counts = collections.Counter()
+    facet_hash = Facet.__hash__
+
+    def counting(facet):
+        counts[id(facet)] += 1
+        return facet_hash(facet)
+
+    monkeypatch.setattr(Facet, "__hash__", counting)
+    moments._triangulate.cache_clear()
+    check_facet_condition(poly, "hyp")
+    assert [counts[id(f)] for f in poly.facets] == [1] * len(poly.facets)
+    assert max(counts.values()) == 1
+
+
+def test_the_stored_hash_is_the_value_hash_and_is_not_pickled():
+    poly = tower_rounds()[2]
+    assert hash(poly) == hash((poly.dim, poly.facets))
+    copy = pickle.loads(pickle.dumps(poly))
+    assert "_hash" not in copy.__dict__
+    assert copy == poly and hash(copy) == hash(poly)

@@ -234,7 +234,7 @@ def test_disagreement_pointers():
     assert pointers("empty weights") == ["/weights"]
     assert pointers("empty eval_matrix") == ["/eval_matrix"]
     assert pointers("null eval_matrix") == ["/eval_matrix"]
-    assert pointers("zero-length everything") == ["/points/0", "/eval_matrix/0"]
+    assert pointers("zero-length everything") == ["/eval_matrix/0", "/points/0"]
     assert pointers("empty basis vector") == ["/t_basis/0"]
     assert pointers("null coefficients") == ["/coefficients"]
     assert pointers("negative lambda") == ["/pairs/0/lambda"]
