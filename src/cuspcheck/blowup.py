@@ -14,8 +14,18 @@ shortest such edge, and two chops interact exactly when an edge of
 length <= 2 * eps joins their corners.  The chop removes v and adds the
 vertices v + eps * w_i, tight on the new facet and on the corner's
 facets but the i-th, with edge generators w_k - w_i (k != i) and w_i.
-Every chop claims these points and generators, and the construction
-derives their tight facets and verifies them rather than re-enumerating.
+
+Every chop claims these points, tight sets and generators, and every
+vertex it keeps with its tight set and generators unchanged, since the
+new facets are appended.  Both tight sets follow from the two checks
+that stay explicit.  Below the depth bound v + eps * w_i lies inside
+its edge, so it is tight on that edge's facets only.  Every vertex but
+a corner c lies above the facet of the chop at c by at least the
+shortest edge at c, less eps, so a kept vertex is tight on no new facet;
+with no interacting pair, neither is a vertex created at another corner.
+The construction checks each claimed tight facet and the generators in
+int, with no sweep of every vertex against every facet and no
+re-enumeration: O(V * n^3) int work in all.
 """
 
 from __future__ import annotations
@@ -118,18 +128,19 @@ def _chop(
             )
     facets = list(poly.facets)
     claimed = [
-        (v.point, cone.generators)
+        (v.point, cone.generators, v.active)
         for k, (v, cone) in enumerate(zip(poly.vertices, poly.cones))
         if k not in order
     ]
     for (k, normal, base, generators, _), label in zip(corners, labels):
-        corner = poly.vertices[k].point
+        corner = poly.vertices[k]
+        new = (len(facets),)
         facets.append(Facet(normal=normal, offset=base + eps, label=label))
         for i, w in enumerate(generators):
-            point = tuple(x + eps * d for x, d in zip(corner, w))
+            point = tuple(x + eps * d for x, d in zip(corner.point, w))
             others = generators[:i] + generators[i + 1 :]
             cone = tuple(tuple(a - b for a, b in zip(g, w)) for g in others) + (w,)
-            claimed.append((point, cone))
+            claimed.append((point, cone, corner.active[:i] + corner.active[i + 1 :] + new))
     return DelzantPolytope._from_claimed_vertices(poly.dim, tuple(facets), claimed)
 
 
@@ -249,7 +260,7 @@ def tower_step(state: TowerState, eps: Fraction) -> TowerState:
     Each chop is validated against its own depth bound (ChopTooDeep),
     then pairwise: two designated corners joined by an edge of length at
     most 2 * eps would share boundary (InteractingChops).  The chopped
-    polytope is built from the closed-form vertex points and edge
+    polytope is built from the closed-form vertex points, tight sets and edge
     generators and verified, not re-enumerated.
     """
     eps = parse_rational(eps)

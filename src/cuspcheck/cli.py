@@ -47,10 +47,9 @@ from .indicial import (
 from .moments import boundary_moments, polytope_moments
 from .obstruction import MomentConfiguration, check_facet_condition, check_hypotheses
 from .polytope import DelzantPolytope, is_delzant
-from .rational import format_rational, parse_rational
+from .rational import TOO_MANY_DIGITS, format_rational, parse_rational
 
 _INT_RE = re.compile(r"[+-]?[0-9]+")
-_TOO_MANY_DIGITS = "an integer has over {} digits; set PYTHONINTMAXSTRDIGITS to raise the limit"
 
 
 class _Rat:
@@ -102,7 +101,7 @@ def _load_json(path: str) -> tuple[Any, dict[str, str]]:
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputValidationError([("", f"invalid JSON: {exc}")]) from exc
     except ValueError as exc:  # int() of a number literal past the limit
-        raise ValueError(_TOO_MANY_DIGITS.format(sys.get_int_max_str_digits())) from exc
+        raise ValueError(TOO_MANY_DIGITS.format(sys.get_int_max_str_digits())) from exc
     return doc, {"path": path, "digest": f"sha256:{digest}"}
 
 
@@ -474,7 +473,7 @@ def run(argv: Sequence[str] | None = None) -> int:
                 report["result_float"] = _render(result, args.float)
             text = _pretty_text(report) if args.pretty else json.dumps(report, indent=2)
         except ValueError as exc:  # str() of an int past the limit
-            raise ValueError(_TOO_MANY_DIGITS.format(sys.get_int_max_str_digits())) from exc
+            raise ValueError(TOO_MANY_DIGITS.format(sys.get_int_max_str_digits())) from exc
     except InputValidationError as exc:
         for pointer, message in exc.errors:
             print(f"error at {pointer or '/'}: {message}", file=sys.stderr)

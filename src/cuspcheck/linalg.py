@@ -111,7 +111,11 @@ def _clear_denominators(row: Sequence[Fraction | int]) -> list[int]:
 
 
 def det_int(m: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix."""
+    """Determinant of a square integer matrix; a 2 x 2 one in closed form,
+    since each simplex of a plane triangulation takes one."""
+    if len(m) == 2:
+        (a, b), (c, d) = m
+        return a * d - b * c
     rows = [list(row) for row in m]
     pivots, d = _eliminate(rows, len(rows))
     return d if len(pivots) == len(rows) else 0

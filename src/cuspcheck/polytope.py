@@ -13,14 +13,18 @@ User input (direct construction, ``from_data``) finds its vertices by
 the C(m, n) scan over n-subsets of the m facets.  When the normals span
 R^n the polyhedron is pointed, so it is empty iff the scan finds no
 vertex; when they do not, it is unbounded unless empty, and the same
-scan over the normals' pivot columns decides which.  A corner chop
-(``blowup``) claims its vertex points and edge generators in closed
-form, and ``_from_claimed_vertices`` derives the tight facets and
-verifies the claim in O(V * m) instead of scanning.  Both paths run one
-open-edge test, for a ridge of a vertex's active facets tight at no
-other vertex whose line leaves the vertex into the polytope: over the
-scan's complete vertex set it is a ray, and over a chop's bounded
-polyhedron it ends in an unclaimed vertex.
+scan over the normals' pivot columns decides which.  A polytope derived
+from a verified parent claims its vertices with their tight facets
+instead (``_from_claimed_vertices``).  A corner chop (``blowup``) claims
+points, tight facets and edge generators in closed form; ``facet_polytope``
+maps the parent's vertices on the facet through the dual of its chart
+frame, each tight on the parent's ridge facets there.  Each claimed tight
+facet is checked in int and no point is swept against every facet, so a
+derived build costs O(V * n^2), against O(C(m, n) * m) for the scan.
+Both paths run one open-edge test, for a ridge of a vertex's active
+facets tight at no other vertex whose line leaves the vertex into the
+polytope: over the scan's complete vertex set it is a ray, and over a
+claimed polytope's bounded polyhedron it ends in an unclaimed vertex.
 
 Setting the vertices also clears their denominators once: the integer
 vertex table ``scaled_vertices`` holds D, the lcm of the vertex
@@ -41,7 +45,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from operator import itemgetter, mul
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from . import schema
@@ -255,7 +259,7 @@ class DelzantPolytope(Record):
             if len(pivots) == self.dim or not _vertex_candidates(restricted, offsets):
                 raise EmptyPolytope("no point satisfies all facet inequalities")
             raise UnboundedPolytope("facet normals do not span the ambient space")
-        self._set_vertices(sorted(candidates))
+        self._set_vertices(list(candidates))
         edge = self._open_edge(self._ridge_ends())
         if edge is not None:
             raise UnboundedPolytope(f"recession direction {edge[1]} is unbounded")
@@ -266,38 +270,49 @@ class DelzantPolytope(Record):
         cls,
         dim: int,
         facets: Sequence[Facet],
-        claimed: Sequence[tuple[Vector, tuple[IntVector, ...] | None]],
+        claimed: Sequence[tuple],
     ) -> "DelzantPolytope":
-        """Build from claimed vertex points and edge generators, verified.
+        """Build from claimed vertices, verified.
 
-        The caller guarantees boundedness: ``facets`` must include those of
-        a polytope.  Every claimed point must satisfy all inequalities, and
-        its tight facets are derived.  Completeness is the open-edge test,
-        since an edge from a claimed vertex to an unclaimed one is open,
-        and a vertex set closed under edges is the whole vertex set: the
-        graph of a polytope is connected (Balinski).  The cone table then
-        checks that every point is a vertex.  Any failure raises
-        InvariantViolation; the face checks of the scan path follow.  The
-        cost is O(V * m), against O(C(m, n) * m) for the scan.
+        A claim is (point, generators) or (point, generators, active), the
+        edge generators None where none are claimed and ``active`` the
+        point's tight facets in increasing order; every claim takes the
+        same form.  The caller guarantees boundedness: ``facets`` must
+        include those of a polytope.  A 2-tuple claim's point is swept
+        against every facet, which it must satisfy, to find its tight
+        facets: O(V * m).  A claimed tight set is the caller's derivation
+        from verified parent data, and each facet in it is only checked
+        tight, in int: O(V * n^2) in all.  Completeness is the open-edge
+        test, since an edge from a claimed vertex to an unclaimed one is
+        open, and a vertex set closed under edges is the whole vertex set:
+        the graph of a polytope is connected (Balinski).  The cone table
+        checks the claimed generators, and that every point is a vertex.
+        It is built at once, unless the claims carry tight sets and no
+        generators, as a facet polytope's do, whose vertices are its
+        parent's: then it waits for first use, as on the scan path.  Any
+        failure raises InvariantViolation; the face checks of the scan path
+        follow.  The scan costs O(C(m, n) * m).
         """
         poly = object.__new__(cls)
         object.__setattr__(poly, "dim", dim)
         object.__setattr__(poly, "facets", facets)
         poly._check_facets()
-        ordered = sorted(claimed, key=itemgetter(0))
-        if not ordered:
+        if not claimed:
             raise InvariantViolation("no vertices claimed for the polytope")
-        if any(a[0] == b[0] for a, b in zip(ordered, ordered[1:])):
+        actives = [claim[2] for claim in claimed] if len(claimed[0]) > 2 else None
+        order = poly._set_vertices([claim[0] for claim in claimed], actives)
+        table = poly.scaled_vertices[1]
+        if any(a == b for a, b in zip(table, table[1:])):
             raise InvariantViolation("a claimed vertex is listed twice")
-        poly._set_vertices([point for point, _ in ordered])
         ends = poly._ridge_ends()
         edge = poly._open_edge(ends)
         if edge is not None:
             raise InvariantViolation(
                 f"the edge on facets {list(edge[0])} has 1 claimed endpoints, expected 2"
             )
-        cones = poly._vertex_cones([generators for _, generators in ordered], ends)
-        object.__setattr__(poly, "cones", cones)
+        generators = [claimed[k][1] for k in order]
+        if actives is None or any(cone is not None for cone in generators):
+            object.__setattr__(poly, "cones", poly._vertex_cones(generators, ends))
         poly._check_faces()
         return poly
 
@@ -330,40 +345,60 @@ class DelzantPolytope(Record):
             raise ValueError("facet labels must be unique")
         return [f.normal for f in facets], [f.offset for f in facets]
 
-    def _set_vertices(self, ordered: Sequence[Vector]) -> None:
+    def _set_vertices(
+        self, points: Sequence[Vector], actives: Sequence[tuple[int, ...]] | None = None
+    ) -> list[int]:
         """Store ``vertices``, the points in lexicographic order with their
         tight facets, the integer vertex table ``scaled_vertices`` and the
         incidence table ``facet_vertices``, the vertices tight on each facet.
+        Returns the index in ``points`` of each vertex, in that order.
 
         The table is D, the lcm of the vertex denominators, and the points
-        D * v in the same order; every height is compared on it in int
-        (``_height_rows``).  A point outside the polytope is a defect of
-        the caller and raises InvariantViolation.
+        D * v, sorted on these int rows; every height is compared on it in
+        int (``_height_rows``).  With ``actives`` None, every point is swept
+        against every facet for its tight facets, and a point outside the
+        polytope raises InvariantViolation.  Otherwise ``actives`` claims
+        the tight facets, parallel to ``points``, and a claimed facet that
+        is not tight raises it.  Either is a defect of the caller.
         """
-        scale = math.lcm(*[x.denominator for p in ordered for x in p])
-        table = tuple(
-            tuple(x.numerator * (scale // x.denominator) for x in p) for p in ordered
-        )
+        scale = math.lcm(*[x.denominator for p in points for x in p])
+        scaled = [tuple(x.numerator * (scale // x.denominator) for x in p) for p in points]
+        order = sorted(range(len(points)), key=scaled.__getitem__)
+        table = tuple(scaled[k] for k in order)
         rows = _height_rows(
             [f.normal for f in self.facets], [f.offset for f in self.facets], scale
         )
         vertices = []
         incidence: list[list[int]] = [[] for _ in rows]
-        for k, (point, scaled) in enumerate(zip(ordered, table)):
-            active = []
-            for i, (u, rhs) in enumerate(rows):
-                height = sum(map(mul, u, scaled))
-                if height < rhs:
-                    raise InvariantViolation(
-                        f"vertex {format_rational_vector(point)} violates facet {i}"
-                    )
-                if height == rhs:
-                    active.append(i)
-                    incidence[i].append(k)
-            vertices.append(Vertex(point=point, active=tuple(active)))
+        for k, (j, row) in enumerate(zip(order, table)):
+            point = points[j]
+            if actives is None:
+                active = []
+                for i, (u, rhs) in enumerate(rows):
+                    height = sum(map(mul, u, row))
+                    if height < rhs:
+                        raise InvariantViolation(
+                            f"vertex {format_rational_vector(point)} violates facet {i}"
+                        )
+                    if height == rhs:
+                        active.append(i)
+                active = tuple(active)
+            else:
+                active = actives[j]
+                for i in active:
+                    u, rhs = rows[i]
+                    if sum(map(mul, u, row)) != rhs:
+                        raise InvariantViolation(
+                            f"claimed vertex {format_rational_vector(point)} "
+                            f"is not tight on facet {i}"
+                        )
+            for i in active:
+                incidence[i].append(k)
+            vertices.append(Vertex(point=point, active=active))
         object.__setattr__(self, "vertices", tuple(vertices))
         object.__setattr__(self, "scaled_vertices", (scale, table))
         object.__setattr__(self, "facet_vertices", tuple(map(frozenset, incidence)))
+        return order
 
     def _vertex_cones(
         self,
@@ -380,13 +415,14 @@ class DelzantPolytope(Record):
         vertex's ridge active - {i} ends at it and at its neighbour only.
         """
         n = self.dim
+        identity = identity_int(n)
         generators = []
         for v, cone in zip(self.vertices, claimed):
             normals = [self.facets[i].normal for i in v.active]
             if cone is None and len(normals) == n:
                 with contextlib.suppress(NotUnimodular):
                     cone = transpose(inverse_unimodular(normals))
-            elif cone is not None and identity_int(n) != tuple(
+            elif cone is not None and identity != tuple(
                 tuple(sum(map(mul, u, g)) for g in cone) for u in normals
             ):
                 raise InvariantViolation(
@@ -416,7 +452,8 @@ class DelzantPolytope(Record):
         iff <u, sum(X)> = V D c; once it lies on none, ``face_dim`` of each
         facet's vertices in the incidence table must be n - 1.  Both
         constructors call this last, after the open-edge test and the cone
-        table have verified the vertex set that ``face_dim`` relies on.
+        table have verified the vertex set that ``face_dim`` relies on; a
+        facet polytope's vertices come verified from its parent.
         """
         scale, table = self.scaled_vertices
         total = [sum(column) for column in zip(*table)]
@@ -639,6 +676,14 @@ def facet_polytope(
     The chart basis spans the facet hyperplane's lattice, so rational
     data transported through it keeps exact lattice normalisation. Only
     facets sharing a ridge with the chosen one contribute inequalities.
+
+    The face is derived from the parent, not scanned: its vertices are
+    the parent's vertices on the facet, read in the chart through one
+    unimodular inverse from the integer vertex table, and each one's tight
+    set is its parent's, less the facet, kept to the ridge facets and
+    renumbered.  ``_from_claimed_vertices`` checks these claims in
+    O(V * n^2) int work.  No generators are claimed, so neither the
+    parent's cone table nor the face's is built.
     """
     n = poly.dim
     if n < 2:
@@ -657,9 +702,14 @@ def facet_polytope(
 
     on_facet = poly.facet_vertices[index]
     induced = []
-    for j, other in enumerate(poly.facets):
-        if j == index or poly.face_dim(on_facet & poly.facet_vertices[j]) != n - 2:
+    ridges: dict[int, int] = {}
+    # Only a facet tight at a vertex of F can meet F in a ridge.
+    near = {j for k in on_facet for j in poly.vertices[k].active}
+    for j in sorted(near - {index}):
+        if poly.face_dim(on_facet & poly.facet_vertices[j]) != n - 2:
             continue
+        other = poly.facets[j]
+        ridges[j] = len(induced)
         coeffs = tuple(sum(map(mul, other.normal, b)) for b in basis)
         # origin = c_F w, so <u_j, origin> = c_F <u_j, w>, in int.
         offset = other.offset - chosen.offset * sum(map(mul, other.normal, w))
@@ -673,4 +723,16 @@ def facet_polytope(
                 label=other.label,
             )
         )
-    return DelzantPolytope(dim=n - 1, facets=tuple(induced)), chart
+    # The frame [w, basis] is unimodular, so x = c_F w + sum_k y_k basis[k]
+    # reads y_k = <d_k, x> off the columns d_k of its inverse, k >= 1.
+    duals = transpose(inverse_unimodular((w, *basis)))[1:]
+    scale, table = poly.scaled_vertices
+    claimed = [
+        (
+            tuple(Fraction(sum(map(mul, d, table[k])), scale) for d in duals),
+            None,
+            tuple(ridges[j] for j in poly.vertices[k].active if j in ridges),
+        )
+        for k in on_facet
+    ]
+    return DelzantPolytope._from_claimed_vertices(n - 1, tuple(induced), claimed), chart

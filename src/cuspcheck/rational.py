@@ -9,8 +9,13 @@ point.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import Iterable
+
+# Python refuses int <-> str conversions past a digit limit (CVE-2020-10735);
+# its own message names a call the user of a command line cannot make.
+TOO_MANY_DIGITS = "an integer has over {} digits; set PYTHONINTMAXSTRDIGITS to raise the limit"
 
 # ASCII digits only, matched against the whole string: \d would admit any
 # Unicode digit and $ a trailing newline, both outside the wire format.
@@ -23,7 +28,8 @@ def parse_rational(value: int | str | Fraction) -> Fraction:
     Floats are rejected: they carry no exactness guarantee.  Strings must
     match ``[+-]?[0-9]+(/[0-9]+)?`` exactly, with no surrounding space.
     Raises ValueError with an "invalid rational" message on bad input,
-    including a zero denominator.
+    including a zero denominator, and with ``TOO_MANY_DIGITS`` for a
+    numerator or denominator past the int-to-str limit.
     """
     if isinstance(value, Fraction):
         return value
@@ -34,12 +40,14 @@ def parse_rational(value: int | str | Fraction) -> Fraction:
     if isinstance(value, str):
         if not _RATIONAL_RE.fullmatch(value):
             raise ValueError(f"invalid rational: {value!r}")
-        if "/" in value:
-            num, den = value.split("/")
-            if int(den) == 0:
-                raise ValueError(f"invalid rational: {value!r} (zero denominator)")
-            return Fraction(int(num), int(den))
-        return Fraction(int(value))
+        num, _, den = value.partition("/")
+        try:
+            p, q = int(num), int(den or 1)
+        except ValueError as exc:  # the pattern matched, so only the limit is left
+            raise ValueError(TOO_MANY_DIGITS.format(sys.get_int_max_str_digits())) from exc
+        if q == 0:
+            raise ValueError(f"invalid rational: {value!r} (zero denominator)")
+        return Fraction(p, q)
     raise ValueError(f"invalid rational: {value!r} (expected int or 'p/q' string)")
 
 

@@ -342,7 +342,7 @@ def test_chops_run_no_vertex_scan(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("cuspcheck") and getattr(module, "inverse_unimodular", None) is invert:
             monkeypatch.setattr(module, "inverse_unimodular", counted_inverse)
-    blow_up_vertex(cube, (0, 0, 0), Fraction(1, 4))
+    chopped = blow_up_vertex(cube, (0, 0, 0), Fraction(1, 4))
     state = start_tower(simplex, "hyp")
     # each scan-built input inverts its corners once, for its cone table
     assert len(inversions) == 8 + 3
@@ -351,8 +351,17 @@ def test_chops_run_no_vertex_scan(monkeypatch):
         assert is_delzant(state.polytope).ok
     assert scans == []
     assert len(inversions) == 8 + 3
+    # A facet polytope inverts its chart frame once and builds no cone
+    # table, neither its own nor a scan-built parent's.
+    parents = (chopped, state.polytope, unit_cube(3))
+    del inversions[:]
+    for poly in parents:
+        for j in range(len(poly.facets)):
+            polytope.facet_polytope(poly, j)
+    assert scans == [6]  # unit_cube(3) itself
+    assert len(inversions) == sum(len(poly.facets) for poly in parents)
     DelzantPolytope.from_data(cube.to_data())
-    assert scans == [6]
+    assert scans == [6, 6]
 
 
 def test_builds_and_chops_compare_no_fraction_heights(monkeypatch):
@@ -416,6 +425,52 @@ def test_claimed_vertex_sets_are_verified(triangle):
         claimed = good[:k] + [(created, wrong)] + good[k + 1 :]
         with pytest.raises(InvariantViolation, match="do not invert the normals"):
             DelzantPolytope._from_claimed_vertices(2, facets, claimed)
+
+
+def test_each_tower_chop_matches_a_sweep_of_its_claims(monkeypatch):
+    # A chop claims each vertex's tight set; the same points and
+    # generators without them are swept against every facet instead.
+    build = DelzantPolytope._from_claimed_vertices.__func__
+    calls = []
+
+    def captured(cls, dim, facets, claimed):
+        calls.append((dim, facets, claimed))
+        return build(cls, dim, facets, claimed)
+
+    monkeypatch.setattr(DelzantPolytope, "_from_claimed_vertices", classmethod(captured))
+    for dim, rounds in ((2, 6), (3, 3)):
+        state = start_tower(unit_simplex(dim), "hyp")
+        for r in range(1, rounds + 1):
+            del calls[:]
+            state = tower_step(state, Fraction(1, 4**r))
+            ((_, facets, claimed),) = calls
+            assert {len(claim) for claim in claimed} == {3}
+            swept = build(DelzantPolytope, dim, facets, [claim[:2] for claim in claimed])
+            chopped = state.polytope
+            assert chopped.vertices == swept.vertices
+            assert chopped.scaled_vertices == swept.scaled_vertices
+            assert chopped.facet_vertices == swept.facet_vertices
+            assert chopped.cones == swept.cones
+
+
+def test_a_chop_claim_with_a_wrong_tight_set_is_refused(triangle):
+    chopped = blow_up_vertex(triangle, (0, 0), Fraction(1, 4))
+    claims = [
+        (v.point, cone.generators, v.active) for v, cone in zip(chopped.vertices, chopped.cones)
+    ]
+    rebuilt = DelzantPolytope._from_claimed_vertices(2, chopped.facets, claims[::-1])
+    assert rebuilt.vertices == chopped.vertices
+    assert rebuilt.cones == chopped.cones
+    # (1/4, 0) is tight on x1 and the chop facet E, facets 1 and 3.
+    k = [v.point for v in chopped.vertices].index((Fraction(1, 4), Fraction(0)))
+    point, cone, active = claims[k]
+    assert active == (1, 3)
+    for wrong, facet in (((0, 3), 0), ((1, 2), 2), ((1, 2, 3), 2)):
+        with pytest.raises(InvariantViolation) as info:
+            DelzantPolytope._from_claimed_vertices(
+                2, chopped.facets, claims[:k] + [(point, cone, wrong)] + claims[k + 1 :]
+            )
+        assert str(info.value) == f"claimed vertex ['1/4', '0'] is not tight on facet {facet}"
 
 
 # --- differential oracle: closed-form chops against the C(m, n) scan ------

@@ -409,6 +409,24 @@ def test_unprintable_exact_value_is_an_input_error(tmp_path, capsys):
         assert "PYTHONINTMAXSTRDIGITS" in err and "sys.set_int_max_str_digits" not in err
 
 
+def test_rational_string_past_the_digit_limit_is_an_input_error(tmp_path, capsys):
+    # The same 4400-digit offset as a "p/q" string: parse_rational meets
+    # the limit, and the error sits at the offset's pointer.
+    path = tmp_path / "string.json"
+    path.write_text(json.dumps(_simplex_doc(2, "-1" + "0" * 4399)))
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run_cli(capsys, ["vertices", str(path)])
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error at /facets/2/offset: an integer has over 4300 digits; "
+        "set PYTHONINTMAXSTRDIGITS to raise the limit\n"
+    )
+
+
 def test_pretty_output_no_ansi_when_disabled(capsys, monkeypatch, in_data_dir):
     monkeypatch.setenv("CUSPCHECK_COLOR", "0")
     code, out, _ = run_cli(capsys, ["vertices", "simplex2.json", "--pretty"])

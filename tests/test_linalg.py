@@ -26,6 +26,7 @@ from conftest import (
 )
 from cuspcheck.errors import DimensionMismatch, NotUnimodular
 from cuspcheck.linalg import (
+    _eliminate,
     complete_primitive,
     det_int,
     dot,
@@ -59,6 +60,28 @@ def test_det_matches_sympy(n):
     # A zero first column has no pivot, so the elimination skips it.
     for _ in range(5):
         assert det_int(tuple((0, *row[1:]) for row in _rand_int_matrix(n, n))) == 0
+
+
+def test_det_two_by_two_matches_the_elimination():
+    # det_int takes 2 x 2 input in closed form, past _eliminate; the two
+    # must agree, also where the matrix is singular: a zero row or column,
+    # or one row a multiple of the other.
+    singular = 0
+    for _ in range(400):
+        m = [list(row) for row in _rand_int_matrix(2, 2)]
+        kind = _RNG.randrange(4)
+        if kind == 1:
+            m[1] = [_RNG.randint(-3, 3) * x for x in m[0]]
+        elif kind == 2:
+            m[_RNG.randrange(2)] = [0, 0]
+        elif kind == 3:
+            col = _RNG.randrange(2)
+            m[0][col] = m[1][col] = 0
+        pivots, d = _eliminate([row[:] for row in m], 2)
+        expected = d if len(pivots) == 2 else 0
+        assert det_int(m) == det_int(tuple(map(tuple, m))) == expected
+        singular += expected == 0
+    assert singular >= 100
 
 
 def test_solve_matches_sympy():

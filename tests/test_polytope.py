@@ -10,10 +10,12 @@ while the constructor compares integer heights on its vertex table.
 """
 
 import ast
+import importlib.util
 import itertools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +42,8 @@ from cuspcheck import (
     enumerate_vertices,
     facet_polytope,
     is_delzant,
+    start_tower,
+    tower_step,
 )
 from cuspcheck.errors import InvalidPolytope, InvariantViolation
 from cuspcheck.linalg import dot, gcd_vector, is_primitive, rank, solve_linear
@@ -392,6 +396,69 @@ def test_facet_polytope_carries_labels():
 def test_facet_polytope_rejects_dim_one():
     with pytest.raises(DimensionMismatch):
         facet_polytope(interval(0, 1), "lo")
+
+
+def _seeded_chopped_inputs(seeds):
+    """The benchmark's seeded chopped 3D simplices and cubes, each in a
+    seed-drawn lattice frame (``perfbench/corpus.py``, stdlib only)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    return [
+        DelzantPolytope.from_data(item["doc"])
+        for seed in seeds
+        for item in corpus.seeded_checks(seed)
+    ]
+
+
+def _tower_3d_rounds(rounds):
+    state = start_tower(unit_simplex(3), "hyp")
+    out = []
+    for r in range(1, rounds + 1):
+        state = tower_step(state, Fraction(1, 4**r))
+        out.append(state.polytope)
+    return out
+
+
+def test_derived_facet_polytopes_match_the_scan():
+    # facet_polytope derives its vertices and tight sets from the parent's;
+    # the C(m', n - 1) scan of the same facets is the oracle, on simplices
+    # and cubes, tower rounds, chopped inputs in skew frames and a
+    # non-simple apex.
+    cases = [unit_simplex(n) for n in (2, 3, 4, 5)] + [unit_cube(n) for n in (2, 3, 4, 5)]
+    cases += [*tower_rounds()[:6], *_tower_3d_rounds(3)]
+    cases += _seeded_chopped_inputs((1, 2)) + [DelzantPolytope(3, _PYRAMID)]
+    faces = 0
+    for poly in cases:
+        for index in range(len(poly.facets)):
+            face, _ = facet_polytope(poly, index)
+            oracle = DelzantPolytope(poly.dim - 1, face.facets)
+            assert face.vertices == oracle.vertices
+            assert face.scaled_vertices == oracle.scaled_vertices
+            assert face.facet_vertices == oracle.facet_vertices
+            assert face.cones == oracle.cones
+            faces += 1
+    # simplices, cubes, 2D rounds 1-6, 3D rounds 1-3, seeded inputs, pyramid
+    assert faces == 18 + 28 + 138 + (5 + 8 + 17) + 61 + 5
+
+
+def test_a_claimed_tight_facet_that_is_not_tight_is_refused():
+    # On the facet path no generators are claimed, so the tight-set check
+    # alone stands between a wrong derivation and the face checks.
+    face, _ = facet_polytope(unit_cube(3), "top2")
+    claims = [(v.point, None, v.active) for v in face.vertices]
+    rebuilt = DelzantPolytope._from_claimed_vertices(2, face.facets, claims)
+    assert rebuilt.vertices == face.vertices
+    assert rebuilt.facet_vertices == face.facet_vertices
+    for k, (point, _, active) in enumerate(claims):
+        for extra in sorted(set(range(len(face.facets))) - set(active)):
+            wrong = claims[:k] + [(point, None, tuple(sorted(active + (extra,))))]
+            with pytest.raises(InvariantViolation) as info:
+                DelzantPolytope._from_claimed_vertices(2, face.facets, wrong + claims[k + 1 :])
+            assert str(info.value) == (
+                f"claimed vertex {format_rational_vector(point)} is not tight on facet {extra}"
+            )
 
 
 def test_dimension_mismatch_on_bad_facet_length():

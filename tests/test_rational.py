@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cuspcheck.rational import (
+    TOO_MANY_DIGITS,
     format_rational,
     format_rational_vector,
     parse_rational,
@@ -38,6 +40,22 @@ def test_parse_accepts_exact_forms(text, expected):
 def test_parse_rejects_inexact_or_malformed(bad):
     with pytest.raises(ValueError, match="invalid rational"):
         parse_rational(bad)
+
+
+def test_parse_names_the_digit_limit_past_it():
+    # Past the int-to-str limit Python's own message names
+    # sys.set_int_max_str_digits(); the parser names the variable instead.
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for text in ("-1" + "0" * 4399, "1/" + "3" * 4400, "7" * 4400 + "/2"):
+            with pytest.raises(ValueError) as info:
+                parse_rational(text)
+            assert str(info.value) == TOO_MANY_DIGITS.format(4300)
+            assert "PYTHONINTMAXSTRDIGITS" in str(info.value)
+        assert parse_rational("-1" + "0" * 4299) == -(10**4299)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_format_lowest_terms():
