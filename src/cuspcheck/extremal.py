@@ -19,10 +19,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionMismatch, FormalExtensionWarning, SingularGram
-from .linalg import IntVector, Matrix, Vector, dot, mat_vec, solve_linear
+from .linalg import Matrix, Vector, dot, mat_vec, solve_linear
 from .moments import (
     Poly2,
-    _graded,
+    _coefficients,
+    _contract,
     _integrate,
     boundary_moments,
     integrate_polynomial_boundary,
@@ -139,14 +140,12 @@ def relative_futaki(
     report = extremal_affine(poly, excluded)
     affine = report.affine
     boundary = integrate_polynomial_boundary(poly, q, excluded)
-    # The homogeneous parts of q * A, of degree <= 3, the simplex rule's bound.
-    q_scale, q_parts = _graded(q)
-    a_scale, a_parts = _graded(affine.as_poly2())
-
-    def parts(x: IntVector) -> tuple[int, ...]:
-        (q0, q1, q2), (a0, a1, _) = q_parts(x), a_parts(x)
-        return q0 * a0, q0 * a1 + q1 * a0, q1 * a1 + q2 * a0, q2 * a1
-
-    (volume,) = _integrate(poly, parts, (0, 1, 2, 3))
-    volume_side = sum(volume) / (q_scale * a_scale)
+    # The monomials of q * A have degree <= 3, the simplex moments' bound.
+    product: dict[tuple[int, ...], Fraction] = {}
+    for m, c in _coefficients(q).items():
+        for p, a in [((), affine.constant), *(((i,), g) for i, g in enumerate(affine.gradient))]:
+            key = tuple(sorted(m + p))
+            product[key] = product.get(key, 0) + c * a
+    (volume,) = _integrate(poly, 3)
+    volume_side = _contract(product, volume)
     return boundary - volume_side

@@ -111,11 +111,15 @@ def _clear_denominators(row: Sequence[Fraction | int]) -> list[int]:
 
 
 def det_int(m: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix; a 2 x 2 one in closed form,
-    since each simplex of a plane triangulation takes one."""
+    """Determinant of a square integer matrix; a 2 x 2 or 3 x 3 one in
+    closed form, since each simplex of a triangulation in dimension 2 or 3
+    (and each facet simplex in dimension 3 or 4) takes one."""
     if len(m) == 2:
         (a, b), (c, d) = m
         return a * d - b * c
+    if len(m) == 3:
+        (a, b, c), (d, e, f), (g, h, i) = m
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     rows = [list(row) for row in m]
     pivots, d = _eliminate(rows, len(rows))
     return d if len(pivots) == len(rows) else 0

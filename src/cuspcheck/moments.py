@@ -1,21 +1,41 @@
 """Exact volume and boundary moments of Delzant polytopes.
 
-Every integral is one weighted sum over one fan triangulation of the
-polytope, which also triangulates each facet: on each simplex the
-integrand is evaluated at the k + 2 nodes of the degree-3 rule of
-Grundmann and Moeller (SIAM J. Numer. Anal. 15, 1978; Stroud's T_n:3-1).
+Every integral is a sum, over one fan triangulation of the polytope that
+also triangulates each facet, of closed-form simplex moments (Baldoni,
+Berline, De Loera, Koeppe and Vergne, "How to integrate a polynomial over
+a simplex", Math. Comp. 80, 2011).  On a k-simplex of mass mu with
+vertices v_0, ..., v_k, the barycentric monomials integrate as
+lambda^beta -> mu k! beta! / (k + |beta|)!; expanding x = sum_p lambda_p v_p
+and writing S = sum_p v_p for the vertex sum gives
+
+    int 1             = mu
+    int x_i           = mu S_i / (k+1)
+    int x_i x_j       = mu (S_i S_j + sum_p v_pi v_pj) / ((k+1)(k+2))
+    int x_i x_j x_l   = mu (S_i S_j S_l + sum_p (S_i v_pj v_pl + S_j v_pi v_pl
+                        + S_l v_pi v_pj) + 2 sum_p v_pi v_pj v_pl)
+                        / ((k+1)(k+2)(k+3)).
+
+These are identities, not a quadrature rule, so every integral is exact.
 Degree 3 suffices because every integrand in the package has degree at
 most 3: the moments and ``Poly2`` have degree at most 2, and the volume
 side of ``relative_futaki`` integrates q * A, a quadratic times an
-affine function.  The body carries Lebesgue measure.  A facet with
-primitive normal u carries the lattice boundary measure (the one with
-d(lattice volume) equal to d(boundary measure) wedged with the pairing
-against u); on a facet simplex its mass is a determinant,
-|det[u; edges]| / ((n-1)! <u, u>), so no facet chart or facet polytope
-is built.  The sums run on ints: the triangulation's simplices index the
+affine function.  The body carries Lebesgue measure, mu = |det[edges]| / n!.
+A facet with primitive normal u carries the lattice boundary measure
+(the one with d(lattice volume) equal to d(boundary measure) wedged with
+the pairing against u); on a facet simplex mu = |det[u; edges]| /
+((n-1)! <u, u>), so no facet chart or facet polytope is built.
+
+The sums run on ints: the triangulation's simplices index the
 polytope's integer vertex table (``DelzantPolytope.scaled_vertices``, the
-points D * v), so nodes and weights are integers, and each homogeneous
-form of the integrand is divided once at the end.  Nothing is
+points Q = D v), and in Q every numerator above is an integer, over
+k! D^(k+d) (k+1)...(k+d) at degree d.  Summed over the simplices of one
+domain, each sum_p term becomes a sum over the domain's vertices: a
+simplex's |det| times f(Q_p), for each of its vertices p, adds up to
+w_p f(Q_p), the per-vertex weight w_p being the sum of |det| over the
+simplices that hold p, and the cross term of degree 3 reads the weight
+sum of |det| S over them.  So a simplex adds only |det|, |det| S (x) S
+(and (x) S at degree 3) and its share of the weights, the first moments
+are sum_p w_p Q_p, and each sum is divided once at the end.  Nothing is
 approximated.
 
 One store entry per polytope, keyed on its value and bounded at 256
@@ -32,10 +52,11 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from operator import mul, sub
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, InvariantViolation, UnsupportedDegree
-from .linalg import IntVector, Matrix, Vector, det_int, dot
+from .linalg import Matrix, Vector, det_int, dot
 from .polytope import DelzantPolytope
 from .record import Record
 
@@ -119,21 +140,6 @@ class Poly2(Record):
         )
 
 
-def _graded(q: Poly2) -> tuple[int, Callable[[IntVector], tuple[int, ...]]]:
-    """L and X -> L (q_0, q_1(X), q_2(X)) in ints, L the lcm of q's denominators."""
-    n = q.dimension
-    terms = [((), q.constant), *(((i,), c) for i, c in enumerate(q.linear))]
-    terms += [((i, j), q.quad[i][j] * (1 + (i < j))) for i in range(n) for j in range(i, n)]
-    lcm = math.lcm(*[c.denominator for _, c in terms])
-    parts = [
-        [(idx, c.numerator * (lcm // c.denominator)) for idx, c in terms if c and len(idx) == d]
-        for d in range(3)
-    ]
-    return lcm, lambda x: tuple(
-        sum(c * math.prod(x[i] for i in idx) for idx, c in part) for part in parts
-    )
-
-
 class MomentData(Record):
     """Volume, first, and second moments of a polytope."""
 
@@ -193,31 +199,6 @@ class BoundaryMomentData(Record):
         )
 
 
-def _simplex_rule(
-    points: Sequence[IntVector], k: int, normal: IntVector | None = None
-) -> tuple[tuple[int, IntVector], ...]:
-    """Integer (weight, node) pairs of the degree-3 rule on a k-simplex.
-
-    ``points`` are the vertices Q times a common denominator D, and a node
-    X stands for X / S, S = D (k+1)(k+3): the centroid (k+3) sum Q, of
-    weight -(k+1)^3 |det|, and per vertex (k+1)(sum Q + 2 Q_p), of weight
-    (k+3)^2 |det|, det = det[u; Q_1 - Q_0; ...] with u the facet normal if
-    given.  ``_integrate`` divides by 4(k+1)(k+2) k! D^k (times <u, u>).
-    """
-    if len(points) != k + 1:
-        raise InvariantViolation(f"a {k}-simplex needs {k + 1} points, got {len(points)}")
-    rows = [[a - b for a, b in zip(p, points[0])] for p in points[1:]]
-    if normal is not None:
-        rows.insert(0, list(normal))
-    det = abs(det_int(rows))
-    total = [sum(column) for column in zip(*points)]
-    rule = [(-((k + 1) ** 3) * det, tuple((k + 3) * t for t in total))]
-    weight = (k + 3) ** 2 * det
-    for p in points:
-        rule.append((weight, tuple((k + 1) * (t + 2 * x) for t, x in zip(total, p))))
-    return tuple(rule)
-
-
 Simplices = tuple[tuple[int, ...], ...]
 
 
@@ -258,48 +239,94 @@ def _triangulate(
     poly: DelzantPolytope,
 ) -> tuple[Simplices, tuple[Simplices, ...], dict[int | None, MomentData | FacetMoments]]:
     """The store entry of ``poly``: the fan triangulations of its body and
-    of each facet's face, and the moments integrated so far, by domain as
-    ``_integrate`` names it (None for the body, else a facet index), each
-    written once its integral has completed."""
+    of each facet's face, the simplices ``_integrate`` sums over, and the
+    moments integrated so far, by domain as ``_integrate`` names it (None
+    for the body, else a facet index), each written once its integral has
+    completed.  The per-vertex weights are built per integral and not
+    kept: a domain is integrated once, so they would never be read again."""
     memo: dict[frozenset[int], Simplices] = {}
     n = poly.dim
     body = _fan(poly, frozenset(range(len(poly.vertices))), n, memo)
     return body, tuple(_fan(poly, face, n - 1, memo) for face in poly.facet_vertices), {}
 
 
-def _integrate(
-    poly: DelzantPolytope,
-    forms: Callable[[IntVector], Sequence[int]],
-    degrees: Sequence[int],
-    domains: Sequence[int | None] = (None,),
-) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact integrals of homogeneous forms over the body or facets in dsigma.
+def _idot(a: Iterable[int], b: Iterable[int]) -> int:
+    return sum(map(mul, a, b))
 
-    ``forms`` maps an integer node X to one int per component, component c
-    of degree ``degrees[c]`` <= 3.  Each domain is the body (None) or a
-    facet index, and gets one tuple of integrals.  The simplices index
-    the polytope's integer vertex table, points D * v, so every node is
-    an int; each sum is divided once at the end.
+
+def _integrate(
+    poly: DelzantPolytope, degree: int, domains: Sequence[int | None] = (None,)
+) -> tuple[dict[tuple[int, ...], Fraction], ...]:
+    """Exact integral of every monomial of degree <= ``degree`` <= 3 over
+    each domain in dsigma, by the simplex moments of the module docstring.
+
+    Each domain is the body (None) or a facet index, and gets one dict
+    from monomials to integrals: x_i x_j ... is keyed by its sorted
+    variable indices (i, j, ...), in the order of
+    ``combinations_with_replacement``, degree by degree.  Each simplex of
+    the domain gives |det| (a facet simplex its mass in the form below)
+    and, from degree 2, its vertex sum S; its |det| goes into the weight
+    w_p of each of its vertices, and from degree 3 its |det| S into the
+    cross weight.  Simplex terms are sums over the simplices, vertex
+    terms sums over the domain's vertices, all in int; each is divided
+    once at the end.
     """
-    if any(d > 3 for d in degrees):
-        raise InvariantViolation(f"the degree-3 rule cannot integrate degrees {tuple(degrees)}")
+    if degree > 3:
+        raise InvariantViolation(f"the simplex moments are exact to degree 3, not {degree}")
     body, faces, _ = _triangulate(poly)
     lcm, table = poly.scaled_vertices
+    n = poly.dim
     out = []
     for facet in domains:
-        normal = None if facet is None else poly.facets[facet].normal
-        k = poly.dim if normal is None else poly.dim - 1
-        total = [0] * len(degrees)
-        for s in body if facet is None else faces[facet]:
-            for weight, node in _simplex_rule([table[i] for i in s], k, normal):
-                total = [t + weight * v for t, v in zip(total, forms(node))]
-        scale = 4 * (k + 1) * (k + 2) * math.factorial(k) * lcm**k
-        if normal is not None:
-            scale *= sum(x * x for x in normal)
-        s_node = lcm * (k + 1) * (k + 3)
-        out.append(
-            tuple(Fraction(t, scale * s_node**d) for t, d in zip(total, degrees, strict=True))
-        )
+        if facet is None:
+            k, simplices, mass, flat = n, body, 1, table
+            vertices: Iterable[int] = range(len(table))
+        else:
+            # The n - 1 edges of a facet simplex lie in u-perp, so their
+            # signed (n-1)-minors C are parallel to u and det[u; edges]
+            # = <u, u> C_c / u_c: the lattice mass |det[u; edges]| / <u, u>
+            # is |C_c| / |u_c|, the edges' determinant without column c.
+            normal = poly.facets[facet].normal
+            mass, drop = min((abs(x), c) for c, x in enumerate(normal) if x)
+            k, simplices = n - 1, faces[facet]
+            vertices = sorted(poly.facet_vertices[facet])
+            flat = {i: table[i][:drop] + table[i][drop + 1 :] for i in vertices}
+        weight = dict.fromkeys(vertices, 0)
+        dets = []
+        for s in simplices:
+            base, *rest = [flat[i] for i in s]
+            det = abs(det_int([list(map(sub, p, base)) for p in rest]))
+            dets.append(det)
+            for i in s:
+                weight[i] += det
+        points = [[table[i][c] for i in weight] for c in range(n)]
+        weighted = [list(map(mul, weight.values(), column)) for column in points]
+        raw = {(): sum(dets)}
+        if degree > 0:
+            raw.update(((i,), sum(weighted[i])) for i in range(n))
+        if degree > 1:
+            sums = list(zip(*[map(sum, zip(*[table[i] for i in s])) for s in simplices]))
+            det_sums = [list(map(mul, dets, column)) for column in sums]
+            for i, j in itertools.combinations_with_replacement(range(n), 2):
+                raw[i, j] = _idot(det_sums[i], sums[j]) + _idot(weighted[i], points[j])
+        if degree > 2:
+            cross = {i: [0] * n for i in weight}
+            for s, d, *total in zip(simplices, dets, *sums):
+                for i in s:
+                    cross[i] = [a + d * b for a, b in zip(cross[i], total)]
+            cross_columns = [[cross[i][c] for i in weight] for c in range(n)]
+            for i, j, l in itertools.combinations_with_replacement(range(n), 3):
+                raw[i, j, l] = (
+                    _idot(map(mul, det_sums[i], sums[j]), sums[l])
+                    + _idot(cross_columns[i], map(mul, points[j], points[l]))
+                    + _idot(cross_columns[j], map(mul, points[i], points[l]))
+                    + _idot(cross_columns[l], map(mul, points[i], points[j]))
+                    + 2 * _idot(map(mul, weighted[i], points[j]), points[l])
+                )
+        scale = [math.factorial(k) * lcm**k * mass]
+        for d in range(1, degree + 1):
+            scale.append(scale[-1] * (k + d) * lcm)
+        out.append({m: Fraction(t, scale[len(m)]) for m, t in raw.items()})
     return tuple(out)
 
 
@@ -313,19 +340,13 @@ def polytope_moments(poly: DelzantPolytope) -> MomentData:
     if None in stored:
         return stored[None]
     n = poly.dim
-    pairs = list(itertools.combinations_with_replacement(range(n), 2))
-    (values,) = _integrate(
-        poly,
-        lambda x: (1, *x, *(x[i] * x[j] for i, j in pairs)),
-        (0, *[1] * n, *[2] * len(pairs)),
-    )
-    second = [[Fraction(0)] * n for _ in range(n)]
-    for (i, j), value in zip(pairs, values[n + 1 :]):
-        second[i][j] = second[j][i] = value
+    (values,) = _integrate(poly, 2)
     stored[None] = moments = MomentData(
-        volume=values[0],
-        first_moments=values[1 : n + 1],
-        second_moments=tuple(tuple(row) for row in second),
+        volume=values[()],
+        first_moments=tuple(values[i,] for i in range(n)),
+        second_moments=tuple(
+            tuple(values[min(i, j), max(i, j)] for j in range(n)) for i in range(n)
+        ),
     )
     return moments
 
@@ -343,12 +364,34 @@ def boundary_moments(
     stored = _triangulate(poly)[2]
     missing = [i for i in range(len(poly.facets)) if i not in skip and i not in stored]
     if missing:
-        values = _integrate(poly, lambda x: (1, *x), (0, *[1] * poly.dim), missing)
-        stored.update((i, FacetMoments(v[0], v[1:])) for i, v in zip(missing, values))
+        values = _integrate(poly, 1, missing)
+        stored.update(
+            (i, FacetMoments(v[()], tuple(v[c,] for c in range(poly.dim))))
+            for i, v in zip(missing, values)
+        )
     entries = tuple(
         None if i in skip else stored[i] for i in range(len(poly.facets))
     )
     return BoundaryMomentData(facets=entries, excluded=tuple(skip))
+
+
+def _coefficients(q: Poly2) -> dict[tuple[int, ...], Fraction]:
+    """q's coefficient of each monomial, keyed as ``_monomials`` names it."""
+    n = q.dimension
+    out = {(): q.constant}
+    out.update(((i,), c) for i, c in enumerate(q.linear))
+    out.update(
+        ((i, j), q.quad[i][j] * (1 + (i < j)))
+        for i, j in itertools.combinations_with_replacement(range(n), 2)
+    )
+    return out
+
+
+def _contract(
+    coefficients: Mapping[tuple[int, ...], Fraction], integrals: Mapping[tuple[int, ...], Fraction]
+) -> Fraction:
+    """Integral of the polynomial with these monomial coefficients."""
+    return sum((c * integrals[m] for m, c in coefficients.items() if c), Fraction(0))
 
 
 def _integrate_poly2(
@@ -359,9 +402,10 @@ def _integrate_poly2(
         raise DimensionMismatch(
             f"polynomial in {q.dimension} variables over a {poly.dim}-dimensional polytope"
         )
-    scale, parts = _graded(q)
-    integrals = _integrate(poly, parts, (0, 1, 2), domains)
-    return sum((sum(values) for values in integrals), Fraction(0)) / scale
+    coefficients = _coefficients(q)
+    return sum(
+        (_contract(coefficients, values) for values in _integrate(poly, 2, domains)), Fraction(0)
+    )
 
 
 def integrate_polynomial(poly: DelzantPolytope, q: Poly2) -> Fraction:

@@ -4,6 +4,7 @@ import ast
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -589,3 +590,78 @@ def test_runs_without_dataclasses_or_inspect():
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+_DIGEST_CHILD = """
+import sys
+import cuspcheck.cli
+
+if "_hashlib" in sys.modules:
+    sys.exit("importing cuspcheck.cli loaded _hashlib")
+import hashlib
+
+for path in sys.argv[1:]:
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    for data in (raw, raw[:1], b"", raw * 1000):
+        if cuspcheck.cli.sha256(data).hexdigest() != hashlib.sha256(data).hexdigest():
+            sys.exit(f"the digest of {path} differs from hashlib's")
+"""
+
+
+def test_input_digest_loads_no_openssl():
+    # hashlib loads _hashlib, and with it OpenSSL, on every run; the CLI
+    # digests its input with the builtin _sha2 or _sha256 instead, and must
+    # print the same "sha256:..." digests as hashlib would.
+    src = str(Path(cuspcheck.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    inputs = sorted(str(p) for p in DATA.glob("*.json"))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _DIGEST_CHILD, *inputs],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def _other_cpythons() -> list[str]:
+    """Each CPython >= 3.10 on PATH, named python3.N, other than the
+    version running the tests, that can start: a name on PATH may be a
+    launcher shim with no interpreter behind it."""
+    probe = "import platform, sys; print(platform.python_implementation(), sys.version_info[1])"
+    found = []
+    for minor in range(10, 30):
+        path = shutil.which(f"python3.{minor}")
+        if path is None or minor == sys.version_info.minor:
+            continue
+        try:
+            done = subprocess.run([path, "-c", probe], capture_output=True, text=True, timeout=30)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        if done.returncode == 0 and done.stdout.split() == ["CPython", str(minor)]:
+            found.append(path)
+    return found
+
+
+def test_golden_output_on_other_interpreters():
+    # The golden files are byte for byte what every supported CPython
+    # prints, not only the one running the tests: on 3.12 and later the
+    # input digest comes from _sha2, on 3.10 and 3.11 from _sha256.
+    interpreters = _other_cpythons()
+    if not interpreters:
+        pytest.skip("no other CPython >= 3.10 on PATH")
+    src = str(Path(cuspcheck.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    for python in interpreters:
+        for name, argv in sorted(GOLDEN_COMMANDS.items()):
+            done = subprocess.run(
+                [python, "-m", "cuspcheck.cli", *argv],
+                cwd=DATA,
+                env=env,
+                capture_output=True,
+                timeout=120,
+            )
+            expected = (DATA / "golden" / f"{name}.json").read_bytes()
+            assert (done.returncode, done.stdout) == (0, expected), (python, name, done.stderr)

@@ -84,6 +84,31 @@ def test_det_two_by_two_matches_the_elimination():
     assert singular >= 100
 
 
+def test_det_three_by_three_matches_the_elimination():
+    # det_int takes 3 x 3 input in closed form too; singular kinds: a row a
+    # combination of the other two, a zero row, a zero column.  Its own
+    # generator leaves the draws of the other tests as they were.
+    rng = random.Random(333)
+    singular = 0
+    for _ in range(400):
+        m = [[rng.randint(-6, 6) for _ in range(3)] for _ in range(3)]
+        kind = rng.randrange(4)
+        if kind == 1:
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            m[2] = [a * x + b * y for x, y in zip(m[0], m[1])]
+            rng.shuffle(m)
+        elif kind == 2:
+            m[rng.randrange(3)] = [0, 0, 0]
+        elif kind == 3:
+            col = rng.randrange(3)
+            for row in m:
+                row[col] = 0
+        pivots, d = _eliminate([row[:] for row in m], 3)
+        expected = d if len(pivots) == 3 else 0
+        assert det_int(m) == det_int(tuple(map(tuple, m))) == expected
+        singular += expected == 0
+    assert singular >= 100
+
 def test_solve_matches_sympy():
     for n in (1, 2, 3, 4):
         for _ in range(15):

@@ -559,7 +559,7 @@ def test_face_rule_matches_point_ranks_on_tower_rounds(round_):
     _assert_faces_match_point_ranks(tower_rounds()[round_ - 1])
 
 
-# --- the simplex rule against the barycentric expansion it replaced ---
+# --- the simplex moments against the barycentric expansion ---
 
 
 def _simplex_monomial_integral(
@@ -621,20 +621,17 @@ def _monomials_to_degree_three(n):
 
 
 def _assert_rule_matches_expansion(poly):
-    # Same triangulation, two integrators: the degree-3 rule at k + 2 nodes
-    # per simplex against the expansion over all vertex tuples, exactly.
+    # Same triangulation, two integrators: the kernel's closed-form simplex
+    # moments, gathered through per-vertex weights, against the expansion
+    # over all vertex tuples, simplex by simplex, exactly.
     alphas = _monomials_to_degree_three(poly.dim)
-
-    def monomials(x):
-        return tuple(math.prod(xi**a for xi, a in zip(x, alpha)) for alpha in alphas)
-
     # The triangulation indexes the vertex list; the expansion takes points.
     points = [v.point for v in poly.vertices]
     body, facets, _ = _triangulate(poly)
     for index, simplices in [(None, body), *enumerate(facets)]:
         normal = None if index is None else poly.facets[index].normal
-        expected = tuple(
-            sum(
+        expected = {
+            alpha: sum(
                 (
                     _simplex_monomial_integral([points[i] for i in s], alpha, normal)
                     for s in simplices
@@ -642,14 +639,16 @@ def _assert_rule_matches_expansion(poly):
                 Fraction(0),
             )
             for alpha in alphas
-        )
-        (got,) = _integrate(poly, monomials, [sum(a) for a in alphas], [index])
-        assert got == expected, index
+        }
+        (got,) = _integrate(poly, 3, [index])
+        exponents = {tuple(m.count(c) for c in range(poly.dim)): v for m, v in got.items()}
+        assert list(exponents) == alphas, index
+        assert exponents == expected, index
 
 
 def test_integrate_refuses_degree_four(triangle):
     with pytest.raises(InvariantViolation):
-        _integrate(triangle, lambda x: (1, x[0] ** 4), (0, 4))
+        _integrate(triangle, 4)
 
 
 @pytest.mark.parametrize(
@@ -666,6 +665,48 @@ def test_moment_fields_are_fractions_not_ints(build):
     for fm in boundary_moments(poly).facets:
         values += [fm.measure, *fm.first_moments]
     assert all(type(x) is Fraction for x in values)
+
+
+def _tower3d_round3():
+    state = start_tower(unit_simplex(3), "hyp")
+    for r in range(1, 4):
+        state = tower_step(state, Fraction(1, 4**r))
+    return state.polytope
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: unit_cube(3), _tower3d_round3], ids=["cube3", "tower3d_round3"]
+)
+def test_moments_build_one_fraction_per_monomial_per_domain(build, monkeypatch):
+    # The kernel sums in int over the simplices and divides each sum once,
+    # at the end: from a cleared store, the body's moments and every facet's
+    # build one Fraction per monomial per domain and no more, however many
+    # simplices there are.  Fraction arithmetic builds through __new__, or
+    # through _from_coprime_ints on Python 3.12 and later.
+    poly = build()
+    n = poly.dim
+    assert len(_triangulate(poly)[0]) > n + 1
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    if hasattr(Fraction, "_from_coprime_ints"):
+        coprime = Fraction._from_coprime_ints
+        monkeypatch.setattr(
+            Fraction,
+            "_from_coprime_ints",
+            classmethod(lambda cls, a, b: built.append((a, b)) or coprime(a, b)),
+        )
+    _triangulate.cache_clear()
+    polytope_moments(poly)
+    boundary_moments(poly)
+    monkeypatch.undo()
+    monomials = (1 + n + n * (n + 1) // 2) + len(poly.facets) * (1 + n)
+    assert 0 < len(built) <= monomials
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

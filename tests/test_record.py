@@ -122,9 +122,9 @@ def test_checking_every_facet_integrates_the_body_once(monkeypatch):
     calls = []
     integrate = moments._integrate
 
-    def counting(poly, forms, degrees, domains=(None,)):
+    def counting(poly, degree, domains=(None,)):
         calls.append((poly, tuple(domains)))
-        return integrate(poly, forms, degrees, domains)
+        return integrate(poly, degree, domains)
 
     monkeypatch.setattr(moments, "_integrate", counting)
     moments._triangulate.cache_clear()
