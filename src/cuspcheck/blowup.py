@@ -15,17 +15,18 @@ length <= 2 * eps joins their corners.  The chop removes v and adds the
 vertices v + eps * w_i, tight on the new facet and on the corner's
 facets but the i-th, with edge generators w_k - w_i (k != i) and w_i.
 
-Every chop claims these points, tight sets and generators, and every
-vertex it keeps with its tight set and generators unchanged, since the
-new facets are appended.  Both tight sets follow from the two checks
-that stay explicit.  Below the depth bound v + eps * w_i lies inside
-its edge, so it is tight on that edge's facets only.  Every vertex but
-a corner c lies above the facet of the chop at c by at least the
-shortest edge at c, less eps, so a kept vertex is tight on no new facet;
-with no interacting pair, neither is a vertex created at another corner.
-The construction checks each claimed tight facet and the generators in
-int, with no sweep of every vertex against every facet and no
-re-enumeration: O(V * n^3) int work in all.
+Every chop hands the polytope the ``Vertex`` records it keeps, the
+parent's own, and one per created vertex, with edge generators; the
+new facets are appended, so kept tight sets are unchanged.  Both tight
+sets follow from the two checks that stay explicit.  Below the depth
+bound v + eps * w_i lies inside its edge, so it is tight on that edge's
+facets only.  Every vertex but a corner c lies above the facet of the
+chop at c by at least the shortest edge at c, less eps, so a kept vertex
+is tight on no new facet; with no interacting pair, neither is a vertex
+created at another corner.  The construction checks each claimed tight
+facet and the generators in int, with no sweep of every vertex against
+every facet and no re-enumeration: O(V * n^3) int work in all.  Edge
+lengths and created points are read off the integer vertex table.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from typing import Sequence
 
 from .errors import (
     ChopTooDeep,
+    DimensionMismatch,
     InteractingChops,
     InvariantViolation,
     NotAVertex,
@@ -64,6 +66,8 @@ def _corner(
     facets: generator i leaves the i-th active facet, and length i is
     the lattice length of the edge along it.
     """
+    if poly.dim < 2:
+        raise DimensionMismatch("chops need a polytope of dimension >= 2")
     vertex, cone = poly.vertices[k], poly.cones[k]
     if len(vertex.active) != poly.dim:
         raise NotUnimodular(
@@ -76,13 +80,13 @@ def _corner(
             "normal determinant other than +-1"
         )
     new_normal = tuple(map(sum, zip(*(poly.facets[i].normal for i in vertex.active))))
-    base_offset = sum((poly.facets[i].offset for i in vertex.active), Fraction(0))
+    # The corner is tight on its active facets, so D * base = <N, X_k>.
     scale, table = poly.scaled_vertices
+    base = sum(map(mul, new_normal, table[k]))
     lengths = tuple(
-        Fraction(sum(map(mul, new_normal, table[j])), scale) - base_offset
-        for j in cone.neighbours
+        Fraction(sum(map(mul, new_normal, table[j])) - base, scale) for j in cone.neighbours
     )
-    return new_normal, base_offset, cone.generators, lengths
+    return new_normal, Fraction(base, scale), cone.generators, lengths
 
 
 def max_chop_parameter(poly: DelzantPolytope, vertex: Sequence[Fraction]) -> Fraction:
@@ -127,21 +131,22 @@ def _chop(
                 f"parameter {format_rational(eps)}"
             )
     facets = list(poly.facets)
-    claimed = [
-        (v.point, cone.generators, v.active)
-        for k, (v, cone) in enumerate(zip(poly.vertices, poly.cones))
-        if k not in order
-    ]
-    for (k, normal, base, generators, _), label in zip(corners, labels):
-        corner = poly.vertices[k]
+    kept = [k for k in range(len(poly.vertices)) if k not in order]
+    claimed = [poly.vertices[k] for k in kept]
+    generators = [poly.cones[k].generators for k in kept]
+    # With eps = p / q, X_k / D + eps * w = (q X_k + p D w) / (q D).
+    scale, table = poly.scaled_vertices
+    p, q = eps.numerator, eps.denominator
+    for (k, normal, base, cone, _), label in zip(corners, labels):
+        active = poly.vertices[k].active
         new = (len(facets),)
         facets.append(Facet(normal=normal, offset=base + eps, label=label))
-        for i, w in enumerate(generators):
-            point = tuple(x + eps * d for x, d in zip(corner.point, w))
-            others = generators[:i] + generators[i + 1 :]
-            cone = tuple(tuple(a - b for a, b in zip(g, w)) for g in others) + (w,)
-            claimed.append((point, cone, corner.active[:i] + corner.active[i + 1 :] + new))
-    return DelzantPolytope._from_claimed_vertices(poly.dim, tuple(facets), claimed)
+        for i, w in enumerate(cone):
+            point = tuple(Fraction(q * x + p * scale * d, q * scale) for x, d in zip(table[k], w))
+            others = cone[:i] + cone[i + 1 :]
+            generators.append(tuple(tuple(a - b for a, b in zip(g, w)) for g in others) + (w,))
+            claimed.append(Vertex(point=point, active=active[:i] + active[i + 1 :] + new))
+    return DelzantPolytope._from_claimed_vertices(poly.dim, tuple(facets), claimed, generators)
 
 
 def blow_up_vertex(

@@ -15,6 +15,7 @@ shows as inf or -inf.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -235,9 +236,7 @@ def _cmd_tower(args: argparse.Namespace):
     if args.rounds < 1:
         raise ValueError("--rounds must be at least 1")
     schedule = [parse_rational(x.strip()) for x in args.eps.split(",")]
-    if len(schedule) == 1:
-        schedule = schedule * args.rounds
-    if len(schedule) != args.rounds:
+    if len(schedule) not in (1, args.rounds):
         raise ValueError(
             f"--eps must give one parameter or one per round; got "
             f"{len(schedule)} for {args.rounds} rounds"
@@ -252,7 +251,8 @@ def _cmd_tower(args: argparse.Namespace):
         )
     state = start_tower(poly, _facet_key(args.facet))
     per_round = []
-    for eps in schedule:
+    # One parameter serves every round; it is repeated, never copied out.
+    for eps in itertools.repeat(schedule[0], args.rounds) if len(schedule) == 1 else schedule:
         state = tower_step(state, eps)
         delzant = is_delzant(state.polytope)
         obstruction = check_facet_condition(state.polytope, state.divisor_facet)

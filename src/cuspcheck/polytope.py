@@ -9,22 +9,25 @@ DelzantPolytope as a fully checked immutable value.  The cone table
 ``cones``, built on first use, stores each vertex's edge generators
 (Delzant's construction) and edge neighbours once for every caller.
 
-User input (direct construction, ``from_data``) finds its vertices by
-the C(m, n) scan over n-subsets of the m facets.  When the normals span
-R^n the polyhedron is pointed, so it is empty iff the scan finds no
-vertex; when they do not, it is unbounded unless empty, and the same
-scan over the normals' pivot columns decides which.  A polytope derived
-from a verified parent claims its vertices with their tight facets
-instead (``_from_claimed_vertices``).  A corner chop (``blowup``) claims
-points, tight facets and edge generators in closed form; ``facet_polytope``
-maps the parent's vertices on the facet through the dual of its chart
-frame, each tight on the parent's ridge facets there.  Each claimed tight
-facet is checked in int and no point is swept against every facet, so a
-derived build costs O(V * n^2), against O(C(m, n) * m) for the scan.
-Both paths run one open-edge test, for a ridge of a vertex's active
-facets tight at no other vertex whose line leaves the vertex into the
-polytope: over the scan's complete vertex set it is a ray, and over a
-claimed polytope's bounded polyhedron it ends in an unclaimed vertex.
+Every build path hands ``_set_vertices`` one list of ``Vertex`` records,
+each a point with the facets tight there.  User input (direct
+construction, ``from_data``) finds them by the C(m, n) scan over
+n-subsets of the m facets, reading each tight set off the integer
+heights its feasibility test compares.  When the normals span R^n the
+polyhedron is pointed, so it is empty iff the scan finds no vertex; when
+they do not, it is unbounded unless empty, and the same scan over the
+normals' pivot columns decides which.  A polytope derived from a verified
+parent claims its records instead (``_from_claimed_vertices``): a corner
+chop (``blowup``) keeps its parent's records and adds the created ones,
+with edge generators; ``facet_polytope`` maps the parent's vertices on
+the facet through the dual of its chart frame, each tight on the
+parent's ridge facets there.  Each named tight facet is checked in int
+and no point is swept against every facet, so a derived build costs
+O(V * n^2), against O(C(m, n) * m) for the scan.  Both paths run one
+open-edge test, for a ridge of a vertex's active facets tight at no
+other vertex whose line leaves the vertex into the polytope: over the
+scan's complete vertex set it is a ray, and over a claimed polytope's
+bounded polyhedron it ends in an unclaimed vertex.
 
 Setting the vertices also clears their denominators once: the integer
 vertex table ``scaled_vertices`` holds D, the lcm of the vertex
@@ -203,25 +206,36 @@ def _height_rows(
 
 def _vertex_candidates(
     normals: Sequence[IntVector], offsets: Sequence[Fraction]
-) -> set[Vector]:
-    """Feasible points cut out by n independent facets: the C(m, n) scan.
+) -> list[Vertex]:
+    """The vertices cut out by n independent facets: the C(m, n) scan.
 
     Each facet is its integer height row (q u, p) for c = p / q, built
     once, and each n-subset is one fraction-free elimination
     (``solve_int``): it gives the point as y / d with d > 0, so the
-    feasibility <q u, y> >= p d is tested in int before any Fraction.
+    feasibility <q u, y> >= p d is tested in int before any Fraction, and
+    the rows where it holds with equality are the point's tight set.  A
+    point that several subsets cut out is recorded once.
     """
     heights = _height_rows(normals, offsets, 1)
     rows = [(*u, rhs) for u, rhs in heights]
-    cands: set[Vector] = set()
+    found: dict[Vector, Vertex] = {}
     for subset in itertools.combinations(rows, len(normals[0])):
         solved = solve_int(subset)
         if solved is None:
             continue
         y, d = solved
-        if all(sum(map(mul, u, y)) >= rhs * d for u, rhs in heights):
-            cands.add(tuple(Fraction(v, d) for v in y))
-    return cands
+        active = []
+        for i, (u, rhs) in enumerate(heights):
+            slack = sum(map(mul, u, y)) - rhs * d
+            if slack < 0:
+                break
+            if not slack:
+                active.append(i)
+        else:
+            point = tuple(Fraction(v, d) for v in y)
+            if point not in found:
+                found[point] = Vertex(point=point, active=tuple(active))
+    return list(found.values())
 
 
 class DelzantPolytope(Record):
@@ -259,7 +273,7 @@ class DelzantPolytope(Record):
             if len(pivots) == self.dim or not _vertex_candidates(restricted, offsets):
                 raise EmptyPolytope("no point satisfies all facet inequalities")
             raise UnboundedPolytope("facet normals do not span the ambient space")
-        self._set_vertices(list(candidates))
+        self._set_vertices(candidates)
         edge = self._open_edge(self._ridge_ends())
         if edge is not None:
             raise UnboundedPolytope(f"recession direction {edge[1]} is unbounded")
@@ -270,37 +284,33 @@ class DelzantPolytope(Record):
         cls,
         dim: int,
         facets: Sequence[Facet],
-        claimed: Sequence[tuple],
+        vertices: Sequence[Vertex],
+        generators: Sequence[tuple[IntVector, ...] | None] | None = None,
     ) -> "DelzantPolytope":
         """Build from claimed vertices, verified.
 
-        A claim is (point, generators) or (point, generators, active), the
-        edge generators None where none are claimed and ``active`` the
-        point's tight facets in increasing order; every claim takes the
-        same form.  The caller guarantees boundedness: ``facets`` must
-        include those of a polytope.  A 2-tuple claim's point is swept
-        against every facet, which it must satisfy, to find its tight
-        facets: O(V * m).  A claimed tight set is the caller's derivation
-        from verified parent data, and each facet in it is only checked
-        tight, in int: O(V * n^2) in all.  Completeness is the open-edge
-        test, since an edge from a claimed vertex to an unclaimed one is
-        open, and a vertex set closed under edges is the whole vertex set:
-        the graph of a polytope is connected (Balinski).  The cone table
-        checks the claimed generators, and that every point is a vertex.
-        It is built at once, unless the claims carry tight sets and no
-        generators, as a facet polytope's do, whose vertices are its
-        parent's: then it waits for first use, as on the scan path.  Any
-        failure raises InvariantViolation; the face checks of the scan path
-        follow.  The scan costs O(C(m, n) * m).
+        Each claim is a ``Vertex`` whose tight facets, in increasing order,
+        the caller derived from verified parent data; ``generators``,
+        parallel to it, claims edge generators, None where there are none.
+        The caller guarantees boundedness: ``facets`` must include those of
+        a polytope.  ``_set_vertices`` checks each claimed tight facet in
+        int, O(V * n^2) in all, against O(C(m, n) * m) for the scan.
+        Completeness is the open-edge test, since an edge from a claimed
+        vertex to an unclaimed one is open, and a vertex set closed under
+        edges is the whole vertex set: the graph of a polytope is connected
+        (Balinski).  With ``generators`` the cone table is built at once,
+        which checks them and that every point is a vertex; without, as for
+        a facet polytope, whose vertices are its parent's, it waits for
+        first use, as on the scan path.  Any failure raises
+        InvariantViolation; the face checks of the scan path follow.
         """
         poly = object.__new__(cls)
         object.__setattr__(poly, "dim", dim)
         object.__setattr__(poly, "facets", facets)
         poly._check_facets()
-        if not claimed:
+        if not vertices:
             raise InvariantViolation("no vertices claimed for the polytope")
-        actives = [claim[2] for claim in claimed] if len(claimed[0]) > 2 else None
-        order = poly._set_vertices([claim[0] for claim in claimed], actives)
+        order = poly._set_vertices(vertices)
         table = poly.scaled_vertices[1]
         if any(a == b for a, b in zip(table, table[1:])):
             raise InvariantViolation("a claimed vertex is listed twice")
@@ -310,9 +320,9 @@ class DelzantPolytope(Record):
             raise InvariantViolation(
                 f"the edge on facets {list(edge[0])} has 1 claimed endpoints, expected 2"
             )
-        generators = [claimed[k][1] for k in order]
-        if actives is None or any(cone is not None for cone in generators):
-            object.__setattr__(poly, "cones", poly._vertex_cones(generators, ends))
+        if generators is not None:
+            cones = poly._vertex_cones([generators[k] for k in order], ends)
+            object.__setattr__(poly, "cones", cones)
         poly._check_faces()
         return poly
 
@@ -345,22 +355,20 @@ class DelzantPolytope(Record):
             raise ValueError("facet labels must be unique")
         return [f.normal for f in facets], [f.offset for f in facets]
 
-    def _set_vertices(
-        self, points: Sequence[Vector], actives: Sequence[tuple[int, ...]] | None = None
-    ) -> list[int]:
-        """Store ``vertices``, the points in lexicographic order with their
-        tight facets, the integer vertex table ``scaled_vertices`` and the
-        incidence table ``facet_vertices``, the vertices tight on each facet.
-        Returns the index in ``points`` of each vertex, in that order.
+    def _set_vertices(self, vertices: Sequence[Vertex]) -> list[int]:
+        """Store ``vertices``, the given records in lexicographic order,
+        the integer vertex table ``scaled_vertices`` and the incidence table
+        ``facet_vertices``, the vertices tight on each facet.  Returns the
+        index in ``vertices`` of each record, in that order.
 
-        The table is D, the lcm of the vertex denominators, and the points
-        D * v, sorted on these int rows; every height is compared on it in
-        int (``_height_rows``).  With ``actives`` None, every point is swept
-        against every facet for its tight facets, and a point outside the
-        polytope raises InvariantViolation.  Otherwise ``actives`` claims
-        the tight facets, parallel to ``points``, and a claimed facet that
-        is not tight raises it.  Either is a defect of the caller.
+        This is the one vertex contract of every build path.  The table is
+        D, the lcm of the vertex denominators, and the points D * v, sorted
+        on these int rows.  Each facet a record names is checked tight on
+        it in int (``_height_rows``), and InvariantViolation, a defect of
+        the caller, is raised otherwise; no point is swept against every
+        facet.
         """
+        points = [v.point for v in vertices]
         scale = math.lcm(*[x.denominator for p in points for x in p])
         scaled = [tuple(x.numerator * (scale // x.denominator) for x in p) for p in points]
         order = sorted(range(len(points)), key=scaled.__getitem__)
@@ -368,34 +376,17 @@ class DelzantPolytope(Record):
         rows = _height_rows(
             [f.normal for f in self.facets], [f.offset for f in self.facets], scale
         )
-        vertices = []
         incidence: list[list[int]] = [[] for _ in rows]
         for k, (j, row) in enumerate(zip(order, table)):
-            point = points[j]
-            if actives is None:
-                active = []
-                for i, (u, rhs) in enumerate(rows):
-                    height = sum(map(mul, u, row))
-                    if height < rhs:
-                        raise InvariantViolation(
-                            f"vertex {format_rational_vector(point)} violates facet {i}"
-                        )
-                    if height == rhs:
-                        active.append(i)
-                active = tuple(active)
-            else:
-                active = actives[j]
-                for i in active:
-                    u, rhs = rows[i]
-                    if sum(map(mul, u, row)) != rhs:
-                        raise InvariantViolation(
-                            f"claimed vertex {format_rational_vector(point)} "
-                            f"is not tight on facet {i}"
-                        )
-            for i in active:
+            for i in vertices[j].active:
+                u, rhs = rows[i]
+                if sum(map(mul, u, row)) != rhs:
+                    raise InvariantViolation(
+                        f"claimed vertex {format_rational_vector(points[j])} "
+                        f"is not tight on facet {i}"
+                    )
                 incidence[i].append(k)
-            vertices.append(Vertex(point=point, active=active))
-        object.__setattr__(self, "vertices", tuple(vertices))
+        object.__setattr__(self, "vertices", tuple(vertices[j] for j in order))
         object.__setattr__(self, "scaled_vertices", (scale, table))
         object.__setattr__(self, "facet_vertices", tuple(map(frozenset, incidence)))
         return order
@@ -728,10 +719,9 @@ def facet_polytope(
     duals = transpose(inverse_unimodular((w, *basis)))[1:]
     scale, table = poly.scaled_vertices
     claimed = [
-        (
-            tuple(Fraction(sum(map(mul, d, table[k])), scale) for d in duals),
-            None,
-            tuple(ridges[j] for j in poly.vertices[k].active if j in ridges),
+        Vertex(
+            point=tuple(Fraction(sum(map(mul, d, table[k])), scale) for d in duals),
+            active=tuple(ridges[j] for j in poly.vertices[k].active if j in ridges),
         )
         for k in on_facet
     ]

@@ -7,17 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import unit_cube, unit_simplex
+from conftest import interval, unit_cube, unit_simplex
 from cuspcheck import (
     BlowupSpec,
     ChopTooDeep,
     DelzantPolytope,
+    DimensionMismatch,
     Facet,
     InteractingChops,
     InvariantViolation,
     NotAVertex,
     NotUnimodular,
     TowerState,
+    Vertex,
     apply_unimodular,
     blow_up_vertex,
     free_fixed_points,
@@ -121,6 +123,21 @@ def test_chop_rejections(triangle):
     with pytest.raises(NotAVertex):
         blow_up_vertex(triangle, (Fraction(1, 2), Fraction(1, 2)), Fraction(1, 8))
 
+
+
+def test_chops_in_dimension_one_are_refused():
+    # A segment has no corner to chop: each call is refused up front, not
+    # by a chop facet that repeats a normal.
+    segment = interval(0, 1)
+    calls = (
+        lambda: blow_up_vertex(segment, (0,), Fraction(1, 4)),
+        lambda: max_chop_parameter(segment, (0,)),
+        lambda: tower_step(start_tower(segment, "hi"), Fraction(1, 4)),
+    )
+    for call in calls:
+        with pytest.raises(DimensionMismatch) as info:
+            call()
+        assert str(info.value) == "chops need a polytope of dimension >= 2"
 
 def test_chop_rejects_singular_corner():
     poly = DelzantPolytope(
@@ -311,13 +328,14 @@ def test_every_dropped_vertex_is_found_missing():
     # neighbours with a single claimed end.
     cases = _tower_rounds(2, 4) + _tower_rounds(3, 2)
     for poly in cases:
-        claims = [(v.point, cone.generators) for v, cone in zip(poly.vertices, poly.cones)]
-        rebuilt = DelzantPolytope._from_claimed_vertices(poly.dim, poly.facets, claims)
+        claims = list(poly.vertices)
+        cones = [cone.generators for cone in poly.cones]
+        rebuilt = DelzantPolytope._from_claimed_vertices(poly.dim, poly.facets, claims, cones)
         assert rebuilt.vertices == poly.vertices
         for k in range(len(claims)):
             with pytest.raises(InvariantViolation, match="claimed endpoints, expected 2"):
                 DelzantPolytope._from_claimed_vertices(
-                    poly.dim, poly.facets, claims[:k] + claims[k + 1 :]
+                    poly.dim, poly.facets, claims[:k] + claims[k + 1 :], cones[:k] + cones[k + 1 :]
                 )
     assert [len(poly.vertices) for poly in cases] == [4, 6, 10, 18, 6, 12]
 
@@ -390,31 +408,32 @@ def test_builds_and_chops_compare_no_fraction_heights(monkeypatch):
 def test_claimed_vertex_sets_are_verified(triangle):
     chopped = blow_up_vertex(triangle, (0, 0), Fraction(1, 4))
     facets = chopped.facets
-    good = [(v.point, cone.generators) for v, cone in zip(chopped.vertices, chopped.cones)]
-    rebuilt = DelzantPolytope._from_claimed_vertices(2, facets, good[::-1])
+    good = list(chopped.vertices)
+    cones = [cone.generators for cone in chopped.cones]
+    rebuilt = DelzantPolytope._from_claimed_vertices(2, facets, good[::-1], cones[::-1])
     assert rebuilt.vertices == chopped.vertices
     assert rebuilt.cones == chopped.cones
-    cone = good[0][1]
     midpoint = (Fraction(1, 2), Fraction(1, 2))
-    outside = good[:-1] + [((Fraction(2), Fraction(0)), cone)]
-    on_edge = good + [(midpoint, ((1, -1),))]
+    # (2, 0) lies on x1 but outside the hypotenuse, facet 2, in place of (1, 0)
+    outside = good[:-1] + [Vertex((Fraction(2), Fraction(0)), good[-1].active)]
+    # tight on the hypotenuse alone: rank 1, so no vertex
+    on_edge = good + [Vertex(midpoint, (2,))]
     cases = {
-        "no vertices claimed": [],
-        "listed twice": good + good[:1],
-        # tight on the hypotenuse alone: rank 1, so no vertex
-        "is not a vertex": good + [(midpoint, None)],
-        "violates facet 2": outside,
-        "fails the vertex test": on_edge,
-        "claimed endpoints, expected 2": good[:-1],
+        "no vertices claimed": ([], []),
+        "listed twice": (good + good[:1], cones + cones[:1]),
+        "is not a vertex": (on_edge, cones + [None]),
+        "is not tight on facet 2": (outside, cones),
+        "fails the vertex test": (on_edge, cones + [((1, -1),)]),
+        "claimed endpoints, expected 2": (good[:-1], cones[:-1]),
     }
-    for message, claimed in cases.items():
+    for message, (claimed, generators) in cases.items():
         with pytest.raises(InvariantViolation, match=message):
-            DelzantPolytope._from_claimed_vertices(2, facets, claimed)
+            DelzantPolytope._from_claimed_vertices(2, facets, claimed, generators)
 
     # The chop at (0, 0) creates (1/4, 0) along w_0 = (1, 0) of the corner's
     # cone (w_0, w_1) = ((1, 0), (0, 1)); its cone is (w_1 - w_0, w_0).
-    k = [point for point, _ in good].index((Fraction(1, 4), Fraction(0)))
-    created, cone = good[k]
+    k = [v.point for v in good].index((Fraction(1, 4), Fraction(0)))
+    cone = cones[k]
     assert cone == ((-1, 1), (1, 0))
     wrong_cones = {
         "swapped generators": (cone[1], cone[0]),
@@ -422,53 +441,58 @@ def test_claimed_vertex_sets_are_verified(triangle):
         "w_1 in place of w_1 - w_0": ((0, 1), cone[1]),
     }
     for wrong in wrong_cones.values():
-        claimed = good[:k] + [(created, wrong)] + good[k + 1 :]
+        generators = cones[:k] + [wrong] + cones[k + 1 :]
         with pytest.raises(InvariantViolation, match="do not invert the normals"):
-            DelzantPolytope._from_claimed_vertices(2, facets, claimed)
+            DelzantPolytope._from_claimed_vertices(2, facets, good, generators)
 
 
-def test_each_tower_chop_matches_a_sweep_of_its_claims(monkeypatch):
-    # A chop claims each vertex's tight set; the same points and
-    # generators without them are swept against every facet instead.
-    build = DelzantPolytope._from_claimed_vertices.__func__
-    calls = []
-
-    def captured(cls, dim, facets, claimed):
-        calls.append((dim, facets, claimed))
-        return build(cls, dim, facets, claimed)
-
-    monkeypatch.setattr(DelzantPolytope, "_from_claimed_vertices", classmethod(captured))
+def test_each_tower_chop_matches_the_scan_of_its_facets():
+    # A chop claims each vertex's tight set and generators; the C(m, n)
+    # scan of the chopped facets finds the same tables.
     for dim, rounds in ((2, 6), (3, 3)):
         state = start_tower(unit_simplex(dim), "hyp")
         for r in range(1, rounds + 1):
-            del calls[:]
             state = tower_step(state, Fraction(1, 4**r))
-            ((_, facets, claimed),) = calls
-            assert {len(claim) for claim in claimed} == {3}
-            swept = build(DelzantPolytope, dim, facets, [claim[:2] for claim in claimed])
             chopped = state.polytope
-            assert chopped.vertices == swept.vertices
-            assert chopped.scaled_vertices == swept.scaled_vertices
-            assert chopped.facet_vertices == swept.facet_vertices
-            assert chopped.cones == swept.cones
+            scanned = DelzantPolytope(dim, chopped.facets)
+            assert chopped.vertices == scanned.vertices
+            assert chopped.scaled_vertices == scanned.scaled_vertices
+            assert chopped.facet_vertices == scanned.facet_vertices
+            assert chopped.cones == scanned.cones
+
+
+def test_a_chop_keeps_its_parents_vertex_records():
+    # The vertices a chop keeps are the parent's own Vertex objects, handed
+    # over as they are; only the created vertices are new records.
+    cube = unit_cube(3)
+    chopped = blow_up_vertex(cube, (0, 0, 0), Fraction(1, 4))
+    held = {id(v) for v in chopped.vertices}
+    assert [id(v) in held for v in cube.vertices] == [False] + [True] * 7
+    state = start_tower(unit_simplex(3), "hyp")
+    for r in range(1, 4):
+        parent, designated = state.polytope, set(state._designated())
+        state = tower_step(state, Fraction(1, 4**r))
+        held = {id(v) for v in state.polytope.vertices}
+        kept = [id(v) in held for v in parent.vertices]
+        assert kept == [k not in designated for k in range(len(parent.vertices))]
+        assert len(held) == sum(kept) + 3 * len(designated)
 
 
 def test_a_chop_claim_with_a_wrong_tight_set_is_refused(triangle):
     chopped = blow_up_vertex(triangle, (0, 0), Fraction(1, 4))
-    claims = [
-        (v.point, cone.generators, v.active) for v, cone in zip(chopped.vertices, chopped.cones)
-    ]
-    rebuilt = DelzantPolytope._from_claimed_vertices(2, chopped.facets, claims[::-1])
+    claims = list(chopped.vertices)
+    cones = [cone.generators for cone in chopped.cones]
+    rebuilt = DelzantPolytope._from_claimed_vertices(2, chopped.facets, claims[::-1], cones[::-1])
     assert rebuilt.vertices == chopped.vertices
     assert rebuilt.cones == chopped.cones
     # (1/4, 0) is tight on x1 and the chop facet E, facets 1 and 3.
-    k = [v.point for v in chopped.vertices].index((Fraction(1, 4), Fraction(0)))
-    point, cone, active = claims[k]
+    k = [v.point for v in claims].index((Fraction(1, 4), Fraction(0)))
+    point, active = claims[k].point, claims[k].active
     assert active == (1, 3)
     for wrong, facet in (((0, 3), 0), ((1, 2), 2), ((1, 2, 3), 2)):
         with pytest.raises(InvariantViolation) as info:
             DelzantPolytope._from_claimed_vertices(
-                2, chopped.facets, claims[:k] + [(point, cone, wrong)] + claims[k + 1 :]
+                2, chopped.facets, claims[:k] + [Vertex(point, wrong)] + claims[k + 1 :], cones
             )
         assert str(info.value) == f"claimed vertex ['1/4', '0'] is not tight on facet {facet}"
 

@@ -244,6 +244,34 @@ def test_empty_document_refused_in_bounded_time():
     assert "error at /: no point satisfies all facet inequalities" in done.stderr
 
 
+
+def test_constant_tower_parameter_is_not_copied_per_round():
+    # One --eps serves every round without a list of --rounds entries, so
+    # a huge round count fails at round 2, where eps = 1/4 is too deep.
+    src = str(Path(cuspcheck.__file__).resolve().parents[1])
+    argv = ["tower", "simplex2.json", "--facet", "hyp", "--rounds", str(10**15), "--eps", "1/4"]
+    done = subprocess.run(
+        [sys.executable, "-m", "cuspcheck.cli", *argv],
+        cwd=DATA,
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: round 2 chop at ")
+    assert "Traceback" not in done.stderr
+
+
+def test_exit_one_on_a_chop_in_dimension_one(tmp_path, capsys):
+    segment = {"dim": 1, "facets": [{"normal": [1], "offset": 0}, {"normal": [-1], "offset": -1}]}
+    doc = tmp_path / "segment.json"
+    doc.write_text(json.dumps(segment))
+    code, out, err = run_cli(capsys, ["blowup", str(doc), "--vertex", "0", "--eps", "1/4"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: chops need a polytope of dimension >= 2\n"
+
 def test_exit_one_on_usage_errors(capsys, in_data_dir):
     with pytest.raises(SystemExit) as exc:
         cli.run(["vertices", "--bogus", "simplex2.json"])

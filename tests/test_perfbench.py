@@ -7,6 +7,8 @@ its public API, ``moments._triangulate.cache_info()`` among them, so a
 change that renames one fails here, not only in a benchmark run.
 """
 
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -14,6 +16,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from cuspcheck.polytope import DelzantPolytope
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -32,3 +36,15 @@ def test_benchmark_pass_runs_clean(workload):
     assert result["failures"] == []
     assert result["ops"] > 0
     assert result["triangulate"]["misses"] > 0
+
+
+def test_traced_names_still_exist():
+    # The traced pass wraps each (module, attribute) of TARGETS and the
+    # scan constructor; they are resolved here without a traced pass.
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    for home, attr, _ in tracer.TARGETS:
+        assert callable(getattr(importlib.import_module(home), attr)), (home, attr)
+    assert "__post_init__" in vars(DelzantPolytope)

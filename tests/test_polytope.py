@@ -254,7 +254,11 @@ def test_facet_tight_on_a_non_simple_edge_is_refused():
     with pytest.raises(DegenerateFacet) as exc:
         DelzantPolytope(3, facets)
     assert str(exc.value) == message
-    claimed = [(v.point, None) for v in cube.vertices]
+    # the claims name facet 6 where it is tight, on the edge x = y = 0
+    claimed = [
+        Vertex(v.point, v.active + ((6,) if v.point[:2] == (0, 0) else ()))
+        for v in cube.vertices
+    ]
     with pytest.raises(DegenerateFacet) as exc:
         DelzantPolytope._from_claimed_vertices(3, facets, claimed)
     assert str(exc.value) == message
@@ -447,17 +451,17 @@ def test_a_claimed_tight_facet_that_is_not_tight_is_refused():
     # On the facet path no generators are claimed, so the tight-set check
     # alone stands between a wrong derivation and the face checks.
     face, _ = facet_polytope(unit_cube(3), "top2")
-    claims = [(v.point, None, v.active) for v in face.vertices]
+    claims = list(face.vertices)
     rebuilt = DelzantPolytope._from_claimed_vertices(2, face.facets, claims)
     assert rebuilt.vertices == face.vertices
     assert rebuilt.facet_vertices == face.facet_vertices
-    for k, (point, _, active) in enumerate(claims):
-        for extra in sorted(set(range(len(face.facets))) - set(active)):
-            wrong = claims[:k] + [(point, None, tuple(sorted(active + (extra,))))]
+    for k, v in enumerate(claims):
+        for extra in sorted(set(range(len(face.facets))) - set(v.active)):
+            wrong = claims[:k] + [Vertex(v.point, tuple(sorted(v.active + (extra,))))]
             with pytest.raises(InvariantViolation) as info:
                 DelzantPolytope._from_claimed_vertices(2, face.facets, wrong + claims[k + 1 :])
             assert str(info.value) == (
-                f"claimed vertex {format_rational_vector(point)} is not tight on facet {extra}"
+                f"claimed vertex {format_rational_vector(v.point)} is not tight on facet {extra}"
             )
 
 
@@ -732,18 +736,22 @@ def odd_offset_cases(draw):
 
     Scan-built cases cut a box in quarters, the square pyramid or the
     skew triangle by one facet in thirds or fifths.  Claimed cases are
-    2D tower rounds 1-8, rebuilt from their vertices and cones, perhaps
-    with a facet in thirds or fifths added that no vertex is tight on.
+    2D tower rounds 1-8, rebuilt from their vertex records and cones,
+    perhaps with a facet in thirds or fifths added that no vertex is
+    tight on, and perhaps with one record that claims it tight.
     """
     kind = draw(st.sampled_from(("box", "pyramid", "skew", "tower")))
     if kind == "tower":
         poly = tower_rounds()[draw(st.integers(0, 7))]
-        claimed = [(v.point, cone.generators) for v, cone in zip(poly.vertices, poly.cones)]
+        vertices = list(poly.vertices)
         facets = poly.facets
         if draw(st.booleans()):
-            points = [v.point for v in poly.vertices]
+            points = [v.point for v in vertices]
             facets += (draw(_odd_cut(2, points, never_tight=True)),)
-        return 2, facets, claimed
+            if draw(st.booleans()):
+                k = draw(st.integers(0, len(vertices) - 1))
+                vertices[k] = Vertex(vertices[k].point, vertices[k].active + (len(facets) - 1,))
+        return 2, facets, (vertices, [cone.generators for cone in poly.cones])
     if kind == "box":
         dim = draw(st.integers(2, 3))
         facets = []
@@ -761,9 +769,16 @@ def odd_offset_cases(draw):
     return dim, facets + (draw(_odd_cut(dim, points)),), None
 
 
-def _reference_claimed(dim, facets, points):
+def _reference_claimed(dim, facets, claimed):
+    # Each claimed tight facet checked in Fraction, in the constructor's order.
     _checked_facets(dim, facets)
-    vertices = _reference_vertices(facets, points)
+    vertices = tuple(sorted(claimed, key=lambda v: v.point))
+    for v in vertices:
+        for i in v.active:
+            if dot(facets[i].normal, v.point) != facets[i].offset:
+                raise InvariantViolation(
+                    f"claimed vertex {format_rational_vector(v.point)} is not tight on facet {i}"
+                )
     _reference_faces(dim, facets, vertices)
     return vertices
 
@@ -776,22 +791,26 @@ def test_integer_heights_match_fraction_reference(case):
         got = _outcome(lambda: DelzantPolytope(dim, facets).vertices)
         expected = _outcome(lambda: _oracle_vertices(dim, facets))
     else:
+        vertices, generators = claimed
         got = _outcome(
-            lambda: DelzantPolytope._from_claimed_vertices(dim, facets, claimed).vertices
+            lambda: DelzantPolytope._from_claimed_vertices(
+                dim, facets, vertices, generators
+            ).vertices
         )
-        expected = _outcome(
-            lambda: _reference_claimed(dim, facets, [point for point, _ in claimed])
-        )
+        expected = _outcome(lambda: _reference_claimed(dim, facets, vertices))
     assert got == expected
 
 
 def test_claimed_point_outside_a_third_offset_facet_is_named():
-    # Points in quarters against x >= 1/3: the heights cross-multiply by 3.
+    # Points in quarters claimed tight on x >= 1/3: the heights
+    # cross-multiply by 3, and the first point in order is named.
     facets = (Facet((1, 0), Fraction(1, 3)), Facet((0, 1), 0), Facet((-1, -1), -2))
     claimed = [
-        ((Fraction(1, 4), Fraction(0)), None),
-        ((Fraction(2), Fraction(0)), None),
-        ((Fraction(1, 4), Fraction(7, 4)), None),
+        Vertex((Fraction(1, 4), Fraction(0)), (0, 1)),
+        Vertex((Fraction(2), Fraction(0)), (1, 2)),
+        Vertex((Fraction(1, 4), Fraction(7, 4)), (0, 2)),
     ]
-    with pytest.raises(InvariantViolation, match=r"vertex \['1/4', '0'\] violates facet 0"):
+    with pytest.raises(
+        InvariantViolation, match=r"claimed vertex \['1/4', '0'\] is not tight on facet 0"
+    ):
         DelzantPolytope._from_claimed_vertices(2, facets, claimed)
