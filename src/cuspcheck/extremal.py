@@ -14,17 +14,20 @@ the solve is exact and cannot fail on validated input.
 
 from __future__ import annotations
 
+import math
 import warnings
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionMismatch, FormalExtensionWarning, SingularGram
-from .linalg import Matrix, Vector, dot, mat_vec, solve_linear
+from .linalg import Matrix, Vector, dot, mat_vec, solve_int
 from .moments import (
     Poly2,
+    Sums,
     _coefficients,
     _contract,
-    _integrate,
+    _idot,
+    _sums,
     boundary_moments,
     integrate_polynomial_boundary,
     polytope_moments,
@@ -82,6 +85,39 @@ class ExtremalSolveReport(Record):
         )
 
 
+def _solve(body: Sums, boundary: Sequence[Sums]) -> AffineFunction:
+    """The affine function whose Gram system these raw sums state.
+
+    The body's sums of degree <= 2 give the matrix, the boundary domains'
+    of degree <= 1 the right-hand side.  Each row is scaled to integers
+    by the body's degree-2 scale and the boundary's common denominator,
+    and ``solve_int`` solves them, so the answer's Fractions are the only
+    ones built.  A singular matrix raises SingularGram.
+    """
+    raw, scale = body
+    monomials = [m for m in raw if len(m) < 2]
+    top = scale[2]
+    den = math.lcm(*[s[1] for _, s in boundary])
+    lift = [top // s * den for s in scale[:3]]
+    rows = [
+        [raw[a + b if a <= b else b + a] * lift[len(a + b)] for b in monomials]
+        + [top * sum(r[a] * (den // s[len(a)]) for r, s in boundary)]
+        for a in monomials
+    ]
+    solved = solve_int(rows)
+    if solved is None:
+        raise SingularGram("moment Gram matrix is singular")
+    y, d = solved
+    return AffineFunction(constant=Fraction(y[0], d), gradient=tuple(Fraction(v, d) for v in y[1:]))
+
+
+def _affine(poly: DelzantPolytope, skip: Sequence[int]) -> AffineFunction:
+    """The solved affine function of ``poly`` with the facets ``skip`` removed."""
+    (body,) = _sums(poly, 2, [()])
+    kept = [(i,) for i in range(len(poly.facets)) if i not in skip]
+    return _solve(body, _sums(poly, 1, kept))
+
+
 def extremal_affine(
     poly: DelzantPolytope, excluded: Sequence[int | str] = ()
 ) -> ExtremalSolveReport:
@@ -90,7 +126,8 @@ def extremal_affine(
     ``excluded`` names the facets removed from the boundary integral.
     The established setting removes one facet; excluding several still
     yields a well-posed linear problem, so it is computed, but flagged
-    with a FormalExtensionWarning.
+    with a FormalExtensionWarning.  The solve runs on the stored int
+    sums; the reported ``gram`` and ``rhs`` are read off the moments.
     """
     skip = sorted({poly.resolve_facet(key) for key in excluded})
     if len(skip) > 1:
@@ -102,26 +139,35 @@ def extremal_affine(
         )
     moments = polytope_moments(poly)
     bd = boundary_moments(poly, skip)
-    gram = moments.gram
-    rhs = (bd.measure,) + bd.first_moments
-    solution = solve_linear(gram, rhs)
-    if solution is None:
-        raise SingularGram("moment Gram matrix is singular")
-    affine = AffineFunction(constant=solution[0], gradient=solution[1:])
     return ExtremalSolveReport(
-        affine=affine, gram=gram, rhs=rhs, excluded=tuple(skip)
+        affine=_affine(poly, skip),
+        gram=moments.gram,
+        rhs=(bd.measure,) + bd.first_moments,
+        excluded=tuple(skip),
     )
 
 
 def restrict_affine(affine: AffineFunction, chart: FacetChart) -> AffineFunction:
-    """Restriction of an ambient affine function to a facet chart."""
+    """Restriction of an ambient affine function to a facet chart.
+
+    The gradient g is written over its common denominator q, so each
+    chart coordinate's coefficient <g, b_k> is one int dot over q, and the
+    constant A(origin) one int dot over q and the origin's denominator.
+    """
     if affine.dimension != len(chart.origin):
         raise DimensionMismatch(
             "affine function dimension does not match the chart's ambient space"
         )
+    q = math.lcm(*[g.denominator for g in affine.gradient])
+    gradient = [g.numerator * (q // g.denominator) for g in affine.gradient]
+    r = math.lcm(*[x.denominator for x in chart.origin])
+    origin = [x.numerator * (r // x.denominator) for x in chart.origin]
+    c = affine.constant
     return AffineFunction(
-        constant=affine(chart.origin),
-        gradient=tuple(dot(affine.gradient, b) for b in chart.basis),
+        constant=Fraction(
+            c.numerator * q * r + c.denominator * _idot(gradient, origin), c.denominator * q * r
+        ),
+        gradient=tuple(Fraction(_idot(gradient, b), q) for b in chart.basis),
     )
 
 
@@ -146,6 +192,6 @@ def relative_futaki(
         for p, a in [((), affine.constant), *(((i,), g) for i, g in enumerate(affine.gradient))]:
             key = tuple(sorted(m + p))
             product[key] = product.get(key, 0) + c * a
-    (volume,) = _integrate(poly, 3)
+    (volume,) = _sums(poly, 3, [()])
     volume_side = _contract(product, volume)
     return boundary - volume_side

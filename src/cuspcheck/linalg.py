@@ -111,15 +111,30 @@ def _clear_denominators(row: Sequence[Fraction | int]) -> list[int]:
 
 
 def det_int(m: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix; a 2 x 2 or 3 x 3 one in
-    closed form, since each simplex of a triangulation in dimension 2 or 3
-    (and each facet simplex in dimension 3 or 4) takes one."""
+    """Determinant of a square integer matrix, 1 if it is empty; one up
+    to 4 x 4 in closed form, since each simplex of a triangulation in
+    dimension 2 to 4 (and each facet simplex in dimension 3 to 5) takes
+    one, and a face's mass rule takes its normals' minors.  The 4 x 4
+    form expands along the first row and then the second, over the six
+    2 x 2 minors of the last two rows."""
+    if len(m) < 2:
+        return m[0][0] if m else 1
     if len(m) == 2:
         (a, b), (c, d) = m
         return a * d - b * c
     if len(m) == 3:
         (a, b, c), (d, e, f), (g, h, i) = m
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if len(m) == 4:
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = m
+        s01, s02, s03 = c0 * d1 - c1 * d0, c0 * d2 - c2 * d0, c0 * d3 - c3 * d0
+        s12, s13, s23 = c1 * d2 - c2 * d1, c1 * d3 - c3 * d1, c2 * d3 - c3 * d2
+        return (
+            a0 * (b1 * s23 - b2 * s13 + b3 * s12)
+            - a1 * (b0 * s23 - b2 * s03 + b3 * s02)
+            + a2 * (b0 * s13 - b1 * s03 + b3 * s01)
+            - a3 * (b0 * s12 - b1 * s02 + b2 * s01)
+        )
     rows = [list(row) for row in m]
     pivots, d = _eliminate(rows, len(rows))
     return d if len(pivots) == len(rows) else 0

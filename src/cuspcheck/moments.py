@@ -1,7 +1,7 @@
-"""Exact volume and boundary moments of Delzant polytopes.
+"""Exact moments of Delzant polytopes and of their faces.
 
 Every integral is a sum, over one fan triangulation of the polytope that
-also triangulates each facet, of closed-form simplex moments (Baldoni,
+also triangulates each face, of closed-form simplex moments (Baldoni,
 Berline, De Loera, Koeppe and Vergne, "How to integrate a polynomial over
 a simplex", Math. Comp. 80, 2011).  On a k-simplex of mass mu with
 vertices v_0, ..., v_k, the barycentric monomials integrate as
@@ -19,39 +19,67 @@ These are identities, not a quadrature rule, so every integral is exact.
 Degree 3 suffices because every integrand in the package has degree at
 most 3: the moments and ``Poly2`` have degree at most 2, and the volume
 side of ``relative_futaki`` integrates q * A, a quadratic times an
-affine function.  The body carries Lebesgue measure, mu = |det[edges]| / n!.
-A facet with primitive normal u carries the lattice boundary measure
-(the one with d(lattice volume) equal to d(boundary measure) wedged with
-the pairing against u); on a facet simplex mu = |det[u; edges]| /
-((n-1)! <u, u>), so no facet chart or facet polytope is built.
+affine function.
+
+A domain is named by the facets it lies on: () the body, (i,) a facet,
+(i, j) a ridge.  A face of codimension r, cut out by facets with normals
+N (r x n), carries its lattice measure, the one in which the lattice
+Lambda = Z^n & ker N of the face's directions has covolume 1.  One rule
+gives the mass of a k-simplex of the face, k = n - r, for every r: take
+an r-set K of columns whose minor N_K of N is nonzero, let g be the gcd
+of all r x r minors of N and J the other k columns; then, with E_J the
+k x k minor of the simplex's edges on J,
+
+    mu = |E_J| g / (|N_K| k!).
+
+It is exact.  The edges are T B for a basis B of Lambda, so E_J =
+det T * B_J, and mu = |det T| / k!.  Lambda is saturated, and a
+saturated lattice and its orthogonal lattice Z^n & rowspan N have the
+same Pluecker coordinates up to one sign, so |B_J| = |q_K| for the
+coordinates q of the orthogonal lattice; N's rows span a sublattice of
+index g in it, so N_K = g q_K, and |det T| = |E_J| g / |N_K|.  For r = 0
+this is the body's |det[edges]| / n!; for r = 1 a primitive normal u has
+g = 1, so a facet simplex has |C_c| / (|u_c| (n-1)!), C_c the edges'
+minor without column c, the lattice boundary measure (d(lattice volume)
+is d(boundary measure) wedged with the pairing against u); a vertex
+(r = n) has mass 1.  No face chart and no face polytope is built.  The
+chart of a facet F maps Z^(n-1) onto F's lattice, so a ridge F & G in
+this measure is a facet of F's facet polytope in its boundary measure,
+and F's own measure is that polytope's volume.
 
 The sums run on ints: the triangulation's simplices index the
 polytope's integer vertex table (``DelzantPolytope.scaled_vertices``, the
 points Q = D v), and in Q every numerator above is an integer, over
-k! D^(k+d) (k+1)...(k+d) at degree d.  Summed over the simplices of one
-domain, each sum_p term becomes a sum over the domain's vertices: a
-simplex's |det| times f(Q_p), for each of its vertices p, adds up to
-w_p f(Q_p), the per-vertex weight w_p being the sum of |det| over the
-simplices that hold p, and the cross term of degree 3 reads the weight
-sum of |det| S over them.  So a simplex adds only |det|, |det| S (x) S
-(and (x) S at degree 3) and its share of the weights, the first moments
-are sum_p w_p Q_p, and each sum is divided once at the end.  Nothing is
+k! D^(k+d) (k+1)...(k+d) |N_K| / g at degree d.  Summed over the
+simplices of one domain, each sum_p term becomes a sum over the domain's
+vertices: a simplex's |det| times f(Q_p), for each of its vertices p,
+adds up to w_p f(Q_p), the per-vertex weight w_p being the sum of |det|
+over the simplices that hold p, and the cross term of degree 3 reads the
+weight sum of |det| S over them.  So a simplex adds only |det|,
+|det| S (x) S (and (x) S at degree 3) and its share of the weights, the
+first moments are sum_p w_p Q_p, and each sum is divided once, by its
+degree's scale, when a reader builds its Fraction.  Nothing is
 approximated.
 
 One store entry per polytope, keyed on its value and bounded at 256
-polytopes, holds its fan triangulation and the moments integrated so
-far, which ``polytope_moments`` and ``boundary_moments`` read first: each
-body and facet is integrated at most once, an excluded facet not at all.
-So checking every facet of a polytope, one divisor at a time, integrates
-its body and boundary once, and a tower's divisor facet costs nothing.
+polytopes, holds its fan triangulations, the raw int sums and their
+scales of each domain integrated so far, to the highest degree asked,
+and the moments the public readers built from them.  Fractions are built
+only by the readers (``polytope_moments``, ``boundary_moments``, the
+``integrate_polynomial`` pair, and ``extremal``'s ``relative_futaki``
+and reports); the Gram solves of ``extremal`` and ``obstruction`` read
+the int sums.  Each domain is integrated at most once per degree, an
+excluded facet not at all.  So checking every facet of a polytope, one
+divisor at a time, integrates its body once, each facet at most once per
+degree and each ridge once, and builds no other polytope.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
 from operator import mul, sub
 from typing import Iterable, Mapping, Sequence
 
@@ -174,6 +202,8 @@ class BoundaryMomentData(Record):
 
     At least one entry must be a ``FacetMoments``: the boundary of a
     polytope minus all of its facets has no first moments to report.
+    The totals ``measure`` and ``first_moments`` are built once, on first
+    read, each summed in int over one common denominator.
     """
 
     facets: tuple[FacetMoments | None, ...]
@@ -183,23 +213,31 @@ class BoundaryMomentData(Record):
         if all(fm is None for fm in self.facets):
             raise ValueError("cannot exclude every facet of the polytope")
 
+    @functools.cached_property
+    def _totals(self) -> tuple[Fraction, Vector]:
+        columns = zip(*[(fm.measure, *fm.first_moments) for fm in self.facets if fm is not None])
+        totals = []
+        for column in columns:
+            den = math.lcm(*[x.denominator for x in column])
+            totals.append(Fraction(sum(x.numerator * (den // x.denominator) for x in column), den))
+        return totals[0], tuple(totals[1:])
+
     @property
     def measure(self) -> Fraction:
-        return sum(
-            (fm.measure for fm in self.facets if fm is not None), Fraction(0)
-        )
+        return self._totals[0]
 
     @property
     def first_moments(self) -> Vector:
-        included = [fm for fm in self.facets if fm is not None]
-        n = len(included[0].first_moments)
-        return tuple(
-            sum((fm.first_moments[i] for fm in included), Fraction(0))
-            for i in range(n)
-        )
+        return self._totals[1]
 
 
 Simplices = tuple[tuple[int, ...], ...]
+# A domain is named by the facets it lies on: () the body, (i,) facet i,
+# (i, j) with i < j the ridge on facets i and j.
+Domain = tuple[int, ...]
+# The raw int sum of each monomial, keyed as ``_integrate`` keys it, and the
+# scale of each degree: the integral of monomial m is raw[m] / scale[len(m)].
+Sums = tuple[dict[tuple[int, ...], int], tuple[int, ...]]
 
 
 def _fan(
@@ -213,7 +251,7 @@ def _fan(
     its intersections with the facets tight at some vertex of the face
     but not at the apex, kept when ``poly.face_dim`` is one less.  Faces
     are vertex index sets, which makes ``memo`` exact across branches,
-    and across the body and its facets.
+    and across the body and its facets, or across a call's ridges.
     """
     if face not in memo:
         if len(face) == d + 1:
@@ -234,20 +272,26 @@ def _fan(
 
 # Bounded so that a long run (a chop tower) does not keep every polytope
 # alive; one moment check needs far fewer entries than this.
-@lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=256)
 def _triangulate(
     poly: DelzantPolytope,
-) -> tuple[Simplices, tuple[Simplices, ...], dict[int | None, MomentData | FacetMoments]]:
+) -> tuple[
+    Simplices,
+    tuple[Simplices, ...],
+    dict[int | None, MomentData | FacetMoments],
+    dict[Domain, Sums],
+]:
     """The store entry of ``poly``: the fan triangulations of its body and
-    of each facet's face, the simplices ``_integrate`` sums over, and the
-    moments integrated so far, by domain as ``_integrate`` names it (None
-    for the body, else a facet index), each written once its integral has
-    completed.  The per-vertex weights are built per integral and not
-    kept: a domain is integrated once, so they would never be read again."""
+    of each facet's face; the moments the readers built, None for the body,
+    else a facet index; and the raw int sums of each domain integrated so
+    far, to the highest degree asked.  A ridge is triangulated when it is
+    integrated, and neither its fan nor the per-vertex weights are kept:
+    a domain is integrated once per degree, so they would never be read
+    again."""
     memo: dict[frozenset[int], Simplices] = {}
     n = poly.dim
     body = _fan(poly, frozenset(range(len(poly.vertices))), n, memo)
-    return body, tuple(_fan(poly, face, n - 1, memo) for face in poly.facet_vertices), {}
+    return body, tuple(_fan(poly, face, n - 1, memo) for face in poly.facet_vertices), {}, {}
 
 
 def _idot(a: Iterable[int], b: Iterable[int]) -> int:
@@ -255,42 +299,49 @@ def _idot(a: Iterable[int], b: Iterable[int]) -> int:
 
 
 def _integrate(
-    poly: DelzantPolytope, degree: int, domains: Sequence[int | None] = (None,)
-) -> tuple[dict[tuple[int, ...], Fraction], ...]:
+    poly: DelzantPolytope, degree: int, domains: Sequence[Domain] = ((),)
+) -> tuple[Sums, ...]:
     """Exact integral of every monomial of degree <= ``degree`` <= 3 over
-    each domain in dsigma, by the simplex moments of the module docstring.
+    each domain in its lattice measure, by the simplex moments of the
+    module docstring, as raw int sums and their scales.
 
-    Each domain is the body (None) or a facet index, and gets one dict
-    from monomials to integrals: x_i x_j ... is keyed by its sorted
-    variable indices (i, j, ...), in the order of
-    ``combinations_with_replacement``, degree by degree.  Each simplex of
-    the domain gives |det| (a facet simplex its mass in the form below)
-    and, from degree 2, its vertex sum S; its |det| goes into the weight
-    w_p of each of its vertices, and from degree 3 its |det| S into the
-    cross weight.  Simplex terms are sums over the simplices, vertex
-    terms sums over the domain's vertices, all in int; each is divided
-    once at the end.
+    Each domain, named by the facets it lies on, gets one dict from
+    monomials to raw sums: x_i x_j ... is keyed by its sorted variable
+    indices (i, j, ...), in the order of ``combinations_with_replacement``,
+    degree by degree.  Each simplex of a domain of dimension k gives |det|,
+    the k x k minor of its edges on the columns the mass rule keeps, and,
+    from degree 2, its vertex sum S; its |det| goes into the weight w_p of
+    each of its vertices, and from degree 3 its |det| S into the cross
+    weight.  Simplex terms are sums over the simplices, vertex terms sums
+    over the domain's vertices, all in int; the scale of degree d is the
+    one denominator k! D^(k+d) (k+1)...(k+d) |N_K| / g.
     """
     if degree > 3:
         raise InvariantViolation(f"the simplex moments are exact to degree 3, not {degree}")
-    body, faces, _ = _triangulate(poly)
+    body, facets = _triangulate(poly)[:2]
     lcm, table = poly.scaled_vertices
     n = poly.dim
+    memo: dict[frozenset[int], Simplices] = {}
     out = []
-    for facet in domains:
-        if facet is None:
-            k, simplices, mass, flat = n, body, 1, table
-            vertices: Iterable[int] = range(len(table))
+    for domain in domains:
+        k = n - len(domain)
+        if not domain:
+            simplices, vertices = body, range(len(table))
         else:
-            # The n - 1 edges of a facet simplex lie in u-perp, so their
-            # signed (n-1)-minors C are parallel to u and det[u; edges]
-            # = <u, u> C_c / u_c: the lattice mass |det[u; edges]| / <u, u>
-            # is |C_c| / |u_c|, the edges' determinant without column c.
-            normal = poly.facets[facet].normal
-            mass, drop = min((abs(x), c) for c, x in enumerate(normal) if x)
-            k, simplices = n - 1, faces[facet]
-            vertices = sorted(poly.facet_vertices[facet])
-            flat = {i: table[i][:drop] + table[i][drop + 1 :] for i in vertices}
+            face = frozenset.intersection(*[poly.facet_vertices[i] for i in domain])
+            simplices = facets[domain[0]] if len(domain) == 1 else _fan(poly, face, k, memo)
+            vertices = sorted(face)
+        # The mass rule: the r x r minors of the domain's normals, their gcd
+        # g, and the least nonzero one, whose columns K the edges drop.
+        normals = [poly.facets[i].normal for i in domain]
+        minors = [
+            (abs(det_int([[u[c] for c in cols] for u in normals])), cols)
+            for cols in itertools.combinations(range(n), len(domain))
+        ]
+        mass, drop = min((m, cols) for m, cols in minors if m)
+        mass //= math.gcd(*[m for m, _ in minors])
+        keep = [c for c in range(n) if c not in drop]
+        flat = {i: [table[i][c] for c in keep] for i in vertices}
         weight = dict.fromkeys(vertices, 0)
         dets = []
         for s in simplices:
@@ -326,8 +377,45 @@ def _integrate(
         scale = [math.factorial(k) * lcm**k * mass]
         for d in range(1, degree + 1):
             scale.append(scale[-1] * (k + d) * lcm)
-        out.append({m: Fraction(t, scale[len(m)]) for m, t in raw.items()})
+        out.append((raw, tuple(scale)))
     return tuple(out)
+
+
+def _sums(poly: DelzantPolytope, degree: int, domains: Sequence[Domain]) -> list[Sums]:
+    """The stored raw sums of each domain, to at least ``degree``.
+
+    One ``_integrate`` call covers the domains that no earlier call
+    integrated to this degree; its sums replace any of lower degree.
+    """
+    stored = _triangulate(poly)[3]
+    missing = [d for d in domains if d not in stored or len(stored[d][1]) <= degree]
+    if missing:
+        stored.update(zip(missing, _integrate(poly, degree, missing)))
+    return [stored[d] for d in domains]
+
+
+def _value(sums: Sums, monomial: tuple[int, ...]) -> Fraction:
+    raw, scale = sums
+    return Fraction(raw[monomial], scale[len(monomial)])
+
+
+def _linear_image(sums: Sums, matrix: Sequence[Sequence[int]]) -> Sums:
+    """The sums of degree <= 2 in y = matrix x, an integer linear map:
+    each monomial in y is an integer combination of those in x, so its raw
+    sum is the same combination, over the same scales.  The measure stays
+    the domain's lattice measure, which a facet's chart maps to Lebesgue
+    measure."""
+    raw, scale = sums
+    n = len(matrix[0])
+    out = {(): raw[()]}
+    if len(scale) > 1:
+        out.update(((a,), _idot(row, [raw[i,] for i in range(n)])) for a, row in enumerate(matrix))
+    if len(scale) > 2:
+        second = [[raw[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+        half = [[_idot(row, column) for column in second] for row in matrix]
+        for a, b in itertools.combinations_with_replacement(range(len(matrix)), 2):
+            out[a, b] = _idot(half[a], matrix[b])
+    return out, scale[:3]
 
 
 def polytope_moments(poly: DelzantPolytope) -> MomentData:
@@ -340,7 +428,8 @@ def polytope_moments(poly: DelzantPolytope) -> MomentData:
     if None in stored:
         return stored[None]
     n = poly.dim
-    (values,) = _integrate(poly, 2)
+    (body,) = _sums(poly, 2, [()])
+    values = {m: _value(body, m) for m in body[0] if len(m) < 3}
     stored[None] = moments = MomentData(
         volume=values[()],
         first_moments=tuple(values[i,] for i in range(n)),
@@ -364,10 +453,9 @@ def boundary_moments(
     stored = _triangulate(poly)[2]
     missing = [i for i in range(len(poly.facets)) if i not in skip and i not in stored]
     if missing:
-        values = _integrate(poly, 1, missing)
         stored.update(
-            (i, FacetMoments(v[()], tuple(v[c,] for c in range(poly.dim))))
-            for i, v in zip(missing, values)
+            (i, FacetMoments(_value(s, ()), tuple(_value(s, (c,)) for c in range(poly.dim))))
+            for i, s in zip(missing, _sums(poly, 1, [(i,) for i in missing]))
         )
     entries = tuple(
         None if i in skip else stored[i] for i in range(len(poly.facets))
@@ -376,7 +464,7 @@ def boundary_moments(
 
 
 def _coefficients(q: Poly2) -> dict[tuple[int, ...], Fraction]:
-    """q's coefficient of each monomial, keyed as ``_monomials`` names it."""
+    """q's coefficient of each monomial, keyed as ``_integrate`` keys it."""
     n = q.dimension
     out = {(): q.constant}
     out.update(((i,), c) for i, c in enumerate(q.linear))
@@ -387,30 +475,24 @@ def _coefficients(q: Poly2) -> dict[tuple[int, ...], Fraction]:
     return out
 
 
-def _contract(
-    coefficients: Mapping[tuple[int, ...], Fraction], integrals: Mapping[tuple[int, ...], Fraction]
-) -> Fraction:
+def _contract(coefficients: Mapping[tuple[int, ...], Fraction], sums: Sums) -> Fraction:
     """Integral of the polynomial with these monomial coefficients."""
-    return sum((c * integrals[m] for m, c in coefficients.items() if c), Fraction(0))
+    return sum((c * _value(sums, m) for m, c in coefficients.items() if c), Fraction(0))
 
 
-def _integrate_poly2(
-    poly: DelzantPolytope, q: Poly2, domains: Sequence[int | None]
-) -> Fraction:
-    """Sum of the integrals of q over the body (None) or facets (indices)."""
+def _integrate_poly2(poly: DelzantPolytope, q: Poly2, domains: Sequence[Domain]) -> Fraction:
+    """Sum of the integrals of q over the body (()) or facets ((i,))."""
     if q.dimension != poly.dim:
         raise DimensionMismatch(
             f"polynomial in {q.dimension} variables over a {poly.dim}-dimensional polytope"
         )
     coefficients = _coefficients(q)
-    return sum(
-        (_contract(coefficients, values) for values in _integrate(poly, 2, domains)), Fraction(0)
-    )
+    return sum((_contract(coefficients, s) for s in _sums(poly, 2, domains)), Fraction(0))
 
 
 def integrate_polynomial(poly: DelzantPolytope, q: Poly2) -> Fraction:
     """Integral of a degree <= 2 polynomial over the polytope."""
-    return _integrate_poly2(poly, q, [None])
+    return _integrate_poly2(poly, q, [()])
 
 
 def integrate_polynomial_boundary(
@@ -421,4 +503,4 @@ def integrate_polynomial_boundary(
     With every facet excluded the integral is 0.
     """
     skip = {poly.resolve_facet(key) for key in excluded}
-    return _integrate_poly2(poly, q, [i for i in range(len(poly.facets)) if i not in skip])
+    return _integrate_poly2(poly, q, [(i,) for i in range(len(poly.facets)) if i not in skip])

@@ -4,6 +4,9 @@ Two families of checks live here.  The first compares the affine
 function of a polytope-with-facet pair against the one the facet
 carries as a polytope in its own right: compatibility means the two
 differ by a constant on the facet, checked exactly in the facet chart.
+The facet's own function is solved from the parent's moment store, its
+facet and ridges integrated on the parent's vertex table and mapped
+into the chart in int, so no facet polytope is built for the check.
 The second treats the abstract hypotheses on a configuration of fixed
 points: a weighted moment balance relative to a subspace, a genericity
 condition, and a kernel condition tied to evaluation data.
@@ -21,9 +24,10 @@ from .errors import (
     InputValidationError,
     MissingEvaluationData,
 )
-from .extremal import AffineFunction, extremal_affine, restrict_affine
+from .extremal import AffineFunction, _affine, _solve, restrict_affine
 from .linalg import Matrix, Vector, nullspace, project_onto_columns, rank
-from .polytope import DelzantPolytope, facet_polytope
+from .moments import _linear_image, _sums
+from .polytope import DelzantPolytope, _facet_chart, _ridge_facets
 from .rational import parse_rational
 from .record import Record
 
@@ -50,16 +54,31 @@ class ObstructionReport(Record):
 def check_facet_condition(
     poly: DelzantPolytope, divisor_facet: int | str
 ) -> ObstructionReport:
-    """Exact test that the pair's affine function restricts compatibly."""
+    """Exact test that the pair's affine function restricts compatibly.
+
+    Both affine functions are solved from the parent's own store, and no
+    facet polytope is built.  The pair's Gram system reads the body at
+    degree 2 and the other facets at degree 1.  The facet F's own system
+    reads F at degree 2 and each ridge F & G at degree 1, for the facets
+    G of ``facet_polytope``'s ridge rule, each in its lattice measure,
+    which is the facet polytope's volume and boundary measure in F's
+    chart.  These sums are mapped into chart coordinates in int through
+    the chart frame's dual columns, y_k = <d_k, x>, and both systems are
+    solved from integer rows.
+    """
     if poly.dim < 2:
         raise DimensionMismatch(
             "the facet condition needs a polytope of dimension >= 2"
         )
     index = poly.resolve_facet(divisor_facet)
-    a_pair = extremal_affine(poly, [index]).affine
-    face, chart = facet_polytope(poly, index)
+    a_pair = _affine(poly, [index])
+    chart, _, duals = _facet_chart(poly, index)
     a_restricted = restrict_affine(a_pair, chart)
-    a_facet = extremal_affine(face).affine
+    (face,) = _sums(poly, 2, [(index,)])
+    ridges = _sums(poly, 1, [tuple(sorted((index, j))) for j in _ridge_facets(poly, index)])
+    a_facet = _solve(
+        _linear_image(face, duals), [_linear_image(ridge, duals) for ridge in ridges]
+    )
     difference = tuple(
         a - b for a, b in zip(a_restricted.gradient, a_facet.gradient)
     )

@@ -37,8 +37,9 @@ is <u, D v> >= D c, both sides multiplied by whatever of c's denominator
 D does not clear.  The same pass stores the incidence table
 ``facet_vertices``, the vertices tight on each facet, and ``face_dim``
 gives a face's dimension from the facets tight on all of it; the facet
-test, the ridge test of ``facet_polytope`` and the triangulation of
-``moments`` read that rule, and no rank of vertex points is taken.
+test, the ridge rule that ``facet_polytope`` and the divisor check share
+and the triangulation of ``moments`` read that rule, and no rank of
+vertex points is taken.
 """
 
 from __future__ import annotations
@@ -659,6 +660,41 @@ def apply_unimodular(
     return DelzantPolytope(dim=n, facets=tuple(new_facets))
 
 
+def _facet_chart(
+    poly: DelzantPolytope, index: int
+) -> tuple[FacetChart, IntVector, tuple[IntVector, ...]]:
+    """The lattice chart of facet ``index``, the frame vector w with
+    <u, w> = 1 for its normal u, and the dual columns d_k of the frame.
+
+    The frame [w, basis] is unimodular, so x = c w + sum_k y_k basis[k]
+    on the facet <u, x> = c reads y_k = <d_k, x> off the columns d_k of
+    its inverse, k >= 1: one unimodular inverse, in int.
+    """
+    chosen = poly.facets[index]
+    w, basis = complete_primitive(chosen.normal)
+    chart = FacetChart(
+        facet_index=index,
+        normal=chosen.normal,
+        offset=chosen.offset,
+        origin=tuple(chosen.offset * x for x in w),
+        basis=basis,
+    )
+    return chart, w, transpose(inverse_unimodular((w, *basis)))[1:]
+
+
+def _ridge_facets(poly: DelzantPolytope, index: int) -> list[int]:
+    """The facets that meet facet ``index`` in a ridge, in increasing
+    order: those G with ``face_dim`` of F and G's common vertices n - 2.
+    Only a facet tight at a vertex of F can."""
+    on_facet = poly.facet_vertices[index]
+    near = {j for k in on_facet for j in poly.vertices[k].active}
+    return [
+        j
+        for j in sorted(near - {index})
+        if poly.face_dim(on_facet & poly.facet_vertices[j]) == poly.dim - 2
+    ]
+
+
 def facet_polytope(
     poly: DelzantPolytope, facet: int | str
 ) -> tuple[DelzantPolytope, FacetChart]:
@@ -681,27 +717,13 @@ def facet_polytope(
         raise DimensionMismatch("facet polytopes need ambient dimension >= 2")
     index = poly.resolve_facet(facet)
     chosen = poly.facets[index]
-    w, basis = complete_primitive(chosen.normal)
-    origin = tuple(chosen.offset * x for x in w)
-    chart = FacetChart(
-        facet_index=index,
-        normal=chosen.normal,
-        offset=chosen.offset,
-        origin=origin,
-        basis=basis,
-    )
-
-    on_facet = poly.facet_vertices[index]
+    chart, w, duals = _facet_chart(poly, index)
     induced = []
     ridges: dict[int, int] = {}
-    # Only a facet tight at a vertex of F can meet F in a ridge.
-    near = {j for k in on_facet for j in poly.vertices[k].active}
-    for j in sorted(near - {index}):
-        if poly.face_dim(on_facet & poly.facet_vertices[j]) != n - 2:
-            continue
+    for j in _ridge_facets(poly, index):
         other = poly.facets[j]
         ridges[j] = len(induced)
-        coeffs = tuple(sum(map(mul, other.normal, b)) for b in basis)
+        coeffs = tuple(sum(map(mul, other.normal, b)) for b in chart.basis)
         # origin = c_F w, so <u_j, origin> = c_F <u_j, w>, in int.
         offset = other.offset - chosen.offset * sum(map(mul, other.normal, w))
         g = gcd_vector(coeffs)
@@ -714,15 +736,12 @@ def facet_polytope(
                 label=other.label,
             )
         )
-    # The frame [w, basis] is unimodular, so x = c_F w + sum_k y_k basis[k]
-    # reads y_k = <d_k, x> off the columns d_k of its inverse, k >= 1.
-    duals = transpose(inverse_unimodular((w, *basis)))[1:]
     scale, table = poly.scaled_vertices
     claimed = [
         Vertex(
             point=tuple(Fraction(sum(map(mul, d, table[k])), scale) for d in duals),
             active=tuple(ridges[j] for j in poly.vertices[k].active if j in ridges),
         )
-        for k in on_facet
+        for k in poly.facet_vertices[index]
     ]
     return DelzantPolytope._from_claimed_vertices(n - 1, tuple(induced), claimed), chart

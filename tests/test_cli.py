@@ -263,6 +263,29 @@ def test_constant_tower_parameter_is_not_copied_per_round():
     assert "Traceback" not in done.stderr
 
 
+def test_closed_stdout_exits_one_without_a_traceback():
+    # As with `| head -1`: the reader closes the pipe after the first line.
+    # Nine tower rounds print about 180 kB, more than a pipe holds, so the
+    # child is still writing when the pipe closes.
+    src = str(Path(cuspcheck.__file__).resolve().parents[1])
+    eps = ",".join(f"1/{4**r}" for r in range(1, 10))
+    argv = ["tower", "simplex2.json", "--facet", "hyp", "--rounds", "9", "--eps", eps]
+    child = subprocess.Popen(
+        [sys.executable, "-m", "cuspcheck.cli", *argv],
+        cwd=DATA,
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert child.stdout.readline() == b"{\n"
+    child.stdout.close()
+    stderr = child.stderr.read().decode()
+    assert child.wait(timeout=60) == 1
+    assert "Traceback" not in stderr
+    assert "Exception ignored" not in stderr
+    assert stderr == ""
+
+
 def test_exit_one_on_a_chop_in_dimension_one(tmp_path, capsys):
     segment = {"dim": 1, "facets": [{"normal": [1], "offset": 0}, {"normal": [-1], "offset": -1}]}
     doc = tmp_path / "segment.json"

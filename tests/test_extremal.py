@@ -16,6 +16,7 @@ import sympy
 from conftest import interval, is_positive_definite, unit_cube, unit_simplex
 from cuspcheck import (
     AffineFunction,
+    FacetChart,
     FormalExtensionWarning,
     Poly2,
     blow_up_vertex,
@@ -25,6 +26,8 @@ from cuspcheck import (
     relative_futaki,
     restrict_affine,
 )
+
+from cuspcheck.linalg import complete_primitive, dot, gcd_vector
 
 _RNG = random.Random(97531)
 
@@ -216,6 +219,36 @@ def test_restrict_zero_function(triangle):
     zero = AffineFunction(constant=Fraction(0), gradient=(Fraction(0), Fraction(0)))
     restricted = restrict_affine(zero, chart)
     assert restricted.constant == 0 and restricted.gradient == (0,)
+
+
+def test_restrict_affine_matches_the_fraction_formula():
+    # The int route against A(origin) and <g, b_k> in Fraction, on random
+    # affine functions and charts: lattice charts of random primitive
+    # normals (origin c_F w), and charts with any rational origin.  Its own
+    # generator leaves the draws of the other tests as they were.
+    rng = random.Random(2018)
+
+    def rational(bound):
+        return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+
+    for k in range(300):
+        n = rng.randint(2, 5)
+        normal = (0,) * n
+        while gcd_vector(normal) != 1:
+            normal = tuple(rng.randint(-4, 4) for _ in range(n))
+        w, basis = complete_primitive(normal)
+        offset = rational(30) if k % 5 else Fraction(0)
+        origin = tuple(offset * x for x in w) if k % 2 else tuple(rational(9) for _ in range(n))
+        chart = FacetChart(
+            facet_index=0, normal=normal, offset=offset, origin=origin, basis=basis
+        )
+        gradient = tuple(rational(60) if k % 7 else Fraction(0) for _ in range(n))
+        affine = AffineFunction(constant=rational(60), gradient=gradient)
+        expected = AffineFunction(
+            constant=affine(chart.origin),
+            gradient=tuple(dot(affine.gradient, b) for b in chart.basis),
+        )
+        assert restrict_affine(affine, chart) == expected
 
 
 def test_relative_futaki_vanishes_on_affine(triangle):

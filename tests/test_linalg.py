@@ -109,6 +109,32 @@ def test_det_three_by_three_matches_the_elimination():
         singular += expected == 0
     assert singular >= 100
 
+
+def test_det_four_by_four_matches_the_elimination():
+    # The closed 4 x 4 form against _eliminate; singular kinds as for 3 x 3,
+    # with the dependent row a combination of two or of all three others.
+    rng = random.Random(444)
+    singular = 0
+    for _ in range(400):
+        m = [[rng.randint(-6, 6) for _ in range(4)] for _ in range(4)]
+        kind = rng.randrange(5)
+        if kind in (1, 2):
+            coeffs = [rng.randint(-3, 3) for _ in range(kind + 1)]
+            m[3] = [sum(c * row[j] for c, row in zip(coeffs, m)) for j in range(4)]
+            rng.shuffle(m)
+        elif kind == 3:
+            m[rng.randrange(4)] = [0, 0, 0, 0]
+        elif kind == 4:
+            col = rng.randrange(4)
+            for row in m:
+                row[col] = 0
+        pivots, d = _eliminate([row[:] for row in m], 4)
+        expected = d if len(pivots) == 4 else 0
+        assert det_int(m) == det_int(tuple(map(tuple, m))) == expected
+        singular += expected == 0
+    assert singular >= 100
+
+
 def test_solve_matches_sympy():
     for n in (1, 2, 3, 4):
         for _ in range(15):

@@ -45,10 +45,12 @@ from cuspcheck import (
 from cuspcheck.errors import InvariantViolation
 from cuspcheck.linalg import IntVector, Vector, complete_primitive, det_int, dot, gcd_vector
 from cuspcheck.moments import (
+    FacetMoments,
     _integrate,
     _triangulate,
     integrate_polynomial_boundary,
 )
+from cuspcheck.polytope import _ridge_facets
 
 _RNG = random.Random(515253)
 
@@ -461,6 +463,58 @@ def test_chart_push_forward_on_non_simple_and_non_unimodular(build):
     _assert_chart_route(build())
 
 
+def _assert_ridges_match_facet_polytope_boundary(poly):
+    # A ridge F & G in the lattice measure of codimension 2 is a facet of
+    # F's facet polytope in that polytope's boundary measure: its degree-1
+    # sums on the parent equal the facet polytope's boundary moments there,
+    # mapped back to ambient coordinates, x = origin + sum_k y_k basis[k].
+    n = poly.dim
+    for index in range(len(poly.facets)):
+        face, chart = facet_polytope(poly, index)
+        ridges = _ridge_facets(poly, index)
+        assert len(ridges) == len(face.facets)
+        for j, fm in zip(ridges, boundary_moments(face).facets):
+            ((raw, scale),) = _integrate(poly, 1, [tuple(sorted((index, j)))])
+            first = tuple(
+                chart.origin[c] * fm.measure
+                + sum((b[c] * m for b, m in zip(chart.basis, fm.first_moments)), Fraction(0))
+                for c in range(n)
+            )
+            assert Fraction(raw[()], scale[0]) == fm.measure, (index, j)
+            assert tuple(Fraction(raw[c,], scale[1]) for c in range(n)) == first, (index, j)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [_pyramid, _skew_triangle, *[lambda n=n: unit_cube(n) for n in range(2, 6)]]
+    + [lambda n=n: unit_simplex(n) for n in range(2, 6)],
+)
+def test_ridge_sums_match_the_facet_polytope_boundary(build):
+    _assert_ridges_match_facet_polytope_boundary(build())
+
+
+@given(framed_chopped().filter(lambda poly: poly.dim >= 2))
+@settings(max_examples=20, deadline=None)
+def test_ridge_sums_match_the_facet_polytope_boundary_in_random_frames(poly):
+    _assert_ridges_match_facet_polytope_boundary(poly)
+
+
+def test_boundary_totals_are_built_once_over_one_denominator():
+    poly = blow_up_vertex(unit_cube(3), (0, 0, 0), Fraction(1, 3))
+    bd = boundary_moments(poly, [1])
+    assert bd.measure is bd.measure and bd.first_moments is bd.first_moments
+    kept = [fm for fm in bd.facets if fm is not None]
+    assert bd.measure == sum((fm.measure for fm in kept), Fraction(0))
+    assert bd.first_moments == tuple(
+        sum((fm.first_moments[c] for fm in kept), Fraction(0)) for c in range(3)
+    )
+    built = BoundaryMomentData(
+        facets=(FacetMoments(Fraction(1, 6), (1, Fraction(2, 9))), None, FacetMoments(2, (0, 1))),
+        excluded=(1,),
+    )
+    assert (built.measure, built.first_moments) == (Fraction(13, 6), (1, Fraction(11, 9)))
+
+
 # --- faces from the incidence table against ranks of vertex points ---
 
 
@@ -627,7 +681,7 @@ def _assert_rule_matches_expansion(poly):
     alphas = _monomials_to_degree_three(poly.dim)
     # The triangulation indexes the vertex list; the expansion takes points.
     points = [v.point for v in poly.vertices]
-    body, facets, _ = _triangulate(poly)
+    body, facets = _triangulate(poly)[:2]
     for index, simplices in [(None, body), *enumerate(facets)]:
         normal = None if index is None else poly.facets[index].normal
         expected = {
@@ -640,8 +694,11 @@ def _assert_rule_matches_expansion(poly):
             )
             for alpha in alphas
         }
-        (got,) = _integrate(poly, 3, [index])
-        exponents = {tuple(m.count(c) for c in range(poly.dim)): v for m, v in got.items()}
+        ((raw, scale),) = _integrate(poly, 3, [() if index is None else (index,)])
+        exponents = {
+            tuple(m.count(c) for c in range(poly.dim)): Fraction(v, scale[len(m)])
+            for m, v in raw.items()
+        }
         assert list(exponents) == alphas, index
         assert exponents == expected, index
 

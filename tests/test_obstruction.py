@@ -1,11 +1,16 @@
 """Facet compatibility and finite-dimensional hypothesis checks."""
 
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import unit_cube, unit_simplex
+from conftest import tower_rounds, unit_cube, unit_simplex
 from cuspcheck import (
+    DelzantPolytope,
     DimensionMismatch,
     InputValidationError,
     MissingEvaluationData,
@@ -16,8 +21,137 @@ from cuspcheck import (
     check_genericity,
     check_hypotheses,
     check_kernel_condition,
+    extremal_affine,
+    facet_polytope,
+    moments,
+    polytope,
+    restrict_affine,
+    start_tower,
+    tower_step,
     toric_configuration,
 )
+from test_moments import _pyramid, _skew_triangle, framed_chopped
+
+
+def _load_corpus():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    return corpus
+
+
+def _oracle(poly, index):
+    """The check through the facet polytope: the pair's function restricted
+    to the facet's chart, and the facet polytope's own solved function;
+    both solves are confirmed by zero residuals on the Fraction Gram."""
+    pair = extremal_affine(poly, [index])
+    face, chart = facet_polytope(poly, index)
+    own = extremal_affine(face)
+    assert all(r == 0 for r in pair.residuals + own.residuals)
+    return pair.affine, restrict_affine(pair.affine, chart), own.affine
+
+
+def _assert_check_matches_oracle(poly):
+    for index in range(len(poly.facets)):
+        report = check_facet_condition(poly, index)
+        a_pair, a_restricted, a_facet = _oracle(poly, index)
+        assert (report.a_pair, report.a_restricted, report.a_facet) == (
+            a_pair, a_restricted, a_facet
+        ), index
+        difference = tuple(a - b for a, b in zip(a_restricted.gradient, a_facet.gradient))
+        assert report.difference_gradient == difference
+        assert report.offset == a_restricted.constant - a_facet.constant
+        assert report.satisfied == all(x == 0 for x in difference)
+
+
+def _tower(n, rounds, base=None):
+    state = start_tower(unit_simplex(n) if base is None else base, "hyp")
+    out = []
+    for r in range(1, rounds + 1):
+        state = tower_step(state, Fraction(1, 4**r))
+        out.append(state.polytope)
+    return out
+
+
+def _differential_corpus():
+    polys = [unit_simplex(n) for n in range(2, 6)] + [unit_cube(n) for n in range(2, 6)]
+    polys += list(tower_rounds()[:6]) + _tower(3, 3) + [_pyramid(), _skew_triangle()]
+    corpus = _load_corpus()
+    for seed in (1, 2):
+        polys += [DelzantPolytope.from_data(item["doc"]) for item in corpus.seeded_checks(seed)]
+        for doc in corpus.seeded_tower_bases(seed).values():
+            base = DelzantPolytope.from_data(doc)
+            polys += _tower(base.dim, corpus.SEEDED_TOWER_ROUNDS[base.dim], base)
+    return polys
+
+
+def test_check_matches_the_facet_polytope_oracle():
+    # Simplices and cubes 2-5, 2D tower rounds 1-6, 3D rounds 1-3, the
+    # pyramid, the skew triangle, and the benchmark's seeded inputs
+    # (chopped 3D documents and towers in seed-drawn frames, seeds 1, 2).
+    for poly in _differential_corpus():
+        _assert_check_matches_oracle(poly)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_check_matches_the_oracle_in_random_frames(n, data):
+    _assert_check_matches_oracle(data.draw(framed_chopped(n)))
+
+
+def test_a_check_builds_no_polytope(monkeypatch):
+    # No scan, no claimed build and no facet polytope: the check reads the
+    # parent's own store.
+    def refuse(*args, **kwargs):
+        raise AssertionError("check_facet_condition built a polytope")
+
+    polys = [unit_cube(4), unit_simplex(5), tower_rounds()[5], _pyramid(), *_tower(3, 3)]
+    monkeypatch.setattr(DelzantPolytope, "__post_init__", refuse)
+    monkeypatch.setattr(DelzantPolytope, "_from_claimed_vertices", classmethod(refuse))
+    monkeypatch.setattr(polytope, "facet_polytope", refuse)
+    moments._triangulate.cache_clear()
+    for poly in polys:
+        for index in range(len(poly.facets)):
+            check_facet_condition(poly, index)
+    assert moments._triangulate.cache_info().currsize == len(polys)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: unit_cube(3), lambda: unit_simplex(4), lambda: unit_cube(5), lambda: tower_rounds()[5]],
+    ids=["cube3", "simplex4", "cube5", "tower2d_round6"],
+)
+def test_a_check_builds_fractions_only_for_its_report(build, monkeypatch):
+    # From a cleared store, the integrals, the chart maps and both Gram
+    # solves run in int: the Fractions a check builds are its report's
+    # values (each built and then normalised by AffineFunction) and the
+    # chart origin c_F w, at most two per reported value.  The Fraction
+    # route built one per monomial per domain and a Gram matrix per solve.
+    poly = build()
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    if hasattr(Fraction, "_from_coprime_ints"):
+        coprime = Fraction._from_coprime_ints
+        monkeypatch.setattr(
+            Fraction,
+            "_from_coprime_ints",
+            classmethod(lambda cls, a, b: built.append((a, b)) or coprime(a, b)),
+        )
+    moments._triangulate.cache_clear()
+    report = check_facet_condition(poly, 0)
+    monkeypatch.undo()
+    values = [report.offset, *report.difference_gradient]
+    for affine in (report.a_pair, report.a_restricted, report.a_facet):
+        values += [affine.constant, *affine.gradient]
+    assert 0 < len(built) <= 2 * len(values)
 
 
 def test_triangle_hypotenuse_frozen(triangle):

@@ -16,7 +16,6 @@ from cuspcheck import (
     ModelCoefficients,
     check_facet_condition,
     extremal_affine,
-    facet_polytope,
     moments,
 )
 from cuspcheck.moments import FacetMoments
@@ -115,34 +114,36 @@ def test_excluded_facet_is_not_integrated():
 
 
 def test_checking_every_facet_integrates_the_body_once(monkeypatch):
-    # On the cube: its body, then facets 1-7 (facet 0 excluded), then
-    # facet 0; on each distinct facet polytope, its body and its boundary.
+    # Checking all 8 facets of the 4-cube integrates the cube and nothing
+    # else: its body once, each facet at most once per degree (degree 1 for
+    # a pair's boundary, degree 2 as the divisor, which also serves degree
+    # 1 later), and each of its 24 ridges once, at degree 1.
     cube = unit_cube(4)
-    faces = {facet_polytope(cube, i)[0] for i in range(8)}
     calls = []
     integrate = moments._integrate
 
-    def counting(poly, degree, domains=(None,)):
-        calls.append((poly, tuple(domains)))
+    def counting(poly, degree, domains=((),)):
+        calls.append((poly, degree, tuple(domains)))
         return integrate(poly, degree, domains)
 
     monkeypatch.setattr(moments, "_integrate", counting)
     moments._triangulate.cache_clear()
     check_facet_condition(cube, 0)
-    body = moments._triangulate(cube)[2][None]
+    body = moments._triangulate(cube)[3][()]
     for i in range(8):
         check_facet_condition(cube, i)
-    assert moments._triangulate(cube)[2][None] is body
-    assert set(moments._triangulate(cube)[2]) == {None, *range(8)}
-    assert [domains for poly, domains in calls if poly == cube] == [
-        (None,), tuple(range(1, 8)), (0,)
-    ]
-    for face in faces:
-        assert [domains for poly, domains in calls if poly == face] == [
-            (None,), tuple(range(len(face.facets)))
-        ]
-    assert len(calls) == 3 + 2 * len(faces)
-    assert moments._triangulate.cache_info().misses == 1 + len(faces)
+    assert moments._triangulate(cube)[3][()] is body
+    assert all(poly is cube for poly, _, _ in calls)
+    integrated = [(degree, d) for _, degree, domains in calls for d in domains]
+    assert len(integrated) == len(set(integrated))
+    assert [degree for degree, d in integrated if d == ()] == [2]
+    facets = sorted((d, degree) for degree, d in integrated if len(d) == 1)
+    assert facets == [((0,), 2)] + [((i,), degree) for i in range(1, 8) for degree in (1, 2)]
+    ridges = [d for degree, d in integrated if len(d) == 2 and degree == 1]
+    assert len(ridges) == 24 == len(integrated) - 1 - len(facets)
+    # Facets 2k and 2k + 1 are opposite, bot_k and top_k, and share no ridge.
+    assert not any(i % 2 == 0 and j == i + 1 for i, j in ridges)
+    assert moments._triangulate.cache_info().misses == 1
 
 
 def test_moment_store_is_bounded_and_lets_evicted_polytopes_go():
