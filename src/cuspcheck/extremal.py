@@ -43,9 +43,13 @@ class AffineFunction(Record):
     gradient: Vector
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "constant", Fraction(self.constant))
+        # Solved values arrive as Fractions already; only others are wrapped.
+        if type(self.constant) is not Fraction:
+            object.__setattr__(self, "constant", Fraction(self.constant))
         object.__setattr__(
-            self, "gradient", tuple(Fraction(x) for x in self.gradient)
+            self,
+            "gradient",
+            tuple(x if type(x) is Fraction else Fraction(x) for x in self.gradient),
         )
 
     @property

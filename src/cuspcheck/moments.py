@@ -47,6 +47,13 @@ chart of a facet F maps Z^(n-1) onto F's lattice, so a ridge F & G in
 this measure is a facet of F's facet polytope in its boundary measure,
 and F's own measure is that polytope's volume.
 
+The fan cones the body from its vertex 0 over the simplices of each
+facet j that misses it, so a body simplex needs no n x n determinant:
+its |det[edges]| is h |C_c| / |u_c|, the facet simplex's lattice mass
+times (n-1)! times the lattice height h = <u_j, Q_0> - D c_j of the apex
+over the facet.  Every minor the kernel takes is then at most
+(n-1) x (n-1), closed-form in ``det_int`` up to n = 5.
+
 The sums run on ints: the triangulation's simplices index the
 polytope's integer vertex table (``DelzantPolytope.scaled_vertices``, the
 points Q = D v), and in Q every numerator above is an integer, over
@@ -55,11 +62,11 @@ simplices of one domain, each sum_p term becomes a sum over the domain's
 vertices: a simplex's |det| times f(Q_p), for each of its vertices p,
 adds up to w_p f(Q_p), the per-vertex weight w_p being the sum of |det|
 over the simplices that hold p, and the cross term of degree 3 reads the
-weight sum of |det| S over them.  So a simplex adds only |det|,
-|det| S (x) S (and (x) S at degree 3) and its share of the weights, the
-first moments are sum_p w_p Q_p, and each sum is divided once, by its
-degree's scale, when a reader builds its Fraction.  Nothing is
-approximated.
+weight sum of |det| S over them.  So a simplex adds only |det|, |det| S
+for the first moments, |det| S (x) S (and (x) S at degree 3) and its
+share of the weights, which are built only from degree 2, and each sum
+is divided once, by its degree's scale, when a reader builds its
+Fraction.  Nothing is approximated.
 
 One store entry per polytope, keyed on its value and bounded at 256
 polytopes, holds its fan triangulations, the raw int sums and their
@@ -80,7 +87,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from operator import mul, sub
+from operator import itemgetter, mul, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, InvariantViolation, UnsupportedDegree
@@ -251,7 +258,9 @@ def _fan(
     its intersections with the facets tight at some vertex of the face
     but not at the apex, kept when ``poly.face_dim`` is one less.  Faces
     are vertex index sets, which makes ``memo`` exact across branches,
-    and across the body and its facets, or across a call's ridges.
+    and across the body and its facets, or across a call's ridges.  The
+    body's subfaces are the facets that miss the apex, each of dimension
+    n - 1 by ``DelzantPolytope._check_faces``, so they are not tested.
     """
     if face not in memo:
         if len(face) == d + 1:
@@ -264,7 +273,7 @@ def _fan(
             memo[face] = tuple(
                 s + (apex,)
                 for sub in subfaces
-                if poly.face_dim(sub) == d - 1
+                if d == poly.dim or poly.face_dim(sub) == d - 1
                 for s in _fan(poly, sub, d - 1, memo)
             )
     return memo[face]
@@ -298,6 +307,67 @@ def _idot(a: Iterable[int], b: Iterable[int]) -> int:
     return sum(map(mul, a, b))
 
 
+def _mass_rule(normals: Sequence[Sequence[int]], n: int) -> tuple[int, list[int]]:
+    """The mass rule of a face cut out by these normals: |N_K| / g and the
+    columns J the edges keep, K being the least r-set of columns, by
+    minor and then by position, whose minor is nonzero.  For a facet,
+    whose normal u is primitive, g = 1 and the minors are the |u_c|."""
+    if len(normals) == 1:
+        mass, drop = min((abs(x), c) for c, x in enumerate(normals[0]) if x)
+        return mass, [c for c in range(n) if c != drop]
+    minors = [
+        (abs(det_int([[u[c] for c in cols] for u in normals])), cols)
+        for cols in itertools.combinations(range(n), len(normals))
+    ]
+    mass, drop = min((m, cols) for m, cols in minors if m)
+    return mass // math.gcd(*[m for m, _ in minors]), [c for c in range(n) if c not in drop]
+
+
+def _minors(table: Sequence[Sequence[int]], simplices: Simplices, keep: list[int]) -> list[int]:
+    """|E_J| of each simplex: the minor of its edges on the columns J."""
+    if len(keep) < 2:
+        if not keep:
+            return [1] * len(simplices)
+        (c,) = keep
+        return [abs(table[b][c] - table[a][c]) for a, b in simplices]
+    pick = itemgetter(*keep)
+    out = []
+    for s in simplices:
+        base, *rest = [pick(table[i]) for i in s]
+        out.append(abs(det_int([list(map(sub, p, base)) for p in rest])))
+    return out
+
+
+def _body(
+    poly: DelzantPolytope, facets: tuple[Simplices, ...]
+) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The body's simplices and their |det|s, by cones over facet simplices.
+
+    ``_fan`` cones the body from vertex 0 over the simplices of each facet
+    j that misses it.  With h = <u_j, Q_0> - D c_j, the height of Q_0 over
+    the facet, such a simplex has |det| = h |C_c| / |u_c|, C_c the facet
+    simplex's minor under the facet's mass rule: its edges are T B for a
+    basis B of the facet's lattice, completed to a unimodular frame by a w
+    with <u_j, w> = 1, in which the apex edge has w-coordinate h.  So
+    every body simplex takes one (n-1) x (n-1) minor.  The simplices come
+    facet by facet, not in the order of the stored body fan.
+    """
+    n = poly.dim
+    table = poly.scaled_vertices[1]
+    apex = table[0]
+    simplices: list[tuple[int, ...]] = []
+    dets: list[int] = []
+    for j, face in enumerate(poly.facet_vertices):
+        if 0 in face:
+            continue
+        u = poly.facets[j].normal
+        mass, keep = _mass_rule([u], n)
+        height = _idot(u, apex) - _idot(u, table[facets[j][0][0]])
+        simplices += [s + (0,) for s in facets[j]]
+        dets += [height * m // mass for m in _minors(table, facets[j], keep)]
+    return simplices, dets
+
+
 def _integrate(
     poly: DelzantPolytope, degree: int, domains: Sequence[Domain] = ((),)
 ) -> tuple[Sums, ...]:
@@ -309,16 +379,17 @@ def _integrate(
     monomials to raw sums: x_i x_j ... is keyed by its sorted variable
     indices (i, j, ...), in the order of ``combinations_with_replacement``,
     degree by degree.  Each simplex of a domain of dimension k gives |det|,
-    the k x k minor of its edges on the columns the mass rule keeps, and,
-    from degree 2, its vertex sum S; its |det| goes into the weight w_p of
-    each of its vertices, and from degree 3 its |det| S into the cross
-    weight.  Simplex terms are sums over the simplices, vertex terms sums
-    over the domain's vertices, all in int; the scale of degree d is the
-    one denominator k! D^(k+d) (k+1)...(k+d) |N_K| / g.
+    the k x k minor of its edges on the columns the mass rule keeps (for
+    the body, by ``_body``'s cone rule), and its vertex sum S; the first
+    moments are sum_s |det| S.  From degree 2 its |det| goes into the
+    weight w_p of each of its vertices, and from degree 3 its |det| S into
+    the cross weight.  Simplex terms are sums over the simplices, vertex
+    terms sums over the domain's vertices, all in int; the scale of degree
+    d is the one denominator k! D^(k+d) (k+1)...(k+d) |N_K| / g.
     """
     if degree > 3:
         raise InvariantViolation(f"the simplex moments are exact to degree 3, not {degree}")
-    body, facets = _triangulate(poly)[:2]
+    facets = _triangulate(poly)[1]
     lcm, table = poly.scaled_vertices
     n = poly.dim
     memo: dict[frozenset[int], Simplices] = {}
@@ -326,38 +397,29 @@ def _integrate(
     for domain in domains:
         k = n - len(domain)
         if not domain:
-            simplices, vertices = body, range(len(table))
+            mass = 1
+            simplices, dets = _body(poly, facets)
         else:
-            face = frozenset.intersection(*[poly.facet_vertices[i] for i in domain])
-            simplices = facets[domain[0]] if len(domain) == 1 else _fan(poly, face, k, memo)
-            vertices = sorted(face)
-        # The mass rule: the r x r minors of the domain's normals, their gcd
-        # g, and the least nonzero one, whose columns K the edges drop.
-        normals = [poly.facets[i].normal for i in domain]
-        minors = [
-            (abs(det_int([[u[c] for c in cols] for u in normals])), cols)
-            for cols in itertools.combinations(range(n), len(domain))
-        ]
-        mass, drop = min((m, cols) for m, cols in minors if m)
-        mass //= math.gcd(*[m for m, _ in minors])
-        keep = [c for c in range(n) if c not in drop]
-        flat = {i: [table[i][c] for c in keep] for i in vertices}
-        weight = dict.fromkeys(vertices, 0)
-        dets = []
-        for s in simplices:
-            base, *rest = [flat[i] for i in s]
-            det = abs(det_int([list(map(sub, p, base)) for p in rest]))
-            dets.append(det)
-            for i in s:
-                weight[i] += det
-        points = [[table[i][c] for i in weight] for c in range(n)]
-        weighted = [list(map(mul, weight.values(), column)) for column in points]
+            if len(domain) == 1:
+                simplices = facets[domain[0]]
+            else:
+                face = frozenset.intersection(*[poly.facet_vertices[i] for i in domain])
+                simplices = _fan(poly, face, k, memo)
+            mass, keep = _mass_rule([poly.facets[i].normal for i in domain], n)
+            dets = _minors(table, simplices, keep)
         raw = {(): sum(dets)}
         if degree > 0:
-            raw.update(((i,), sum(weighted[i])) for i in range(n))
-        if degree > 1:
-            sums = list(zip(*[map(sum, zip(*[table[i] for i in s])) for s in simplices]))
+            sums = list(zip(*[map(sum, zip(*map(table.__getitem__, s))) for s in simplices]))
             det_sums = [list(map(mul, dets, column)) for column in sums]
+            for i, column in enumerate(det_sums):
+                raw[i,] = sum(column)
+        if degree > 1:
+            weight: dict[int, int] = {}
+            for s, d in zip(simplices, dets):
+                for i in s:
+                    weight[i] = weight.get(i, 0) + d
+            points = [[table[i][c] for i in weight] for c in range(n)]
+            weighted = [list(map(mul, weight.values(), column)) for column in points]
             for i, j in itertools.combinations_with_replacement(range(n), 2):
                 raw[i, j] = _idot(det_sums[i], sums[j]) + _idot(weighted[i], points[j])
         if degree > 2:

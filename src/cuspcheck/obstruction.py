@@ -6,7 +6,11 @@ carries as a polytope in its own right: compatibility means the two
 differ by a constant on the facet, checked exactly in the facet chart.
 The facet's own function is solved from the parent's moment store, its
 facet and ridges integrated on the parent's vertex table and mapped
-into the chart in int, so no facet polytope is built for the check.
+into the chart in int, so no facet polytope is built for the check.  It
+depends only on the face, so it is kept per face, in a bounded store
+keyed on the facet and the facets that meet it in a ridge: each round of
+a chop tower after the first leaves the divisor's face as it was and
+solves only the pair's side.
 The second treats the abstract hypotheses on a configuration of fixed
 points: a weighted moment balance relative to a subspace, a genericity
 condition, and a kernel condition tied to evaluation data.
@@ -27,7 +31,7 @@ from .errors import (
 from .extremal import AffineFunction, _affine, _solve, restrict_affine
 from .linalg import Matrix, Vector, nullspace, project_onto_columns, rank
 from .moments import _linear_image, _sums
-from .polytope import DelzantPolytope, _facet_chart, _ridge_facets
+from .polytope import DelzantPolytope, FacetChart, _facet_chart, _ridge_facets
 from .rational import parse_rational
 from .record import Record
 
@@ -51,6 +55,50 @@ class ObstructionReport(Record):
         return self.satisfied
 
 
+# The facet's own side of the check, its chart and solved affine function,
+# keyed on what cuts the face out of its hyperplane: F's normal and offset
+# and the sorted (normal, offset) pairs of its ridge facets.  A tower chops
+# only off F, so every round after the first finds F's side here; a chop at
+# a vertex on F adds a ridge facet and so a new key.  Bounded like the
+# moment store, least recently used first out.
+_MAX_FACET_SIDES = 256
+_facet_sides: dict[tuple, tuple[FacetChart, AffineFunction]] = {}
+
+
+def _facet_side(poly: DelzantPolytope, index: int) -> tuple[FacetChart, AffineFunction]:
+    """The chart of facet ``index`` and the facet's own affine function.
+
+    F's system reads F at degree 2 and each ridge F & G at degree 1, for
+    the facets G of ``facet_polytope``'s ridge rule, each in its lattice
+    measure, which is the facet polytope's volume and boundary measure in
+    F's chart.  These sums are mapped into chart coordinates in int
+    through the chart frame's dual columns, y_k = <d_k, x>, and solved
+    from integer rows.  Both answers depend only on the key, so an equal
+    face of another polytope reads them from ``_facet_sides``; a stored
+    chart may name the facet index of that other polytope, but only its
+    origin and basis are read.
+    """
+    facet = poly.facets[index]
+    ridges = _ridge_facets(poly, index)
+    key = (
+        facet.normal,
+        facet.offset,
+        tuple(sorted((poly.facets[j].normal, poly.facets[j].offset) for j in ridges)),
+    )
+    side = _facet_sides.pop(key, None)
+    if side is None:
+        chart, _, duals = _facet_chart(poly, index)
+        (face,) = _sums(poly, 2, [(index,)])
+        edges = _sums(poly, 1, [tuple(sorted((index, j))) for j in ridges])
+        side = chart, _solve(
+            _linear_image(face, duals), [_linear_image(edge, duals) for edge in edges]
+        )
+        if len(_facet_sides) >= _MAX_FACET_SIDES:
+            del _facet_sides[next(iter(_facet_sides))]
+    _facet_sides[key] = side
+    return side
+
+
 def check_facet_condition(
     poly: DelzantPolytope, divisor_facet: int | str
 ) -> ObstructionReport:
@@ -58,13 +106,8 @@ def check_facet_condition(
 
     Both affine functions are solved from the parent's own store, and no
     facet polytope is built.  The pair's Gram system reads the body at
-    degree 2 and the other facets at degree 1.  The facet F's own system
-    reads F at degree 2 and each ridge F & G at degree 1, for the facets
-    G of ``facet_polytope``'s ridge rule, each in its lattice measure,
-    which is the facet polytope's volume and boundary measure in F's
-    chart.  These sums are mapped into chart coordinates in int through
-    the chart frame's dual columns, y_k = <d_k, x>, and both systems are
-    solved from integer rows.
+    degree 2 and the other facets at degree 1; the facet's own side comes
+    from ``_facet_side``, solved once per face.
     """
     if poly.dim < 2:
         raise DimensionMismatch(
@@ -72,13 +115,8 @@ def check_facet_condition(
         )
     index = poly.resolve_facet(divisor_facet)
     a_pair = _affine(poly, [index])
-    chart, _, duals = _facet_chart(poly, index)
+    chart, a_facet = _facet_side(poly, index)
     a_restricted = restrict_affine(a_pair, chart)
-    (face,) = _sums(poly, 2, [(index,)])
-    ridges = _sums(poly, 1, [tuple(sorted((index, j))) for j in _ridge_facets(poly, index)])
-    a_facet = _solve(
-        _linear_image(face, duals), [_linear_image(ridge, duals) for ridge in ridges]
-    )
     difference = tuple(
         a - b for a, b in zip(a_restricted.gradient, a_facet.gradient)
     )

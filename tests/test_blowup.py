@@ -227,6 +227,25 @@ def test_tower_chop_too_deep_reports_round(triangle):
         tower_step(state, Fraction(1, 2))
 
 
+def test_tower_refuses_a_round_over_the_vertex_budget(triangle, monkeypatch):
+    # The 2D tower has 4, 6 and then 10 vertices after rounds 1-3: round 3
+    # chops 4 corners of the 6-vertex polytope, 6 + 4 > 9.  It is refused
+    # before any corner is read or chopped.
+    from cuspcheck import blowup
+
+    monkeypatch.setattr(blowup, "_MAX_TOWER_VERTICES", 9)
+    state = tower_step(tower_step(start_tower(triangle, "hyp"), Fraction(1, 4)), Fraction(1, 16))
+    assert len(state.polytope.vertices) == 6
+
+    def refuse(*args):
+        raise AssertionError("a refused round chopped")
+
+    monkeypatch.setattr(blowup, "_corner", refuse)
+    monkeypatch.setattr(blowup, "_chop", refuse)
+    with pytest.raises(ValueError, match="round 3 would make 10 vertices, over the limit of 9"):
+        tower_step(state, Fraction(1, 64))
+
+
 def test_tower_round_volume_bookkeeping(triangle):
     state = start_tower(triangle, "hyp")
     v0 = polytope_moments(state.polytope).volume

@@ -139,6 +139,17 @@ def test_exit_three_on_failed_hypotheses(capsys, in_data_dir):
     assert doc["result"]["balance"]["residual"] == ["0", "1", "0"]
 
 
+def test_exit_one_on_a_tower_over_the_vertex_budget(capsys, in_data_dir, monkeypatch):
+    from cuspcheck import blowup
+
+    monkeypatch.setattr(blowup, "_MAX_TOWER_VERTICES", 9)
+    argv = ["tower", "simplex2.json", "--facet", "hyp", "--rounds", "3", "--eps", "1/4,1/16,1/64"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == "error: round 3 would make 10 vertices, over the limit of 9\n"
+    assert run_cli(capsys, argv[:5] + ["2", "--eps", "1/4,1/16"])[0] == 0
+
+
 def test_exit_one_on_missing_file(capsys):
     code, out, err = run_cli(capsys, ["vertices", "no-such-file.json"])
     assert code == 1

@@ -284,6 +284,36 @@ def test_relative_futaki_matches_sympy(triangle):
     assert got == Fraction(str(bottom + left - vol))
 
 
+def test_affine_function_keeps_the_fractions_it_is_given(monkeypatch):
+    # Counted as in the check's test: Fraction arithmetic builds through
+    # __new__, or through _from_coprime_ints on Python 3.12 and later.
+    constant, gradient = Fraction(7, 3), (Fraction(-1, 2), Fraction(5))
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    if hasattr(Fraction, "_from_coprime_ints"):
+        coprime = Fraction._from_coprime_ints
+        monkeypatch.setattr(
+            Fraction,
+            "_from_coprime_ints",
+            classmethod(lambda cls, a, b: built.append((a, b)) or coprime(a, b)),
+        )
+    a = AffineFunction(constant=constant, gradient=list(gradient))
+    assert built == []
+    b = AffineFunction(constant=2, gradient=(gradient[0], 3))
+    assert len(built) == 2
+    monkeypatch.undo()
+    assert a.constant is constant and a.gradient == gradient
+    assert all(x is y for x, y in zip(a.gradient, gradient))
+    assert type(b.constant) is Fraction and [type(x) for x in b.gradient] == [Fraction] * 2
+    assert b == AffineFunction(Fraction(2), (Fraction(-1, 2), Fraction(3)))
+
+
 def test_affine_function_evaluation():
     a = AffineFunction(constant=Fraction(3), gradient=(Fraction(1), Fraction(-2)))
     assert a((Fraction(1), Fraction(1))) == 2

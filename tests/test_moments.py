@@ -9,6 +9,7 @@ polytopes against the ranks of vertex points that the face rule replaced;
 everything exact except the Monte-Carlo smoke check.
 """
 
+import collections
 import itertools
 import math
 import random
@@ -42,6 +43,7 @@ from cuspcheck import (
     start_tower,
     tower_step,
 )
+from cuspcheck import moments, obstruction
 from cuspcheck.errors import InvariantViolation
 from cuspcheck.linalg import IntVector, Vector, complete_primitive, det_int, dot, gcd_vector
 from cuspcheck.moments import (
@@ -701,6 +703,50 @@ def _assert_rule_matches_expansion(poly):
         }
         assert list(exponents) == alphas, index
         assert exponents == expected, index
+
+
+def _chopped_five_simplex():
+    poly = unit_simplex(5)
+    for vertex in [(0,) * 5, (1, 0, 0, 0, 0)]:
+        poly = blow_up_vertex(poly, vertex, max_chop_parameter(poly, vertex) / 3)
+    frame = [[1, 2, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, -1, 0], [0, 0, 0, 1, 0], [1, 0, 0, 0, 1]]
+    return apply_unimodular(poly, frame, (Fraction(1, 2), 0, Fraction(-2, 3), 1, 0))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: unit_cube(5), lambda: unit_simplex(5), _chopped_five_simplex],
+    ids=["cube5", "simplex5", "chopped_simplex5"],
+)
+def test_body_sums_by_cones_match_full_determinants(build, monkeypatch):
+    # Each body simplex's |det| comes from its facet simplex's minor and the
+    # apex height, so a check in dimension 5 takes no 5 x 5 determinant.
+    # The body sums to degree 2 must equal those of the full n x n
+    # determinants of the stored body fan, which run the elimination.
+    poly = build()
+    n = poly.dim
+    lcm, table = poly.scaled_vertices
+    expected = collections.Counter()
+    for s in _triangulate(poly)[0]:
+        points = [table[i] for i in s]
+        det = abs(det_int([[a - b for a, b in zip(p, points[0])] for p in points[1:]]))
+        total = [sum(column) for column in zip(*points)]
+        expected[()] += det
+        for i in range(n):
+            expected[i,] += det * total[i]
+        for i, j in itertools.combinations_with_replacement(range(n), 2):
+            expected[i, j] += det * (total[i] * total[j] + sum(p[i] * p[j] for p in points))
+    sizes = []
+    monkeypatch.setattr(moments, "det_int", lambda m: sizes.append(len(m)) or det_int(m))
+    _triangulate.cache_clear()
+    obstruction._facet_sides.clear()
+    ((raw, scale),) = _integrate(poly, 2)
+    assert raw == expected
+    factorial = math.factorial(n)
+    assert scale == (factorial * lcm**n, factorial * lcm**n * (n + 1) * lcm,
+                     factorial * lcm**n * (n + 1) * (n + 2) * lcm**2)
+    check_facet_condition(poly, 0)
+    assert sizes and max(sizes) <= 4
 
 
 def test_integrate_refuses_degree_four(triangle):

@@ -12,6 +12,7 @@ from conftest import tower_rounds, unit_cube, unit_simplex
 from cuspcheck import (
     DelzantPolytope,
     DimensionMismatch,
+    Facet,
     InputValidationError,
     MissingEvaluationData,
     MomentConfiguration,
@@ -24,12 +25,14 @@ from cuspcheck import (
     extremal_affine,
     facet_polytope,
     moments,
+    obstruction,
     polytope,
     restrict_affine,
     start_tower,
     tower_step,
     toric_configuration,
 )
+from cuspcheck.polytope import _ridge_facets
 from test_moments import _pyramid, _skew_triangle, framed_chopped
 
 
@@ -101,6 +104,79 @@ def test_check_matches_the_oracle_in_random_frames(n, data):
     _assert_check_matches_oracle(data.draw(framed_chopped(n)))
 
 
+def _tower_corpus():
+    # 2D tower rounds 1-6, 3D rounds 1-3 and the benchmark's seeded towers.
+    polys = list(tower_rounds()[:6]) + _tower(3, 3)
+    corpus = _load_corpus()
+    for seed in (1, 2):
+        for doc in corpus.seeded_tower_bases(seed).values():
+            base = DelzantPolytope.from_data(doc)
+            polys += _tower(base.dim, corpus.SEEDED_TOWER_ROUNDS[base.dim], base)
+    return polys
+
+
+def test_check_matches_the_oracle_with_the_facet_sides_warm(monkeypatch):
+    # Checking each facet of a polytope fills the facet sides; checked
+    # again, each facet's side must be read from them, with no facet chart
+    # solved, and the report must still equal the oracle.
+    def refuse(*args):
+        raise AssertionError("a warm check solved the facet's side again")
+
+    obstruction._facet_sides.clear()
+    for poly in _tower_corpus():
+        for index in range(len(poly.facets)):
+            check_facet_condition(poly, index)
+        with monkeypatch.context() as patch:
+            patch.setattr(obstruction, "_facet_chart", refuse)
+            _assert_check_matches_oracle(poly)
+
+
+def test_a_tower_solves_the_divisor_side_once(monkeypatch):
+    # Chops off the divisor leave its face, so only round 1 solves its side.
+    charts = []
+    facet_chart = obstruction._facet_chart
+    monkeypatch.setattr(
+        obstruction, "_facet_chart", lambda poly, index: charts.append(index) or facet_chart(poly, index)
+    )
+    obstruction._facet_sides.clear()
+    for n, rounds in ((2, 6), (3, 3)):
+        for poly in _tower(n, rounds):
+            check_facet_condition(poly, "hyp")
+    assert charts == [2, 3]
+
+
+def test_a_chop_on_the_facet_changes_its_side():
+    # A chop at a vertex of F makes its new facet a ridge facet of F, so a
+    # warm check of F must not read the side stored for the unchopped face.
+    for poly, vertex in [
+        (unit_simplex(2), (1, 0)),
+        (unit_simplex(3), (0, 0, 1)),
+        (tower_rounds()[1], (1, 0)),
+    ]:
+        index = poly.resolve_facet("hyp")
+        obstruction._facet_sides.clear()
+        check_facet_condition(poly, index)
+        chopped = blow_up_vertex(poly, vertex, Fraction(1, 8))
+        assert _ridge_facets(chopped, index)[-1] == len(poly.facets)
+        report = check_facet_condition(chopped, index)
+        assert len(obstruction._facet_sides) == 2
+        assert report.a_facet == _oracle(chopped, index)[2]
+        _assert_check_matches_oracle(chopped)
+
+
+def test_the_facet_sides_are_bounded():
+    # 300 triangles x, y >= 0, x + y <= b have 300 different hypotenuses.
+    obstruction._facet_sides.clear()
+    for b in range(1, 301):
+        triangle = DelzantPolytope(
+            2, (Facet((1, 0), 0), Facet((0, 1), 0), Facet((-1, -1), -b, label="hyp"))
+        )
+        report = check_facet_condition(triangle, "hyp")
+        assert report.a_facet == _oracle(triangle, 2)[2]
+        assert len(obstruction._facet_sides) <= 256
+    assert len(obstruction._facet_sides) == 256
+
+
 def test_a_check_builds_no_polytope(monkeypatch):
     # No scan, no claimed build and no facet polytope: the check reads the
     # parent's own store.
@@ -124,11 +200,11 @@ def test_a_check_builds_no_polytope(monkeypatch):
     ids=["cube3", "simplex4", "cube5", "tower2d_round6"],
 )
 def test_a_check_builds_fractions_only_for_its_report(build, monkeypatch):
-    # From a cleared store, the integrals, the chart maps and both Gram
-    # solves run in int: the Fractions a check builds are its report's
-    # values (each built and then normalised by AffineFunction) and the
-    # chart origin c_F w, at most two per reported value.  The Fraction
-    # route built one per monomial per domain and a Gram matrix per solve.
+    # From a cleared store and no stored facet sides, the integrals, the
+    # chart maps and both Gram solves run in int: the Fractions a check
+    # builds are its report's values, each built once, and the n of the
+    # chart origin c_F w.  The Fraction route built one per monomial per
+    # domain and a Gram matrix per solve.
     poly = build()
     built = []
     new = Fraction.__new__
@@ -146,12 +222,13 @@ def test_a_check_builds_fractions_only_for_its_report(build, monkeypatch):
             classmethod(lambda cls, a, b: built.append((a, b)) or coprime(a, b)),
         )
     moments._triangulate.cache_clear()
+    obstruction._facet_sides.clear()
     report = check_facet_condition(poly, 0)
     monkeypatch.undo()
     values = [report.offset, *report.difference_gradient]
     for affine in (report.a_pair, report.a_restricted, report.a_facet):
         values += [affine.constant, *affine.gradient]
-    assert 0 < len(built) <= 2 * len(values)
+    assert 0 < len(built) <= len(values) + poly.dim
 
 
 def test_triangle_hypotenuse_frozen(triangle):

@@ -17,6 +17,7 @@ from cuspcheck import (
     check_facet_condition,
     extremal_affine,
     moments,
+    obstruction,
 )
 from cuspcheck.moments import FacetMoments
 from cuspcheck.polytope import Vertex
@@ -128,6 +129,7 @@ def test_checking_every_facet_integrates_the_body_once(monkeypatch):
 
     monkeypatch.setattr(moments, "_integrate", counting)
     moments._triangulate.cache_clear()
+    obstruction._facet_sides.clear()
     check_facet_condition(cube, 0)
     body = moments._triangulate(cube)[3][()]
     for i in range(8):
@@ -144,6 +146,11 @@ def test_checking_every_facet_integrates_the_body_once(monkeypatch):
     # Facets 2k and 2k + 1 are opposite, bot_k and top_k, and share no ridge.
     assert not any(i % 2 == 0 and j == i + 1 for i, j in ridges)
     assert moments._triangulate.cache_info().misses == 1
+    # A second pass reads the store and the facet sides: it integrates nothing.
+    del calls[:]
+    for i in range(8):
+        check_facet_condition(cube, i)
+    assert calls == []
 
 
 def test_moment_store_is_bounded_and_lets_evicted_polytopes_go():
