@@ -256,11 +256,13 @@ def _fan(
     face is coned from its lexicographically smallest vertex, its least
     index since vertices are sorted, over its subfaces missing the apex:
     its intersections with the facets tight at some vertex of the face
-    but not at the apex, kept when ``poly.face_dim`` is one less.  Faces
-    are vertex index sets, which makes ``memo`` exact across branches,
-    and across the body and its facets, or across a call's ridges.  The
-    body's subfaces are the facets that miss the apex, each of dimension
-    n - 1 by ``DelzantPolytope._check_faces``, so they are not tested.
+    but not at the apex, kept when ``poly.face_dim`` is one less, in the
+    order of the least such facet that cuts each out.  Faces are vertex
+    index sets, which makes ``memo`` exact across branches, and across
+    the body and its facets, or across a call's ridges.  The body's
+    subfaces are the facets that miss the apex, each of dimension n - 1
+    by ``DelzantPolytope._check_faces``, so they are not tested, and the
+    body's simplices are theirs, coned, in facet order.
     """
     if face not in memo:
         if len(face) == d + 1:
@@ -268,8 +270,8 @@ def _fan(
         else:
             apex = min(face)
             active = poly.vertices[apex].active
-            near = {j for i in face for j in poly.vertices[i].active}.difference(active)
-            subfaces = sorted({face & poly.facet_vertices[j] for j in near}, key=sorted)
+            near = sorted({j for i in face for j in poly.vertices[i].active}.difference(active))
+            subfaces = dict.fromkeys(face & poly.facet_vertices[j] for j in near)
             memo[face] = tuple(
                 s + (apex,)
                 for sub in subfaces
@@ -338,34 +340,28 @@ def _minors(table: Sequence[Sequence[int]], simplices: Simplices, keep: list[int
     return out
 
 
-def _body(
-    poly: DelzantPolytope, facets: tuple[Simplices, ...]
-) -> tuple[list[tuple[int, ...]], list[int]]:
-    """The body's simplices and their |det|s, by cones over facet simplices.
+def _body_dets(poly: DelzantPolytope, facets: tuple[Simplices, ...]) -> list[int]:
+    """|det[edges]| of each body simplex, in the order of the body's fan.
 
     ``_fan`` cones the body from vertex 0 over the simplices of each facet
-    j that misses it.  With h = <u_j, Q_0> - D c_j, the height of Q_0 over
-    the facet, such a simplex has |det| = h |C_c| / |u_c|, C_c the facet
+    j that misses it, in facet order (a body that is one simplex is that
+    cone too).  With h = <u_j, Q_0> - D c_j, the height of Q_0 over the
+    facet, such a simplex has |det| = h |C_c| / |u_c|, C_c the facet
     simplex's minor under the facet's mass rule: its edges are T B for a
     basis B of the facet's lattice, completed to a unimodular frame by a w
     with <u_j, w> = 1, in which the apex edge has w-coordinate h.  So
-    every body simplex takes one (n-1) x (n-1) minor.  The simplices come
-    facet by facet, not in the order of the stored body fan.
+    every body simplex takes one (n-1) x (n-1) minor.
     """
-    n = poly.dim
     table = poly.scaled_vertices[1]
-    apex = table[0]
-    simplices: list[tuple[int, ...]] = []
     dets: list[int] = []
     for j, face in enumerate(poly.facet_vertices):
         if 0 in face:
             continue
         u = poly.facets[j].normal
-        mass, keep = _mass_rule([u], n)
-        height = _idot(u, apex) - _idot(u, table[facets[j][0][0]])
-        simplices += [s + (0,) for s in facets[j]]
+        mass, keep = _mass_rule([u], poly.dim)
+        height = _idot(u, table[0]) - _idot(u, table[facets[j][0][0]])
         dets += [height * m // mass for m in _minors(table, facets[j], keep)]
-    return simplices, dets
+    return dets
 
 
 def _integrate(
@@ -380,16 +376,17 @@ def _integrate(
     indices (i, j, ...), in the order of ``combinations_with_replacement``,
     degree by degree.  Each simplex of a domain of dimension k gives |det|,
     the k x k minor of its edges on the columns the mass rule keeps (for
-    the body, by ``_body``'s cone rule), and its vertex sum S; the first
-    moments are sum_s |det| S.  From degree 2 its |det| goes into the
-    weight w_p of each of its vertices, and from degree 3 its |det| S into
-    the cross weight.  Simplex terms are sums over the simplices, vertex
-    terms sums over the domain's vertices, all in int; the scale of degree
-    d is the one denominator k! D^(k+d) (k+1)...(k+d) |N_K| / g.
+    the body, by the cone rule of ``_body_dets``), and its vertex sum S;
+    the first moments are sum_s |det| S.  From degree 2 its |det| goes
+    into the weight w_p of each of its vertices, and from degree 3 its
+    |det| S into the cross weight.  Simplex terms are sums over the
+    simplices, vertex terms sums over the domain's vertices, all in int;
+    the scale of degree d is the one denominator
+    k! D^(k+d) (k+1)...(k+d) |N_K| / g.
     """
     if degree > 3:
         raise InvariantViolation(f"the simplex moments are exact to degree 3, not {degree}")
-    facets = _triangulate(poly)[1]
+    body, facets = _triangulate(poly)[:2]
     lcm, table = poly.scaled_vertices
     n = poly.dim
     memo: dict[frozenset[int], Simplices] = {}
@@ -397,8 +394,7 @@ def _integrate(
     for domain in domains:
         k = n - len(domain)
         if not domain:
-            mass = 1
-            simplices, dets = _body(poly, facets)
+            simplices, dets, mass = body, _body_dets(poly, facets), 1
         else:
             if len(domain) == 1:
                 simplices = facets[domain[0]]

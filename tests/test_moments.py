@@ -523,7 +523,8 @@ def test_boundary_totals_are_built_once_over_one_denominator():
 def _triangulate_by_point_ranks(poly):
     """The triangulation as it was before the face rule: every face and
     candidate subface ranked by ``affine_rank`` on the integer vertex
-    table, and subfaces sought over all m facets."""
+    table, and subfaces sought over all m facets, each coned in the order
+    of the least facet that cuts it out."""
     table = poly.scaled_vertices[1]
     tight = [frozenset(v.active) for v in poly.vertices]
     nfacets = len(poly.facets)
@@ -540,16 +541,14 @@ def _triangulate_by_point_ranks(poly):
             cache[face] = (tuple(sorted(face)),)
             return cache[face]
         apex = min(face)
-        subfaces = set()
+        subfaces = {}
         for j in range(nfacets):
             sub = frozenset(i for i in face if j in tight[i])
             if apex in sub or not sub:
                 continue
             if face_rank(sub) == d - 1:
-                subfaces.add(sub)
-        cache[face] = tuple(
-            s + (apex,) for sub in sorted(subfaces, key=sorted) for s in tri(sub)
-        )
+                subfaces.setdefault(sub)
+        cache[face] = tuple(s + (apex,) for sub in subfaces for s in tri(sub))
         return cache[face]
 
     everything = range(len(table))
