@@ -15,18 +15,26 @@ length <= 2 * eps joins their corners.  The chop removes v and adds the
 vertices v + eps * w_i, tight on the new facet and on the corner's
 facets but the i-th, with edge generators w_k - w_i (k != i) and w_i.
 
-Every chop hands the polytope the ``Vertex`` records it keeps, the
-parent's own, and one per created vertex, with edge generators; the
-new facets are appended, so kept tight sets are unchanged.  Both tight
-sets follow from the two checks that stay explicit.  Below the depth
-bound v + eps * w_i lies inside its edge, so it is tight on that edge's
-facets only.  Every vertex but a corner c lies above the facet of the
-chop at c by at least the shortest edge at c, less eps, so a kept vertex
-is tight on no new facet; with no interacting pair, neither is a vertex
-created at another corner.  The construction checks each claimed tight
-facet and the generators in int, with no sweep of every vertex against
-every facet and no re-enumeration: O(V * n^3) int work in all.  Edge
-lengths and created points are read off the integer vertex table.
+Everything is read off the integer vertex table (D, X) and the tight
+sets, in int: edge lengths and the base offset are ints over D, and with
+eps = p / q the interaction test t <= 2 * eps is q t <= 2 p D.  Every chop
+hands the polytope one row claim over the scale q D: the rows q X_k it
+keeps, with the parent's tight sets, and q X_k + p D w_i for each created
+vertex, with edge generators; the new facets are appended, so kept tight
+sets are unchanged.  Per chopped corner only n + 2 Fractions are built:
+the corner's point and depth bound for its ``BlowupSpec``, and the new
+facet's offset.  A point asked for is found by scaling it by D and
+looking it up in the table.
+
+Both tight sets follow from the two checks that stay explicit.  Below
+the depth bound v + eps * w_i lies inside its edge, so it is tight on
+that edge's facets only.  Every vertex but a corner c lies above the
+facet of the chop at c by at least the shortest edge at c, less eps, so
+a kept vertex is tight on no new facet; with no interacting pair,
+neither is a vertex created at another corner.  The construction checks
+each claimed tight facet and the generators in int, with no sweep of
+every vertex against every facet and no re-enumeration: O(V * n^3) int
+work in all.
 """
 
 from __future__ import annotations
@@ -50,43 +58,48 @@ from .record import Record
 
 
 def _find_vertex(poly: DelzantPolytope, point: Sequence[Fraction]) -> int:
+    """Index of the vertex at ``point``: the point scaled by the table's D,
+    looked up in the table, which holds it only if D clears it."""
     p = tuple(Fraction(x) for x in point)
-    for k, v in enumerate(poly.vertices):
-        if v.point == p:
-            return k
+    scale, table = poly.scaled_vertices
+    if len(p) == poly.dim and not any(scale % x.denominator for x in p):
+        row = tuple(x.numerator * (scale // x.denominator) for x in p)
+        if row in table:
+            return table.index(row)
     raise NotAVertex(f"{format_rational_vector(p)} is not a vertex of the polytope")
 
 
 def _corner(
     poly: DelzantPolytope, k: int
-) -> tuple[IntVector, Fraction, tuple[IntVector, ...], tuple[Fraction, ...]]:
-    """New facet normal, base offset, edge generators and edge lengths.
+) -> tuple[IntVector, int, tuple[IntVector, ...], tuple[int, ...], Fraction]:
+    """New facet normal, base offset, edge generators, edge lengths and
+    the depth bound.
 
+    The base offset and the lengths are ints over the table's scale D.
     The generators and lengths follow the order of the corner's active
     facets: generator i leaves the i-th active facet, and length i is
-    the lattice length of the edge along it.
+    the lattice length of the edge along it.  The bound is the least
+    length, as a Fraction.
     """
     if poly.dim < 2:
         raise DimensionMismatch("chops need a polytope of dimension >= 2")
-    vertex, cone = poly.vertices[k], poly.cones[k]
-    if len(vertex.active) != poly.dim:
+    active, cone = poly.vertex_facets[k], poly.cones[k]
+    if len(active) != poly.dim:
         raise NotUnimodular(
-            f"vertex {format_rational_vector(vertex.point)} lies on "
-            f"{len(vertex.active)} facets; chops need a simple corner"
+            f"vertex {format_rational_vector(poly._point(k))} lies on "
+            f"{len(active)} facets; chops need a simple corner"
         )
     if cone.generators is None:
         raise NotUnimodular(
-            f"corner at {format_rational_vector(vertex.point)} has active "
+            f"corner at {format_rational_vector(poly._point(k))} has active "
             "normal determinant other than +-1"
         )
-    new_normal = tuple(map(sum, zip(*(poly.facets[i].normal for i in vertex.active))))
+    new_normal = tuple(map(sum, zip(*(poly.facets[i].normal for i in active))))
     # The corner is tight on its active facets, so D * base = <N, X_k>.
     scale, table = poly.scaled_vertices
     base = sum(map(mul, new_normal, table[k]))
-    lengths = tuple(
-        Fraction(sum(map(mul, new_normal, table[j])) - base, scale) for j in cone.neighbours
-    )
-    return new_normal, Fraction(base, scale), cone.generators, lengths
+    lengths = tuple(sum(map(mul, new_normal, table[j])) - base for j in cone.neighbours)
+    return new_normal, base, cone.generators, lengths, Fraction(min(lengths), scale)
 
 
 def max_chop_parameter(poly: DelzantPolytope, vertex: Sequence[Fraction]) -> Fraction:
@@ -97,13 +110,13 @@ def max_chop_parameter(poly: DelzantPolytope, vertex: Sequence[Fraction]) -> Fra
     first: the second-lowest vertex of the new facet's functional has a
     descending edge, which can only lead to the corner.
     """
-    return min(_corner(poly, _find_vertex(poly, vertex))[3])
+    return _corner(poly, _find_vertex(poly, vertex))[4]
 
 
 def _chop(
     poly: DelzantPolytope,
     corners: Sequence[
-        tuple[int, IntVector, Fraction, tuple[IntVector, ...], tuple[Fraction, ...]]
+        tuple[int, IntVector, int, tuple[IntVector, ...], tuple[int, ...], Fraction]
     ],
     eps: Fraction,
     labels: Sequence[str | None],
@@ -114,39 +127,44 @@ def _chop(
     and each chop must already be below its depth bound.  Two chops share
     boundary (InteractingChops) exactly when an edge of length t <= 2 * eps
     joins their corners, since the new vertex on it lies t - eps above the
-    other chop's base.  The first such pair in corner order is reported.
+    other chop's base; with eps = p / q and t over D, q t <= 2 p D in int.
+    The first such pair in corner order is reported.
     """
     order = {k: pos for pos, (k, *_) in enumerate(corners)}
-    for k, _, _, _, lengths in corners:
+    scale, table = poly.scaled_vertices
+    p, q = eps.numerator, eps.denominator
+    for k, _, _, _, lengths, _ in corners:
         partners = [
             j
             for j, t in zip(poly.cones[k].neighbours, lengths)
-            if j in order and t <= 2 * eps
+            if j in order and q * t <= 2 * p * scale
         ]
         if partners:
-            other = poly.vertices[min(partners, key=order.__getitem__)]
+            other = min(partners, key=order.__getitem__)
             raise InteractingChops(
-                f"chops at {format_rational_vector(poly.vertices[k].point)} and "
-                f"{format_rational_vector(other.point)} overlap at "
+                f"chops at {format_rational_vector(poly._point(k))} and "
+                f"{format_rational_vector(poly._point(other))} overlap at "
                 f"parameter {format_rational(eps)}"
             )
     facets = list(poly.facets)
-    kept = [k for k in range(len(poly.vertices)) if k not in order]
-    claimed = [poly.vertices[k] for k in kept]
+    kept = [k for k in range(len(table)) if k not in order]
+    # Over q D, X_k / D is q X_k, and X_k / D + eps * w is q X_k + p D w.
+    rows = [tuple(q * x for x in table[k]) for k in kept]
+    tight = [poly.vertex_facets[k] for k in kept]
     generators = [poly.cones[k].generators for k in kept]
-    # With eps = p / q, X_k / D + eps * w = (q X_k + p D w) / (q D).
-    scale, table = poly.scaled_vertices
-    p, q = eps.numerator, eps.denominator
-    for (k, normal, base, cone, _), label in zip(corners, labels):
-        active = poly.vertices[k].active
+    for (k, normal, base, cone, *_), label in zip(corners, labels):
+        active = poly.vertex_facets[k]
         new = (len(facets),)
-        facets.append(Facet(normal=normal, offset=base + eps, label=label))
+        offset = Fraction(q * base + p * scale, q * scale)
+        facets.append(Facet(normal=normal, offset=offset, label=label))
         for i, w in enumerate(cone):
-            point = tuple(Fraction(q * x + p * scale * d, q * scale) for x, d in zip(table[k], w))
+            rows.append(tuple(q * x + p * scale * d for x, d in zip(table[k], w)))
             others = cone[:i] + cone[i + 1 :]
             generators.append(tuple(tuple(a - b for a, b in zip(g, w)) for g in others) + (w,))
-            claimed.append(Vertex(point=point, active=active[:i] + active[i + 1 :] + new))
-    return DelzantPolytope._from_claimed_vertices(poly.dim, tuple(facets), claimed, generators)
+            tight.append(active[:i] + active[i + 1 :] + new)
+    return DelzantPolytope._from_claimed_vertices(
+        poly.dim, tuple(facets), q * scale, rows, tight, generators
+    )
 
 
 def blow_up_vertex(
@@ -169,11 +187,11 @@ def blow_up_vertex(
         raise ValueError(f"chop parameter must be positive, got {format_rational(eps)}")
     k = _find_vertex(poly, vertex)
     corner = _corner(poly, k)
-    bound = min(corner[3])
+    bound = corner[4]
     if eps >= bound:
         raise ChopTooDeep(
             f"chop parameter {format_rational(eps)} at "
-            f"{format_rational_vector(poly.vertices[k].point)} reaches the bound "
+            f"{format_rational_vector(poly._point(k))} reaches the bound "
             f"{format_rational(bound)}"
         )
     return _chop(poly, [(k, *corner)], eps, [label])
@@ -223,7 +241,7 @@ class TowerState(Record):
         """Indices of ``designated_vertices`` in the polytope's vertices."""
         faces = self.polytope.facet_vertices
         if not self.history:
-            return sorted(set(range(len(self.polytope.vertices))) - faces[self.divisor_facet])
+            return sorted(set(range(len(self.polytope.vertex_facets))) - faces[self.divisor_facet])
         last = {record.label for record in self.history if record.round == self.round}
         out = set().union(
             *(faces[i] for i, f in enumerate(self.polytope.facets) if f.label in last)
@@ -277,7 +295,7 @@ def tower_step(state: TowerState, eps: Fraction) -> TowerState:
     depth bound (ChopTooDeep), then pairwise: two designated corners
     joined by an edge of length at most 2 * eps would share boundary
     (InteractingChops).  The chopped polytope is built from the
-    closed-form vertex points, tight sets and edge generators and
+    closed-form int vertex rows, tight sets and edge generators and
     verified, not re-enumerated.
     """
     eps = parse_rational(eps)
@@ -287,7 +305,7 @@ def tower_step(state: TowerState, eps: Fraction) -> TowerState:
     if not targets:
         raise InvariantViolation("a validated tower state always designates vertices")
     poly = state.polytope
-    count = len(poly.vertices) + (poly.dim - 1) * len(targets)
+    count = len(poly.vertex_facets) + (poly.dim - 1) * len(targets)
     if count > _MAX_TOWER_VERTICES:
         raise ValueError(
             f"round {state.round + 1} would make {count} vertices, over the limit "
@@ -296,11 +314,11 @@ def tower_step(state: TowerState, eps: Fraction) -> TowerState:
 
     corners = []
     records = []
-    labels = _fresh_labels(state.polytope, len(state.history) + 1, len(targets))
+    labels = _fresh_labels(poly, len(state.history) + 1, len(targets))
     for k, label in zip(targets, labels):
-        point = state.polytope.vertices[k].point
-        corner = _corner(state.polytope, k)
-        bound = min(corner[3])
+        point = poly._point(k)
+        corner = _corner(poly, k)
+        bound = corner[4]
         if eps >= bound:
             raise ChopTooDeep(
                 f"round {state.round + 1} chop at "
@@ -318,7 +336,7 @@ def tower_step(state: TowerState, eps: Fraction) -> TowerState:
             )
         )
     return TowerState(
-        polytope=_chop(state.polytope, corners, eps, labels),
+        polytope=_chop(poly, corners, eps, labels),
         divisor_facet=state.divisor_facet,
         round=state.round + 1,
         history=state.history + tuple(records),

@@ -54,31 +54,33 @@ times (n-1)! times the lattice height h = <u_j, Q_0> - D c_j of the apex
 over the facet.  Every minor the kernel takes is then at most
 (n-1) x (n-1), closed-form in ``det_int`` up to n = 5.
 
-The sums run on ints: the triangulation's simplices index the
-polytope's integer vertex table (``DelzantPolytope.scaled_vertices``, the
-points Q = D v), and in Q every numerator above is an integer, over
-k! D^(k+d) (k+1)...(k+d) |N_K| / g at degree d.  Summed over the
-simplices of one domain, each sum_p term becomes a sum over the domain's
-vertices: a simplex's |det| times f(Q_p), for each of its vertices p,
-adds up to w_p f(Q_p), the per-vertex weight w_p being the sum of |det|
-over the simplices that hold p, and the cross term of degree 3 reads the
-weight sum of |det| S over them.  So a simplex adds only |det|, |det| S
-for the first moments, |det| S (x) S (and (x) S at degree 3) and its
-share of the weights, which are built only from degree 2, and each sum
-is divided once, by its degree's scale, when a reader builds its
-Fraction.  Nothing is approximated.
+The sums run on ints: the triangulation's simplices index the polytope's
+integer vertex table (``DelzantPolytope.scaled_vertices``, the points
+Q = D v, with their tight sets in ``vertex_facets``), and in Q every
+numerator above is an integer, over k! D^(k+d) (k+1)...(k+d) |N_K| / g
+at degree d.  Summed over the simplices of one domain, each sum_p term
+becomes a sum over the domain's vertices: a simplex's |det| times
+f(Q_p), for each of its vertices p, adds up to w_p f(Q_p), the
+per-vertex weight w_p being the sum of |det| over the simplices that
+hold p, and the cross term of degree 3 reads the weight sum of |det| S
+over them.  So a simplex adds only |det|, |det| S for the first moments,
+|det| S (x) S (and (x) S at degree 3) and its share of the weights,
+which are built only from degree 2, and each sum is divided once, by its
+degree's scale, when a reader builds its Fraction.  Nothing is
+approximated.
 
 One store entry per polytope, keyed on its value and bounded at 256
-polytopes, holds its fan triangulations, the raw int sums and their
-scales of each domain integrated so far, to the highest degree asked,
-and the moments the public readers built from them.  Fractions are built
-only by the readers (``polytope_moments``, ``boundary_moments``, the
-``integrate_polynomial`` pair, and ``extremal``'s ``relative_futaki``
-and reports); the Gram solves of ``extremal`` and ``obstruction`` read
-the int sums.  Each domain is integrated at most once per degree, an
-excluded facet not at all.  So checking every facet of a polytope, one
-divisor at a time, integrates its body once, each facet at most once per
-degree and each ridge once, and builds no other polytope.
+polytopes, holds its fan triangulations and the raw int sums and their
+scales of each domain integrated so far, to the highest degree asked;
+each derived quantity is stored once, in int.  Fractions are built only
+by the readers, from the stored sums on each call (``polytope_moments``,
+``boundary_moments``, the ``integrate_polynomial`` pair, and
+``extremal``'s ``relative_futaki`` and reports); the Gram solves of
+``extremal`` and ``obstruction`` read the int sums.  Each domain is
+integrated at most once per degree, an excluded facet not at all.  So
+checking every facet of a polytope, one divisor at a time, integrates
+its body once, each facet at most once per degree and each ridge once,
+and builds no other polytope.
 """
 
 from __future__ import annotations
@@ -252,7 +254,7 @@ def _fan(
 ) -> Simplices:
     """Fan triangulation of the d-dimensional face with these vertex indices.
 
-    Simplices are tuples of vertex indices into ``poly.vertices``.  The
+    Simplices are tuples of indices into the vertex table.  The
     face is coned from its lexicographically smallest vertex, its least
     index since vertices are sorted, over its subfaces missing the apex:
     its intersections with the facets tight at some vertex of the face
@@ -269,8 +271,8 @@ def _fan(
             memo[face] = (tuple(sorted(face)),)
         else:
             apex = min(face)
-            active = poly.vertices[apex].active
-            near = sorted({j for i in face for j in poly.vertices[i].active}.difference(active))
+            active = poly.vertex_facets[apex]
+            near = sorted({j for i in face for j in poly.vertex_facets[i]}.difference(active))
             subfaces = dict.fromkeys(face & poly.facet_vertices[j] for j in near)
             memo[face] = tuple(
                 s + (apex,)
@@ -286,23 +288,18 @@ def _fan(
 @functools.lru_cache(maxsize=256)
 def _triangulate(
     poly: DelzantPolytope,
-) -> tuple[
-    Simplices,
-    tuple[Simplices, ...],
-    dict[int | None, MomentData | FacetMoments],
-    dict[Domain, Sums],
-]:
+) -> tuple[Simplices, tuple[Simplices, ...], dict[Domain, Sums]]:
     """The store entry of ``poly``: the fan triangulations of its body and
-    of each facet's face; the moments the readers built, None for the body,
-    else a facet index; and the raw int sums of each domain integrated so
-    far, to the highest degree asked.  A ridge is triangulated when it is
-    integrated, and neither its fan nor the per-vertex weights are kept:
-    a domain is integrated once per degree, so they would never be read
-    again."""
+    of each facet's face, and the raw int sums of each domain integrated
+    so far, to the highest degree asked.  Nothing else is kept: the readers
+    build their Fractions from the sums on each call, a ridge is
+    triangulated when it is integrated, and neither its fan nor the
+    per-vertex weights are kept, since a domain is integrated once per
+    degree, so they would never be read again."""
     memo: dict[frozenset[int], Simplices] = {}
     n = poly.dim
-    body = _fan(poly, frozenset(range(len(poly.vertices))), n, memo)
-    return body, tuple(_fan(poly, face, n - 1, memo) for face in poly.facet_vertices), {}, {}
+    body = _fan(poly, frozenset(range(len(poly.vertex_facets))), n, memo)
+    return body, tuple(_fan(poly, face, n - 1, memo) for face in poly.facet_vertices), {}
 
 
 def _idot(a: Iterable[int], b: Iterable[int]) -> int:
@@ -445,7 +442,7 @@ def _sums(poly: DelzantPolytope, degree: int, domains: Sequence[Domain]) -> list
     One ``_integrate`` call covers the domains that no earlier call
     integrated to this degree; its sums replace any of lower degree.
     """
-    stored = _triangulate(poly)[3]
+    stored = _triangulate(poly)[2]
     missing = [d for d in domains if d not in stored or len(stored[d][1]) <= degree]
     if missing:
         stored.update(zip(missing, _integrate(poly, degree, missing)))
@@ -480,22 +477,18 @@ def polytope_moments(poly: DelzantPolytope) -> MomentData:
     """Exact volume, first, and second moments of the polytope.
 
     The body is integrated once per polytope, for up to 256 polytopes;
-    later calls, also with an equal polytope, read the stored result.
+    later calls, also with an equal polytope, read the stored sums.
     """
-    stored = _triangulate(poly)[2]
-    if None in stored:
-        return stored[None]
     n = poly.dim
     (body,) = _sums(poly, 2, [()])
     values = {m: _value(body, m) for m in body[0] if len(m) < 3}
-    stored[None] = moments = MomentData(
+    return MomentData(
         volume=values[()],
         first_moments=tuple(values[i,] for i in range(n)),
         second_moments=tuple(
             tuple(values[min(i, j), max(i, j)] for j in range(n)) for i in range(n)
         ),
     )
-    return moments
 
 
 def boundary_moments(
@@ -508,17 +501,11 @@ def boundary_moments(
     covers the kept facets that no earlier call integrated.
     """
     skip = sorted({poly.resolve_facet(key) for key in excluded})
-    stored = _triangulate(poly)[2]
-    missing = [i for i in range(len(poly.facets)) if i not in skip and i not in stored]
-    if missing:
-        stored.update(
-            (i, FacetMoments(_value(s, ()), tuple(_value(s, (c,)) for c in range(poly.dim))))
-            for i, s in zip(missing, _sums(poly, 1, [(i,) for i in missing]))
-        )
-    entries = tuple(
-        None if i in skip else stored[i] for i in range(len(poly.facets))
-    )
-    return BoundaryMomentData(facets=entries, excluded=tuple(skip))
+    kept = [i for i in range(len(poly.facets)) if i not in skip]
+    entries: list[FacetMoments | None] = [None] * len(poly.facets)
+    for i, s in zip(kept, _sums(poly, 1, [(i,) for i in kept])):
+        entries[i] = FacetMoments(_value(s, ()), tuple(_value(s, (c,)) for c in range(poly.dim)))
+    return BoundaryMomentData(facets=tuple(entries), excluded=tuple(skip))
 
 
 def _coefficients(q: Poly2) -> dict[tuple[int, ...], Fraction]:

@@ -4,42 +4,48 @@ A polytope is stored as {x : <u_i, x> >= c_i} with primitive integer
 inward normals u_i and rational offsets c_i.  Construction validates
 everything: non-emptiness, boundedness, full dimension, and that every
 listed halfspace supports an actual facet.  Vertices are found at
-construction time and cached, so downstream code can treat a
-DelzantPolytope as a fully checked immutable value.  The cone table
-``cones``, built on first use, stores each vertex's edge generators
-(Delzant's construction) and edge neighbours once for every caller.
+construction time, so downstream code can treat a DelzantPolytope as a
+fully checked immutable value.  The cone table ``cones``, built on first
+use, stores each vertex's edge generators (Delzant's construction) and
+edge neighbours once for every caller.
 
-Every build path hands ``_set_vertices`` one list of ``Vertex`` records,
-each a point with the facets tight there.  User input (direct
-construction, ``from_data``) finds them by the C(m, n) scan over
-n-subsets of the m facets, reading each tight set off the integer
-heights its feasibility test compares.  When the normals span R^n the
-polyhedron is pointed, so it is empty iff the scan finds no vertex; when
-they do not, it is unbounded unless empty, and the same scan over the
-normals' pivot columns decides which.  A polytope derived from a verified
-parent claims its records instead (``_from_claimed_vertices``): a corner
-chop (``blowup``) keeps its parent's records and adds the created ones,
-with edge generators; ``facet_polytope`` maps the parent's vertices on
-the facet through the dual of its chart frame, each tight on the
-parent's ridge facets there.  Each named tight facet is checked in int
-and no point is swept against every facet, so a derived build costs
-O(V * n^2), against O(C(m, n) * m) for the scan.  Both paths run one
-open-edge test, for a ridge of a vertex's active facets tight at no
-other vertex whose line leaves the vertex into the polytope: over the
-scan's complete vertex set it is a ray, and over a claimed polytope's
-bounded polyhedron it ends in an unclaimed vertex.
+The vertex data is stored once, in int: the integer vertex table
+``scaled_vertices`` holds D, the lcm of the vertex denominators, and the
+points D * v, sorted; ``vertex_facets`` holds each row's tight facets and
+``facet_vertices`` the rows tight on each facet.  The public records of
+``vertices`` are read off these tables on first use, and an error
+message derives only the point it prints, as Fraction(x, D).
 
-Setting the vertices also clears their denominators once: the integer
-vertex table ``scaled_vertices`` holds D, the lcm of the vertex
-denominators, and the points D * v in ``vertices`` order.  Every exact
-test of vertices against facets reads it in int: a height <u, v> >= c
-is <u, D v> >= D c, both sides multiplied by whatever of c's denominator
-D does not clear.  The same pass stores the incidence table
-``facet_vertices``, the vertices tight on each facet, and ``face_dim``
-gives a face's dimension from the facets tight on all of it; the facet
-test, the ridge rule that ``facet_polytope`` and the divisor check share
-and the triangulation of ``moments`` read that rule, and no rank of
-vertex points is taken.
+Every build path hands ``_set_vertices`` one claim: a scale, int rows
+over it and their tight sets.  User input (direct construction,
+``from_data``) finds them by the C(m, n) scan over n-subsets of the m
+facets: each point is y / d in lowest terms from a fraction-free
+elimination, its tight set read off the integer heights its feasibility
+test compares, and all are put over the lcm of the d.  When the normals
+span R^n the polyhedron is pointed, so it is empty iff the scan finds no
+vertex; when they do not, it is unbounded unless empty, and the same
+scan over the normals' pivot columns decides which.  A polytope derived
+from a verified parent claims its rows instead
+(``_from_claimed_vertices``): a corner chop (``blowup``) hands its
+parent's rows and the created ones, over one scale, with edge
+generators; ``facet_polytope`` maps the parent's rows on the facet
+through the dual of its chart frame, each tight on the parent's ridge
+facets there.  Each named tight facet is checked in int and no point is
+swept against every facet, so a derived build costs O(V * n^2), against
+O(C(m, n) * m) for the scan.  Both paths run one open-edge test, for a
+ridge of a vertex's active facets tight at no other vertex whose line
+leaves the vertex into the polytope: over the scan's complete vertex set
+it is a ray, and over a claimed polytope's bounded polyhedron it ends in
+an unclaimed vertex.
+
+``_set_vertices`` divides the gcd of the scale and every entry out, so
+each table is the same whichever path built it.  Every exact test of
+vertices against facets reads it in int: a height <u, v> >= c is
+<u, D v> >= D c, both sides multiplied by whatever of c's denominator D
+does not clear.  ``face_dim`` gives a face's dimension from the facets
+tight on all of it; the facet test, the ridge rule that
+``facet_polytope`` and the divisor check share and the triangulation of
+``moments`` read that rule, and no rank of vertex points is taken.
 """
 
 from __future__ import annotations
@@ -207,19 +213,21 @@ def _height_rows(
 
 def _vertex_candidates(
     normals: Sequence[IntVector], offsets: Sequence[Fraction]
-) -> list[Vertex]:
-    """The vertices cut out by n independent facets: the C(m, n) scan.
+) -> tuple[int, list[IntVector], list[tuple[int, ...]]]:
+    """The vertices cut out by n independent facets, the C(m, n) scan, as
+    the claim ``_set_vertices`` takes: a scale, int rows over it, tight sets.
 
     Each facet is its integer height row (q u, p) for c = p / q, built
     once, and each n-subset is one fraction-free elimination
     (``solve_int``): it gives the point as y / d with d > 0, so the
-    feasibility <q u, y> >= p d is tested in int before any Fraction, and
-    the rows where it holds with equality are the point's tight set.  A
-    point that several subsets cut out is recorded once.
+    feasibility <q u, y> >= p d is tested in int, and the rows where it
+    holds with equality are the point's tight set.  A point that several
+    subsets cut out is recorded once, keyed on (y, d) in lowest terms, and
+    every point is put over the lcm of the d.
     """
     heights = _height_rows(normals, offsets, 1)
     rows = [(*u, rhs) for u, rhs in heights]
-    found: dict[Vector, Vertex] = {}
+    found: dict[tuple[IntVector, int], tuple[int, ...]] = {}
     for subset in itertools.combinations(rows, len(normals[0])):
         solved = solve_int(subset)
         if solved is None:
@@ -233,10 +241,10 @@ def _vertex_candidates(
             if not slack:
                 active.append(i)
         else:
-            point = tuple(Fraction(v, d) for v in y)
-            if point not in found:
-                found[point] = Vertex(point=point, active=tuple(active))
-    return list(found.values())
+            g = math.gcd(d, *y)
+            found.setdefault((tuple(x // g for x in y), d // g), tuple(active))
+    scale = math.lcm(*[d for _, d in found])
+    return scale, [tuple(x * (scale // d) for x in y) for y, d in found], list(found.values())
 
 
 class DelzantPolytope(Record):
@@ -263,18 +271,18 @@ class DelzantPolytope(Record):
         normals, offsets = self._check_facets()
         if not normals:
             raise UnboundedPolytope("facet normals do not span the ambient space")
-        candidates = _vertex_candidates(normals, offsets)
-        if not candidates:
+        claim = _vertex_candidates(normals, offsets)
+        if not claim[1]:
             # Normals of full rank make the polyhedron pointed, so it is
             # empty exactly when it has no vertex.  Otherwise Ux ranges
             # over the same set as the pivot columns' U'y, a system of
             # full column rank, and the same scan decides it.
             pivots = pivot_columns(normals)
             restricted = [tuple(u[j] for j in pivots) for u in normals]
-            if len(pivots) == self.dim or not _vertex_candidates(restricted, offsets):
+            if len(pivots) == self.dim or not _vertex_candidates(restricted, offsets)[1]:
                 raise EmptyPolytope("no point satisfies all facet inequalities")
             raise UnboundedPolytope("facet normals do not span the ambient space")
-        self._set_vertices(candidates)
+        self._set_vertices(*claim)
         edge = self._open_edge(self._ridge_ends())
         if edge is not None:
             raise UnboundedPolytope(f"recession direction {edge[1]} is unbounded")
@@ -285,33 +293,36 @@ class DelzantPolytope(Record):
         cls,
         dim: int,
         facets: Sequence[Facet],
-        vertices: Sequence[Vertex],
+        scale: int,
+        rows: Sequence[IntVector],
+        tight: Sequence[tuple[int, ...]],
         generators: Sequence[tuple[IntVector, ...] | None] | None = None,
     ) -> "DelzantPolytope":
         """Build from claimed vertices, verified.
 
-        Each claim is a ``Vertex`` whose tight facets, in increasing order,
-        the caller derived from verified parent data; ``generators``,
-        parallel to it, claims edge generators, None where there are none.
-        The caller guarantees boundedness: ``facets`` must include those of
-        a polytope.  ``_set_vertices`` checks each claimed tight facet in
-        int, O(V * n^2) in all, against O(C(m, n) * m) for the scan.
-        Completeness is the open-edge test, since an edge from a claimed
-        vertex to an unclaimed one is open, and a vertex set closed under
-        edges is the whole vertex set: the graph of a polytope is connected
-        (Balinski).  With ``generators`` the cone table is built at once,
-        which checks them and that every point is a vertex; without, as for
-        a facet polytope, whose vertices are its parent's, it waits for
-        first use, as on the scan path.  Any failure raises
-        InvariantViolation; the face checks of the scan path follow.
+        The claim is the one ``_set_vertices`` takes: the points rows /
+        ``scale``, and parallel to them each one's tight facets, in
+        increasing order, which the caller derived from verified parent
+        data; ``generators``, parallel too, claims edge generators, None
+        where there are none.  The caller guarantees boundedness:
+        ``facets`` must include those of a polytope.  ``_set_vertices``
+        checks each claimed tight facet in int, O(V * n^2) in all, against
+        O(C(m, n) * m) for the scan.  Completeness is the open-edge test,
+        since an edge from a claimed vertex to an unclaimed one is open, and
+        a vertex set closed under edges is the whole vertex set: the graph
+        of a polytope is connected (Balinski).  With ``generators`` the cone
+        table is built at once, which checks them and that every point is a
+        vertex; without, as for a facet polytope, whose vertices are its
+        parent's, it waits for first use, as on the scan path.  Any failure
+        raises InvariantViolation; the face checks of the scan path follow.
         """
         poly = object.__new__(cls)
         object.__setattr__(poly, "dim", dim)
         object.__setattr__(poly, "facets", facets)
         poly._check_facets()
-        if not vertices:
+        if not rows:
             raise InvariantViolation("no vertices claimed for the polytope")
-        order = poly._set_vertices(vertices)
+        order = poly._set_vertices(scale, rows, tight)
         table = poly.scaled_vertices[1]
         if any(a == b for a, b in zip(table, table[1:])):
             raise InvariantViolation("a claimed vertex is listed twice")
@@ -356,39 +367,41 @@ class DelzantPolytope(Record):
             raise ValueError("facet labels must be unique")
         return [f.normal for f in facets], [f.offset for f in facets]
 
-    def _set_vertices(self, vertices: Sequence[Vertex]) -> list[int]:
-        """Store ``vertices``, the given records in lexicographic order,
-        the integer vertex table ``scaled_vertices`` and the incidence table
-        ``facet_vertices``, the vertices tight on each facet.  Returns the
-        index in ``vertices`` of each record, in that order.
+    def _set_vertices(
+        self, scale: int, rows: Sequence[IntVector], tight: Sequence[tuple[int, ...]]
+    ) -> list[int]:
+        """Store the vertices rows / ``scale``, each tight on the facets
+        its entry of ``tight`` names, as the integer vertex table
+        ``scaled_vertices``, the tight sets ``vertex_facets`` in table order
+        and the incidence table ``facet_vertices``, the vertices tight on
+        each facet.  Returns the index in ``rows`` of each table row.
 
-        This is the one vertex contract of every build path.  The table is
-        D, the lcm of the vertex denominators, and the points D * v, sorted
-        on these int rows.  Each facet a record names is checked tight on
-        it in int (``_height_rows``), and InvariantViolation, a defect of
+        This is the one vertex contract of every build path, and these
+        tables are the only vertex data stored; the records of ``vertices``
+        are read off them.  The table is D, ``scale`` with its gcd with
+        every entry divided out, so the lcm of the vertex denominators, and
+        the points D * v, sorted.  Each facet a tight set names is checked
+        tight in int (``_height_rows``), and InvariantViolation, a defect of
         the caller, is raised otherwise; no point is swept against every
         facet.
         """
-        points = [v.point for v in vertices]
-        scale = math.lcm(*[x.denominator for p in points for x in p])
-        scaled = [tuple(x.numerator * (scale // x.denominator) for x in p) for p in points]
-        order = sorted(range(len(points)), key=scaled.__getitem__)
-        table = tuple(scaled[k] for k in order)
-        rows = _height_rows(
+        g = math.gcd(scale, *itertools.chain.from_iterable(rows))
+        scale //= g
+        order = sorted(range(len(rows)), key=rows.__getitem__)
+        table = tuple(tuple(x // g for x in rows[k]) for k in order)
+        heights = _height_rows(
             [f.normal for f in self.facets], [f.offset for f in self.facets], scale
         )
-        incidence: list[list[int]] = [[] for _ in rows]
+        incidence: list[list[int]] = [[] for _ in heights]
         for k, (j, row) in enumerate(zip(order, table)):
-            for i in vertices[j].active:
-                u, rhs = rows[i]
+            for i in tight[j]:
+                u, rhs = heights[i]
                 if sum(map(mul, u, row)) != rhs:
-                    raise InvariantViolation(
-                        f"claimed vertex {format_rational_vector(points[j])} "
-                        f"is not tight on facet {i}"
-                    )
+                    point = format_rational_vector(Fraction(x, scale) for x in row)
+                    raise InvariantViolation(f"claimed vertex {point} is not tight on facet {i}")
                 incidence[i].append(k)
-        object.__setattr__(self, "vertices", tuple(vertices[j] for j in order))
         object.__setattr__(self, "scaled_vertices", (scale, table))
+        object.__setattr__(self, "vertex_facets", tuple(tight[j] for j in order))
         object.__setattr__(self, "facet_vertices", tuple(map(frozenset, incidence)))
         return order
 
@@ -398,7 +411,7 @@ class DelzantPolytope(Record):
         ends: dict[tuple[int, ...], list[int]],
     ) -> tuple[VertexCone, ...]:
         """One VertexCone per vertex, from claimed generators parallel to
-        ``vertices`` (None where none are claimed) and the ridge ends.
+        the table (None where none are claimed) and the ridge ends.
 
         A claim must satisfy <u_a, g_b> = delta_ab over the active normals,
         which holds only at a simple vertex with unimodular normals; other
@@ -409,8 +422,8 @@ class DelzantPolytope(Record):
         n = self.dim
         identity = identity_int(n)
         generators = []
-        for v, cone in zip(self.vertices, claimed):
-            normals = [self.facets[i].normal for i in v.active]
+        for k, (active, cone) in enumerate(zip(self.vertex_facets, claimed)):
+            normals = [self.facets[i].normal for i in active]
             if cone is None and len(normals) == n:
                 with contextlib.suppress(NotUnimodular):
                     cone = transpose(inverse_unimodular(normals))
@@ -420,20 +433,18 @@ class DelzantPolytope(Record):
                 raise InvariantViolation(
                     "claimed vertex set fails the vertex test: edge generators "
                     f"{list(cone)} do not invert the normals of facets "
-                    f"{list(v.active)} at {format_rational_vector(v.point)}"
+                    f"{list(active)} at {format_rational_vector(self._point(k))}"
                 )
             if cone is None and rank(normals) != n:
                 raise InvariantViolation(
-                    f"claimed point {format_rational_vector(v.point)} is not a vertex"
+                    f"claimed point {format_rational_vector(self._point(k))} is not a vertex"
                 )
             generators.append(cone)
         cones = []
-        for k, (v, cone) in enumerate(zip(self.vertices, generators)):
+        for k, (active, cone) in enumerate(zip(self.vertex_facets, generators)):
             neighbours = None
-            if len(v.active) == n:
-                neighbours = tuple(
-                    sum(ends[v.active[:i] + v.active[i + 1 :]]) - k for i in range(n)
-                )
+            if len(active) == n:
+                neighbours = tuple(sum(ends[active[:i] + active[i + 1 :]]) - k for i in range(n))
             cones.append(VertexCone(generators=cone, neighbours=neighbours))
         return tuple(cones)
 
@@ -470,7 +481,7 @@ class DelzantPolytope(Record):
         Valid only on the verified vertex set of a full-dimensional
         polytope, so ``_check_faces`` runs last in both constructors.
         """
-        active = [self.vertices[k].active for k in face]
+        active = [self.vertex_facets[k] for k in face]
         if not active:
             return -1
         common = set(active[0]).intersection(*active[1:])
@@ -482,8 +493,8 @@ class DelzantPolytope(Record):
         """Each (n-1)-subset of a vertex's active facets, mapped to the
         indices of the vertices tight on all of it."""
         ends: dict[tuple[int, ...], list[int]] = {}
-        for k, v in enumerate(self.vertices):
-            for ridge in itertools.combinations(v.active, self.dim - 1):
+        for k, active in enumerate(self.vertex_facets):
+            for ridge in itertools.combinations(active, self.dim - 1):
                 ends.setdefault(ridge, []).append(k)
         return ends
 
@@ -515,7 +526,7 @@ class DelzantPolytope(Record):
             if g == 0:
                 continue
             z = tuple(x // g for x in minors)
-            active = [normals[i] for i in self.vertices[tight[0]].active]
+            active = [normals[i] for i in self.vertex_facets[tight[0]]]
             for candidate in (z, tuple(-x for x in z)):
                 if all(sum(map(mul, u, candidate)) >= 0 for u in active):
                     return ridge, candidate
@@ -533,8 +544,21 @@ class DelzantPolytope(Record):
 
     @functools.cached_property
     def cones(self) -> tuple[VertexCone, ...]:
-        """The cone table, parallel to ``vertices``, built on first use."""
-        return self._vertex_cones([None] * len(self.vertices), self._ridge_ends())
+        """The cone table, parallel to the vertex table, built on first use."""
+        return self._vertex_cones([None] * len(self.vertex_facets), self._ridge_ends())
+
+    @functools.cached_property
+    def vertices(self) -> tuple[Vertex, ...]:
+        """The vertex records, lexicographic by point, read off the tables
+        on first use."""
+        return tuple(
+            Vertex(self._point(k), active) for k, active in enumerate(self.vertex_facets)
+        )
+
+    def _point(self, k: int) -> Vector:
+        """Vertex k of the table as a point, for a record or a message."""
+        scale, table = self.scaled_vertices
+        return tuple(Fraction(x, scale) for x in table[k])
 
     def contains(self, point: Sequence[Fraction], strict: bool = False) -> bool:
         p = tuple(Fraction(x) for x in point)
@@ -613,16 +637,14 @@ def is_delzant(poly: DelzantPolytope) -> DelzantReport:
     """Vertexwise smoothness test: every vertex has edge generators, that
     is, it is simple with unimodular active normals."""
     violations = []
-    for v, cone in zip(poly.vertices, poly.cones):
+    for k, (active, cone) in enumerate(zip(poly.vertex_facets, poly.cones)):
         if cone.generators is not None:
             continue
-        point = tuple(format_rational(x) for x in v.point)
-        if len(v.active) != poly.dim:
-            violations.append(
-                f"vertex {point} lies on {len(v.active)} facets, expected {poly.dim}"
-            )
+        point = tuple(format_rational_vector(poly._point(k)))
+        if len(active) != poly.dim:
+            violations.append(f"vertex {point} lies on {len(active)} facets, expected {poly.dim}")
             continue
-        d = det_int([poly.facets[i].normal for i in v.active])
+        d = det_int([poly.facets[i].normal for i in active])
         violations.append(
             f"vertex {point} has active normal determinant {d}, expected +-1"
         )
@@ -687,7 +709,7 @@ def _ridge_facets(poly: DelzantPolytope, index: int) -> list[int]:
     order: those G with ``face_dim`` of F and G's common vertices n - 2.
     Only a facet tight at a vertex of F can."""
     on_facet = poly.facet_vertices[index]
-    near = {j for k in on_facet for j in poly.vertices[k].active}
+    near = {j for k in on_facet for j in poly.vertex_facets[k]}
     return [
         j
         for j in sorted(near - {index})
@@ -737,11 +759,7 @@ def facet_polytope(
             )
         )
     scale, table = poly.scaled_vertices
-    claimed = [
-        Vertex(
-            point=tuple(Fraction(sum(map(mul, d, table[k])), scale) for d in duals),
-            active=tuple(ridges[j] for j in poly.vertices[k].active if j in ridges),
-        )
-        for k in poly.facet_vertices[index]
-    ]
-    return DelzantPolytope._from_claimed_vertices(n - 1, tuple(induced), claimed), chart
+    on_facet = poly.facet_vertices[index]
+    rows = [tuple(sum(map(mul, d, table[k])) for d in duals) for k in on_facet]
+    tight = [tuple(ridges[j] for j in poly.vertex_facets[k] if j in ridges) for k in on_facet]
+    return DelzantPolytope._from_claimed_vertices(n - 1, tuple(induced), scale, rows, tight), chart

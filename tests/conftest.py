@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from cuspcheck import DelzantPolytope, Facet, start_tower, tower_step
+from cuspcheck import DelzantPolytope, Facet, moments, obstruction, start_tower, tower_step
 from cuspcheck.linalg import det_int, dot, rank
 
 
@@ -165,10 +165,56 @@ def tower_rounds() -> tuple[DelzantPolytope, ...]:
     return tuple(rounds)
 
 
+def count_fractions(monkeypatch) -> list:
+    """Patch ``Fraction`` so that every one built is logged in the list
+    returned; ``monkeypatch.undo()`` stops the count.  Fraction arithmetic
+    builds through ``__new__``, or through ``_from_coprime_ints`` on
+    Python 3.12 and later."""
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    if hasattr(Fraction, "_from_coprime_ints"):
+        coprime = Fraction._from_coprime_ints
+        monkeypatch.setattr(
+            Fraction,
+            "_from_coprime_ints",
+            classmethod(lambda cls, a, b: built.append((a, b)) or coprime(a, b)),
+        )
+    return built
+
+
+def row_claim(records):
+    """The claim ``DelzantPolytope._from_claimed_vertices`` takes, from a
+    list of ``Vertex`` records: one scale, the points' int rows over it,
+    and their tight sets, in the records' order."""
+    scale = math.lcm(*[Fraction(x).denominator for v in records for x in v.point])
+    rows = [tuple(int(x * scale) for x in v.point) for v in records]
+    return scale, rows, [v.active for v in records]
+
+
 def interval(a, b) -> DelzantPolytope:
     return DelzantPolytope(
         1, (Facet((1,), Fraction(a), label="lo"), Facet((-1,), -Fraction(b), label="hi"))
     )
+
+
+@pytest.fixture
+def cold_store():
+    """Empty both stores, the moment store and the checks' facet sides,
+    before the test, so no result depends on test order; the test calls
+    the returned function for another cold start."""
+
+    def clear():
+        moments._triangulate.cache_clear()
+        obstruction._facet_sides.clear()
+
+    clear()
+    return clear
 
 
 @pytest.fixture

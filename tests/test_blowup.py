@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import interval, unit_cube, unit_simplex
+from conftest import count_fractions, interval, row_claim, unit_cube, unit_simplex
 from cuspcheck import (
     BlowupSpec,
     ChopTooDeep,
@@ -30,6 +30,7 @@ from cuspcheck import (
     tower_step,
 )
 from cuspcheck import linalg, polytope
+from cuspcheck.blowup import _find_vertex
 from cuspcheck.linalg import dot
 
 
@@ -349,12 +350,17 @@ def test_every_dropped_vertex_is_found_missing():
     for poly in cases:
         claims = list(poly.vertices)
         cones = [cone.generators for cone in poly.cones]
-        rebuilt = DelzantPolytope._from_claimed_vertices(poly.dim, poly.facets, claims, cones)
+        rebuilt = DelzantPolytope._from_claimed_vertices(
+            poly.dim, poly.facets, *row_claim(claims), cones
+        )
         assert rebuilt.vertices == poly.vertices
         for k in range(len(claims)):
             with pytest.raises(InvariantViolation, match="claimed endpoints, expected 2"):
                 DelzantPolytope._from_claimed_vertices(
-                    poly.dim, poly.facets, claims[:k] + claims[k + 1 :], cones[:k] + cones[k + 1 :]
+                    poly.dim,
+                    poly.facets,
+                    *row_claim(claims[:k] + claims[k + 1 :]),
+                    cones[:k] + cones[k + 1 :],
                 )
     assert [len(poly.vertices) for poly in cases] == [4, 6, 10, 18, 6, 12]
 
@@ -429,7 +435,9 @@ def test_claimed_vertex_sets_are_verified(triangle):
     facets = chopped.facets
     good = list(chopped.vertices)
     cones = [cone.generators for cone in chopped.cones]
-    rebuilt = DelzantPolytope._from_claimed_vertices(2, facets, good[::-1], cones[::-1])
+    rebuilt = DelzantPolytope._from_claimed_vertices(
+        2, facets, *row_claim(good[::-1]), cones[::-1]
+    )
     assert rebuilt.vertices == chopped.vertices
     assert rebuilt.cones == chopped.cones
     midpoint = (Fraction(1, 2), Fraction(1, 2))
@@ -447,7 +455,7 @@ def test_claimed_vertex_sets_are_verified(triangle):
     }
     for message, (claimed, generators) in cases.items():
         with pytest.raises(InvariantViolation, match=message):
-            DelzantPolytope._from_claimed_vertices(2, facets, claimed, generators)
+            DelzantPolytope._from_claimed_vertices(2, facets, *row_claim(claimed), generators)
 
     # The chop at (0, 0) creates (1/4, 0) along w_0 = (1, 0) of the corner's
     # cone (w_0, w_1) = ((1, 0), (0, 1)); its cone is (w_1 - w_0, w_0).
@@ -462,7 +470,7 @@ def test_claimed_vertex_sets_are_verified(triangle):
     for wrong in wrong_cones.values():
         generators = cones[:k] + [wrong] + cones[k + 1 :]
         with pytest.raises(InvariantViolation, match="do not invert the normals"):
-            DelzantPolytope._from_claimed_vertices(2, facets, good, generators)
+            DelzantPolytope._from_claimed_vertices(2, facets, *row_claim(good), generators)
 
 
 def test_each_tower_chop_matches_the_scan_of_its_facets():
@@ -480,28 +488,40 @@ def test_each_tower_chop_matches_the_scan_of_its_facets():
             assert chopped.cones == scanned.cones
 
 
+def _kept_rows(parent, child):
+    """For each parent vertex, whether the child's table holds its point
+    with the same tight set, compared in int over both tables' scales."""
+    (d, table), (c, rows) = parent.scaled_vertices, child.scaled_vertices
+    held = {tuple(x * d for x in row): tight for row, tight in zip(rows, child.vertex_facets)}
+    return [
+        held.get(tuple(x * c for x in row)) == tight
+        for row, tight in zip(table, parent.vertex_facets)
+    ]
+
+
 def test_a_chop_keeps_its_parents_vertex_records():
-    # The vertices a chop keeps are the parent's own Vertex objects, handed
-    # over as they are; only the created vertices are new records.
+    # The vertices a chop keeps are the parent's own rows, with their
+    # tight sets as they are; only the created vertices are new rows.
     cube = unit_cube(3)
     chopped = blow_up_vertex(cube, (0, 0, 0), Fraction(1, 4))
-    held = {id(v) for v in chopped.vertices}
-    assert [id(v) in held for v in cube.vertices] == [False] + [True] * 7
+    assert _kept_rows(cube, chopped) == [False] + [True] * 7
+    assert len(chopped.vertex_facets) == 7 + 3
     state = start_tower(unit_simplex(3), "hyp")
     for r in range(1, 4):
         parent, designated = state.polytope, set(state._designated())
         state = tower_step(state, Fraction(1, 4**r))
-        held = {id(v) for v in state.polytope.vertices}
-        kept = [id(v) in held for v in parent.vertices]
+        kept = _kept_rows(parent, state.polytope)
         assert kept == [k not in designated for k in range(len(parent.vertices))]
-        assert len(held) == sum(kept) + 3 * len(designated)
+        assert len(state.polytope.vertex_facets) == sum(kept) + 3 * len(designated)
 
 
 def test_a_chop_claim_with_a_wrong_tight_set_is_refused(triangle):
     chopped = blow_up_vertex(triangle, (0, 0), Fraction(1, 4))
     claims = list(chopped.vertices)
     cones = [cone.generators for cone in chopped.cones]
-    rebuilt = DelzantPolytope._from_claimed_vertices(2, chopped.facets, claims[::-1], cones[::-1])
+    rebuilt = DelzantPolytope._from_claimed_vertices(
+        2, chopped.facets, *row_claim(claims[::-1]), cones[::-1]
+    )
     assert rebuilt.vertices == chopped.vertices
     assert rebuilt.cones == chopped.cones
     # (1/4, 0) is tight on x1 and the chop facet E, facets 1 and 3.
@@ -511,9 +531,159 @@ def test_a_chop_claim_with_a_wrong_tight_set_is_refused(triangle):
     for wrong, facet in (((0, 3), 0), ((1, 2), 2), ((1, 2, 3), 2)):
         with pytest.raises(InvariantViolation) as info:
             DelzantPolytope._from_claimed_vertices(
-                2, chopped.facets, claims[:k] + [Vertex(point, wrong)] + claims[k + 1 :], cones
+                2,
+                chopped.facets,
+                *row_claim(claims[:k] + [Vertex(point, wrong)] + claims[k + 1 :]),
+                cones,
             )
         assert str(info.value) == f"claimed vertex ['1/4', '0'] is not tight on facet {facet}"
+
+
+
+@pytest.mark.parametrize("dim, rounds", [(2, 8), (3, 4)])
+def test_a_tower_step_builds_n_plus_2_fractions_per_corner(dim, rounds, monkeypatch):
+    # A chop hands the polytope int rows over one scale, so the only
+    # Fractions a step builds are, per chopped corner, its point and depth
+    # bound for the BlowupSpec and the new facet's offset; the claimed
+    # build itself builds none.
+    claimed = DelzantPolytope._from_claimed_vertices
+    in_claims = []
+
+    def counting_claim(cls, *args):
+        before = len(built)
+        poly = claimed(*args)
+        in_claims.append(len(built) - before)
+        return poly
+
+    state = start_tower(unit_simplex(dim), "hyp")
+    for r in range(1, rounds + 1):
+        corners, eps = len(state._designated()), Fraction(1, 4**r)
+        built = count_fractions(monkeypatch)
+        monkeypatch.setattr(DelzantPolytope, "_from_claimed_vertices", classmethod(counting_claim))
+        state = tower_step(state, eps)
+        monkeypatch.undo()
+        assert 0 < len(built) <= (dim + 2) * corners, r
+        assert in_claims == [0]
+        del in_claims[:]
+    assert len(state.polytope.vertex_facets) == {2: 258, 3: 84}[dim]
+
+
+def test_a_point_not_in_the_vertex_table_is_not_a_vertex(triangle):
+    # The lookup scales the point by the table's D = 4 and looks it up in
+    # the table: a denominator D does not clear, a wrong length and a point
+    # D clears that is not in the table each fall through to the same
+    # NotAVertex, from both public callers.
+    chopped = blow_up_vertex(triangle, (0, 0), Fraction(1, 4))
+    assert chopped.scaled_vertices[0] == 4
+    cases = {
+        (Fraction(1, 3), 0): "['1/3', '0']",
+        (Fraction(1, 8), 0): "['1/8', '0']",
+        (Fraction(1, 4),): "['1/4']",
+        (Fraction(1, 4), 0, 0): "['1/4', '0', '0']",
+        (0, 0): "['0', '0']",
+        (1, 1): "['1', '1']",
+        (Fraction(1, 2), 0): "['1/2', '0']",
+        ("1/4", "1/4"): "['1/4', '1/4']",
+    }
+    for point, shown in cases.items():
+        for call in (
+            lambda: max_chop_parameter(chopped, point),
+            lambda: blow_up_vertex(chopped, point, Fraction(1, 100)),
+        ):
+            with pytest.raises(NotAVertex) as info:
+                call()
+            assert str(info.value) == f"{shown} is not a vertex of the polytope"
+    for k, v in enumerate(chopped.vertices):
+        assert _find_vertex(chopped, v.point) == k
+        assert _find_vertex(chopped, [str(x) for x in v.point]) == k
+
+
+def test_messages_print_vertex_points_as_exact_rationals():
+    # Points in thirds and sixths, read off tables whose D is 3 or 6:
+    # every message shows each coordinate as p/q, never a float.
+    third = DelzantPolytope(
+        2, (Facet((1, 0), 0), Facet((0, 1), 0), Facet((-1, -1), Fraction(-1, 3), label="hyp"))
+    )
+    skew = apply_unimodular(
+        DelzantPolytope(2, (Facet((1, 0), 0), Facet((0, 1), 0), Facet((-1, -2), -1))),
+        [[1, 0], [0, 1]],
+        (Fraction(1, 3), 0),
+    )
+    pyramid = apply_unimodular(
+        DelzantPolytope(
+            3,
+            (
+                Facet((0, 0, 1), 0),
+                Facet((0, 1, -1), -1),
+                Facet((0, -1, -1), -1),
+                Facet((1, 0, -1), -1),
+                Facet((-1, 0, -1), -1),
+            ),
+        ),
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)),
+    )
+    state = tower_step(start_tower(third, "hyp"), Fraction(1, 12))
+    cases = [
+        (
+            lambda: blow_up_vertex(third, (Fraction(1, 3), 0), Fraction(1, 3)),
+            ChopTooDeep,
+            "chop parameter 1/3 at ['1/3', '0'] reaches the bound 1/3",
+        ),
+        (
+            lambda: tower_step(state, Fraction(1, 12)),
+            ChopTooDeep,
+            "round 2 chop at ['0', '1/12'] needs eps < 1/12, got 1/12",
+        ),
+        (
+            lambda: tower_step(state, Fraction(1, 24)),
+            InteractingChops,
+            "chops at ['0', '1/12'] and ['1/12', '0'] overlap at parameter 1/24",
+        ),
+        (
+            lambda: blow_up_vertex(skew, (Fraction(1, 3), Fraction(1, 2)), Fraction(1, 100)),
+            NotUnimodular,
+            "corner at ['1/3', '1/2'] has active normal determinant other than +-1",
+        ),
+        (
+            lambda: blow_up_vertex(pyramid, (Fraction(1, 3), Fraction(1, 3), Fraction(4, 3)), 1),
+            NotUnimodular,
+            "vertex ['1/3', '1/3', '4/3'] lies on 4 facets; chops need a simple corner",
+        ),
+    ]
+    for call, error, message in cases:
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value) == message
+    assert is_delzant(skew).violations == (
+        "vertex ('1/3', '1/2') has active normal determinant -2, expected +-1",
+    )
+    # A BlowupSpec derives its corner's point from the table alone.
+    (spec,) = tower_step(state, Fraction(1, 48)).history[1:2]
+    assert spec.vertex == (0, Fraction(1, 12))
+    assert [type(x) for x in spec.vertex] == [Fraction, Fraction]
+    # A claim's messages derive their points from its rows over its scale.
+    rows = third.scaled_vertices[1]
+    tight = list(third.vertex_facets)
+    tight[1] = (0, 1)
+    with pytest.raises(InvariantViolation) as info:
+        DelzantPolytope._from_claimed_vertices(2, third.facets, 3, rows, tight)
+    assert str(info.value) == "claimed vertex ['0', '1/3'] is not tight on facet 1"
+    # Over scale 6 the rows double, and the table divides the 2 back out.
+    doubled = [tuple(2 * x for x in row) for row in rows]
+    generators = [cone.generators for cone in third.cones]
+    assert DelzantPolytope._from_claimed_vertices(
+        2, third.facets, 6, doubled, third.vertex_facets, generators
+    ).scaled_vertices == third.scaled_vertices
+    generators[2] = ((1, 0), (0, 1))
+    with pytest.raises(InvariantViolation) as info:
+        DelzantPolytope._from_claimed_vertices(
+            2, third.facets, 6, doubled, third.vertex_facets, generators
+        )
+    assert str(info.value) == (
+        "claimed vertex set fails the vertex test: edge generators [(1, 0), (0, 1)] "
+        "do not invert the normals of facets [1, 2] at ['1/3', '0']"
+    )
 
 
 # --- differential oracle: closed-form chops against the C(m, n) scan ------

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from conftest import interval, is_positive_definite, unit_cube, unit_simplex
+from conftest import count_fractions, interval, is_positive_definite, unit_cube, unit_simplex
 from cuspcheck import (
     AffineFunction,
     FacetChart,
@@ -285,24 +285,8 @@ def test_relative_futaki_matches_sympy(triangle):
 
 
 def test_affine_function_keeps_the_fractions_it_is_given(monkeypatch):
-    # Counted as in the check's test: Fraction arithmetic builds through
-    # __new__, or through _from_coprime_ints on Python 3.12 and later.
     constant, gradient = Fraction(7, 3), (Fraction(-1, 2), Fraction(5))
-    built = []
-    new = Fraction.__new__
-
-    def counting_new(cls, *args, **kwargs):
-        built.append(args)
-        return new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", counting_new)
-    if hasattr(Fraction, "_from_coprime_ints"):
-        coprime = Fraction._from_coprime_ints
-        monkeypatch.setattr(
-            Fraction,
-            "_from_coprime_ints",
-            classmethod(lambda cls, a, b: built.append((a, b)) or coprime(a, b)),
-        )
+    built = count_fractions(monkeypatch)
     a = AffineFunction(constant=constant, gradient=list(gradient))
     assert built == []
     b = AffineFunction(constant=2, gradient=(gradient[0], 3))

@@ -24,7 +24,14 @@ from sympy.abc import x, y, z
 from sympy.geometry import Point, Polygon
 from sympy.integrals.intpoly import polytope_integrate
 
-from conftest import affine_rank, interval, tower_rounds, unit_cube, unit_simplex
+from conftest import (
+    affine_rank,
+    count_fractions,
+    interval,
+    tower_rounds,
+    unit_cube,
+    unit_simplex,
+)
 from cuspcheck import (
     BoundaryMomentData,
     DelzantPolytope,
@@ -43,7 +50,7 @@ from cuspcheck import (
     start_tower,
     tower_step,
 )
-from cuspcheck import moments, obstruction
+from cuspcheck import moments
 from cuspcheck.errors import InvariantViolation
 from cuspcheck.linalg import IntVector, Vector, complete_primitive, det_int, dot, gcd_vector
 from cuspcheck.moments import (
@@ -717,7 +724,7 @@ def _chopped_five_simplex():
     [lambda: unit_cube(5), lambda: unit_simplex(5), _chopped_five_simplex],
     ids=["cube5", "simplex5", "chopped_simplex5"],
 )
-def test_body_sums_by_cones_match_full_determinants(build, monkeypatch):
+def test_body_sums_by_cones_match_full_determinants(build, monkeypatch, cold_store):
     # Each body simplex's |det| comes from its facet simplex's minor and the
     # apex height, so a check in dimension 5 takes no 5 x 5 determinant.
     # The body sums to degree 2 must equal those of the full n x n
@@ -737,8 +744,7 @@ def test_body_sums_by_cones_match_full_determinants(build, monkeypatch):
             expected[i, j] += det * (total[i] * total[j] + sum(p[i] * p[j] for p in points))
     sizes = []
     monkeypatch.setattr(moments, "det_int", lambda m: sizes.append(len(m)) or det_int(m))
-    _triangulate.cache_clear()
-    obstruction._facet_sides.clear()
+    cold_store()
     ((raw, scale),) = _integrate(poly, 2)
     assert raw == expected
     factorial = math.factorial(n)
@@ -779,31 +785,16 @@ def _tower3d_round3():
 @pytest.mark.parametrize(
     "build", [lambda: unit_cube(3), _tower3d_round3], ids=["cube3", "tower3d_round3"]
 )
-def test_moments_build_one_fraction_per_monomial_per_domain(build, monkeypatch):
+def test_moments_build_one_fraction_per_monomial_per_domain(build, monkeypatch, cold_store):
     # The kernel sums in int over the simplices and divides each sum once,
     # at the end: from a cleared store, the body's moments and every facet's
     # build one Fraction per monomial per domain and no more, however many
-    # simplices there are.  Fraction arithmetic builds through __new__, or
-    # through _from_coprime_ints on Python 3.12 and later.
+    # simplices there are.
     poly = build()
     n = poly.dim
     assert len(_triangulate(poly)[0]) > n + 1
-    built = []
-    new = Fraction.__new__
-
-    def counting_new(cls, *args, **kwargs):
-        built.append(args)
-        return new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", counting_new)
-    if hasattr(Fraction, "_from_coprime_ints"):
-        coprime = Fraction._from_coprime_ints
-        monkeypatch.setattr(
-            Fraction,
-            "_from_coprime_ints",
-            classmethod(lambda cls, a, b: built.append((a, b)) or coprime(a, b)),
-        )
-    _triangulate.cache_clear()
+    built = count_fractions(monkeypatch)
+    cold_store()
     polytope_moments(poly)
     boundary_moments(poly)
     monkeypatch.undo()
@@ -834,7 +825,7 @@ def _store_corpus() -> list[DelzantPolytope]:
     return polys
 
 
-def test_moment_store_answers_do_not_depend_on_order():
+def test_moment_store_answers_do_not_depend_on_order(cold_store):
     """Through the store, in a shuffled order, every exclusion set of size
     0 and 1 and every facet check reads what a cleared store computes."""
     polys = _store_corpus()
@@ -851,10 +842,10 @@ def test_moment_store_answers_do_not_depend_on_order():
 
     fresh = []
     for poly, what in asks:
-        _triangulate.cache_clear()
+        cold_store()
         fresh.append(answer(poly, what))
     order = list(range(len(asks)))
     random.Random(14).shuffle(order)
-    _triangulate.cache_clear()
+    cold_store()
     for k in order:
         assert answer(*asks[k]) == fresh[k], asks[k]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import tower_rounds, unit_cube, unit_simplex
+from conftest import count_fractions, tower_rounds, unit_cube, unit_simplex
 from cuspcheck import (
     DelzantPolytope,
     DimensionMismatch,
@@ -115,14 +115,13 @@ def _tower_corpus():
     return polys
 
 
-def test_check_matches_the_oracle_with_the_facet_sides_warm(monkeypatch):
+def test_check_matches_the_oracle_with_the_facet_sides_warm(monkeypatch, cold_store):
     # Checking each facet of a polytope fills the facet sides; checked
     # again, each facet's side must be read from them, with no facet chart
     # solved, and the report must still equal the oracle.
     def refuse(*args):
         raise AssertionError("a warm check solved the facet's side again")
 
-    obstruction._facet_sides.clear()
     for poly in _tower_corpus():
         for index in range(len(poly.facets)):
             check_facet_condition(poly, index)
@@ -131,21 +130,20 @@ def test_check_matches_the_oracle_with_the_facet_sides_warm(monkeypatch):
             _assert_check_matches_oracle(poly)
 
 
-def test_a_tower_solves_the_divisor_side_once(monkeypatch):
+def test_a_tower_solves_the_divisor_side_once(monkeypatch, cold_store):
     # Chops off the divisor leave its face, so only round 1 solves its side.
     charts = []
     facet_chart = obstruction._facet_chart
     monkeypatch.setattr(
         obstruction, "_facet_chart", lambda poly, index: charts.append(index) or facet_chart(poly, index)
     )
-    obstruction._facet_sides.clear()
     for n, rounds in ((2, 6), (3, 3)):
         for poly in _tower(n, rounds):
             check_facet_condition(poly, "hyp")
     assert charts == [2, 3]
 
 
-def test_a_chop_on_the_facet_changes_its_side():
+def test_a_chop_on_the_facet_changes_its_side(cold_store):
     # A chop at a vertex of F makes its new facet a ridge facet of F, so a
     # warm check of F must not read the side stored for the unchopped face.
     for poly, vertex in [
@@ -154,7 +152,7 @@ def test_a_chop_on_the_facet_changes_its_side():
         (tower_rounds()[1], (1, 0)),
     ]:
         index = poly.resolve_facet("hyp")
-        obstruction._facet_sides.clear()
+        cold_store()
         check_facet_condition(poly, index)
         chopped = blow_up_vertex(poly, vertex, Fraction(1, 8))
         assert _ridge_facets(chopped, index)[-1] == len(poly.facets)
@@ -164,9 +162,8 @@ def test_a_chop_on_the_facet_changes_its_side():
         _assert_check_matches_oracle(chopped)
 
 
-def test_the_facet_sides_are_bounded():
+def test_the_facet_sides_are_bounded(cold_store):
     # 300 triangles x, y >= 0, x + y <= b have 300 different hypotenuses.
-    obstruction._facet_sides.clear()
     for b in range(1, 301):
         triangle = DelzantPolytope(
             2, (Facet((1, 0), 0), Facet((0, 1), 0), Facet((-1, -1), -b, label="hyp"))
@@ -177,7 +174,7 @@ def test_the_facet_sides_are_bounded():
     assert len(obstruction._facet_sides) == 256
 
 
-def test_a_check_builds_no_polytope(monkeypatch):
+def test_a_check_builds_no_polytope(monkeypatch, cold_store):
     # No scan, no claimed build and no facet polytope: the check reads the
     # parent's own store.
     def refuse(*args, **kwargs):
@@ -187,7 +184,6 @@ def test_a_check_builds_no_polytope(monkeypatch):
     monkeypatch.setattr(DelzantPolytope, "__post_init__", refuse)
     monkeypatch.setattr(DelzantPolytope, "_from_claimed_vertices", classmethod(refuse))
     monkeypatch.setattr(polytope, "facet_polytope", refuse)
-    moments._triangulate.cache_clear()
     for poly in polys:
         for index in range(len(poly.facets)):
             check_facet_condition(poly, index)
@@ -199,30 +195,14 @@ def test_a_check_builds_no_polytope(monkeypatch):
     [lambda: unit_cube(3), lambda: unit_simplex(4), lambda: unit_cube(5), lambda: tower_rounds()[5]],
     ids=["cube3", "simplex4", "cube5", "tower2d_round6"],
 )
-def test_a_check_builds_fractions_only_for_its_report(build, monkeypatch):
+def test_a_check_builds_fractions_only_for_its_report(build, monkeypatch, cold_store):
     # From a cleared store and no stored facet sides, the integrals, the
     # chart maps and both Gram solves run in int: the Fractions a check
     # builds are its report's values, each built once, and the n of the
     # chart origin c_F w.  The Fraction route built one per monomial per
     # domain and a Gram matrix per solve.
     poly = build()
-    built = []
-    new = Fraction.__new__
-
-    def counting_new(cls, *args, **kwargs):
-        built.append(args)
-        return new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", counting_new)
-    if hasattr(Fraction, "_from_coprime_ints"):
-        coprime = Fraction._from_coprime_ints
-        monkeypatch.setattr(
-            Fraction,
-            "_from_coprime_ints",
-            classmethod(lambda cls, a, b: built.append((a, b)) or coprime(a, b)),
-        )
-    moments._triangulate.cache_clear()
-    obstruction._facet_sides.clear()
+    built = count_fractions(monkeypatch)
     report = check_facet_condition(poly, 0)
     monkeypatch.undo()
     values = [report.offset, *report.difference_gradient]

@@ -24,7 +24,15 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.spatial import HalfspaceIntersection
 
-from conftest import interval, rref, rref_nullspace, tower_rounds, unit_cube, unit_simplex
+from conftest import (
+    interval,
+    row_claim,
+    rref,
+    rref_nullspace,
+    tower_rounds,
+    unit_cube,
+    unit_simplex,
+)
 from cuspcheck import (
     ChartMismatch,
     DegenerateFacet,
@@ -260,7 +268,7 @@ def test_facet_tight_on_a_non_simple_edge_is_refused():
         for v in cube.vertices
     ]
     with pytest.raises(DegenerateFacet) as exc:
-        DelzantPolytope._from_claimed_vertices(3, facets, claimed)
+        DelzantPolytope._from_claimed_vertices(3, facets, *row_claim(claimed))
     assert str(exc.value) == message
 
 
@@ -452,14 +460,16 @@ def test_a_claimed_tight_facet_that_is_not_tight_is_refused():
     # alone stands between a wrong derivation and the face checks.
     face, _ = facet_polytope(unit_cube(3), "top2")
     claims = list(face.vertices)
-    rebuilt = DelzantPolytope._from_claimed_vertices(2, face.facets, claims)
+    rebuilt = DelzantPolytope._from_claimed_vertices(2, face.facets, *row_claim(claims))
     assert rebuilt.vertices == face.vertices
     assert rebuilt.facet_vertices == face.facet_vertices
     for k, v in enumerate(claims):
         for extra in sorted(set(range(len(face.facets))) - set(v.active)):
             wrong = claims[:k] + [Vertex(v.point, tuple(sorted(v.active + (extra,))))]
             with pytest.raises(InvariantViolation) as info:
-                DelzantPolytope._from_claimed_vertices(2, face.facets, wrong + claims[k + 1 :])
+                DelzantPolytope._from_claimed_vertices(
+                    2, face.facets, *row_claim(wrong + claims[k + 1 :])
+                )
             assert str(info.value) == (
                 f"claimed vertex {format_rational_vector(v.point)} is not tight on facet {extra}"
             )
@@ -794,7 +804,7 @@ def test_integer_heights_match_fraction_reference(case):
         vertices, generators = claimed
         got = _outcome(
             lambda: DelzantPolytope._from_claimed_vertices(
-                dim, facets, vertices, generators
+                dim, facets, *row_claim(vertices), generators
             ).vertices
         )
         expected = _outcome(lambda: _reference_claimed(dim, facets, vertices))
@@ -813,4 +823,4 @@ def test_claimed_point_outside_a_third_offset_facet_is_named():
     with pytest.raises(
         InvariantViolation, match=r"claimed vertex \['1/4', '0'\] is not tight on facet 0"
     ):
-        DelzantPolytope._from_claimed_vertices(2, facets, claimed)
+        DelzantPolytope._from_claimed_vertices(2, facets, *row_claim(claimed))

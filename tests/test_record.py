@@ -17,7 +17,6 @@ from cuspcheck import (
     check_facet_condition,
     extremal_affine,
     moments,
-    obstruction,
 )
 from cuspcheck.moments import FacetMoments
 from cuspcheck.polytope import Vertex
@@ -95,26 +94,32 @@ def test_triangulation_cache_hits_an_equal_rebuilt_polytope():
     assert moments._triangulate.cache_info().hits == hits + 2
 
 
-def test_moment_store_entry_is_shared_by_an_equal_rebuilt_polytope():
+def test_moment_store_entry_is_shared_by_an_equal_rebuilt_polytope(monkeypatch, cold_store):
+    # The entry holds the fans and the raw sums, and the readers build their
+    # Fractions from the sums: read through an equal rebuilt polytope, they
+    # give equal values and integrate nothing.
     poly = tower_rounds()[2]
     rebuilt = DelzantPolytope.from_data(poly.to_data())
-    moments._triangulate.cache_clear()
     body = moments.polytope_moments(poly)
     facets = moments.boundary_moments(poly).facets
-    assert moments._triangulate(rebuilt) is moments._triangulate(poly)
-    assert moments.polytope_moments(rebuilt) is body
-    assert all(a is b for a, b in zip(moments.boundary_moments(rebuilt).facets, facets))
+    entry = moments._triangulate(rebuilt)
+    assert entry is moments._triangulate(poly) and len(entry) == 3
+    assert set(entry[2]) == {(), *((i,) for i in range(len(poly.facets)))}
+    calls = []
+    monkeypatch.setattr(moments, "_integrate", lambda *args: calls.append(args))
+    assert moments.polytope_moments(rebuilt) == body
+    assert moments.boundary_moments(rebuilt).facets == facets
+    assert calls == []
     assert moments._triangulate.cache_info().currsize == 1
 
 
-def test_excluded_facet_is_not_integrated():
+def test_excluded_facet_is_not_integrated(cold_store):
     cube = unit_cube(3)
-    moments._triangulate.cache_clear()
     extremal_affine(cube, [2])
-    assert set(moments._triangulate(cube)[2]) == {None, 0, 1, 3, 4, 5}
+    assert set(moments._triangulate(cube)[2]) == {(), (0,), (1,), (3,), (4,), (5,)}
 
 
-def test_checking_every_facet_integrates_the_body_once(monkeypatch):
+def test_checking_every_facet_integrates_the_body_once(monkeypatch, cold_store):
     # Checking all 8 facets of the 4-cube integrates the cube and nothing
     # else: its body once, each facet at most once per degree (degree 1 for
     # a pair's boundary, degree 2 as the divisor, which also serves degree
@@ -128,13 +133,11 @@ def test_checking_every_facet_integrates_the_body_once(monkeypatch):
         return integrate(poly, degree, domains)
 
     monkeypatch.setattr(moments, "_integrate", counting)
-    moments._triangulate.cache_clear()
-    obstruction._facet_sides.clear()
     check_facet_condition(cube, 0)
-    body = moments._triangulate(cube)[3][()]
+    body = moments._triangulate(cube)[2][()]
     for i in range(8):
         check_facet_condition(cube, i)
-    assert moments._triangulate(cube)[3][()] is body
+    assert moments._triangulate(cube)[2][()] is body
     assert all(poly is cube for poly, _, _ in calls)
     integrated = [(degree, d) for _, degree, domains in calls for d in domains]
     assert len(integrated) == len(set(integrated))
@@ -153,10 +156,9 @@ def test_checking_every_facet_integrates_the_body_once(monkeypatch):
     assert calls == []
 
 
-def test_moment_store_is_bounded_and_lets_evicted_polytopes_go():
+def test_moment_store_is_bounded_and_lets_evicted_polytopes_go(cold_store):
     # With the cycle collector off: an evicted entry is in no reference
     # cycle, so it and its polytope go as soon as the store drops them.
-    moments._triangulate.cache_clear()
     gc.disable()
     try:
         first = interval(0, 1)
@@ -171,7 +173,7 @@ def test_moment_store_is_bounded_and_lets_evicted_polytopes_go():
         gc.enable()
 
 
-def test_a_polytope_hashes_its_value_at_most_once(monkeypatch):
+def test_a_polytope_hashes_its_value_at_most_once(monkeypatch, cold_store):
     # Hashing (dim, facets) hashes each facet, and in one check each facet
     # belongs to one polytope: the parent, or the divisor's facet polytope.
     poly = DelzantPolytope.from_data(tower_rounds()[5].to_data())
@@ -183,7 +185,6 @@ def test_a_polytope_hashes_its_value_at_most_once(monkeypatch):
         return facet_hash(facet)
 
     monkeypatch.setattr(Facet, "__hash__", counting)
-    moments._triangulate.cache_clear()
     check_facet_condition(poly, "hyp")
     assert [counts[id(f)] for f in poly.facets] == [1] * len(poly.facets)
     assert max(counts.values()) == 1
