@@ -93,10 +93,12 @@ def _solve(body: Sums, boundary: Sequence[Sums]) -> AffineFunction:
     """The affine function whose Gram system these raw sums state.
 
     The body's sums of degree <= 2 give the matrix, the boundary domains'
-    of degree <= 1 the right-hand side.  Each row is scaled to integers
-    by the body's degree-2 scale and the boundary's common denominator,
-    and ``solve_int`` solves them, so the answer's Fractions are the only
-    ones built.  A singular matrix raises SingularGram.
+    of degree <= 1 the right-hand side: the pair's boundary is one domain
+    (see ``_affine``), a facet's own boundary its ridges.  Each row is
+    scaled to integers by the body's degree-2 scale and the boundary's
+    common denominator, and ``solve_int`` solves them, so the answer's
+    Fractions are the only ones built.  A singular matrix raises
+    SingularGram.
     """
     raw, scale = body
     monomials = [m for m in raw if len(m) < 2]
@@ -116,10 +118,18 @@ def _solve(body: Sums, boundary: Sequence[Sums]) -> AffineFunction:
 
 
 def _affine(poly: DelzantPolytope, skip: Sequence[int]) -> AffineFunction:
-    """The solved affine function of ``poly`` with the facets ``skip`` removed."""
-    (body,) = _sums(poly, 2, [()])
-    kept = [(i,) for i in range(len(poly.facets)) if i not in skip]
-    return _solve(body, _sums(poly, 1, kept))
+    """The solved affine function of ``poly`` with the facets ``skip`` removed.
+
+    Its boundary is one domain: the whole boundary, integrated in the
+    sweep that integrates the body, minus each skipped facet, whose sums
+    the same sweep takes and which are lifted by L / |u_c| into the
+    boundary's scale.
+    """
+    body, *skipped = _sums(poly, 2, [(), *((i,) for i in skip)])
+    ((raw, scale),) = _sums(poly, 1, [None])
+    lifts = [(r, scale[0] // s[0]) for r, s in skipped]
+    boundary = {m: x - sum(r[m] * lift for r, lift in lifts) for m, x in raw.items()}
+    return _solve(body, [(boundary, scale)])
 
 
 def extremal_affine(

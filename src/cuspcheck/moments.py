@@ -47,12 +47,18 @@ chart of a facet F maps Z^(n-1) onto F's lattice, so a ridge F & G in
 this measure is a facet of F's facet polytope in its boundary measure,
 and F's own measure is that polytope's volume.
 
-The fan cones the body from its vertex 0 over the simplices of each
-facet j that misses it, so a body simplex needs no n x n determinant:
-its |det[edges]| is h |C_c| / |u_c|, the facet simplex's lattice mass
-times (n-1)! times the lattice height h = <u_j, Q_0> - D c_j of the apex
-over the facet.  Every minor the kernel takes is then at most
-(n-1) x (n-1), closed-form in ``det_int`` up to n = 5.
+The body has no fan of its own: it is the cone from its vertex 0 over
+the simplices of each facet j that misses it, so a body simplex needs
+no n x n determinant.  Its |det[edges]| is h |C_c| / |u_c|, the facet
+simplex's lattice mass times (n-1)! times the lattice height
+h = <u_j, Q_0> - D c_j of the apex over the facet: the facet simplex's
+edges are T B for a basis B of the facet's lattice, completed to a
+unimodular frame by a w with <u_j, w> = 1, in which the apex edge has
+w-coordinate h.  Its vertex sum is the facet simplex's plus Q_0.  So
+one sweep over the facet fans integrates the body and the whole
+boundary: each facet simplex's minor and vertex sum are taken once and
+feed both.  Every minor the kernel takes is at most (n-1) x (n-1),
+closed-form in ``det_int`` up to n = 5.
 
 The sums run on ints: the triangulation's simplices index the polytope's
 integer vertex table (``DelzantPolytope.scaled_vertices``, the points
@@ -70,17 +76,21 @@ degree's scale, when a reader builds its Fraction.  Nothing is
 approximated.
 
 One store entry per polytope, keyed on its value and bounded at 256
-polytopes, holds its fan triangulations and the raw int sums and their
-scales of each domain integrated so far, to the highest degree asked;
-each derived quantity is stored once, in int.  Fractions are built only
-by the readers, from the stored sums on each call (``polytope_moments``,
-``boundary_moments``, the ``integrate_polynomial`` pair, and
-``extremal``'s ``relative_futaki`` and reports); the Gram solves of
-``extremal`` and ``obstruction`` read the int sums.  Each domain is
-integrated at most once per degree, an excluded facet not at all.  So
-checking every facet of a polytope, one divisor at a time, integrates
-its body once, each facet at most once per degree and each ridge once,
-and builds no other polytope.
+polytopes, holds the fan triangulations of its facets and the raw int
+sums and their scales of each domain integrated so far, to the highest
+degree asked; each derived quantity is stored once, in int.  Fractions
+are built only by the readers, from the stored sums on each call
+(``polytope_moments``, ``boundary_moments``, the ``integrate_polynomial``
+pair, and ``extremal``'s ``relative_futaki`` and reports); the Gram
+solves of ``extremal`` and ``obstruction`` read the int sums.  The sweep
+that integrates the body also sums the whole boundary to degree 1, over
+the lcm L of the facet masses, so the pair's boundary is one domain: the
+whole boundary minus the sums of each excluded facet, lifted by
+L / |u_c|.  Each domain is integrated at most once per degree.  So
+checking every facet of a polytope, one divisor at a time, sweeps each
+facet fan once with the body, integrates each facet at most once more,
+to degree 2 as a divisor, and each ridge once, and builds no other
+polytope.
 """
 
 from __future__ import annotations
@@ -88,6 +98,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import defaultdict
 from fractions import Fraction
 from operator import itemgetter, mul, sub
 from typing import Iterable, Mapping, Sequence
@@ -242,8 +253,9 @@ class BoundaryMomentData(Record):
 
 Simplices = tuple[tuple[int, ...], ...]
 # A domain is named by the facets it lies on: () the body, (i,) facet i,
-# (i, j) with i < j the ridge on facets i and j.
-Domain = tuple[int, ...]
+# (i, j) with i < j the ridge on facets i and j; None names the whole
+# boundary, integrated to degree <= 1 in the sweep that integrates the body.
+Domain = tuple[int, ...] | None
 # The raw int sum of each monomial, keyed as ``_integrate`` keys it, and the
 # scale of each degree: the integral of monomial m is raw[m] / scale[len(m)].
 Sums = tuple[dict[tuple[int, ...], int], tuple[int, ...]]
@@ -261,10 +273,7 @@ def _fan(
     but not at the apex, kept when ``poly.face_dim`` is one less, in the
     order of the least such facet that cuts each out.  Faces are vertex
     index sets, which makes ``memo`` exact across branches, and across
-    the body and its facets, or across a call's ridges.  The body's
-    subfaces are the facets that miss the apex, each of dimension n - 1
-    by ``DelzantPolytope._check_faces``, so they are not tested, and the
-    body's simplices are theirs, coned, in facet order.
+    the facets, or across a call's ridges.
     """
     if face not in memo:
         if len(face) == d + 1:
@@ -277,7 +286,7 @@ def _fan(
             memo[face] = tuple(
                 s + (apex,)
                 for sub in subfaces
-                if d == poly.dim or poly.face_dim(sub) == d - 1
+                if poly.face_dim(sub) == d - 1
                 for s in _fan(poly, sub, d - 1, memo)
             )
     return memo[face]
@@ -286,20 +295,17 @@ def _fan(
 # Bounded so that a long run (a chop tower) does not keep every polytope
 # alive; one moment check needs far fewer entries than this.
 @functools.lru_cache(maxsize=256)
-def _triangulate(
-    poly: DelzantPolytope,
-) -> tuple[Simplices, tuple[Simplices, ...], dict[Domain, Sums]]:
-    """The store entry of ``poly``: the fan triangulations of its body and
-    of each facet's face, and the raw int sums of each domain integrated
-    so far, to the highest degree asked.  Nothing else is kept: the readers
+def _triangulate(poly: DelzantPolytope) -> tuple[tuple[Simplices, ...], dict[Domain, Sums]]:
+    """The store entry of ``poly``: the fan triangulation of each facet's
+    face, and the raw int sums of each domain integrated so far, to the
+    highest degree asked.  Nothing else is kept: the body is integrated
+    over cones on the facet fans and has no fan of its own, the readers
     build their Fractions from the sums on each call, a ridge is
     triangulated when it is integrated, and neither its fan nor the
     per-vertex weights are kept, since a domain is integrated once per
     degree, so they would never be read again."""
     memo: dict[frozenset[int], Simplices] = {}
-    n = poly.dim
-    body = _fan(poly, frozenset(range(len(poly.vertex_facets))), n, memo)
-    return body, tuple(_fan(poly, face, n - 1, memo) for face in poly.facet_vertices), {}
+    return tuple(_fan(poly, face, poly.dim - 1, memo) for face in poly.facet_vertices), {}
 
 
 def _idot(a: Iterable[int], b: Iterable[int]) -> int:
@@ -337,33 +343,58 @@ def _minors(table: Sequence[Sequence[int]], simplices: Simplices, keep: list[int
     return out
 
 
-def _body_dets(poly: DelzantPolytope, facets: tuple[Simplices, ...]) -> list[int]:
-    """|det[edges]| of each body simplex, in the order of the body's fan.
+def _scale(k: int, mass: int, lcm: int, degree: int) -> tuple[int, ...]:
+    """The scale of each degree d <= ``degree`` of a k-dimensional domain:
+    k! D^(k+d) (k+1)...(k+d) times the mass rule's |N_K| / g."""
+    base = math.factorial(k) * lcm**k * mass
+    return tuple(base * math.perm(k + d, d) * lcm**d for d in range(degree + 1))
 
-    ``_fan`` cones the body from vertex 0 over the simplices of each facet
-    j that misses it, in facet order (a body that is one simplex is that
-    cone too).  With h = <u_j, Q_0> - D c_j, the height of Q_0 over the
-    facet, such a simplex has |det| = h |C_c| / |u_c|, C_c the facet
-    simplex's minor under the facet's mass rule: its edges are T B for a
-    basis B of the facet's lattice, completed to a unimodular frame by a w
-    with <u_j, w> = 1, in which the apex edge has w-coordinate h.  So
-    every body simplex takes one (n-1) x (n-1) minor.
-    """
-    table = poly.scaled_vertices[1]
-    dets: list[int] = []
-    for j, face in enumerate(poly.facet_vertices):
-        if 0 in face:
-            continue
-        u = poly.facets[j].normal
-        mass, keep = _mass_rule([u], poly.dim)
-        height = _idot(u, table[0]) - _idot(u, table[facets[j][0][0]])
-        dets += [height * m // mass for m in _minors(table, facets[j], keep)]
-    return dets
+
+def _raw(
+    table: Sequence[Sequence[int]], simplices: Simplices, dets: list[int], sums: list, degree: int
+) -> dict[tuple[int, ...], int]:
+    """The raw sums of one domain to ``degree``, from the |det| and the
+    vertex sum S of each of its simplices (``sums`` holds the columns of
+    the S), by the simplex moments of the module docstring: the first
+    moments are sum_s |det| S; from degree 2 each |det| goes into the
+    weight w_p of each of the simplex's vertices, and from degree 3 its
+    |det| S into the cross weight."""
+    raw = {(): sum(dets)}
+    if degree == 0:
+        return raw
+    n = len(sums)
+    det_sums = [list(map(mul, dets, column)) for column in sums]
+    for i, column in enumerate(det_sums):
+        raw[i,] = sum(column)
+    if degree > 1:
+        weight: dict[int, int] = {}
+        for s, d in zip(simplices, dets):
+            for i in s:
+                weight[i] = weight.get(i, 0) + d
+        points = [[table[i][c] for i in weight] for c in range(n)]
+        weighted = [list(map(mul, weight.values(), column)) for column in points]
+        for i, j in itertools.combinations_with_replacement(range(n), 2):
+            raw[i, j] = _idot(det_sums[i], sums[j]) + _idot(weighted[i], points[j])
+    if degree > 2:
+        cross = {i: [0] * n for i in weight}
+        for s, d, *total in zip(simplices, dets, *sums):
+            for i in s:
+                cross[i] = [a + d * b for a, b in zip(cross[i], total)]
+        cross_columns = [[cross[i][c] for i in weight] for c in range(n)]
+        for i, j, l in itertools.combinations_with_replacement(range(n), 3):
+            raw[i, j, l] = (
+                _idot(map(mul, det_sums[i], sums[j]), sums[l])
+                + _idot(cross_columns[i], map(mul, points[j], points[l]))
+                + _idot(cross_columns[j], map(mul, points[i], points[l]))
+                + _idot(cross_columns[l], map(mul, points[i], points[j]))
+                + 2 * _idot(map(mul, weighted[i], points[j]), points[l])
+            )
+    return raw
 
 
 def _integrate(
     poly: DelzantPolytope, degree: int, domains: Sequence[Domain] = ((),)
-) -> tuple[Sums, ...]:
+) -> dict[Domain, Sums]:
     """Exact integral of every monomial of degree <= ``degree`` <= 3 over
     each domain in its lattice measure, by the simplex moments of the
     module docstring, as raw int sums and their scales.
@@ -371,69 +402,69 @@ def _integrate(
     Each domain, named by the facets it lies on, gets one dict from
     monomials to raw sums: x_i x_j ... is keyed by its sorted variable
     indices (i, j, ...), in the order of ``combinations_with_replacement``,
-    degree by degree.  Each simplex of a domain of dimension k gives |det|,
-    the k x k minor of its edges on the columns the mass rule keeps (for
-    the body, by the cone rule of ``_body_dets``), and its vertex sum S;
-    the first moments are sum_s |det| S.  From degree 2 its |det| goes
-    into the weight w_p of each of its vertices, and from degree 3 its
-    |det| S into the cross weight.  Simplex terms are sums over the
-    simplices, vertex terms sums over the domain's vertices, all in int;
-    the scale of degree d is the one denominator
-    k! D^(k+d) (k+1)...(k+d) |N_K| / g.
+    degree by degree.  Each simplex of a face of dimension k gives |det|,
+    the k x k minor of its edges on the columns the mass rule keeps, and
+    its vertex sum S; ``_raw`` sums them in int, and the scale of degree d
+    is the one denominator k! D^(k+d) (k+1)...(k+d) |N_K| / g.
+
+    The body (()) and the boundary (None) are integrated together, in one
+    sweep over the facet fans: each facet simplex's |C| and S are taken
+    once.  Its sums of degree <= 1, times L / |u_c| for L the lcm of the
+    facet masses |u_c|, add up to the boundary's, over the one mass L.
+    When the facet misses vertex 0, the simplex coned from vertex 0 is a
+    simplex of the body's fan, with |det| = h |C| / |u_c| by the cone rule
+    and vertex sum S + Q_0, and these feed the body's sums to ``degree``.
+    A facet asked for on its own in the same call reads the same |C| and S.
     """
     if degree > 3:
         raise InvariantViolation(f"the simplex moments are exact to degree 3, not {degree}")
-    body, facets = _triangulate(poly)[:2]
+    facets = _triangulate(poly)[0]
     lcm, table = poly.scaled_vertices
     n = poly.dim
+    wanted = set(domains)
+    sweep = not wanted.isdisjoint([(), None])
+    visit = [(j,) for j in range(len(facets))] if sweep else []
+    visit += [d for d in domains if d and not (sweep and len(d) == 1)]
     memo: dict[frozenset[int], Simplices] = {}
-    out = []
-    for domain in domains:
+    scales: dict[tuple[int, int], tuple[int, ...]] = {}
+    # The columns of the boundary's |det| and S, by facet mass, and the
+    # body's cone simplices, their |det| and the columns of their S - Q_0.
+    boundary: dict[int, list[list[int]]] = defaultdict(lambda: [[] for _ in range(n + 1)])
+    cones, cone_dets, cone_sums = [], [], [[] for _ in range(n)]
+    out = {}
+    for domain in visit:
         k = n - len(domain)
-        if not domain:
-            simplices, dets, mass = body, _body_dets(poly, facets), 1
+        if len(domain) == 1:
+            simplices = facets[domain[0]]
         else:
-            if len(domain) == 1:
-                simplices = facets[domain[0]]
-            else:
-                face = frozenset.intersection(*[poly.facet_vertices[i] for i in domain])
-                simplices = _fan(poly, face, k, memo)
-            mass, keep = _mass_rule([poly.facets[i].normal for i in domain], n)
-            dets = _minors(table, simplices, keep)
-        raw = {(): sum(dets)}
-        if degree > 0:
-            sums = list(zip(*[map(sum, zip(*map(table.__getitem__, s))) for s in simplices]))
-            det_sums = [list(map(mul, dets, column)) for column in sums]
-            for i, column in enumerate(det_sums):
-                raw[i,] = sum(column)
-        if degree > 1:
-            weight: dict[int, int] = {}
-            for s, d in zip(simplices, dets):
-                for i in s:
-                    weight[i] = weight.get(i, 0) + d
-            points = [[table[i][c] for i in weight] for c in range(n)]
-            weighted = [list(map(mul, weight.values(), column)) for column in points]
-            for i, j in itertools.combinations_with_replacement(range(n), 2):
-                raw[i, j] = _idot(det_sums[i], sums[j]) + _idot(weighted[i], points[j])
-        if degree > 2:
-            cross = {i: [0] * n for i in weight}
-            for s, d, *total in zip(simplices, dets, *sums):
-                for i in s:
-                    cross[i] = [a + d * b for a, b in zip(cross[i], total)]
-            cross_columns = [[cross[i][c] for i in weight] for c in range(n)]
-            for i, j, l in itertools.combinations_with_replacement(range(n), 3):
-                raw[i, j, l] = (
-                    _idot(map(mul, det_sums[i], sums[j]), sums[l])
-                    + _idot(cross_columns[i], map(mul, points[j], points[l]))
-                    + _idot(cross_columns[j], map(mul, points[i], points[l]))
-                    + _idot(cross_columns[l], map(mul, points[i], points[j]))
-                    + 2 * _idot(map(mul, weighted[i], points[j]), points[l])
-                )
-        scale = [math.factorial(k) * lcm**k * mass]
-        for d in range(1, degree + 1):
-            scale.append(scale[-1] * (k + d) * lcm)
-        out.append((raw, tuple(scale)))
-    return tuple(out)
+            face = frozenset.intersection(*[poly.facet_vertices[i] for i in domain])
+            simplices = _fan(poly, face, k, memo)
+        mass, keep = _mass_rule([poly.facets[i].normal for i in domain], n)
+        dets = _minors(table, simplices, keep)
+        sums = list(zip(*[map(sum, zip(*map(table.__getitem__, s))) for s in simplices]))
+        if domain in wanted:
+            if (k, mass) not in scales:
+                scales[k, mass] = _scale(k, mass, lcm, degree)
+            out[domain] = _raw(table, simplices, dets, sums, degree), scales[k, mass]
+        if sweep and k == n - 1:
+            for column, values in zip(boundary[mass], (dets, *sums)):
+                column += values
+            if 0 not in poly.facet_vertices[domain[0]]:
+                u = poly.facets[domain[0]].normal
+                height = _idot(u, table[0]) - _idot(u, table[simplices[0][0]])
+                cones += [s + (0,) for s in simplices]
+                cone_dets += [height * m // mass for m in dets]
+                for column, values in zip(cone_sums, sums):
+                    column += values
+    if sweep:
+        top = math.lcm(*boundary)
+        first = min(degree, 1)
+        parts = [(top // mass, _raw(table, (), c[0], c[1:], first)) for mass, c in boundary.items()]
+        total = {m: sum(raw[m] * lift for lift, raw in parts) for m in parts[0][1]}
+        out[None] = total, _scale(n - 1, top, lcm, first)
+        shifted = [[x + q for x in column] for column, q in zip(cone_sums, table[0])]
+        out[()] = _raw(table, cones, cone_dets, shifted, degree), _scale(n, 1, lcm, degree)
+    return out
 
 
 def _sums(poly: DelzantPolytope, degree: int, domains: Sequence[Domain]) -> list[Sums]:
@@ -442,10 +473,10 @@ def _sums(poly: DelzantPolytope, degree: int, domains: Sequence[Domain]) -> list
     One ``_integrate`` call covers the domains that no earlier call
     integrated to this degree; its sums replace any of lower degree.
     """
-    stored = _triangulate(poly)[2]
+    stored = _triangulate(poly)[1]
     missing = [d for d in domains if d not in stored or len(stored[d][1]) <= degree]
     if missing:
-        stored.update(zip(missing, _integrate(poly, degree, missing)))
+        stored.update(_integrate(poly, degree, missing))
     return [stored[d] for d in domains]
 
 
@@ -496,9 +527,12 @@ def boundary_moments(
 ) -> BoundaryMomentData:
     """Lattice boundary moments, facet by facet, skipping excluded facets.
 
-    Excluded facets are not integrated.  Each kept facet is integrated
-    once per polytope, for up to 256 polytopes: one ``_integrate`` call
-    covers the kept facets that no earlier call integrated.
+    Each kept facet is integrated on its own once per polytope, for up to
+    256 polytopes: one ``_integrate`` call covers the kept facets that no
+    earlier call integrated.  An excluded facet is not read here, but it
+    is integrated all the same: the sweep that integrates the body takes
+    its fan too, and the pair's Gram system asks for its own sums, to
+    subtract it from the whole boundary.
     """
     skip = sorted({poly.resolve_facet(key) for key in excluded})
     kept = [i for i in range(len(poly.facets)) if i not in skip]

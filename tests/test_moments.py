@@ -483,7 +483,8 @@ def _assert_ridges_match_facet_polytope_boundary(poly):
         ridges = _ridge_facets(poly, index)
         assert len(ridges) == len(face.facets)
         for j, fm in zip(ridges, boundary_moments(face).facets):
-            ((raw, scale),) = _integrate(poly, 1, [tuple(sorted((index, j)))])
+            ridge = tuple(sorted((index, j)))
+            raw, scale = _integrate(poly, 1, [ridge])[ridge]
             first = tuple(
                 chart.origin[c] * fm.measure
                 + sum((b[c] * m for b, m in zip(chart.basis, fm.first_moments)), Fraction(0))
@@ -586,6 +587,27 @@ def _facet_polytope_by_point_ranks(poly, index):
     return DelzantPolytope(n - 1, tuple(induced)), chart
 
 
+def _body_fan(poly):
+    """The body's own fan from ``moments._fan``, which the store no longer
+    keeps: vertex 0 coned over the fans of the facets that miss it."""
+    return moments._fan(poly, frozenset(range(len(poly.vertex_facets))), poly.dim, {})
+
+
+def _assert_fans_match_point_ranks(poly):
+    # The stored facet fans, simplex tuple by simplex tuple, and the cones
+    # from vertex 0 over the fans of the facets that miss it, which the
+    # kernel integrates the body over, against the oracle's body fan.  A
+    # body that is one simplex is its own fan, which lists it sorted.
+    body, facets = _triangulate_by_point_ranks(poly)
+    stored = _triangulate(poly)[0]
+    assert stored == facets
+    coned = tuple(
+        s + (0,) for face, fan in zip(poly.facet_vertices, stored) if 0 not in face for s in fan
+    )
+    assert coned == body if len(body) > 1 else (tuple(sorted(coned[0])),) == body
+    assert _body_fan(poly) == body
+
+
 def _assert_faces_match_point_ranks(poly):
     # Identical simplex tuples, not just equal integrals; the same for each
     # facet polytope, whose facets, chart and vertices must also agree.
@@ -593,7 +615,7 @@ def _assert_faces_match_point_ranks(poly):
         frozenset(k for k, v in enumerate(poly.vertices) if i in v.active)
         for i in range(len(poly.facets))
     )
-    assert _triangulate(poly)[:2] == _triangulate_by_point_ranks(poly)
+    _assert_fans_match_point_ranks(poly)
     if poly.dim < 2:
         return
     for index in range(len(poly.facets)):
@@ -601,7 +623,7 @@ def _assert_faces_match_point_ranks(poly):
         expected_face, expected_chart = _facet_polytope_by_point_ranks(poly, index)
         assert (face.facets, chart) == (expected_face.facets, expected_chart)
         assert face.vertices == expected_face.vertices
-        assert _triangulate(face)[:2] == _triangulate_by_point_ranks(face)
+        _assert_fans_match_point_ranks(face)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -689,8 +711,7 @@ def _assert_rule_matches_expansion(poly):
     alphas = _monomials_to_degree_three(poly.dim)
     # The triangulation indexes the vertex list; the expansion takes points.
     points = [v.point for v in poly.vertices]
-    body, facets = _triangulate(poly)[:2]
-    for index, simplices in [(None, body), *enumerate(facets)]:
+    for index, simplices in [(None, _body_fan(poly)), *enumerate(_triangulate(poly)[0])]:
         normal = None if index is None else poly.facets[index].normal
         expected = {
             alpha: sum(
@@ -702,7 +723,8 @@ def _assert_rule_matches_expansion(poly):
             )
             for alpha in alphas
         }
-        ((raw, scale),) = _integrate(poly, 3, [() if index is None else (index,)])
+        domain = () if index is None else (index,)
+        raw, scale = _integrate(poly, 3, [domain])[domain]
         exponents = {
             tuple(m.count(c) for c in range(poly.dim)): Fraction(v, scale[len(m)])
             for m, v in raw.items()
@@ -728,12 +750,12 @@ def test_body_sums_by_cones_match_full_determinants(build, monkeypatch, cold_sto
     # Each body simplex's |det| comes from its facet simplex's minor and the
     # apex height, so a check in dimension 5 takes no 5 x 5 determinant.
     # The body sums to degree 2 must equal those of the full n x n
-    # determinants of the stored body fan, which run the elimination.
+    # determinants of the body's own fan, which run the elimination.
     poly = build()
     n = poly.dim
     lcm, table = poly.scaled_vertices
     expected = collections.Counter()
-    for s in _triangulate(poly)[0]:
+    for s in _body_fan(poly):
         points = [table[i] for i in s]
         det = abs(det_int([[a - b for a, b in zip(p, points[0])] for p in points[1:]]))
         total = [sum(column) for column in zip(*points)]
@@ -745,7 +767,7 @@ def test_body_sums_by_cones_match_full_determinants(build, monkeypatch, cold_sto
     sizes = []
     monkeypatch.setattr(moments, "det_int", lambda m: sizes.append(len(m)) or det_int(m))
     cold_store()
-    ((raw, scale),) = _integrate(poly, 2)
+    raw, scale = _integrate(poly, 2)[()]
     assert raw == expected
     factorial = math.factorial(n)
     assert scale == (factorial * lcm**n, factorial * lcm**n * (n + 1) * lcm,
@@ -792,7 +814,7 @@ def test_moments_build_one_fraction_per_monomial_per_domain(build, monkeypatch, 
     # simplices there are.
     poly = build()
     n = poly.dim
-    assert len(_triangulate(poly)[0]) > n + 1
+    assert len(_body_fan(poly)) > n + 1
     built = count_fractions(monkeypatch)
     cold_store()
     polytope_moments(poly)

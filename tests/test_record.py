@@ -15,6 +15,7 @@ from cuspcheck import (
     Facet,
     ModelCoefficients,
     check_facet_condition,
+    extremal,
     extremal_affine,
     moments,
 )
@@ -95,16 +96,18 @@ def test_triangulation_cache_hits_an_equal_rebuilt_polytope():
 
 
 def test_moment_store_entry_is_shared_by_an_equal_rebuilt_polytope(monkeypatch, cold_store):
-    # The entry holds the fans and the raw sums, and the readers build their
-    # Fractions from the sums: read through an equal rebuilt polytope, they
-    # give equal values and integrate nothing.
+    # The entry holds the facet fans and the raw sums, and the readers build
+    # their Fractions from the sums: read through an equal rebuilt polytope,
+    # they give equal values and integrate nothing.  The sweep that
+    # integrates the body also stores the whole boundary, under None.
     poly = tower_rounds()[2]
     rebuilt = DelzantPolytope.from_data(poly.to_data())
     body = moments.polytope_moments(poly)
     facets = moments.boundary_moments(poly).facets
     entry = moments._triangulate(rebuilt)
-    assert entry is moments._triangulate(poly) and len(entry) == 3
-    assert set(entry[2]) == {(), *((i,) for i in range(len(poly.facets)))}
+    assert entry is moments._triangulate(poly) and len(entry) == 2
+    assert len(entry[0]) == len(poly.facets)
+    assert set(entry[1]) == {(), None, *((i,) for i in range(len(poly.facets)))}
     calls = []
     monkeypatch.setattr(moments, "_integrate", lambda *args: calls.append(args))
     assert moments.polytope_moments(rebuilt) == body
@@ -113,41 +116,70 @@ def test_moment_store_entry_is_shared_by_an_equal_rebuilt_polytope(monkeypatch, 
     assert moments._triangulate.cache_info().currsize == 1
 
 
-def test_excluded_facet_is_not_integrated(cold_store):
+def test_excluded_facet_is_not_integrated(monkeypatch, cold_store):
+    # The pair's boundary is the whole boundary, summed in the sweep that
+    # integrates the body, minus the excluded facet.  So the excluded facet
+    # gets no pass of its own: its sums come from the minors that the sweep
+    # takes once per facet fan, and no kept facet is integrated on its own.
     cube = unit_cube(3)
+    swept = []
+    minors = moments._minors
+    monkeypatch.setattr(
+        moments, "_minors", lambda table, fan, keep: swept.append(fan) or minors(table, fan, keep)
+    )
+    extremal._affine(cube, [2])
+    assert [id(fan) for fan in swept] == [id(fan) for fan in moments._triangulate(cube)[0]]
+    assert set(moments._triangulate(cube)[1]) == {(), None, (2,)}
+    # The report's boundary moments read the kept facets, each on its own.
     extremal_affine(cube, [2])
-    assert set(moments._triangulate(cube)[2]) == {(), (0,), (1,), (3,), (4,), (5,)}
+    assert set(moments._triangulate(cube)[1]) == {(), None, *((i,) for i in range(6))}
+    assert len(swept) == 6 + 5
 
 
 def test_checking_every_facet_integrates_the_body_once(monkeypatch, cold_store):
     # Checking all 8 facets of the 4-cube integrates the cube and nothing
-    # else: its body once, each facet at most once per degree (degree 1 for
-    # a pair's boundary, degree 2 as the divisor, which also serves degree
-    # 1 later), and each of its 24 ridges once, at degree 1.
+    # else.  One sweep over the facet fans integrates its body, to degree 2,
+    # the whole boundary and the first divisor; after it each other facet's
+    # fan is swept once more, as the divisor, to degree 2, and each of its
+    # 24 ridges is integrated once, at degree 1.  The body is never
+    # triangulated on its own.
     cube = unit_cube(4)
-    calls = []
-    integrate = moments._integrate
+    calls, swept, faces = [], [], []
+    integrate, minors, fan = moments._integrate, moments._minors, moments._fan
 
     def counting(poly, degree, domains=((),)):
         calls.append((poly, degree, tuple(domains)))
         return integrate(poly, degree, domains)
 
     monkeypatch.setattr(moments, "_integrate", counting)
+    monkeypatch.setattr(
+        moments, "_minors", lambda table, s, keep: swept.append(s) or minors(table, s, keep)
+    )
+    monkeypatch.setattr(
+        moments, "_fan", lambda poly, face, d, memo: faces.append(d) or fan(poly, face, d, memo)
+    )
     check_facet_condition(cube, 0)
-    body = moments._triangulate(cube)[2][()]
+    body = moments._triangulate(cube)[1][()]
     for i in range(8):
         check_facet_condition(cube, i)
-    assert moments._triangulate(cube)[2][()] is body
+    assert moments._triangulate(cube)[1][()] is body
     assert all(poly is cube for poly, _, _ in calls)
+    assert calls[0][1:] == (2, ((), (0,)))
     integrated = [(degree, d) for _, degree, domains in calls for d in domains]
     assert len(integrated) == len(set(integrated))
     assert [degree for degree, d in integrated if d == ()] == [2]
     facets = sorted((d, degree) for degree, d in integrated if len(d) == 1)
-    assert facets == [((0,), 2)] + [((i,), degree) for i in range(1, 8) for degree in (1, 2)]
+    assert facets == [((i,), 2) for i in range(8)]
     ridges = [d for degree, d in integrated if len(d) == 2 and degree == 1]
     assert len(ridges) == 24 == len(integrated) - 1 - len(facets)
     # Facets 2k and 2k + 1 are opposite, bot_k and top_k, and share no ridge.
     assert not any(i % 2 == 0 and j == i + 1 for i, j in ridges)
+    # Each facet fan is swept once with the body and once more as a divisor,
+    # but facet 0 took its own sums in the sweep; each ridge's fan once.
+    index = {id(f): i for i, f in enumerate(moments._triangulate(cube)[0])}
+    sweeps = collections.Counter(index.get(id(s), "ridge") for s in swept)
+    assert sweeps == {0: 1, **{i: 2 for i in range(1, 8)}, "ridge": 24}
+    assert faces and max(faces) < cube.dim
     assert moments._triangulate.cache_info().misses == 1
     # A second pass reads the store and the facet sides: it integrates nothing.
     del calls[:]
