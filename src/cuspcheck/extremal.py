@@ -127,8 +127,7 @@ def _affine(poly: DelzantPolytope, skip: Sequence[int]) -> AffineFunction:
     """
     body, *skipped = _sums(poly, 2, [(), *((i,) for i in skip)])
     ((raw, scale),) = _sums(poly, 1, [None])
-    lifts = [(r, scale[0] // s[0]) for r, s in skipped]
-    boundary = {m: x - sum(r[m] * lift for r, lift in lifts) for m, x in raw.items()}
+    boundary = {m: x - sum(r[m] * (scale[0] // s[0]) for r, s in skipped) for m, x in raw.items()}
     return _solve(body, [(boundary, scale)])
 
 

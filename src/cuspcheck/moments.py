@@ -346,8 +346,10 @@ def _minors(table: Sequence[Sequence[int]], simplices: Simplices, keep: list[int
 def _scale(k: int, mass: int, lcm: int, degree: int) -> tuple[int, ...]:
     """The scale of each degree d <= ``degree`` of a k-dimensional domain:
     k! D^(k+d) (k+1)...(k+d) times the mass rule's |N_K| / g."""
-    base = math.factorial(k) * lcm**k * mass
-    return tuple(base * math.perm(k + d, d) * lcm**d for d in range(degree + 1))
+    scale = [math.factorial(k) * lcm**k * mass]
+    for d in range(1, degree + 1):
+        scale.append(scale[-1] * (k + d) * lcm)
+    return tuple(scale)
 
 
 def _raw(
@@ -451,7 +453,7 @@ def _integrate(
                 column += values
             if 0 not in poly.facet_vertices[domain[0]]:
                 u = poly.facets[domain[0]].normal
-                height = _idot(u, table[0]) - _idot(u, table[simplices[0][0]])
+                height = _idot(u, map(sub, table[0], table[simplices[0][0]]))
                 cones += [s + (0,) for s in simplices]
                 cone_dets += [height * m // mass for m in dets]
                 for column, values in zip(cone_sums, sums):
@@ -459,7 +461,7 @@ def _integrate(
     if sweep:
         top = math.lcm(*boundary)
         first = min(degree, 1)
-        parts = [(top // mass, _raw(table, (), c[0], c[1:], first)) for mass, c in boundary.items()]
+        parts = [(top // m, _raw(table, (), c[0], c[1:], first)) for m, c in boundary.items()]
         total = {m: sum(raw[m] * lift for lift, raw in parts) for m in parts[0][1]}
         out[None] = total, _scale(n - 1, top, lcm, first)
         shifted = [[x + q for x in column] for column, q in zip(cone_sums, table[0])]
