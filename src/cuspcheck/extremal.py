@@ -121,9 +121,10 @@ def _affine(poly: DelzantPolytope, skip: Sequence[int]) -> AffineFunction:
     """The solved affine function of ``poly`` with the facets ``skip`` removed.
 
     Its boundary is one domain: the whole boundary, integrated in the
-    sweep that integrates the body, minus each skipped facet, whose sums
-    the same sweep takes and which are lifted by L / |u_c| into the
-    boundary's scale.
+    sweep that integrates the body, minus the sums of each skipped facet,
+    lifted by L / |u_c| into the boundary's scale.  The skipped facets are
+    asked for with the body, so a sweep from a cold store takes their sums
+    from the minors it takes anyway.
     """
     body, *skipped = _sums(poly, 2, [(), *((i,) for i in skip)])
     ((raw, scale),) = _sums(poly, 1, [None])

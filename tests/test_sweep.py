@@ -88,7 +88,6 @@ def _assert_same(got, expected, what):
 
 
 def _assert_sweep_matches_oracle(poly, monkeypatch):
-    n = poly.dim
     facets = [(i,) for i in range(len(poly.facets))]
     ridges = sorted({(min(i, j), max(i, j)) for (i,) in facets for j in _ridge_facets(poly, i)})
     oracle = {d: _oracle(poly, d) for d in [(), *facets, *ridges]}
