@@ -22,7 +22,7 @@ side of ``relative_futaki`` integrates q * A, a quadratic times an
 affine function.
 
 A domain is named by the facets it lies on: () the body, (i,) a facet,
-(i, j) a ridge.  A face of codimension r, cut out by facets with normals
+(i, j) a ridge; None names the whole boundary.  A face of codimension r, cut out by facets with normals
 N (r x n), carries its lattice measure, the one in which the lattice
 Lambda = Z^n & ker N of the face's directions has covolume 1.  One rule
 gives the mass of a k-simplex of the face, k = n - r, for every r: take
