@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionMismatch, FormalExtensionWarning, SingularGram
-from .linalg import Matrix, Vector, dot, mat_vec, solve_int
+from .linalg import IntVector, Matrix, Vector, dot, mat_vec, solve_int
 from .moments import (
     Poly2,
     Sums,
@@ -28,7 +28,7 @@ from .moments import (
     _contract,
     _idot,
     _sums,
-    boundary_moments,
+    _value,
     integrate_polynomial_boundary,
     polytope_moments,
 )
@@ -89,16 +89,17 @@ class ExtremalSolveReport(Record):
         )
 
 
-def _solve(body: Sums, boundary: Sequence[Sums]) -> AffineFunction:
-    """The affine function whose Gram system these raw sums state.
+def _solve(body: Sums, boundary: Sequence[Sums]) -> tuple[IntVector, int]:
+    """The affine function whose Gram system these raw sums state, as
+    (y, d) with d > 0: its coefficients of 1 and of the variables of the
+    body's first moments, in their order, are y / d.
 
     The body's sums of degree <= 2 give the matrix, the boundary domains'
     of degree <= 1 the right-hand side: the pair's boundary is one domain
-    (see ``_affine``), a facet's own boundary its ridges.  Each row is
+    (see ``_pair_sums``), a facet's own boundary its ridges.  Each row is
     scaled to integers by the body's degree-2 scale and the boundary's
-    common denominator, and ``solve_int`` solves them, so the answer's
-    Fractions are the only ones built.  A singular matrix raises
-    SingularGram.
+    common denominator, and ``solve_int`` solves them, so no Fraction is
+    built.  A singular matrix raises SingularGram.
     """
     raw, scale = body
     monomials = [m for m in raw if len(m) < 2]
@@ -113,23 +114,34 @@ def _solve(body: Sums, boundary: Sequence[Sums]) -> AffineFunction:
     solved = solve_int(rows)
     if solved is None:
         raise SingularGram("moment Gram matrix is singular")
-    y, d = solved
+    return solved
+
+
+def _over(y: Sequence[int], d: int) -> AffineFunction:
+    """The affine function with constant y[0] / d and gradient y[1:] / d."""
     return AffineFunction(constant=Fraction(y[0], d), gradient=tuple(Fraction(v, d) for v in y[1:]))
 
 
-def _affine(poly: DelzantPolytope, skip: Sequence[int]) -> AffineFunction:
-    """The solved affine function of ``poly`` with the facets ``skip`` removed.
+def _pair_sums(poly: DelzantPolytope, skip: Sequence[int]) -> tuple[Sums, Sums]:
+    """The body's sums to degree 2 and the pair's boundary with the facets
+    ``skip`` removed, as one domain.
 
-    Its boundary is one domain: the whole boundary, integrated in the
-    sweep that integrates the body, minus the sums of each skipped facet,
-    lifted by L / |u_c| into the boundary's scale.  The skipped facets are
-    asked for with the body, so a sweep from a cold store takes their sums
-    from the minors it takes anyway.
+    The boundary is the whole boundary, integrated in the sweep that
+    integrates the body, minus the sums of each skipped facet, lifted by
+    L / |u_c| into the boundary's scale.  The skipped facets are asked for
+    with the body, so a sweep from a cold store takes their sums from the
+    minors it takes anyway, and no kept facet is integrated on its own.
     """
     body, *skipped = _sums(poly, 2, [(), *((i,) for i in skip)])
     ((raw, scale),) = _sums(poly, 1, [None])
     boundary = {m: x - sum(r[m] * (scale[0] // s[0]) for r, s in skipped) for m, x in raw.items()}
-    return _solve(body, [(boundary, scale)])
+    return body, (boundary, scale)
+
+
+def _affine(poly: DelzantPolytope, skip: Sequence[int]) -> AffineFunction:
+    """The solved affine function of ``poly`` with the facets ``skip`` removed."""
+    body, boundary = _pair_sums(poly, skip)
+    return _over(*_solve(body, [boundary]))
 
 
 def extremal_affine(
@@ -141,7 +153,8 @@ def extremal_affine(
     The established setting removes one facet; excluding several still
     yields a well-posed linear problem, so it is computed, but flagged
     with a FormalExtensionWarning.  The solve runs on the stored int
-    sums; the reported ``gram`` and ``rhs`` are read off the moments.
+    sums; the reported ``gram`` is read off the body's moments and ``rhs``
+    off the pair's boundary domain, the one the solve reads.
     """
     skip = sorted({poly.resolve_facet(key) for key in excluded})
     if len(skip) > 1:
@@ -151,12 +164,13 @@ def extremal_affine(
             FormalExtensionWarning,
             stacklevel=2,
         )
-    moments = polytope_moments(poly)
-    bd = boundary_moments(poly, skip)
+    if len(skip) == len(poly.facets):
+        raise ValueError("cannot exclude every facet of the polytope")
+    body, boundary = _pair_sums(poly, skip)
     return ExtremalSolveReport(
-        affine=_affine(poly, skip),
-        gram=moments.gram,
-        rhs=(bd.measure,) + bd.first_moments,
+        affine=_over(*_solve(body, [boundary])),
+        gram=polytope_moments(poly).gram,
+        rhs=tuple(_value(boundary, m) for m in boundary[0]),
         excluded=tuple(skip),
     )
 
@@ -164,24 +178,30 @@ def extremal_affine(
 def restrict_affine(affine: AffineFunction, chart: FacetChart) -> AffineFunction:
     """Restriction of an ambient affine function to a facet chart.
 
-    The gradient g is written over its common denominator q, so each
-    chart coordinate's coefficient <g, b_k> is one int dot over q, and the
-    constant A(origin) one int dot over q and the origin's denominator.
+    Its coefficients are written over their common denominator d and
+    read in the chart by ``_chart_image``, in int.
     """
     if affine.dimension != len(chart.origin):
         raise DimensionMismatch(
             "affine function dimension does not match the chart's ambient space"
         )
-    q = math.lcm(*[g.denominator for g in affine.gradient])
-    gradient = [g.numerator * (q // g.denominator) for g in affine.gradient]
+    coefficients = (affine.constant, *affine.gradient)
+    d = math.lcm(*[x.denominator for x in coefficients])
+    return _chart_image([x.numerator * (d // x.denominator) for x in coefficients], d, chart)
+
+
+def _chart_image(y: Sequence[int], d: int, chart: FacetChart) -> AffineFunction:
+    """The ambient affine function (y[0] + <g, x>) / d, g = y[1:], read in
+    the chart.  Chart coordinate k's coefficient is <g, b_k> over d, one
+    int dot, and the constant, the value at the origin p / r over its
+    common denominator r, is (y[0] r + <g, p>) over d r: one Fraction per
+    coefficient."""
     r = math.lcm(*[x.denominator for x in chart.origin])
     origin = [x.numerator * (r // x.denominator) for x in chart.origin]
-    c = affine.constant
+    g = y[1:]
     return AffineFunction(
-        constant=Fraction(
-            c.numerator * q * r + c.denominator * _idot(gradient, origin), c.denominator * q * r
-        ),
-        gradient=tuple(Fraction(_idot(gradient, b), q) for b in chart.basis),
+        constant=Fraction(y[0] * r + _idot(g, origin), d * r),
+        gradient=tuple(Fraction(_idot(g, b), d) for b in chart.basis),
     )
 
 

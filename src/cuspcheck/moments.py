@@ -45,7 +45,11 @@ is d(boundary measure) wedged with the pairing against u); a vertex
 (r = n) has mass 1.  No face chart and no face polytope is built.  The
 chart of a facet F maps Z^(n-1) onto F's lattice, so a ridge F & G in
 this measure is a facet of F's facet polytope in its boundary measure,
-and F's own measure is that polytope's volume.
+and F's own measure is that polytope's volume.  These measures are the
+faces' own, so they need no coordinates: the divisor check solves F's
+Gram system from F's stored sums in the ambient columns J its mass rule
+keeps, which map F's hyperplane onto R^(n-1) one to one, and no sum is
+mapped into a chart.
 
 The body has no fan of its own: it is the cone from its vertex 0 over
 the simplices of each facet j that misses it, so a body simplex needs
@@ -59,6 +63,12 @@ one sweep over the facet fans integrates the body and the whole
 boundary: each facet simplex's minor and vertex sum are taken once and
 feed both.  Every minor the kernel takes is at most (n-1) x (n-1),
 closed-form in ``det_int`` up to n = 5.
+
+The fans' faces are vertex index sets of the incidence table
+(``facet_vertices``).  On a simple polytope (``DelzantPolytope.simple``,
+as every smooth one is) a face's facets are its intersections with the
+facets tight at its vertices, read off the tight sets; otherwise each is
+tested by ``face_dim``.
 
 The sums run on ints: the triangulation's simplices index the polytope's
 integer vertex table (``DelzantPolytope.scaled_vertices``, the points
@@ -86,7 +96,8 @@ solves of ``extremal`` and ``obstruction`` read the int sums.  The sweep
 that integrates the body also sums the whole boundary to degree 1, over
 the lcm L of the facet masses, so the pair's boundary is one domain: the
 whole boundary minus the sums of each excluded facet, lifted by
-L / |u_c|.  Each domain is integrated at most once per degree.  So
+L / |u_c|, and the ``extremal_affine`` report's right-hand side is read
+off the same domain.  Each domain is integrated at most once per degree.  So
 checking every facet of a polytope, one divisor at a time, sweeps each
 facet fan once with the body, integrates each facet at most once more,
 to degree 2 as a divisor, and each ridge once, and builds no other
@@ -270,10 +281,14 @@ def _fan(
     face is coned from its lexicographically smallest vertex, its least
     index since vertices are sorted, over its subfaces missing the apex:
     its intersections with the facets tight at some vertex of the face
-    but not at the apex, kept when ``poly.face_dim`` is one less, in the
-    order of the least such facet that cuts each out.  Faces are vertex
-    index sets, which makes ``memo`` exact across branches, and across
-    the facets, or across a call's ridges.
+    but not at the apex, in the order of the least such facet that cuts
+    each out.  On a simple polytope each of them is a facet of the face:
+    at a vertex of the face such a facet adds one to the n - d facets
+    that cut the face out there, so the intersection has dimension d - 1
+    (Ziegler, Lectures on Polytopes, ch. 2).  Otherwise one is kept when
+    ``poly.face_dim`` is d - 1.  Faces are vertex index sets, which makes
+    ``memo`` exact across branches, and across the facets, or across a
+    call's ridges.
     """
     if face not in memo:
         if len(face) == d + 1:
@@ -286,7 +301,7 @@ def _fan(
             memo[face] = tuple(
                 s + (apex,)
                 for sub in subfaces
-                if poly.face_dim(sub) == d - 1
+                if poly.simple or poly.face_dim(sub) == d - 1
                 for s in _fan(poly, sub, d - 1, memo)
             )
     return memo[face]
@@ -423,16 +438,16 @@ def _integrate(
     facets = _triangulate(poly)[0]
     lcm, table = poly.scaled_vertices
     n = poly.dim
-    wanted = set(domains)
-    sweep = not wanted.isdisjoint([(), None])
-    visit = [(j,) for j in range(len(facets))] if sweep else []
-    visit += [d for d in domains if d and not (sweep and len(d) == 1)]
+    sweep = () in domains or None in domains
+    visit = domains
+    if sweep:
+        wanted = set(domains)
+        visit = [(j,) for j in range(len(facets))] + [d for d in domains if d and len(d) > 1]
+        # The columns of the boundary's |det| and S, by facet mass, and the
+        # body's cone simplices, their |det| and the columns of their S - Q_0.
+        boundary: dict[int, list[list[int]]] = defaultdict(lambda: [[] for _ in range(n + 1)])
+        cones, cone_dets, cone_sums = [], [], [[] for _ in range(n)]
     memo: dict[frozenset[int], Simplices] = {}
-    scales: dict[tuple[int, int], tuple[int, ...]] = {}
-    # The columns of the boundary's |det| and S, by facet mass, and the
-    # body's cone simplices, their |det| and the columns of their S - Q_0.
-    boundary: dict[int, list[list[int]]] = defaultdict(lambda: [[] for _ in range(n + 1)])
-    cones, cone_dets, cone_sums = [], [], [[] for _ in range(n)]
     out = {}
     for domain in visit:
         k = n - len(domain)
@@ -444,10 +459,8 @@ def _integrate(
         mass, keep = _mass_rule([poly.facets[i].normal for i in domain], n)
         dets = _minors(table, simplices, keep)
         sums = list(zip(*[map(sum, zip(*map(table.__getitem__, s))) for s in simplices]))
-        if domain in wanted:
-            if (k, mass) not in scales:
-                scales[k, mass] = _scale(k, mass, lcm, degree)
-            out[domain] = _raw(table, simplices, dets, sums, degree), scales[k, mass]
+        if not sweep or domain in wanted:
+            out[domain] = _raw(table, simplices, dets, sums, degree), _scale(k, mass, lcm, degree)
         if sweep and k == n - 1:
             for column, values in zip(boundary[mass], (dets, *sums)):
                 column += values
@@ -485,25 +498,6 @@ def _sums(poly: DelzantPolytope, degree: int, domains: Sequence[Domain]) -> list
 def _value(sums: Sums, monomial: tuple[int, ...]) -> Fraction:
     raw, scale = sums
     return Fraction(raw[monomial], scale[len(monomial)])
-
-
-def _linear_image(sums: Sums, matrix: Sequence[Sequence[int]]) -> Sums:
-    """The sums of degree <= 2 in y = matrix x, an integer linear map:
-    each monomial in y is an integer combination of those in x, so its raw
-    sum is the same combination, over the same scales.  The measure stays
-    the domain's lattice measure, which a facet's chart maps to Lebesgue
-    measure."""
-    raw, scale = sums
-    n = len(matrix[0])
-    out = {(): raw[()]}
-    if len(scale) > 1:
-        out.update(((a,), _idot(row, [raw[i,] for i in range(n)])) for a, row in enumerate(matrix))
-    if len(scale) > 2:
-        second = [[raw[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
-        half = [[_idot(row, column) for column in second] for row in matrix]
-        for a, b in itertools.combinations_with_replacement(range(len(matrix)), 2):
-            out[a, b] = _idot(half[a], matrix[b])
-    return out, scale[:3]
 
 
 def polytope_moments(poly: DelzantPolytope) -> MomentData:

@@ -5,8 +5,9 @@ function of a polytope-with-facet pair against the one the facet
 carries as a polytope in its own right: compatibility means the two
 differ by a constant on the facet, checked exactly in the facet chart.
 The facet's own function is solved from the parent's moment store, its
-facet and ridges integrated on the parent's vertex table and mapped
-into the chart in int, so no facet polytope is built for the check.  It
+facet and ridges integrated on the parent's vertex table, on the
+ambient columns the facet's mass rule keeps; only the integer answer is
+mapped into the chart, so no facet polytope is built for the check.  It
 depends only on the face, so it is kept per face, in a bounded store
 keyed on the facet and the facets that meet it in a ridge: each round of
 a chop tower after the first leaves the divisor's face as it was and
@@ -28,9 +29,9 @@ from .errors import (
     InputValidationError,
     MissingEvaluationData,
 )
-from .extremal import AffineFunction, _affine, _solve, restrict_affine
+from .extremal import AffineFunction, _affine, _chart_image, _solve, restrict_affine
 from .linalg import Matrix, Vector, nullspace, project_onto_columns, rank
-from .moments import _linear_image, _sums
+from .moments import _mass_rule, _sums
 from .polytope import DelzantPolytope, FacetChart, _facet_chart, _ridge_facets
 from .rational import parse_rational
 from .record import Record
@@ -71,12 +72,15 @@ def _facet_side(poly: DelzantPolytope, index: int) -> tuple[FacetChart, AffineFu
     F's system reads F at degree 2 and each ridge F & G at degree 1, for
     the facets G of ``facet_polytope``'s ridge rule, each in its lattice
     measure, which is the facet polytope's volume and boundary measure in
-    F's chart.  These sums are mapped into chart coordinates in int
-    through the chart frame's dual columns, y_k = <d_k, x>, and solved
-    from integer rows.  Both answers depend only on the key, so an equal
-    face of another polytope reads them from ``_facet_sides``; a stored
-    chart may name the facet index of that other polytope, but only its
-    origin and basis are read.
+    F's chart.  It is solved on the ambient columns that F's mass rule
+    keeps, all but one column c with u_c != 0, straight from the stored
+    int sums: dropping x_c maps F's hyperplane onto R^(n-1) by an affine
+    isomorphism, and the measures are the faces' own, so the solved
+    function is the facet polytope's, written in those columns.  Only the
+    integer answer is mapped into F's chart.  Both answers depend only on
+    the key, so an equal face of another polytope reads them from
+    ``_facet_sides``; a stored chart may name the facet index of that
+    other polytope, but only its origin and basis are read.
     """
     facet = poly.facets[index]
     ridges = _ridge_facets(poly, index)
@@ -87,12 +91,18 @@ def _facet_side(poly: DelzantPolytope, index: int) -> tuple[FacetChart, AffineFu
     )
     side = _facet_sides.pop(key, None)
     if side is None:
-        chart, _, duals = _facet_chart(poly, index)
-        (face,) = _sums(poly, 2, [(index,)])
+        n = poly.dim
+        chart, _ = _facet_chart(poly, index)
+        keep = _mass_rule([facet.normal], n)[1]
+        dropped = set(range(n)).difference(keep)
+        ((raw, scale),) = _sums(poly, 2, [(index,)])
+        face = {m: x for m, x in raw.items() if dropped.isdisjoint(m)}
         edges = _sums(poly, 1, [tuple(sorted((index, j))) for j in ridges])
-        side = chart, _solve(
-            _linear_image(face, duals), [_linear_image(edge, duals) for edge in edges]
-        )
+        y, d = _solve((face, scale), edges)
+        gradient = [0] * n
+        for c, v in zip(keep, y[1:]):
+            gradient[c] = v
+        side = chart, _chart_image((y[0], *gradient), d, chart)
         if len(_facet_sides) >= _MAX_FACET_SIDES:
             del _facet_sides[next(iter(_facet_sides))]
     _facet_sides[key] = side
@@ -106,8 +116,9 @@ def check_facet_condition(
 
     Both affine functions are solved from the parent's own store, and no
     facet polytope is built.  The pair's Gram system reads the body at
-    degree 2 and the other facets at degree 1; the facet's own side comes
-    from ``_facet_side``, solved once per face.
+    degree 2 and the whole boundary less F at degree 1; the facet's own
+    side comes from ``_facet_side``, solved once per face on F's ambient
+    columns and mapped into its chart in int.
     """
     if poly.dim < 2:
         raise DimensionMismatch(

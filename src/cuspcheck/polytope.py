@@ -42,10 +42,15 @@ an unclaimed vertex.
 each table is the same whichever path built it.  Every exact test of
 vertices against facets reads it in int: a height <u, v> >= c is
 <u, D v> >= D c, both sides multiplied by whatever of c's denominator D
-does not clear.  ``face_dim`` gives a face's dimension from the facets
-tight on all of it; the facet test, the ridge rule that
-``facet_polytope`` and the divisor check share and the triangulation of
-``moments`` read that rule, and no rank of vertex points is taken.
+does not clear.  ``_set_vertices`` also records, as ``simple``, whether
+every vertex has exactly n tight facets (a smooth polytope's do).
+On a simple polytope a face cut out by k facets tight at one of its
+vertices has codimension k (Ziegler, Lectures on Polytopes, ch. 2), so
+the facet test, the ridge rule that ``facet_polytope`` and the divisor
+check share and the triangulation of ``moments`` read faces off the
+tight sets alone.  Otherwise they ask ``face_dim``, which gives a face's
+dimension from the facets tight on all of it.  No rank of vertex points
+is taken.
 """
 
 from __future__ import annotations
@@ -372,9 +377,10 @@ class DelzantPolytope(Record):
     ) -> list[int]:
         """Store the vertices rows / ``scale``, each tight on the facets
         its entry of ``tight`` names, as the integer vertex table
-        ``scaled_vertices``, the tight sets ``vertex_facets`` in table order
-        and the incidence table ``facet_vertices``, the vertices tight on
-        each facet.  Returns the index in ``rows`` of each table row.
+        ``scaled_vertices``, the tight sets ``vertex_facets`` in table order,
+        the incidence table ``facet_vertices``, the vertices tight on each
+        facet, and ``simple``, whether every tight set has n facets.
+        Returns the index in ``rows`` of each table row.
 
         This is the one vertex contract of every build path, and these
         tables are the only vertex data stored; the records of ``vertices``
@@ -402,6 +408,7 @@ class DelzantPolytope(Record):
                 incidence[i].append(k)
         object.__setattr__(self, "scaled_vertices", (scale, table))
         object.__setattr__(self, "vertex_facets", tuple(tight[j] for j in order))
+        object.__setattr__(self, "simple", all(len(t) == self.dim for t in tight))
         object.__setattr__(self, "facet_vertices", tuple(map(frozenset, incidence)))
         return order
 
@@ -452,8 +459,10 @@ class DelzantPolytope(Record):
         """Full dimension, and an (n-1)-dimensional face on every facet.
 
         The barycentre sum(X) / (V D) of the integer table lies on a facet
-        iff <u, sum(X)> = V D c; once it lies on none, ``face_dim`` of each
-        facet's vertices in the incidence table must be n - 1.  Both
+        iff <u, sum(X)> = V D c; once it lies on none, each facet's face
+        must have dimension n - 1: on a simple polytope, any facet tight
+        at a vertex has it, else ``face_dim`` of the facet's vertices in
+        the incidence table must be n - 1.  Both
         constructors call this last, after the open-edge test and the cone
         table have verified the vertex set that ``face_dim`` relies on; a
         facet polytope's vertices come verified from its parent.
@@ -468,7 +477,8 @@ class DelzantPolytope(Record):
                     "polytope is not full-dimensional: it lies in a facet hyperplane"
                 )
         for i, face in enumerate(self.facet_vertices):
-            if self.face_dim(face) != self.dim - 1:
+            full = bool(face) if self.simple else self.face_dim(face) == self.dim - 1
+            if not full:
                 raise DegenerateFacet(
                     f"facet {i} does not support an (n-1)-dimensional face"
                 )
@@ -479,7 +489,10 @@ class DelzantPolytope(Record):
         which cut out its affine hull (Ziegler, Lectures on Polytopes,
         ch. 2), or minus their number if a vertex of the face is simple.
         Valid only on the verified vertex set of a full-dimensional
-        polytope, so ``_check_faces`` runs last in both constructors.
+        polytope, so ``_check_faces`` runs last in both constructors.  The
+        package's own callers ask it only on a polytope that is not
+        ``simple``: on a simple one every face they test is cut out at a
+        vertex by the facets they name.
         """
         active = [self.vertex_facets[k] for k in face]
         if not active:
@@ -682,16 +695,10 @@ def apply_unimodular(
     return DelzantPolytope(dim=n, facets=tuple(new_facets))
 
 
-def _facet_chart(
-    poly: DelzantPolytope, index: int
-) -> tuple[FacetChart, IntVector, tuple[IntVector, ...]]:
-    """The lattice chart of facet ``index``, the frame vector w with
-    <u, w> = 1 for its normal u, and the dual columns d_k of the frame.
-
-    The frame [w, basis] is unimodular, so x = c w + sum_k y_k basis[k]
-    on the facet <u, x> = c reads y_k = <d_k, x> off the columns d_k of
-    its inverse, k >= 1: one unimodular inverse, in int.
-    """
+def _facet_chart(poly: DelzantPolytope, index: int) -> tuple[FacetChart, IntVector]:
+    """The lattice chart of facet ``index`` and the frame vector w with
+    <u, w> = 1 for its normal u: the frame [w, basis] is unimodular, and
+    the chart's origin is c w on the facet <u, x> = c."""
     chosen = poly.facets[index]
     w, basis = complete_primitive(chosen.normal)
     chart = FacetChart(
@@ -701,20 +708,20 @@ def _facet_chart(
         origin=tuple(chosen.offset * x for x in w),
         basis=basis,
     )
-    return chart, w, transpose(inverse_unimodular((w, *basis)))[1:]
+    return chart, w
 
 
 def _ridge_facets(poly: DelzantPolytope, index: int) -> list[int]:
     """The facets that meet facet ``index`` in a ridge, in increasing
-    order: those G with ``face_dim`` of F and G's common vertices n - 2.
-    Only a facet tight at a vertex of F can."""
+    order.  Only a facet G tight at a vertex of F can; on a simple
+    polytope each does, since F and G cut out a face of codimension 2 at
+    that vertex, and otherwise G does when ``face_dim`` of F and G's
+    common vertices is n - 2."""
     on_facet = poly.facet_vertices[index]
-    near = {j for k in on_facet for j in poly.vertex_facets[k]}
-    return [
-        j
-        for j in sorted(near - {index})
-        if poly.face_dim(on_facet & poly.facet_vertices[j]) == poly.dim - 2
-    ]
+    near = sorted({j for k in on_facet for j in poly.vertex_facets[k]} - {index})
+    if poly.simple:
+        return near
+    return [j for j in near if poly.face_dim(on_facet & poly.facet_vertices[j]) == poly.dim - 2]
 
 
 def facet_polytope(
@@ -727,10 +734,13 @@ def facet_polytope(
     facets sharing a ridge with the chosen one contribute inequalities.
 
     The face is derived from the parent, not scanned: its vertices are
-    the parent's vertices on the facet, read in the chart through one
-    unimodular inverse from the integer vertex table, and each one's tight
-    set is its parent's, less the facet, kept to the ridge facets and
-    renumbered.  ``_from_claimed_vertices`` checks these claims in
+    the parent's vertices on the facet, read in the chart from the integer
+    vertex table.  On the facet <u, x> = c, x = c w + sum_k y_k basis[k],
+    so y_k = <d_k, x> for the columns d_k, k >= 1, of the inverse of the
+    unimodular frame [w, basis]: one inverse, in int, taken here only, as
+    no other caller reads chart coordinates of points.  Each vertex's
+    tight set is its parent's, less the facet, kept to the ridge facets
+    and renumbered.  ``_from_claimed_vertices`` checks these claims in
     O(V * n^2) int work.  No generators are claimed, so neither the
     parent's cone table nor the face's is built.
     """
@@ -739,7 +749,8 @@ def facet_polytope(
         raise DimensionMismatch("facet polytopes need ambient dimension >= 2")
     index = poly.resolve_facet(facet)
     chosen = poly.facets[index]
-    chart, w, duals = _facet_chart(poly, index)
+    chart, w = _facet_chart(poly, index)
+    duals = transpose(inverse_unimodular((w, *chart.basis)))[1:]
     induced = []
     ridges: dict[int, int] = {}
     for j in _ridge_facets(poly, index):

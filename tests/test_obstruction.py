@@ -104,6 +104,73 @@ def test_check_matches_the_oracle_in_random_frames(n, data):
     _assert_check_matches_oracle(data.draw(framed_chopped(n)))
 
 
+def _hypotenuse_simplex(normal, offset):
+    # x_i >= 0 and <normal, x> >= offset, with the hypotenuse labelled 'hyp'
+    n = len(normal)
+    facets = [Facet(tuple(int(i == j) for j in range(n)), 0) for i in range(n)]
+    return DelzantPolytope(n, (*facets, Facet(normal, offset, label="hyp")))
+
+
+@pytest.mark.parametrize(
+    "normal, offset", [((-2, -3), -6), ((-2, -3, -5), -30)], ids=["triangle", "simplex3"]
+)
+def test_check_matches_the_oracle_when_the_facet_normal_has_no_unit_entry(
+    normal, offset, cold_store
+):
+    # The facet side drops the column of the least |u_c|, here 2, so the
+    # kept columns map the hypotenuse's lattice onto a sublattice of
+    # index 2, not onto Z^(n-1); the solved function is the same.
+    poly = _hypotenuse_simplex(normal, offset)
+    assert poly.simple
+    _assert_check_matches_oracle(poly)
+    cold_store()
+    _assert_check_matches_oracle(_hypotenuse_simplex(normal[::-1], offset))
+
+
+def test_simple_polytopes_take_no_face_rank(monkeypatch, cold_store):
+    # A face cut out at a vertex of a simple polytope by k facets has
+    # codimension k: building, chopping and checking read the tight sets
+    # and never ask face_dim.
+    def refuse(*args):
+        raise AssertionError("face_dim was called on a simple polytope")
+
+    docs = [
+        poly.to_data()
+        for poly in (unit_simplex(5), unit_cube(4), unit_cube(5), tower_rounds()[3], _skew_triangle())
+    ]
+    monkeypatch.setattr(DelzantPolytope, "face_dim", refuse)
+    polys = [DelzantPolytope.from_data(doc) for doc in docs]
+    polys.append(_hypotenuse_simplex((-2, -3, -5), -30))
+    state = start_tower(unit_simplex(3), "hyp")
+    for r in (1, 2):
+        state = tower_step(state, Fraction(1, 4**r))
+        polys.append(state.polytope)
+    for poly in polys:
+        assert poly.simple
+        for index in range(len(poly.facets)):
+            check_facet_condition(poly, index)
+            assert facet_polytope(poly, index)[0].simple
+
+
+def test_the_pyramid_takes_the_face_rank_and_matches_the_oracle(monkeypatch, cold_store):
+    # Its apex lies on four facets, so its faces are tested by face_dim,
+    # whose rank branch the apex's own faces take.
+    calls = []
+    face_dim = DelzantPolytope.face_dim
+    monkeypatch.setattr(
+        DelzantPolytope, "face_dim", lambda poly, face: calls.append(poly) or face_dim(poly, face)
+    )
+    pyramid = _pyramid()
+    assert not pyramid.simple and calls
+    del calls[:]
+    for index in range(len(pyramid.facets)):
+        check_facet_condition(pyramid, index)
+    assert calls and all(poly is pyramid for poly in calls)
+    monkeypatch.undo()
+    cold_store()
+    _assert_check_matches_oracle(pyramid)
+
+
 def _tower_corpus():
     # 2D tower rounds 1-6, 3D rounds 1-3 and the benchmark's seeded towers.
     polys = list(tower_rounds()[:6]) + _tower(3, 3)

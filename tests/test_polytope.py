@@ -284,6 +284,28 @@ def test_face_dim_on_the_square_pyramid():
     assert pyramid.face_dim(range(len(pyramid.vertices))) == 3
 
 
+def test_simple_flag_is_false_exactly_at_a_vertex_on_more_than_n_facets():
+    octahedron = DelzantPolytope(
+        3, tuple(Facet(u, -1) for u in itertools.product((1, -1), repeat=3))
+    )
+    pyramid = DelzantPolytope(3, _PYRAMID)
+    cases = [
+        *(unit_simplex(n) for n in (1, 2, 3, 5)),
+        *(unit_cube(n) for n in (2, 4)),
+        *tower_rounds()[:3],
+        DelzantPolytope(2, _SKEW_TRIANGLE),
+        facet_polytope(pyramid, 0)[0],
+        facet_polytope(pyramid, 1)[0],
+    ]
+    assert all(poly.simple for poly in cases)
+    for poly in cases + [octahedron, pyramid]:
+        assert poly.simple == all(len(a) == poly.dim for a in poly.vertex_facets)
+    # the pyramid's apex lies on 4 facets, every octahedron vertex on 4
+    assert not pyramid.simple and not octahedron.simple
+    assert sorted(map(len, pyramid.vertex_facets)) == [3, 3, 3, 3, 4]
+    assert set(map(len, octahedron.vertex_facets)) == {4}
+
+
 def test_duplicate_labels_rejected():
     with pytest.raises(ValueError, match="label"):
         DelzantPolytope(1, (Facet((1,), 0, label="a"), Facet((-1,), -1, label="a")))
