@@ -40,7 +40,7 @@ work in all.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
+from operator import add, mul, sub
 from typing import Sequence
 
 from .errors import (
@@ -149,7 +149,8 @@ def _chop(
     facets = list(poly.facets)
     kept = [k for k in range(len(table)) if k not in order]
     # Over q D, X_k / D is q X_k, and X_k / D + eps * w is q X_k + p D w.
-    rows = [tuple(q * x for x in table[k]) for k in kept]
+    lift, step = q.__mul__, (p * scale).__mul__
+    rows = [tuple(map(lift, table[k])) for k in kept]
     tight = [poly.vertex_facets[k] for k in kept]
     generators = [poly.cones[k].generators for k in kept]
     for (k, normal, base, cone, *_), label in zip(corners, labels):
@@ -157,10 +158,11 @@ def _chop(
         new = (len(facets),)
         offset = Fraction(q * base + p * scale, q * scale)
         facets.append(Facet(normal=normal, offset=offset, label=label))
+        corner = tuple(map(lift, table[k]))
         for i, w in enumerate(cone):
-            rows.append(tuple(q * x + p * scale * d for x, d in zip(table[k], w)))
+            rows.append(tuple(map(add, corner, map(step, w))))
             others = cone[:i] + cone[i + 1 :]
-            generators.append(tuple(tuple(a - b for a, b in zip(g, w)) for g in others) + (w,))
+            generators.append((*[tuple(map(sub, g, w)) for g in others], w))
             tight.append(active[:i] + active[i + 1 :] + new)
     return DelzantPolytope._from_claimed_vertices(
         poly.dim, tuple(facets), q * scale, rows, tight, generators

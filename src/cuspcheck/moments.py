@@ -93,11 +93,13 @@ are built only by the readers, from the stored sums on each call
 (``polytope_moments``, ``boundary_moments``, the ``integrate_polynomial``
 pair, and ``extremal``'s ``relative_futaki`` and reports); the Gram
 solves of ``extremal`` and ``obstruction`` read the int sums.  The sweep
-that integrates the body also sums the whole boundary to degree 1, over
-the lcm L of the facet masses, so the pair's boundary is one domain: the
-whole boundary minus the sums of each excluded facet, lifted by
-L / |u_c|, and the ``extremal_affine`` report's right-hand side is read
-off the same domain.  Each domain is integrated at most once per degree.  So
+that integrates the body also sums the whole boundary to degree 1, as
+one domain of mass L, the lcm of the facet masses: it lifts each facet
+simplex's |det| by L / |u_c| as it takes it, and sums them all at once.
+So the pair's boundary is one domain too: the whole boundary minus the
+sums of each excluded facet, lifted by L / |u_c|, and the
+``extremal_affine`` report's right-hand side is read off the same
+domain.  Each domain is integrated at most once per degree.  So
 checking every facet of a polytope, one divisor at a time, sweeps each
 facet fan once with the body, integrates each facet at most once more,
 to degree 2 as a divisor, and each ridge once, and builds no other
@@ -109,7 +111,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import defaultdict
 from fractions import Fraction
 from operator import itemgetter, mul, sub
 from typing import Iterable, Mapping, Sequence
@@ -331,14 +332,24 @@ def _mass_rule(normals: Sequence[Sequence[int]], n: int) -> tuple[int, list[int]
     """The mass rule of a face cut out by these normals: |N_K| / g and the
     columns J the edges keep, K being the least r-set of columns, by
     minor and then by position, whose minor is nonzero.  For a facet,
-    whose normal u is primitive, g = 1 and the minors are the |u_c|."""
+    whose normal u is primitive, g = 1 and the minors are the |u_c|; for
+    a ridge, on normals u and v, they are the C(n, 2) closed-form 2 x 2
+    minors |u_a v_b - u_b v_a|, and only a smaller face takes its minors
+    through ``det_int``."""
     if len(normals) == 1:
         mass, drop = min((abs(x), c) for c, x in enumerate(normals[0]) if x)
         return mass, [c for c in range(n) if c != drop]
-    minors = [
-        (abs(det_int([[u[c] for c in cols] for u in normals])), cols)
-        for cols in itertools.combinations(range(n), len(normals))
-    ]
+    if len(normals) == 2:
+        u, v = normals
+        minors = [
+            (abs(u[a] * v[b] - u[b] * v[a]), (a, b))
+            for a, b in itertools.combinations(range(n), 2)
+        ]
+    else:
+        minors = [
+            (abs(det_int([[u[c] for c in cols] for u in normals])), cols)
+            for cols in itertools.combinations(range(n), len(normals))
+        ]
     mass, drop = min((m, cols) for m, cols in minors if m)
     return mass // math.gcd(*[m for m, _ in minors]), [c for c in range(n) if c not in drop]
 
@@ -426,9 +437,11 @@ def _integrate(
 
     The body (()) and the boundary (None) are integrated together, in one
     sweep over the facet fans: each facet simplex's |C| and S are taken
-    once.  Its sums of degree <= 1, times L / |u_c| for L the lcm of the
-    facet masses |u_c|, add up to the boundary's, over the one mass L.
-    When the facet misses vertex 0, the simplex coned from vertex 0 is a
+    once.  The facets' mass rules are read first, so L, the lcm of the
+    facet masses |u_c|, is known before the sweep, and each |C| is lifted
+    by L / |u_c| as it is taken: the whole boundary is one domain of mass
+    L, summed to degree <= 1 by one ``_raw`` call.  When the facet misses
+    vertex 0, the simplex coned from vertex 0 is a
     simplex of the body's fan, with |det| = h |C| / |u_c| by the cone rule
     and vertex sum S + Q_0, and these feed the body's sums to ``degree``.
     A facet asked for on its own in the same call reads the same |C| and S.
@@ -443,9 +456,13 @@ def _integrate(
     if sweep:
         wanted = set(domains)
         visit = [(j,) for j in range(len(facets))] + [d for d in domains if d and len(d) > 1]
-        # The columns of the boundary's |det| and S, by facet mass, and the
-        # body's cone simplices, their |det| and the columns of their S - Q_0.
-        boundary: dict[int, list[list[int]]] = defaultdict(lambda: [[] for _ in range(n + 1)])
+    rules = {d: _mass_rule([poly.facets[i].normal for i in d], n) for d in visit}
+    if sweep:
+        # The boundary's mass L, its simplices' |det| lifted by L / |u_c|
+        # and the columns of their S, and the body's cone simplices, their
+        # |det| and the columns of their S - Q_0.
+        top = math.lcm(*[rules[j,][0] for j in range(len(facets))])
+        boundary, boundary_sums = [], [[] for _ in range(n)]
         cones, cone_dets, cone_sums = [], [], [[] for _ in range(n)]
     memo: dict[frozenset[int], Simplices] = {}
     out = {}
@@ -456,13 +473,14 @@ def _integrate(
         else:
             face = frozenset.intersection(*[poly.facet_vertices[i] for i in domain])
             simplices = _fan(poly, face, k, memo)
-        mass, keep = _mass_rule([poly.facets[i].normal for i in domain], n)
+        mass, keep = rules[domain]
         dets = _minors(table, simplices, keep)
         sums = list(zip(*[map(sum, zip(*map(table.__getitem__, s))) for s in simplices]))
         if not sweep or domain in wanted:
             out[domain] = _raw(table, simplices, dets, sums, degree), _scale(k, mass, lcm, degree)
         if sweep and k == n - 1:
-            for column, values in zip(boundary[mass], (dets, *sums)):
+            boundary += map((top // mass).__mul__, dets)
+            for column, values in zip(boundary_sums, sums):
                 column += values
             if 0 not in poly.facet_vertices[domain[0]]:
                 u = poly.facets[domain[0]].normal
@@ -472,11 +490,8 @@ def _integrate(
                 for column, values in zip(cone_sums, sums):
                     column += values
     if sweep:
-        top = math.lcm(*boundary)
         first = min(degree, 1)
-        parts = [(top // m, _raw(table, (), c[0], c[1:], first)) for m, c in boundary.items()]
-        total = {m: sum(raw[m] * lift for lift, raw in parts) for m in parts[0][1]}
-        out[None] = total, _scale(n - 1, top, lcm, first)
+        out[None] = _raw(table, (), boundary, boundary_sums, first), _scale(n - 1, top, lcm, first)
         shifted = [[x + q for x in column] for column, q in zip(cone_sums, table[0])]
         out[()] = _raw(table, cones, cone_dets, shifted, degree), _scale(n, 1, lcm, degree)
     return out

@@ -41,9 +41,16 @@ an unclaimed vertex.
 ``_set_vertices`` divides the gcd of the scale and every entry out, so
 each table is the same whichever path built it.  Every exact test of
 vertices against facets reads it in int: a height <u, v> >= c is
-<u, D v> >= D c, both sides multiplied by whatever of c's denominator D
-does not clear.  ``_set_vertices`` also records, as ``simple``, whether
-every vertex has exactly n tight facets (a smooth polytope's do).
+<r u, D v> >= r D c, r being whatever of c's denominator D does not
+clear.  These height rows over D are worked out once per build, by
+``_set_vertices``, which checks each claimed tight facet on them and
+returns them for ``_check_faces`` to test the barycentre on, as
+<r u, sum(X)> = V (r D c) over the V rows X of the table; the polytope
+does not keep them.  A chop's claimed edge generators g_b are checked
+in int too, as one flat list of the products <u_a, g_b> over a vertex's
+tight normals u_a against the identity.  ``_set_vertices`` also
+records, as ``simple``, whether every vertex has exactly n tight facets
+(a smooth polytope's do).
 On a simple polytope a face cut out by k facets tight at one of its
 vertices has codimension k (Ziegler, Lectures on Polytopes, ch. 2), so
 the facet test, the ridge rule that ``facet_polytope`` and the divisor
@@ -287,11 +294,11 @@ class DelzantPolytope(Record):
             if len(pivots) == self.dim or not _vertex_candidates(restricted, offsets)[1]:
                 raise EmptyPolytope("no point satisfies all facet inequalities")
             raise UnboundedPolytope("facet normals do not span the ambient space")
-        self._set_vertices(*claim)
+        heights = self._set_vertices(*claim)[1]
         edge = self._open_edge(self._ridge_ends())
         if edge is not None:
             raise UnboundedPolytope(f"recession direction {edge[1]} is unbounded")
-        self._check_faces()
+        self._check_faces(heights)
 
     @classmethod
     def _from_claimed_vertices(
@@ -327,7 +334,7 @@ class DelzantPolytope(Record):
         poly._check_facets()
         if not rows:
             raise InvariantViolation("no vertices claimed for the polytope")
-        order = poly._set_vertices(scale, rows, tight)
+        order, heights = poly._set_vertices(scale, rows, tight)
         table = poly.scaled_vertices[1]
         if any(a == b for a, b in zip(table, table[1:])):
             raise InvariantViolation("a claimed vertex is listed twice")
@@ -340,7 +347,7 @@ class DelzantPolytope(Record):
         if generators is not None:
             cones = poly._vertex_cones([generators[k] for k in order], ends)
             object.__setattr__(poly, "cones", cones)
-        poly._check_faces()
+        poly._check_faces(heights)
         return poly
 
     def _check_facets(self) -> tuple[list[IntVector], list[Fraction]]:
@@ -374,20 +381,22 @@ class DelzantPolytope(Record):
 
     def _set_vertices(
         self, scale: int, rows: Sequence[IntVector], tight: Sequence[tuple[int, ...]]
-    ) -> list[int]:
+    ) -> tuple[list[int], list[tuple[IntVector, int]]]:
         """Store the vertices rows / ``scale``, each tight on the facets
         its entry of ``tight`` names, as the integer vertex table
         ``scaled_vertices``, the tight sets ``vertex_facets`` in table order,
         the incidence table ``facet_vertices``, the vertices tight on each
         facet, and ``simple``, whether every tight set has n facets.
-        Returns the index in ``rows`` of each table row.
+        Returns the index in ``rows`` of each table row, and the facets'
+        height rows over the table's D (``_height_rows``), which the
+        constructor hands to ``_check_faces``; they are not kept.
 
         This is the one vertex contract of every build path, and these
         tables are the only vertex data stored; the records of ``vertices``
         are read off them.  The table is D, ``scale`` with its gcd with
         every entry divided out, so the lcm of the vertex denominators, and
         the points D * v, sorted.  Each facet a tight set names is checked
-        tight in int (``_height_rows``), and InvariantViolation, a defect of
+        tight in int on its height row, and InvariantViolation, a defect of
         the caller, is raised otherwise; no point is swept against every
         facet.
         """
@@ -410,7 +419,7 @@ class DelzantPolytope(Record):
         object.__setattr__(self, "vertex_facets", tuple(tight[j] for j in order))
         object.__setattr__(self, "simple", all(len(t) == self.dim for t in tight))
         object.__setattr__(self, "facet_vertices", tuple(map(frozenset, incidence)))
-        return order
+        return order, heights
 
     def _vertex_cones(
         self,
@@ -421,28 +430,34 @@ class DelzantPolytope(Record):
         the table (None where none are claimed) and the ridge ends.
 
         A claim must satisfy <u_a, g_b> = delta_ab over the active normals,
-        which holds only at a simple vertex with unimodular normals; other
-        generators are inverted from the normals, and normals that are not
-        inverted must still have rank n.  With no open edge, a simple
-        vertex's ridge active - {i} ends at it and at its neighbour only.
+        which holds only at a simple vertex with unimodular normals.  It is
+        checked as one flat list of products, over the active facets a and
+        then the generators b, against the identity flattened row by row;
+        a claim of n generators gives n^2 products only at a vertex with n
+        tight facets, so the list's length checks the shape that a nested
+        comparison would.  Other generators are inverted from the normals,
+        and normals that are not inverted must still have rank n.  With no
+        open edge, a simple vertex's ridge active - {i} ends at it and at
+        its neighbour only.
         """
         n = self.dim
-        identity = identity_int(n)
+        identity = list(itertools.chain.from_iterable(identity_int(n)))
+        normals = [f.normal for f in self.facets]
         generators = []
         for k, (active, cone) in enumerate(zip(self.vertex_facets, claimed)):
-            normals = [self.facets[i].normal for i in active]
-            if cone is None and len(normals) == n:
+            if cone is None and len(active) == n:
                 with contextlib.suppress(NotUnimodular):
-                    cone = transpose(inverse_unimodular(normals))
-            elif cone is not None and identity != tuple(
-                tuple(sum(map(mul, u, g)) for g in cone) for u in normals
+                    cone = transpose(inverse_unimodular([normals[i] for i in active]))
+            elif cone is not None and (
+                len(cone) != n
+                or identity != [sum(map(mul, normals[i], g)) for i in active for g in cone]
             ):
                 raise InvariantViolation(
                     "claimed vertex set fails the vertex test: edge generators "
                     f"{list(cone)} do not invert the normals of facets "
                     f"{list(active)} at {format_rational_vector(self._point(k))}"
                 )
-            if cone is None and rank(normals) != n:
+            if cone is None and rank([normals[i] for i in active]) != n:
                 raise InvariantViolation(
                     f"claimed point {format_rational_vector(self._point(k))} is not a vertex"
                 )
@@ -455,24 +470,25 @@ class DelzantPolytope(Record):
             cones.append(VertexCone(generators=cone, neighbours=neighbours))
         return tuple(cones)
 
-    def _check_faces(self) -> None:
+    def _check_faces(self, heights: Sequence[tuple[IntVector, int]]) -> None:
         """Full dimension, and an (n-1)-dimensional face on every facet.
 
-        The barycentre sum(X) / (V D) of the integer table lies on a facet
-        iff <u, sum(X)> = V D c; once it lies on none, each facet's face
-        must have dimension n - 1: on a simple polytope, any facet tight
-        at a vertex has it, else ``face_dim`` of the facet's vertices in
-        the incidence table must be n - 1.  Both
+        ``heights`` are the facets' height rows over the table's D that
+        ``_set_vertices`` returned, (r u, r D c) for <u, x> >= c.  The
+        barycentre sum(X) / (V D) of the integer table lies on a facet iff
+        <r u, sum(X)> = V (r D c), read on those rows; once it lies on
+        none, each facet's face must have dimension n - 1: on a simple
+        polytope, any facet tight at a vertex has it, else ``face_dim`` of
+        the facet's vertices in the incidence table must be n - 1.  Both
         constructors call this last, after the open-edge test and the cone
         table have verified the vertex set that ``face_dim`` relies on; a
         facet polytope's vertices come verified from its parent.
         """
-        scale, table = self.scaled_vertices
+        table = self.scaled_vertices[1]
         total = [sum(column) for column in zip(*table)]
-        normals = [f.normal for f in self.facets]
-        offsets = [f.offset for f in self.facets]
-        for u, rhs in _height_rows(normals, offsets, scale * len(table)):
-            if sum(map(mul, u, total)) == rhs:
+        count = len(table)
+        for u, rhs in heights:
+            if sum(map(mul, u, total)) == count * rhs:
                 raise DegeneratePolytope(
                     "polytope is not full-dimensional: it lies in a facet hyperplane"
                 )
