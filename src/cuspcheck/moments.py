@@ -334,8 +334,8 @@ def _mass_rule(normals: Sequence[Sequence[int]], n: int) -> tuple[int, list[int]
     minor and then by position, whose minor is nonzero.  For a facet,
     whose normal u is primitive, g = 1 and the minors are the |u_c|; for
     a ridge, on normals u and v, they are the C(n, 2) closed-form 2 x 2
-    minors |u_a v_b - u_b v_a|, and only a smaller face takes its minors
-    through ``det_int``."""
+    minors |u_a v_b - u_b v_a|; only a face of higher codimension takes
+    its minors through ``det_int``."""
     if len(normals) == 1:
         mass, drop = min((abs(x), c) for c, x in enumerate(normals[0]) if x)
         return mass, [c for c in range(n) if c != drop]
@@ -441,9 +441,9 @@ def _integrate(
     facet masses |u_c|, is known before the sweep, and each |C| is lifted
     by L / |u_c| as it is taken: the whole boundary is one domain of mass
     L, summed to degree <= 1 by one ``_raw`` call.  When the facet misses
-    vertex 0, the simplex coned from vertex 0 is a
-    simplex of the body's fan, with |det| = h |C| / |u_c| by the cone rule
-    and vertex sum S + Q_0, and these feed the body's sums to ``degree``.
+    vertex 0, the simplex coned from vertex 0 is a simplex of the body's
+    fan, with |det| = h |C| / |u_c| by the cone rule and vertex sum
+    S + Q_0, and these feed the body's sums to ``degree``.
     A facet asked for on its own in the same call reads the same |C| and S.
     """
     if degree > 3:

@@ -1,5 +1,6 @@
 """Corner chops, Seshadri-type bounds, and the symmetric tower."""
 
+import copy
 import sys
 from fractions import Fraction
 
@@ -32,6 +33,7 @@ from cuspcheck import (
 from cuspcheck import linalg, polytope
 from cuspcheck.blowup import _find_vertex
 from cuspcheck.linalg import dot
+from test_moments import _pyramid
 
 
 def test_max_chop_frozen_values(triangle, square):
@@ -471,6 +473,106 @@ def test_claimed_vertex_sets_are_verified(triangle):
         generators = cones[:k] + [wrong] + cones[k + 1 :]
         with pytest.raises(InvariantViolation, match="do not invert the normals"):
             DelzantPolytope._from_claimed_vertices(2, facets, *row_claim(good), generators)
+
+
+def test_every_single_generator_change_at_a_created_3d_vertex_is_refused():
+    # At a created vertex the normals are unimodular, so N g_b = e_b fixes
+    # each generator; any change to one of them breaks the claim.
+    chopped = blow_up_vertex(unit_simplex(3), (0, 0, 0), Fraction(1, 4))
+    good = list(chopped.vertices)
+    cones = [cone.generators for cone in chopped.cones]
+    new = len(chopped.facets) - 1
+    created = [k for k, v in enumerate(good) if new in v.active]
+    assert len(created) == 3
+    claim = row_claim(good)
+    assert DelzantPolytope._from_claimed_vertices(3, chopped.facets, *claim, cones).cones == (
+        chopped.cones
+    )
+    for k in created:
+        cone = cones[k]
+        for b, g in enumerate(cone):
+            changed = [tuple(-x for x in g)] + [h for h in cone if h != g]
+            for c in range(3):
+                for delta in (1, -1):
+                    changed.append(g[:c] + (g[c] + delta,) + g[c + 1 :])
+            for wrong in changed:
+                generators = cones[:k] + [cone[:b] + (wrong,) + cone[b + 1 :]] + cones[k + 1 :]
+                with pytest.raises(InvariantViolation, match="do not invert the normals"):
+                    DelzantPolytope._from_claimed_vertices(3, chopped.facets, *claim, generators)
+
+
+def test_claimed_cones_of_the_wrong_shape_are_refused():
+    # The claim is checked as one flat list of products, so its shape is
+    # checked too: n generators at a vertex with n tight facets.
+    chopped = blow_up_vertex(unit_simplex(3), (0, 0, 0), Fraction(1, 4))
+    claim = row_claim(list(chopped.vertices))
+    cones = [cone.generators for cone in chopped.cones]
+    for k, cone in enumerate(cones):
+        for wrong in (cone[:-1], cone[1:], cone + cone[:1], cone[:1] + cone):
+            generators = cones[:k] + [wrong] + cones[k + 1 :]
+            with pytest.raises(InvariantViolation, match="do not invert the normals"):
+                DelzantPolytope._from_claimed_vertices(3, chopped.facets, *claim, generators)
+    # The square pyramid's apex is tight on four facets: n + 1.
+    pyramid = _pyramid()
+    records = list(pyramid.vertices)
+    (apex,) = [k for k, v in enumerate(records) if len(v.active) == 4]
+    for wrong in (((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((1, 0, 0),) * 4):
+        generators = [None] * len(records)
+        generators[apex] = wrong
+        with pytest.raises(InvariantViolation) as info:
+            DelzantPolytope._from_claimed_vertices(
+                3, pyramid.facets, *row_claim(records), generators
+            )
+        assert str(info.value) == (
+            f"claimed vertex set fails the vertex test: edge generators {list(wrong)} "
+            "do not invert the normals of facets [1, 2, 3, 4] at ['1/2', '1/2', '1/2']"
+        )
+    # In 2D, one tight facet and four generators give four products, as
+    # many as the identity has.  No claim with one tight facet at a vertex
+    # of the square passes the open-edge test, so the shape is tested on
+    # the cone check itself.
+    square = copy.copy(unit_cube(2))
+    facets = list(square.vertex_facets)
+    assert facets[0] == (0, 2) and square.facets[0].normal == (1, 0)
+    facets[0] = (0,)
+    object.__setattr__(square, "vertex_facets", tuple(facets))
+    four = ((1, 0), (0, 1), (0, 1), (1, 0))
+    with pytest.raises(InvariantViolation) as info:
+        square._vertex_cones([four, None, None, None], square._ridge_ends())
+    assert str(info.value) == (
+        "claimed vertex set fails the vertex test: edge generators "
+        "[(1, 0), (0, 1), (0, 1), (1, 0)] do not invert the normals of facets [0] at ['0', '0']"
+    )
+
+
+def test_each_build_works_out_the_table_height_rows_once(monkeypatch):
+    # The rows over the table's scale D are built by _set_vertices and
+    # handed to _check_faces; the scan's own rows are over 1.
+    scales = []
+    height_rows = polytope._height_rows
+    monkeypatch.setattr(
+        polytope,
+        "_height_rows",
+        lambda normals, offsets, scale: scales.append(scale)
+        or height_rows(normals, offsets, scale),
+    )
+    base = DelzantPolytope(
+        2, (Facet((1, 0), 0), Facet((0, 1), 0), Facet((-1, -1), Fraction(-1, 3), label="hyp"))
+    )
+    assert scales == [1, 3]
+    state = start_tower(base, "hyp")
+    for eps in (Fraction(1, 12), Fraction(1, 48)):
+        scales.clear()
+        state = tower_step(state, eps)
+        assert scales == [state.polytope.scaled_vertices[0]]
+    for j in range(len(state.polytope.facets)):
+        scales.clear()
+        face, _ = polytope.facet_polytope(state.polytope, j)
+        assert scales == [face.scaled_vertices[0]]
+    cube = unit_cube(3)
+    scales.clear()
+    chopped = blow_up_vertex(cube, (0, 0, 0), Fraction(1, 5))
+    assert scales == [5] == [chopped.scaled_vertices[0]]
 
 
 def test_each_tower_chop_matches_the_scan_of_its_facets():

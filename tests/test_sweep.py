@@ -5,8 +5,9 @@ fans, in the same pass that sums the whole boundary, and the pair's Gram
 system reads that boundary minus the excluded facets.  The oracle here
 integrates each domain on its own, as the kernel did when the store kept
 the body's fan: the body over ``moments._fan``'s triangulation with full
-n x n determinants, each face over its own fan, every simplex moment
-expanded on its own vertices, with no per-vertex weights.  Raw sums and
+n x n determinants, each face over its own fan with its own mass rule
+and minors, every simplex moment expanded on its own vertices, with no
+per-vertex weights.  Raw sums and
 scales must be equal, key order included.
 """
 
@@ -33,8 +34,21 @@ def _oracle(poly, domain):
     if domain:
         face = frozenset.intersection(*[poly.facet_vertices[i] for i in domain])
         simplices = moments._fan(poly, face, k, {})
-        mass, keep = moments._mass_rule([poly.facets[i].normal for i in domain], n)
-        dets = moments._minors(table, simplices, keep)
+        # The mass rule of the module docstring, on its own: every r x r
+        # minor of the normals, the least nonzero one by value and then by
+        # columns, and their gcd.
+        normals = [poly.facets[i].normal for i in domain]
+        minors = {
+            cols: abs(det_int([[u[c] for c in cols] for u in normals]))
+            for cols in itertools.combinations(range(n), len(domain))
+        }
+        least, drop = min((m, cols) for cols, m in minors.items() if m)
+        mass = least // math.gcd(*minors.values())
+        keep = [c for c in range(n) if c not in drop]
+        dets = [
+            abs(det_int([[table[i][c] - table[s[0]][c] for c in keep] for i in s[1:]]))
+            for s in simplices
+        ]
     else:
         simplices, mass = _body_fan(poly), 1
         dets = [
