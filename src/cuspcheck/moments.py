@@ -334,22 +334,19 @@ def _mass_rule(normals: Sequence[Sequence[int]], n: int) -> tuple[int, list[int]
     minor and then by position, whose minor is nonzero.  For a facet,
     whose normal u is primitive, g = 1 and the minors are the |u_c|; for
     a ridge, on normals u and v, they are the C(n, 2) closed-form 2 x 2
-    minors |u_a v_b - u_b v_a|; only a face of higher codimension takes
-    its minors through ``det_int``."""
+    minors |u_a v_b - u_b v_a|.  The kernel integrates no face of higher
+    codimension, and more than two normals are refused."""
     if len(normals) == 1:
         mass, drop = min((abs(x), c) for c, x in enumerate(normals[0]) if x)
         return mass, [c for c in range(n) if c != drop]
-    if len(normals) == 2:
-        u, v = normals
-        minors = [
-            (abs(u[a] * v[b] - u[b] * v[a]), (a, b))
-            for a, b in itertools.combinations(range(n), 2)
-        ]
-    else:
-        minors = [
-            (abs(det_int([[u[c] for c in cols] for u in normals])), cols)
-            for cols in itertools.combinations(range(n), len(normals))
-        ]
+    if len(normals) != 2:
+        raise InvariantViolation(
+            f"the mass rule is taken for a facet or a ridge, not {len(normals)} normals"
+        )
+    u, v = normals
+    minors = [
+        (abs(u[a] * v[b] - u[b] * v[a]), (a, b)) for a, b in itertools.combinations(range(n), 2)
+    ]
     mass, drop = min((m, cols) for m, cols in minors if m)
     return mass // math.gcd(*[m for m, _ in minors]), [c for c in range(n) if c not in drop]
 
@@ -452,15 +449,18 @@ def _integrate(
     lcm, table = poly.scaled_vertices
     n = poly.dim
     sweep = () in domains or None in domains
-    visit = domains
-    if sweep:
-        wanted = set(domains)
-        visit = [(j,) for j in range(len(facets))] + [d for d in domains if d and len(d) > 1]
+    # A sweep visits every facet, then the ridges asked for.
+    visit = (
+        [(j,) for j in range(len(facets))] + [d for d in domains if d and len(d) > 1]
+        if sweep
+        else domains
+    )
     rules = {d: _mass_rule([poly.facets[i].normal for i in d], n) for d in visit}
     if sweep:
-        # The boundary's mass L, its simplices' |det| lifted by L / |u_c|
-        # and the columns of their S, and the body's cone simplices, their
-        # |det| and the columns of their S - Q_0.
+        # The domains asked for, the boundary's mass L, its simplices' |det|
+        # lifted by L / |u_c| and the columns of their S, and the body's cone
+        # simplices, their |det| and the columns of their S - Q_0.
+        wanted = set(domains)
         top = math.lcm(*[rules[j,][0] for j in range(len(facets))])
         boundary, boundary_sums = [], [[] for _ in range(n)]
         cones, cone_dets, cone_sums = [], [], [[] for _ in range(n)]

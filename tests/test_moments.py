@@ -56,6 +56,7 @@ from cuspcheck.linalg import IntVector, Vector, complete_primitive, det_int, dot
 from cuspcheck.moments import (
     FacetMoments,
     _integrate,
+    _mass_rule,
     _triangulate,
     integrate_polynomial_boundary,
 )
@@ -779,6 +780,13 @@ def test_body_sums_by_cones_match_full_determinants(build, monkeypatch, cold_sto
 def test_integrate_refuses_degree_four(triangle):
     with pytest.raises(InvariantViolation):
         _integrate(triangle, 4)
+
+
+def test_mass_rule_refuses_more_than_two_normals():
+    # The kernel integrates the body, facets and ridges only; a vertex of
+    # the 3-cube, cut out by three normals, has no rule to take.
+    with pytest.raises(InvariantViolation, match="not 3 normals"):
+        _mass_rule([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
 
 
 @pytest.mark.parametrize(

@@ -200,34 +200,15 @@ def test_one_dimensional_ray_is_unbounded():
 
 
 def test_lower_dimensional_body_rejected():
-    with pytest.raises(DegeneratePolytope):
-        DelzantPolytope(
-            2,
-            (
-                Facet((1, 0), 0),
-                Facet((-1, 0), 0),
-                Facet((0, 1), 0),
-                Facet((0, -1), -1),
-            ),
-        )
-
-
-def test_lower_dimensional_body_rejected_beside_an_offset_the_scale_does_not_clear():
-    # The segment x = 0, 0 <= y <= 1 has D = 1, and the redundant facet
-    # x + y >= -1/3, listed first, supports no face: its height row is
-    # scaled by r = 3, and the barycentre test still finds the segment in
-    # the hyperplane of x >= 0 before any facet's face is tested.
-    with pytest.raises(DegeneratePolytope):
-        DelzantPolytope(
-            2,
-            (
-                Facet((1, 1), Fraction(-1, 3)),
-                Facet((1, 0), 0),
-                Facet((-1, 0), 0),
-                Facet((0, 1), 0),
-                Facet((0, -1), -1),
-            ),
-        )
+    # The segment x = 0, 0 <= y <= 1 has D = 1.  In the second system the
+    # redundant facet x + y >= -1/3, listed first, supports no face: its
+    # height row is scaled by r = 3, and the barycentre test still finds
+    # the segment in the hyperplane of x >= 0 before any facet's face is
+    # tested.
+    segment = (Facet((1, 0), 0), Facet((-1, 0), 0), Facet((0, 1), 0), Facet((0, -1), -1))
+    for facets in (segment, (Facet((1, 1), Fraction(-1, 3)), *segment)):
+        with pytest.raises(DegeneratePolytope):
+            DelzantPolytope(2, facets)
 
 
 def test_duplicate_normals_rejected():
