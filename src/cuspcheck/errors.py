@@ -23,6 +23,10 @@ class DegeneratePolytope(InvalidPolytope):
     """The feasible region is not full-dimensional."""
 
 
+class PolytopeTooLarge(InvalidPolytope):
+    """Finding the vertices needs more work than the vertex walk allows."""
+
+
 class DegenerateFacet(CuspcheckError):
     """The requested facet does not support a face of dimension n - 1."""
 

@@ -2,10 +2,11 @@
 
 Every elimination is one fraction-free (Bareiss) row echelon form on
 integer rows, ``_eliminate``, with one integer back substitution beside
-it: determinants, linear solves, ranks, pivot columns, null spaces and
-unimodular inverses all read its pivots.  Each entry it makes is a minor
-of the input, so the arithmetic stays in int; rational rows are scaled
-to integers first, and Fractions appear only in the answers.
+it: determinants, linear solves, ranks, pivot columns, null spaces,
+adjugates and unimodular inverses all read its pivots.  Each entry it
+makes is a minor of the input, so the arithmetic stays in int; rational
+rows are scaled to integers first, and Fractions appear only in the
+answers.
 ``complete_primitive`` runs Euclid on its one column instead.  Matrices
 are tuples of row tuples; sizes are tiny (n <= 5 plus a handful of
 constraints), so asymptotics are irrelevant next to exactness.
@@ -255,21 +256,36 @@ def complete_primitive(u: Sequence[int]) -> tuple[IntVector, tuple[IntVector, ..
     return tuple(frame[0]), tuple(tuple(row) for row in frame[1:])
 
 
+def row_basis(m: Sequence[Sequence[int]]) -> tuple[list[int], int, list[IntVector] | None]:
+    """The first rows of an integer matrix with n columns that are
+    linearly independent, from one row echelon form of its transpose
+    beside I_n.  When they number n, also the determinant d of the square
+    matrix B they make and the columns of adj B, B adj B = d I; else 0
+    and None.  Back substitution on the identity's column j, over the
+    pivot columns only, gives d times B^-T e_j, row j of adj B, so each
+    division stays exact in int."""
+    n, k = len(m[0]), len(m)
+    rows = [[*col, *unit] for col, unit in zip(zip(*m), identity_int(n))]
+    pivots, d = _eliminate(rows, k)
+    if len(pivots) < n:
+        return pivots, 0, None
+    adj = [[0] * n for _ in range(n)]
+    for r in range(n - 1, -1, -1):
+        row = rows[r]
+        later = [(row[c], s) for s, c in enumerate(pivots[r + 1 :], r + 1) if row[c]]
+        for j, out in enumerate(adj):
+            out[r] = (d * row[k + j] - sum(x * out[s] for x, s in later)) // row[pivots[r]]
+    return pivots, d, [tuple(col) for col in zip(*adj)]
+
+
 def inverse_unimodular(t: Sequence[Sequence[int]]) -> tuple[IntVector, ...]:
-    """Exact integer inverse of a matrix with determinant +-1, from one
-    elimination of [t | I]."""
+    """Exact integer inverse of a matrix with determinant +-1: the
+    adjugate that ``row_basis`` gives, over the determinant, which is the
+    adjugate times it."""
     n = len(t)
     if any(len(row) != n for row in t):
         raise DimensionMismatch("matrix is not square")
-    rows = [[*row, *unit] for row, unit in zip(t, identity_int(n))]
-    pivots, d = _eliminate(rows, n)
-    if len(pivots) < n:
-        d = 0
+    _, d, cols = row_basis(t)
     if d not in (1, -1):
         raise NotUnimodular(f"determinant {d} is not +-1")
-    cols = []
-    for k in range(n, 2 * n):
-        y = [0] * n
-        _back_substitute(rows, pivots, d, y, [row[k] for row in rows])
-        cols.append(tuple(d * v for v in y))  # x = y / d = d y
-    return tuple(zip(*cols))
+    return tuple(zip(*(tuple(d * v for v in col) for col in cols)))

@@ -18,25 +18,29 @@ message derives only the point it prints, as Fraction(x, D).
 
 Every build path hands ``_set_vertices`` one claim: a scale, int rows
 over it and their tight sets.  User input (direct construction,
-``from_data``) finds them by the C(m, n) scan over n-subsets of the m
-facets: each point is y / d in lowest terms from a fraction-free
-elimination, its tight set read off the integer heights its feasibility
-test compares, and all are put over the lcm of the d.  When the normals
-span R^n the polyhedron is pointed, so it is empty iff the scan finds no
-vertex; when they do not, it is unbounded unless empty, and the same
-scan over the normals' pivot columns decides which.  A polytope derived
-from a verified parent claims its rows instead
+``from_data``) finds them by a walk along edges (``_vertex_walk``) on
+the facets' integer rows.  Phase 1, an exact simplex method with
+Bland's rule, finds a first vertex or proves the input empty; when the
+normals do not span R^n there is no vertex, and phase 1 runs on their
+pivot columns, so an input that is not empty is then unbounded.  From
+each vertex, one integer ratio test per edge over the m rows gives the
+edge's other end, as y / d in lowest terms, and its tight set; all are
+put over the lcm of the d.  The walk is complete because the vertices
+and bounded edges of a pointed polyhedron form a connected graph
+(Balinski), and its work, bounded by ``_MAX_WALK_STEPS``, grows with the
+edges it follows rather than with the C(m, n) subsets of facets.  A
+polytope derived from a verified parent claims its rows instead
 (``_from_claimed_vertices``): a corner chop (``blowup``) hands its
 parent's rows and the created ones, over one scale, with edge
 generators; ``facet_polytope`` maps the parent's rows on the facet
 through the dual of its chart frame, each tight on the parent's ridge
 facets there.  Each named tight facet is checked in int and no point is
 swept against every facet, so a derived build costs O(V * n^2), against
-O(C(m, n) * m) for the scan.  Both paths run one open-edge test, for a
-ridge of a vertex's active facets tight at no other vertex whose line
-leaves the vertex into the polytope: over the scan's complete vertex set
-it is a ray, and over a claimed polytope's bounded polyhedron it ends in
-an unclaimed vertex.
+O(E * m) ratio-test reads for the walk's E edges.  Both paths run one
+open-edge test, for a ridge of a vertex's active facets tight at no
+other vertex whose line leaves the vertex into the polytope: over the
+walk's complete vertex set it is a ray, and over a claimed polytope's
+bounded polyhedron it ends in an unclaimed vertex.
 
 ``_set_vertices`` divides the gcd of the scale and every entry out, so
 each table is the same whichever path built it.  Every exact test of
@@ -68,7 +72,7 @@ import itertools
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import schema
 from .errors import (
@@ -81,6 +85,7 @@ from .errors import (
     InvalidPolytope,
     InvariantViolation,
     NotUnimodular,
+    PolytopeTooLarge,
     UnboundedPolytope,
 )
 from .linalg import (
@@ -96,7 +101,7 @@ from .linalg import (
     mat_vec,
     pivot_columns,
     rank,
-    solve_int,
+    row_basis,
     solve_linear,
     transpose,
 )
@@ -207,6 +212,11 @@ class DelzantReport(Record):
         return self.ok
 
 
+# What ``_ridge_ends`` returns: each ridge's ends, and each vertex's lists
+# of them.
+_Ridges = tuple[dict[tuple[int, ...], list[int]], list[list[list[int]]]]
+
+
 def _height_rows(
     normals: Sequence[IntVector], offsets: Sequence[Fraction], scale: int
 ) -> list[tuple[IntVector, int]]:
@@ -223,40 +233,290 @@ def _height_rows(
     return rows
 
 
-def _vertex_candidates(
+# The vertex walk's work is bounded, in steps: one per facet row that a
+# ratio test reads, and at a degenerate vertex with A tight facets,
+# |A| + n^2 per (n-1)-subset its loop tries, for the kernel line's n minors
+# and its sign test over the A rows.  A polytope may have exponentially
+# many vertices (McMullen's upper bound), so a short document could
+# otherwise ask for exponential work.
+# Reading back round 10 of the 2D tower (1026 facets) takes 1.06e6 steps
+# and about a second (2-CPU Linux machine); round 11 would take 2.1e6.
+_MAX_WALK_STEPS = 1_500_000
+
+
+def _kernel_line(mat: Sequence[IntVector], n: int) -> IntVector | None:
+    """The kernel line of n - 1 integer rows in R^n, read off their n
+    signed maximal minors and divided by their gcd; None when the rows are
+    dependent, as all the minors then vanish."""
+    minors = [(-1) ** j * det_int([u[:j] + u[j + 1 :] for u in mat]) for j in range(n)]
+    g = gcd_vector(minors)
+    if g == 0:
+        return None
+    return tuple(x // g for x in minors)
+
+
+def _ratio_test(slacks: Sequence[int], rates: Sequence[int]) -> tuple[int | None, list[int]]:
+    """The rows that a move with these rates meets first, those with the
+    least s_i / -r_i over r_i < 0, and the least of them (Bland's rule);
+    (None, []) if no rate is negative, a ray."""
+    k, ties = None, []
+    for i, r in enumerate(rates):
+        if r < 0:
+            if k is None:
+                k, ties = i, [i]
+                continue
+            # s_i / -r_i against s_k / -r_k, cross-multiplied.
+            c = slacks[i] * rates[k] - slacks[k] * r
+            if c > 0:
+                k, ties = i, [i]
+            elif not c:
+                ties.append(i)
+    return k, ties
+
+
+def _pivot(
+    cols: Sequence[Sequence[int]], d: int, tk: Sequence[int], p: int
+) -> tuple[list[Sequence[int]], int]:
+    """The columns and scale of a basis after its row p gives way to a row
+    k: one fraction-free (Bareiss) step, each division by d exact.
+
+    A basis is kept as columns c_l with <a_j, c_l> = d delta_jl over its
+    rows a_j, d > 0, so the columns are the adjugate's up to one sign;
+    ``tk`` holds the products <a_k, c_l>, tk[p] nonzero.  The new scale
+    is |tk[p]|.  The step is linear in the columns, so it carries any
+    entries appended to them, such as their products with other rows.
+    """
+    q = tk[p]
+    col_p = cols[p]
+    if q < 0:
+        # Taking -c_p keeps the new scale positive.
+        q, col_p = -q, [-y for y in col_p]
+    new = [
+        [(q * x - t * y) // d for x, y in zip(col, col_p)]
+        if t
+        # A column whose product with row k is 0 is only rescaled.
+        else col if q == d else [q * x // d for x in col]
+        for col, t in zip(cols, tk)
+    ]
+    new[p] = col_p
+    return new, q
+
+
+def _first_vertex(
+    rows: Sequence[IntVector],
+    rhs: Sequence[int],
+    basis: list[int],
+    d: int,
+    cols: Sequence[IntVector],
+    spend: Callable[[int], None],
+) -> tuple[list[int], int, list[int], list[int], Sequence[IntVector]] | None:
+    """A vertex of {x : <a_i, x> >= b_i}, or None if the system is empty.
+
+    ``basis`` names n independent rows, of determinant d and adjugate
+    columns ``cols`` (``row_basis``).  Their common point y / d is the
+    vertex if it is feasible.  Otherwise phase 1 runs on (x, t): the basis
+    rows as they are, every other row as <a_i, x> + t >= b_i, and t >= 0,
+    from the basis and the most violated row, minimising t by the simplex
+    method with Bland's rule on columns that ``_pivot`` updates.  The
+    system is empty iff the least t is positive.  Otherwise the row t >= 0
+    is tight, and once it is in the basis (one more pivot, of step 0, if
+    it is not), the other n rows are independent and tight at x, a
+    vertex, and their columns are the others' first n entries.  Returns
+    (y, d, slacks, basis, columns), the slacks <a_i, y> - b_i d in int.
+    """
+    n, m = len(basis), len(rows)
+    if d < 0:
+        d, cols = -d, [tuple(-x for x in col) for col in cols]
+    at = [rhs[i] for i in basis]
+    y = [sum(map(mul, at, coords)) for coords in zip(*cols)]
+    slacks = [sum(map(mul, u, y)) - c * d for u, c in zip(rows, rhs)]
+    spend(m)
+    worst = min(slacks)
+    if worst >= 0:
+        return y, d, slacks, basis, cols
+    k = slacks.index(worst)
+    relaxed = [1] * m
+    for i in basis:
+        relaxed[i] = 0
+    lifted = [(*u, e) for u, e in zip(rows, relaxed)] + [(0,) * n + (1,)]
+    order = [*basis, k]
+    cols = [(*col, -sum(map(mul, rows[k], col))) for col in cols] + [(0,) * n + (d,)]
+    y = [*y, -worst]
+    slacks = [s - e * worst for s, e in zip(slacks, relaxed)] + [-worst]
+    while True:
+        # Moving along column p changes t by its last entry over d.
+        improving = [p for p in range(n + 1) if cols[p][n] < 0]
+        if not improving:
+            break
+        p = min(improving, key=order.__getitem__)
+        rates = [sum(map(mul, row, cols[p])) for row in lifted]
+        spend(m + 1)
+        k = _ratio_test(slacks, rates)[0]
+        sk, rk = slacks[k], rates[k]
+        y = [(sk * z - rk * x) // d for x, z in zip(y, cols[p])]
+        slacks = [(sk * r - rk * s) // d for s, r in zip(slacks, rates)]
+        cols, d = _pivot(cols, d, [sum(map(mul, lifted[k], col)) for col in cols], p)
+        order[p] = k
+    if slacks[m]:
+        return None
+    if m not in order:
+        p = next(p for p, col in enumerate(cols) if col[n])
+        cols, scale = _pivot(cols, d, [col[n] for col in cols], p)
+        y, slacks = [x * scale // d for x in y], [s * scale // d for s in slacks]
+        d, order[p] = scale, m
+    q = order.index(m)
+    del order[q], cols[q]
+    return y[:n], d, slacks[:m], order, [col[:n] for col in cols]
+
+
+def _tableau(
+    rows: Sequence[IntVector], d: int, cols: Sequence[Sequence[int]]
+) -> tuple[list[list[int]], int]:
+    """A simple vertex's columns c, each extended to (<a_i, c> over every
+    row a_i, c), and their scale d made positive: a ratio test along c
+    reads its first m entries, and ``_pivot`` carries them along."""
+    if d < 0:
+        d, cols = -d, [[-x for x in col] for col in cols]
+    return [[*[sum(map(mul, u, col)) for u in rows], *col] for col in cols], d
+
+
+def _vertex_walk(
     normals: Sequence[IntVector], offsets: Sequence[Fraction]
 ) -> tuple[int, list[IntVector], list[tuple[int, ...]]]:
-    """The vertices cut out by n independent facets, the C(m, n) scan, as
-    the claim ``_set_vertices`` takes: a scale, int rows over it, tight sets.
+    """The vertices, as the claim ``_set_vertices`` takes: a scale, int
+    rows over it and tight sets, found by a walk along bounded edges.
 
-    Each facet is its integer height row (q u, p) for c = p / q, built
-    once, and each n-subset is one fraction-free elimination
-    (``solve_int``): it gives the point as y / d with d > 0, so the
-    feasibility <q u, y> >= p d is tested in int, and the rows where it
-    holds with equality are the point's tight set.  A point that several
-    subsets cut out is recorded once, keyed on (y, d) in lowest terms, and
-    every point is put over the lcm of the d.
+    Each facet is its integer height row (q u, p) for c = p / q.  The
+    first n independent rows (``row_basis``) start ``_first_vertex``;
+    none found raises EmptyPolytope.  Normals that do not span are then
+    UnboundedPolytope: phase 1 runs on their pivot columns, whose image is
+    the same, so it decides emptiness first.  From each vertex popped,
+    every (n-1)-subset of its tight set whose kernel line leaves into the
+    tangent cone is an edge, and one ratio test over the m rows gives its
+    other end and the end's tight set, or no end, a ray that the
+    open-edge test reports.  At a simple vertex the kernel lines are the
+    adjugate columns of its tight rows, and a simple neighbour's are one
+    ``_pivot`` away; at a degenerate one they are the subsets' signed
+    maximal minors (``_kernel_line``).  A ridge is walked once: after a
+    ratio test every (n-1)-subset of the rows tight along the whole line
+    is done, and a vertex whose ridges are all done is not expanded, so
+    its slacks and columns are never worked out.  Vertices are keyed on
+    their tight sets, which determine them.  The walk finds every vertex,
+    since the vertices and bounded edges of a pointed polyhedron form a
+    connected graph (Balinski), and its work grows with the edges it
+    walks, as in Avis and Fukuda's pivoting enumeration, not with
+    C(m, n).  Past ``_MAX_WALK_STEPS`` steps it raises PolytopeTooLarge.
     """
+    n = len(normals[0])
     heights = _height_rows(normals, offsets, 1)
-    rows = [(*u, rhs) for u, rhs in heights]
-    found: dict[tuple[IntVector, int], tuple[int, ...]] = {}
-    for subset in itertools.combinations(rows, len(normals[0])):
-        solved = solve_int(subset)
-        if solved is None:
-            continue
-        y, d = solved
-        active = []
-        for i, (u, rhs) in enumerate(heights):
-            slack = sum(map(mul, u, y)) - rhs * d
-            if slack < 0:
-                break
-            if not slack:
-                active.append(i)
+    rows = [u for u, _ in heights]
+    rhs = [c for _, c in heights]
+    m = len(rows)
+    left = _MAX_WALK_STEPS
+
+    def spend(steps: int) -> None:
+        nonlocal left
+        left -= steps
+        if left < 0:
+            raise PolytopeTooLarge(
+                f"the vertex walk exceeds its limit of {_MAX_WALK_STEPS} steps"
+            )
+
+    basis, d, cols = row_basis(rows)
+    if len(basis) < n:
+        kept = pivot_columns([rows[i] for i in basis])
+        restricted = [tuple(u[j] for j in kept) for u in rows]
+        if _first_vertex(restricted, rhs, *row_basis(restricted), spend) is None:
+            raise EmptyPolytope("no point satisfies all facet inequalities")
+        raise UnboundedPolytope("facet normals do not span the ambient space")
+    first = _first_vertex(rows, rhs, basis, d, cols, spend)
+    if first is None:
+        raise EmptyPolytope("no point satisfies all facet inequalities")
+    y, d, slacks, basis, cols = first
+    tight = tuple(i for i, s in enumerate(slacks) if not s)
+    g = math.gcd(d, *y)
+    found = {tight: ([x // g for x in y], d // g)}
+    slacks = [s // g for s in slacks]
+    done: set[tuple[int, ...]] = set()
+    # An entry is an edge's end, not yet expanded: its tight set, the state
+    # (tight set, slacks, tableau columns and their scale, the basis'
+    # |det|; None and 0 at a degenerate vertex) of the vertex it was reached from,
+    # the edge's rates, the row k it met, the tableau column p it left
+    # along (None from a degenerate vertex), and the gcd the end's point
+    # was divided by.
+    stack: list[tuple] = []
+
+    def kernel_lines(tight):
+        for ridge in itertools.combinations(tight, n - 1):
+            spend(len(tight) + n * n)
+            if ridge in done:
+                continue
+            z = _kernel_line([rows[i] for i in ridge], n)
+            if z is None:
+                continue
+            signs = [sum(map(mul, rows[i], z)) for i in tight]
+            if min(signs) >= 0:
+                yield ridge, z, None
+            elif max(signs) <= 0:
+                yield ridge, tuple(-x for x in z), None
+
+    def expand(state, todo):
+        # From a simple vertex, the edges leave along the columns in todo.
+        tight, slacks, cols, _ = state
+        y, d = found[tight]
+        if cols is None:
+            lines = kernel_lines(tight)
         else:
-            g = math.gcd(d, *y)
-            found.setdefault((tuple(x // g for x in y), d // g), tuple(active))
-    scale = math.lcm(*[d for _, d in found])
-    return scale, [tuple(x * (scale // d) for x in y) for y, d in found], list(found.values())
+            lines = [(tight[:p] + tight[p + 1 :], cols[p][m:], p) for p in todo]
+        for ridge, z, p in lines:
+            spend(m)
+            if p is None:
+                rates = [sum(map(mul, u, z)) for u in rows]
+                common = [i for i in tight if not rates[i]]
+                done.update(itertools.combinations(common, n - 1))
+            else:
+                rates = cols[p][:m]
+                common = ridge
+                done.add(ridge)
+            k, ties = _ratio_test(slacks, rates)
+            if k is None:
+                continue
+            end = tuple(sorted((*common, *ties)))
+            if end in found:
+                continue
+            # The end is (y + (sk / -rk) z) / d.
+            sk, rk = slacks[k], rates[k]
+            point = [sk * z_i - rk * x for x, z_i in zip(y, z)]
+            g = math.gcd(-rk * d, *point)
+            found[end] = ([x // g for x in point], -rk * d // g)
+            stack.append((end, state, rates, k, p, g))
+
+    if len(tight) == n:
+        # A simple vertex's tight rows are its basis.
+        cols, det = _tableau(rows, d, [cols[basis.index(i)] for i in tight])
+    else:
+        cols, det = None, 0
+    expand((tight, slacks, cols, det), range(n))
+    while stack:
+        tight, (parent, pslacks, pcols, pdet), rates, k, p, g = stack.pop()
+        todo = ()
+        if len(tight) == n:
+            todo = [j for j in range(n) if tight[:j] + tight[j + 1 :] not in done]
+            if not todo:
+                continue
+        # Its slacks are sk r - rk s over -rk d, divided by the same gcd.
+        sk, rk = pslacks[k], rates[k]
+        slacks = [(sk * r - rk * s) // g for s, r in zip(pslacks, rates)]
+        cols, det = None, 0
+        if len(tight) == n and p is None:
+            cols, det = _tableau(rows, *row_basis([rows[i] for i in tight])[1:])
+        elif len(tight) == n:
+            cols, det = _pivot(pcols, pdet, [col[k] for col in pcols], p)
+            order = [*parent[:p], k, *parent[p + 1 :]]
+            cols = [cols[j] for j in sorted(range(n), key=order.__getitem__)]
+        expand((tight, slacks, cols, det), todo)
+    scale = math.lcm(*[d for _, d in found.values()])
+    return scale, [tuple(x * (scale // d) for x in y) for y, d in found.values()], list(found)
 
 
 class DelzantPolytope(Record):
@@ -266,10 +526,12 @@ class DelzantPolytope(Record):
     DegeneratePolytope, or DegenerateFacet rather than ever producing an
     invalid instance. The checks run in that order, so an empty
     description is reported as empty even when its recession data also
-    looks unbounded.  One vertex scan decides the first two: no vertex
-    means empty (or, for normals that do not span, a second scan over
-    their pivot columns tells empty from unbounded), and an open edge at
-    a vertex of the complete vertex set is a ray, so unbounded.
+    looks unbounded.  The vertex walk decides the first two: phase 1
+    finds no point, so empty, or finds one where the normals do not
+    span, so unbounded; and an open edge at a vertex of the complete
+    vertex set the walk finds is a ray, so unbounded.  An input whose
+    walk would pass ``_MAX_WALK_STEPS`` raises PolytopeTooLarge instead,
+    once the walk passes it.
 
     Equality is on (dim, facets), whose hash each instance computes once,
     as ``moments`` looks a polytope up on every integral; a pickle leaves
@@ -283,18 +545,7 @@ class DelzantPolytope(Record):
         normals, offsets = self._check_facets()
         if not normals:
             raise UnboundedPolytope("facet normals do not span the ambient space")
-        claim = _vertex_candidates(normals, offsets)
-        if not claim[1]:
-            # Normals of full rank make the polyhedron pointed, so it is
-            # empty exactly when it has no vertex.  Otherwise Ux ranges
-            # over the same set as the pivot columns' U'y, a system of
-            # full column rank, and the same scan decides it.
-            pivots = pivot_columns(normals)
-            restricted = [tuple(u[j] for j in pivots) for u in normals]
-            if len(pivots) == self.dim or not _vertex_candidates(restricted, offsets)[1]:
-                raise EmptyPolytope("no point satisfies all facet inequalities")
-            raise UnboundedPolytope("facet normals do not span the ambient space")
-        heights = self._set_vertices(*claim)[1]
+        heights = self._set_vertices(*_vertex_walk(normals, offsets))[1]
         edge = self._open_edge(self._ridge_ends())
         if edge is not None:
             raise UnboundedPolytope(f"recession direction {edge[1]} is unbounded")
@@ -319,14 +570,14 @@ class DelzantPolytope(Record):
         where there are none.  The caller guarantees boundedness:
         ``facets`` must include those of a polytope.  ``_set_vertices``
         checks each claimed tight facet in int, O(V * n^2) in all, against
-        O(C(m, n) * m) for the scan.  Completeness is the open-edge test,
+        O(E * m) for the walk.  Completeness is the open-edge test,
         since an edge from a claimed vertex to an unclaimed one is open, and
         a vertex set closed under edges is the whole vertex set: the graph
         of a polytope is connected (Balinski).  With ``generators`` the cone
         table is built at once, which checks them and that every point is a
         vertex; without, as for a facet polytope, whose vertices are its
-        parent's, it waits for first use, as on the scan path.  Any failure
-        raises InvariantViolation; the face checks of the scan path follow.
+        parent's, it waits for first use, as on the walk path.  Any failure
+        raises InvariantViolation; the face checks of the walk path follow.
         """
         poly = object.__new__(cls)
         object.__setattr__(poly, "dim", dim)
@@ -338,14 +589,14 @@ class DelzantPolytope(Record):
         table = poly.scaled_vertices[1]
         if any(a == b for a, b in zip(table, table[1:])):
             raise InvariantViolation("a claimed vertex is listed twice")
-        ends = poly._ridge_ends()
-        edge = poly._open_edge(ends)
+        ridges = poly._ridge_ends()
+        edge = poly._open_edge(ridges)
         if edge is not None:
             raise InvariantViolation(
                 f"the edge on facets {list(edge[0])} has 1 claimed endpoints, expected 2"
             )
         if generators is not None:
-            cones = poly._vertex_cones([generators[k] for k in order], ends)
+            cones = poly._vertex_cones([generators[k] for k in order], ridges)
             object.__setattr__(poly, "cones", cones)
         poly._check_faces(heights)
         return poly
@@ -422,12 +673,10 @@ class DelzantPolytope(Record):
         return order, heights
 
     def _vertex_cones(
-        self,
-        claimed: Sequence[tuple[IntVector, ...] | None],
-        ends: dict[tuple[int, ...], list[int]],
+        self, claimed: Sequence[tuple[IntVector, ...] | None], ridges: _Ridges
     ) -> tuple[VertexCone, ...]:
         """One VertexCone per vertex, from claimed generators parallel to
-        the table (None where none are claimed) and the ridge ends.
+        the table (None where none are claimed) and ``_ridge_ends``.
 
         A claim must satisfy <u_a, g_b> = delta_ab over the active normals,
         which holds only at a simple vertex with unimodular normals.  It is
@@ -438,7 +687,8 @@ class DelzantPolytope(Record):
         comparison would.  Other generators are inverted from the normals,
         and normals that are not inverted must still have rank n.  With no
         open edge, a simple vertex's ridge active - {i} ends at it and at
-        its neighbour only.
+        its neighbour only, so neighbour i is read off the ends that
+        ``_ridge_ends`` listed for that ridge.
         """
         n = self.dim
         identity = list(itertools.chain.from_iterable(identity_int(n)))
@@ -463,10 +713,11 @@ class DelzantPolytope(Record):
                 )
             generators.append(cone)
         cones = []
-        for k, (active, cone) in enumerate(zip(self.vertex_facets, generators)):
+        for k, (active, cone, side) in enumerate(zip(self.vertex_facets, generators, ridges[1])):
             neighbours = None
             if len(active) == n:
-                neighbours = tuple(sum(ends[active[:i] + active[i + 1 :]]) - k for i in range(n))
+                # combinations drop the last active facet first.
+                neighbours = tuple(sum(ends) - k for ends in reversed(side))
             cones.append(VertexCone(generators=cone, neighbours=neighbours))
         return tuple(cones)
 
@@ -518,43 +769,42 @@ class DelzantPolytope(Record):
             return self.dim - len(common)
         return self.dim - rank([self.facets[i].normal for i in common])
 
-    def _ridge_ends(self) -> dict[tuple[int, ...], list[int]]:
+    def _ridge_ends(self) -> _Ridges:
         """Each (n-1)-subset of a vertex's active facets, mapped to the
-        indices of the vertices tight on all of it."""
+        indices of the vertices tight on all of it; and, per vertex, those
+        lists of its subsets, in ``itertools.combinations`` order, made in
+        the same pass."""
         ends: dict[tuple[int, ...], list[int]] = {}
+        sides = []
         for k, active in enumerate(self.vertex_facets):
+            side = []
             for ridge in itertools.combinations(active, self.dim - 1):
-                ends.setdefault(ridge, []).append(k)
-        return ends
+                tight = ends.setdefault(ridge, [])
+                tight.append(k)
+                side.append(tight)
+            sides.append(side)
+        return ends, sides
 
-    def _open_edge(
-        self, ends: dict[tuple[int, ...], list[int]]
-    ) -> tuple[tuple[int, ...], IntVector] | None:
+    def _open_edge(self, ridges: _Ridges) -> tuple[tuple[int, ...], IntVector] | None:
         """The first ridge tight at one vertex only whose kernel line
         leaves it into the polytope, <u, z> >= 0 over the vertex's active
         normals, as (ridge, z); None if there is none.
 
         The edge along z then has no other vertex, so over a complete
         vertex set it is a ray, and over a bounded polyhedron its other end
-        is missing.  Only one-ended ridges pay for the kernel line, read
-        off the n signed maximal minors of the ridge's n - 1 normals and
-        divided by their gcd; all minors vanish when the normals are
-        dependent.  At a vertex the active normals span R^n, so only one
-        of z and -z can leave it, and z needs no sign convention.
+        is missing.  Only one-ended ridges pay for the kernel line
+        (``_kernel_line``), which dependent normals do not have.  At a
+        vertex the active normals span R^n, so only one of z and -z can
+        leave it, and z needs no sign convention.
         """
         n = self.dim
         normals = [f.normal for f in self.facets]
-        for ridge, tight in ends.items():
+        for ridge, tight in ridges[0].items():
             if len(tight) != 1:
                 continue
-            mat = [normals[i] for i in ridge]
-            minors = [
-                (-1) ** j * det_int([u[:j] + u[j + 1 :] for u in mat]) for j in range(n)
-            ]
-            g = gcd_vector(minors)
-            if g == 0:
+            z = _kernel_line([normals[i] for i in ridge], n)
+            if z is None:
                 continue
-            z = tuple(x // g for x in minors)
             active = [normals[i] for i in self.vertex_facets[tight[0]]]
             for candidate in (z, tuple(-x for x in z)):
                 if all(sum(map(mul, u, candidate)) >= 0 for u in active):
@@ -749,7 +999,7 @@ def facet_polytope(
     data transported through it keeps exact lattice normalisation. Only
     facets sharing a ridge with the chosen one contribute inequalities.
 
-    The face is derived from the parent, not scanned: its vertices are
+    The face is derived from the parent, not walked: its vertices are
     the parent's vertices on the facet, read in the chart from the integer
     vertex table.  On the facet <u, x> = c, x = c w + sum_k y_k basis[k],
     so y_k = <d_k, x> for the columns d_k, k >= 1, of the inverse of the

@@ -1,13 +1,17 @@
 """Shared builders and exact matrix helpers for the test suite."""
 
 import functools
+import itertools
 import math
+import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 from cuspcheck import DelzantPolytope, Facet, moments, obstruction, start_tower, tower_step
-from cuspcheck.linalg import det_int, dot, rank
+from cuspcheck.linalg import det_int, dot, is_primitive, rank, solve_int
+from cuspcheck.polytope import _height_rows
 
 
 def mat_mul(a, b):
@@ -195,6 +199,59 @@ def row_claim(records):
     scale = math.lcm(*[Fraction(x).denominator for v in records for x in v.point])
     rows = [tuple(int(x * scale) for x in v.point) for v in records]
     return scale, rows, [v.active for v in records]
+
+
+def vertex_scan(normals, offsets):
+    """The vertices cut out by n independent facets, the C(m, n) scan, as
+    the claim ``_set_vertices`` takes: a scale, int rows over it, tight
+    sets; None when no n-subset cuts out a feasible point.  The oracle of
+    the constructor's vertex walk.
+
+    Each facet is its integer height row (q u, p) for c = p / q, and each
+    n-subset is one fraction-free elimination (``solve_int``): it gives
+    the point as y / d with d > 0, so the feasibility <q u, y> >= p d is
+    tested in int, and the rows where it holds with equality are the
+    point's tight set.  A point that several subsets cut out is recorded
+    once, keyed on (y, d) in lowest terms, and every point is put over the
+    lcm of the d.
+    """
+    heights = _height_rows(normals, offsets, 1)
+    rows = [(*u, rhs) for u, rhs in heights]
+    found = {}
+    for subset in itertools.combinations(rows, len(normals[0])):
+        solved = solve_int(subset)
+        if solved is None:
+            continue
+        y, d = solved
+        active = []
+        for i, (u, rhs) in enumerate(heights):
+            slack = sum(map(mul, u, y)) - rhs * d
+            if slack < 0:
+                break
+            if not slack:
+                active.append(i)
+        else:
+            g = math.gcd(d, *y)
+            found.setdefault((tuple(x // g for x in y), d // g), tuple(active))
+    if not found:
+        return None
+    scale = math.lcm(*[d for _, d in found])
+    return scale, [tuple(x * (scale // d) for x in y) for y, d in found], list(found.values())
+
+
+def hostile_document(m: int) -> dict:
+    """A 4D polytope document of m facets: distinct primitive normals with
+    entries in [-3, 3], drawn by ``random.Random(m)``, each at offset -1.
+    The origin is interior and most facets are redundant.  At m = 40 there
+    are C(40, 4) = 91390 subsets of 4 facets, so a constructor that
+    refuses it in bounded time must not visit them all."""
+    rng = random.Random(m)
+    normals = []
+    while len(normals) < m:
+        u = tuple(rng.randint(-3, 3) for _ in range(4))
+        if is_primitive(u) and u not in normals:
+            normals.append(u)
+    return {"dim": 4, "facets": [{"normal": list(u), "offset": -1} for u in normals]}
 
 
 def interval(a, b) -> DelzantPolytope:

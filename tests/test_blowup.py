@@ -370,48 +370,48 @@ def test_every_dropped_vertex_is_found_missing():
 def test_chops_run_no_vertex_scan(monkeypatch):
     cube = unit_cube(3)
     simplex = unit_simplex(2)
-    scans = []
+    walks = []
     inversions = []
-    scan = polytope._vertex_candidates
+    walk = polytope._vertex_walk
     invert = linalg.inverse_unimodular
 
     def counted(normals, offsets):
-        scans.append(len(normals))
-        return scan(normals, offsets)
+        walks.append(len(normals))
+        return walk(normals, offsets)
 
     def counted_inverse(matrix):
         inversions.append(matrix)
         return invert(matrix)
 
-    monkeypatch.setattr(polytope, "_vertex_candidates", counted)
+    monkeypatch.setattr(polytope, "_vertex_walk", counted)
     for name, module in list(sys.modules.items()):
         if name.startswith("cuspcheck") and getattr(module, "inverse_unimodular", None) is invert:
             monkeypatch.setattr(module, "inverse_unimodular", counted_inverse)
     chopped = blow_up_vertex(cube, (0, 0, 0), Fraction(1, 4))
     state = start_tower(simplex, "hyp")
-    # each scan-built input inverts its corners once, for its cone table
+    # each walked input inverts its corners once, for its cone table
     assert len(inversions) == 8 + 3
     for eps in (Fraction(1, 4), Fraction(1, 16), Fraction(1, 64)):
         state = tower_step(state, eps)
         assert is_delzant(state.polytope).ok
-    assert scans == []
+    assert walks == []
     assert len(inversions) == 8 + 3
     # A facet polytope inverts its chart frame once and builds no cone
-    # table, neither its own nor a scan-built parent's.
+    # table, neither its own nor a walked parent's.
     parents = (chopped, state.polytope, unit_cube(3))
     del inversions[:]
     for poly in parents:
         for j in range(len(poly.facets)):
             polytope.facet_polytope(poly, j)
-    assert scans == [6]  # unit_cube(3) itself
+    assert walks == [6]  # unit_cube(3) itself
     assert len(inversions) == sum(len(poly.facets) for poly in parents)
     DelzantPolytope.from_data(cube.to_data())
-    assert scans == [6, 6]
+    assert walks == [6, 6]
 
 
 def test_builds_and_chops_compare_no_fraction_heights(monkeypatch):
     # Every height test reads the integer vertex table, so neither a
-    # scan-built polytope, three tower rounds nor the facet polytopes and
+    # walked polytope, three tower rounds nor the facet polytopes and
     # charts of either call the Fraction dot.
     cube = unit_cube(3)
     calls = []
@@ -547,7 +547,7 @@ def test_claimed_cones_of_the_wrong_shape_are_refused():
 
 def test_each_build_works_out_the_table_height_rows_once(monkeypatch):
     # The rows over the table's scale D are built by _set_vertices and
-    # handed to _check_faces; the scan's own rows are over 1.
+    # handed to _check_faces; the walk's own rows are over 1.
     scales = []
     height_rows = polytope._height_rows
     monkeypatch.setattr(
@@ -576,8 +576,8 @@ def test_each_build_works_out_the_table_height_rows_once(monkeypatch):
 
 
 def test_each_tower_chop_matches_the_scan_of_its_facets():
-    # A chop claims each vertex's tight set and generators; the C(m, n)
-    # scan of the chopped facets finds the same tables.
+    # A chop claims each vertex's tight set and generators; the
+    # constructor's walk of the chopped facets finds the same tables.
     for dim, rounds in ((2, 6), (3, 3)):
         state = start_tower(unit_simplex(dim), "hyp")
         for r in range(1, rounds + 1):
@@ -788,7 +788,7 @@ def test_messages_print_vertex_points_as_exact_rationals():
     )
 
 
-# --- differential oracle: closed-form chops against the C(m, n) scan ------
+# --- differential oracle: closed-form chops against a rebuild from facets --
 
 
 def _scan_corner(poly, vertex):
@@ -824,7 +824,7 @@ def test_designated_vertex_on_the_distinguished_facet_is_refused(triangle):
 
 
 def _scan_tower_step(state, eps, labels):
-    """One tower round as a per-corner rebuild followed by a full scan."""
+    """One tower round as a per-corner rebuild followed by a full walk."""
     poly = state.polytope
     corners = []
     for v in state.designated_vertices():
@@ -916,7 +916,8 @@ def test_max_chop_framed_brute_force_agreement(base, eps):
         assert _bounds_match_brute_force(polytope) == len(polytope.vertices)
 
 
-# Rounds per base, so that no scan of the oracle exceeds C(16, 4) candidates.
+# Rounds per base, set when the oracle's rebuild scanned every n-subset of
+# facets, so that none scanned more than C(16, 4).
 _MAX_ROUNDS = {
     ("simplex", 2): 3, ("cube", 2): 3, ("simplex", 3): 3,
     ("cube", 3): 2, ("simplex", 4): 2, ("cube", 4): 1,

@@ -239,8 +239,8 @@ def test_exit_one_on_facet_tight_on_a_non_simple_edge(tmp_path, capsys):
 
 
 def test_empty_document_refused_in_bounded_time():
-    # 14 facets in dimension 4 with no common point.  The vertex scan
-    # decides emptiness, so no elimination may make the refusal exponential.
+    # 14 facets in dimension 4 with no common point.  Phase 1 of the
+    # vertex walk decides emptiness, so the refusal may not be exponential.
     src = str(Path(cuspcheck.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run(
@@ -255,6 +255,22 @@ def test_empty_document_refused_in_bounded_time():
     assert "error at /: no point satisfies all facet inequalities" in done.stderr
 
 
+
+def test_exit_one_on_a_walk_over_its_budget(tmp_path, capsys, monkeypatch):
+    # The unit 3-cube needs 78 walk steps; under a budget of 77 the
+    # document is refused as input, at the root.
+    facets = [
+        {"normal": [s * int(j == i) for j in range(3)], "offset": (s - 1) // 2}
+        for i in range(3)
+        for s in (1, -1)
+    ]
+    cube = tmp_path / "cube.json"
+    cube.write_text(json.dumps({"dim": 3, "facets": facets}))
+    monkeypatch.setattr(polytope, "_MAX_WALK_STEPS", 77)
+    code, out, err = run_cli(capsys, ["vertices", str(cube)])
+    assert code == 1
+    assert out == ""
+    assert "error at /: the vertex walk exceeds its limit of 77 steps" in err
 
 def test_constant_tower_parameter_is_not_copied_per_round():
     # One --eps serves every round without a list of --rounds entries, so

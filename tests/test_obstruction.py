@@ -242,7 +242,7 @@ def test_the_facet_sides_are_bounded(cold_store):
 
 
 def test_a_check_builds_no_polytope(monkeypatch, cold_store):
-    # No scan, no claimed build and no facet polytope: the check reads the
+    # No walk, no claimed build and no facet polytope: the check reads the
     # parent's own store.
     def refuse(*args, **kwargs):
         raise AssertionError("check_facet_condition built a polytope")

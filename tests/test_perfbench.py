@@ -44,7 +44,7 @@ def test_benchmark_pass_runs_clean(workload):
 
 def test_traced_names_still_exist():
     # The traced pass wraps each (module, attribute) of TARGETS and the
-    # scan constructor; they are resolved here without a traced pass.
+    # constructor; they are resolved here without a traced pass.
     spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)

@@ -25,6 +25,7 @@ from scipy.optimize import linprog
 from scipy.spatial import HalfspaceIntersection
 
 from conftest import (
+    hostile_document,
     interval,
     row_claim,
     rref,
@@ -32,6 +33,7 @@ from conftest import (
     tower_rounds,
     unit_cube,
     unit_simplex,
+    vertex_scan,
 )
 from cuspcheck import (
     ChartMismatch,
@@ -43,6 +45,7 @@ from cuspcheck import (
     Facet,
     InputValidationError,
     NotUnimodular,
+    PolytopeTooLarge,
     UnboundedPolytope,
     Vertex,
     apply_unimodular,
@@ -53,6 +56,7 @@ from cuspcheck import (
     start_tower,
     tower_step,
 )
+from cuspcheck import polytope
 from cuspcheck.errors import InvalidPolytope, InvariantViolation
 from cuspcheck.linalg import dot, gcd_vector, is_primitive, rank, solve_linear
 from cuspcheck.rational import format_rational_vector
@@ -456,7 +460,7 @@ def _tower_3d_rounds(rounds):
 
 def test_derived_facet_polytopes_match_the_scan():
     # facet_polytope derives its vertices and tight sets from the parent's;
-    # the C(m', n - 1) scan of the same facets is the oracle, on simplices
+    # the constructor's walk of the same facets is the oracle, on simplices
     # and cubes, tower rounds, chopped inputs in skew frames and a
     # non-simple apex.
     cases = [unit_simplex(n) for n in (2, 3, 4, 5)] + [unit_cube(n) for n in (2, 3, 4, 5)]
@@ -736,6 +740,109 @@ def test_constructor_matches_exact_oracle(system):
         assert got == expected
 
 
+# --- the vertex walk against the C(m, n) scan ---
+
+
+def _walk_systems():
+    """Seeded facet systems in dimensions 1-4: general ones, ones whose
+    normals all have a zero last entry, so do not span, and ones with
+    entries in {-1, 0, 1} and offsets -1 or 0, whose vertices are often
+    degenerate; then the square pyramid and the cross-polytopes."""
+    rng = random.Random(2601)
+    systems = []
+    for _ in range(330):
+        n = rng.randint(1, 4)
+        kind = rng.randrange(3)
+        top = 1 if kind == 2 else 2
+        pool = [u for u in itertools.product(range(-top, top + 1), repeat=n) if is_primitive(u)]
+        if kind == 1 and n > 1:
+            pool = [u for u in pool if u[-1] == 0]
+        normals = rng.sample(pool, min(len(pool), rng.randint(1, n + 5)))
+        if kind == 2:
+            offsets = [Fraction(rng.choice((-1, -1, 0))) for _ in normals]
+        else:
+            offsets = [Fraction(rng.randint(-6, 2), rng.choice((1, 2, 3))) for _ in normals]
+        systems.append((n, [Facet(u, c) for u, c in zip(normals, offsets)]))
+    systems.append((3, list(_PYRAMID)))
+    for n in (2, 3, 4):
+        systems.append((n, [Facet(u, -1) for u in itertools.product((-1, 1), repeat=n)]))
+    return systems
+
+
+def _table(claim):
+    """A vertex claim in the normal form ``_set_vertices`` stores: the
+    scale with its gcd with every entry divided out, and the sorted rows
+    with their tight sets."""
+    scale, rows, tight = claim
+    g = math.gcd(scale, *itertools.chain.from_iterable(rows))
+    return scale // g, sorted(zip([tuple(x // g for x in row) for row in rows], tight))
+
+
+def test_vertex_walk_matches_the_scan():
+    # The walk's vertex table and tight sets equal the C(m, n) scan's
+    # wherever the scan finds a vertex, bounded or not.  Where it finds
+    # none, the walk refuses the system as empty exactly when
+    # Fourier-Motzkin elimination finds no point, and otherwise, as the
+    # normals then do not span, as unbounded.
+    seen = dict.fromkeys(["simple", "degenerate", "unbounded", "empty", "not spanning"], 0)
+    for dim, facets in _walk_systems():
+        normals = [f.normal for f in facets]
+        offsets = [f.offset for f in facets]
+        scanned = vertex_scan(normals, offsets)
+        if scanned is not None:
+            assert _table(polytope._vertex_walk(normals, offsets)) == _table(scanned)
+            seen["degenerate" if any(len(t) > dim for t in scanned[2]) else "simple"] += 1
+            seen["unbounded"] += _recession_ray(normals, dim) is not None
+            continue
+        if _fourier_motzkin_feasible([(u, c) for u, c in zip(normals, offsets)], dim):
+            assert rank(normals) < dim
+            error, message = UnboundedPolytope, "facet normals do not span the ambient space"
+            seen["not spanning"] += 1
+        else:
+            error, message = EmptyPolytope, "no point satisfies all facet inequalities"
+            seen["empty"] += 1
+        with pytest.raises(error) as info:
+            polytope._vertex_walk(normals, offsets)
+        assert str(info.value) == message
+    assert min(seen.values()) >= 20, seen
+    # The pyramid's apex is tight on four facets.
+    apex = [t for t in vertex_scan([f.normal for f in _PYRAMID], [f.offset for f in _PYRAMID])[2]]
+    assert (1, 2, 3, 4) in apex
+
+
+def test_the_forty_facet_hostile_document_is_refused():
+    # 40 random facets in dimension 4, most of them redundant: the walk
+    # finds every vertex, and the face check refuses the first facet
+    # without one.
+    with pytest.raises(InputValidationError) as info:
+        DelzantPolytope.from_data(hostile_document(40))
+    assert info.value.errors == [("", "facet 3 does not support an (n-1)-dimensional face")]
+
+
+def test_a_walk_over_its_budget_is_refused(monkeypatch):
+    # The 3-cube's walk reads its 6 rows once at the start and once per
+    # edge, 6 + 12 * 6 = 78 steps.
+    cube = unit_cube(3)
+    monkeypatch.setattr(polytope, "_MAX_WALK_STEPS", 78)
+    assert DelzantPolytope(3, cube.facets) == cube
+    monkeypatch.setattr(polytope, "_MAX_WALK_STEPS", 77)
+    with pytest.raises(PolytopeTooLarge) as info:
+        DelzantPolytope(3, cube.facets)
+    assert isinstance(info.value, InvalidPolytope)
+    assert str(info.value) == "the vertex walk exceeds its limit of 77 steps"
+    with pytest.raises(InputValidationError) as info:
+        DelzantPolytope.from_data(cube.to_data())
+    assert info.value.errors == [("", "the vertex walk exceeds its limit of 77 steps")]
+    # The square pyramid's walk reads its 5 rows at the start and once per
+    # edge, and at the apex on 4 facets tries C(4, 2) = 6 subsets at
+    # 4 + 3^2 steps each: 5 + 8 * 5 + 6 * 13 = 123 steps.
+    monkeypatch.setattr(polytope, "_MAX_WALK_STEPS", 123)
+    DelzantPolytope(3, _PYRAMID)
+    monkeypatch.setattr(polytope, "_MAX_WALK_STEPS", 122)
+    with pytest.raises(PolytopeTooLarge):
+        DelzantPolytope(3, _PYRAMID)
+
+
 # --- integer heights against the Fraction reference ---
 
 _PYRAMID = (
@@ -763,9 +870,9 @@ def _odd_cut(draw, dim, points, never_tight=False):
 
 @st.composite
 def odd_offset_cases(draw):
-    """(dim, facets, claimed): a scan-built case when claimed is None.
+    """(dim, facets, claimed): a walked case when claimed is None.
 
-    Scan-built cases cut a box in quarters, the square pyramid or the
+    Walked cases cut a box in quarters, the square pyramid or the
     skew triangle by one facet in thirds or fifths.  Claimed cases are
     2D tower rounds 1-8, rebuilt from their vertex records and cones,
     perhaps with a facet in thirds or fifths added that no vertex is
