@@ -15,6 +15,7 @@ shows as inf or -inf.
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import json
 import math
@@ -499,6 +500,16 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
+    """Run the command line and end the process with its exit code.
+
+    ``main`` does not return.  Before it exits, it freezes every object
+    the run made (``gc.freeze``), so the collections that interpreter
+    finalization runs skip them: they would walk all that start-up made
+    only to free memory the exit hands back anyway, about a tenth of a
+    whole run.  The exit is otherwise the normal one: atexit handlers,
+    std-stream flushing and module teardown still run.  ``run`` and every
+    library call keep a normal collector.
+    """
     try:
         code = run()
         sys.stdout.flush()
@@ -506,7 +517,8 @@ def main() -> None:
         # The reader left (as with `| head`): point stdout at devnull so that
         # the flush at exit meets no closed pipe, and exit without a traceback.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(1)
+        code = 1
+    gc.freeze()
     sys.exit(code)
 
 

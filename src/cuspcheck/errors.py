@@ -24,7 +24,8 @@ class DegeneratePolytope(InvalidPolytope):
 
 
 class PolytopeTooLarge(InvalidPolytope):
-    """Finding the vertices needs more work than the vertex walk allows."""
+    """The input asks for more work than allowed: its dimension is over
+    the limit, or finding its vertices passes the vertex walk's budget."""
 
 
 class DegenerateFacet(CuspcheckError):

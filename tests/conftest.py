@@ -148,6 +148,17 @@ def unit_simplex(n: int) -> DelzantPolytope:
     return DelzantPolytope(n, tuple(facets))
 
 
+def unit_simplex_document(n: int) -> dict:
+    """The document of ``unit_simplex(n)``, built without the constructor,
+    so also in dimensions that it refuses."""
+    facets = [
+        {"normal": [1 if j == i else 0 for j in range(n)], "offset": "0", "label": f"x{i}"}
+        for i in range(n)
+    ]
+    facets.append({"normal": [-1] * n, "offset": "-1", "label": "hyp"})
+    return {"dim": n, "facets": facets}
+
+
 def unit_cube(n: int) -> DelzantPolytope:
     """0 <= x_i <= 1, top facets labelled 'top{i}'."""
     facets = []

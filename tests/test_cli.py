@@ -1,17 +1,21 @@
 """Command-line surface: golden files, round trips, exit discipline."""
 
 import ast
+import gc
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import cuspcheck
+from conftest import unit_simplex_document
 from cuspcheck import cli, polytope
 
 DATA = Path(__file__).parent / "data"
@@ -272,6 +276,22 @@ def test_exit_one_on_a_walk_over_its_budget(tmp_path, capsys, monkeypatch):
     assert out == ""
     assert "error at /: the vertex walk exceeds its limit of 77 steps" in err
 
+
+def test_exit_one_on_a_dimension_over_the_limit(tmp_path, capsys):
+    # Refused once the dimension is read, before any vertex is sought.
+    doc = tmp_path / "simplex80.json"
+    doc.write_text(json.dumps(unit_simplex_document(80)))
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, ["check-obstruction", str(doc), "--facet", "hyp"])
+        best = min(best, time.perf_counter() - start)
+    assert code == 1
+    assert out == ""
+    assert err == "error at /: dimension 80 exceeds the limit of 8\n"
+    assert best < 0.05
+
+
 def test_constant_tower_parameter_is_not_copied_per_round():
     # One --eps serves every round without a list of --rounds entries, so
     # a huge round count fails at round 2, where eps = 1/4 is too deep.
@@ -311,6 +331,48 @@ def test_closed_stdout_exits_one_without_a_traceback():
     assert "Traceback" not in stderr
     assert "Exception ignored" not in stderr
     assert stderr == ""
+
+
+_FREEZE_CHILD = """
+import atexit, gc, sys
+
+atexit.register(lambda: print(f"frozen {gc.get_freeze_count()}", file=sys.stderr))
+import cuspcheck.cli
+
+cuspcheck.cli.main()
+"""
+
+
+def test_main_freezes_the_heap_before_it_exits(capsys, in_data_dir):
+    # main() freezes what the run made before sys.exit, so the collections
+    # of interpreter finalization skip it; atexit hooks still run after the
+    # freeze, and a run that ends in an error exits the same way.
+    src = str(Path(cuspcheck.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    runs = [
+        (GOLDEN_COMMANDS["vertices"], 0),
+        (["check-hypotheses", "config-unbalanced.json"], 3),
+        (["vertices", "empty4d.json"], 1),
+    ]
+    for argv, expected in runs:
+        done = subprocess.run(
+            [sys.executable, "-c", _FREEZE_CHILD, *argv],
+            cwd=DATA,
+            env=env,
+            capture_output=True,
+            timeout=60,
+        )
+        stderr = done.stderr.decode()
+        assert done.returncode == expected, stderr
+        last = stderr.splitlines()[-1].split()
+        assert last[0] == "frozen" and int(last[1]) > 0, stderr
+        if expected == 0:
+            assert done.stdout == (DATA / "golden" / "vertices.json").read_bytes()
+    # run() is the library's entry point and freezes nothing.
+    before = gc.get_freeze_count()
+    code, _, _ = run_cli(capsys, GOLDEN_COMMANDS["vertices"])
+    assert code == 0
+    assert gc.get_freeze_count() == before
 
 
 def test_exit_one_on_a_chop_in_dimension_one(tmp_path, capsys):

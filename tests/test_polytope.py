@@ -14,6 +14,7 @@ import importlib.util
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from conftest import (
     tower_rounds,
     unit_cube,
     unit_simplex,
+    unit_simplex_document,
     vertex_scan,
 )
 from cuspcheck import (
@@ -841,6 +843,27 @@ def test_a_walk_over_its_budget_is_refused(monkeypatch):
     monkeypatch.setattr(polytope, "_MAX_WALK_STEPS", 122)
     with pytest.raises(PolytopeTooLarge):
         DelzantPolytope(3, _PYRAMID)
+
+
+def test_a_dimension_over_the_limit_is_refused_before_any_work():
+    # The 80-dimensional unit simplex is a document of about 22 kB whose
+    # check would run for minutes; it is refused as soon as its dimension
+    # is read, after about 10 ms of parsing.
+    big = unit_simplex_document(80)
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        with pytest.raises(InputValidationError) as info:
+            DelzantPolytope.from_data(big)
+        best = min(best, time.perf_counter() - start)
+    assert info.value.errors == [("", "dimension 80 exceeds the limit of 8")]
+    assert best < 0.05
+    with pytest.raises(PolytopeTooLarge, match="dimension 9 exceeds the limit of 8"):
+        DelzantPolytope(9, ())
+    # At the limit a document still builds.
+    at_limit = DelzantPolytope.from_data(unit_simplex_document(polytope._MAX_DIM))
+    assert at_limit == unit_simplex(polytope._MAX_DIM)
+    assert len(at_limit.vertices) == polytope._MAX_DIM + 1
 
 
 # --- integer heights against the Fraction reference ---
