@@ -85,10 +85,12 @@ which are built only from degree 2, and each sum is divided once, by its
 degree's scale, when a reader builds its Fraction.  Nothing is
 approximated.
 
-One store entry per polytope, keyed on its value and bounded at 256
-polytopes, holds the fan triangulations of its facets and the raw int
-sums and their scales of each domain integrated so far, to the highest
-degree asked; each derived quantity is stored once, in int.  Fractions
+The store keeps one entry, for the polytope in use, keyed on its value:
+every reader integrates one polytope at a time, and a chop tower moves on
+to the next round's polytope, so an older entry would not be read again.
+The entry holds the fan triangulations of the polytope's facets and the
+raw int sums and their scales of each domain integrated so far, to the
+highest degree asked; each derived quantity is stored once, in int.  Fractions
 are built only by the readers, from the stored sums on each call
 (``polytope_moments``, ``boundary_moments``, the ``integrate_polynomial``
 pair, and ``extremal``'s ``relative_futaki`` and reports); the Gram
@@ -308,9 +310,9 @@ def _fan(
     return memo[face]
 
 
-# Bounded so that a long run (a chop tower) does not keep every polytope
-# alive; one moment check needs far fewer entries than this.
-@functools.lru_cache(maxsize=256)
+# One entry: the readers integrate one polytope at a time, and a long run
+# (a chop tower) keeps no earlier round alive.
+@functools.lru_cache(maxsize=1)
 def _triangulate(poly: DelzantPolytope) -> tuple[tuple[Simplices, ...], dict[Domain, Sums]]:
     """The store entry of ``poly``: the fan triangulation of each facet's
     face, and the raw int sums of each domain integrated so far, to the
@@ -518,8 +520,9 @@ def _value(sums: Sums, monomial: tuple[int, ...]) -> Fraction:
 def polytope_moments(poly: DelzantPolytope) -> MomentData:
     """Exact volume, first, and second moments of the polytope.
 
-    The body is integrated once per polytope, for up to 256 polytopes;
-    later calls, also with an equal polytope, read the stored sums.
+    The body is integrated once for the polytope in use; later calls,
+    also with an equal polytope, read the stored sums until another
+    polytope is integrated.
     """
     n = poly.dim
     (body,) = _sums(poly, 2, [()])
@@ -538,9 +541,9 @@ def boundary_moments(
 ) -> BoundaryMomentData:
     """Lattice boundary moments, facet by facet, skipping excluded facets.
 
-    Each kept facet is integrated on its own once per polytope, for up to
-    256 polytopes: one ``_integrate`` call covers the kept facets that no
-    earlier call integrated.  An excluded facet is not read here, but it
+    Each kept facet is integrated on its own once for the polytope in
+    use: one ``_integrate`` call covers the kept facets that no earlier
+    call integrated.  An excluded facet is not read here, but it
     is integrated all the same: the sweep that integrates the body takes
     its fan too, and the pair's Gram system asks for its own sums, to
     subtract it from the whole boundary.

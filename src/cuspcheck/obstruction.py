@@ -8,7 +8,7 @@ The facet's own function is solved from the parent's moment store, its
 facet and ridges integrated on the parent's vertex table, on the
 ambient columns the facet's mass rule keeps; only the integer answer is
 mapped into the chart, so no facet polytope is built for the check.  It
-depends only on the face, so it is kept per face, in a bounded store
+depends only on the face, so it is kept for the last face checked,
 keyed on the facet and the facets that meet it in a ridge: each round of
 a chop tower after the first leaves the divisor's face as it was and
 solves only the pair's side.
@@ -57,12 +57,11 @@ class ObstructionReport(Record):
 
 
 # The facet's own side of the check, its chart and solved affine function,
-# keyed on what cuts the face out of its hyperplane: F's normal and offset
-# and the sorted (normal, offset) pairs of its ridge facets.  A tower chops
-# only off F, so every round after the first finds F's side here; a chop at
-# a vertex on F adds a ridge facet and so a new key.  Bounded like the
-# moment store, least recently used first out.
-_MAX_FACET_SIDES = 256
+# for the last face checked only, keyed on what cuts the face out of its
+# hyperplane: F's normal and offset and the sorted (normal, offset) pairs of
+# its ridge facets.  A tower chops only off F, so every round after the
+# first finds F's side here; a chop at a vertex on F adds a ridge facet and
+# so a new key.
 _facet_sides: dict[tuple, tuple[FacetChart, AffineFunction]] = {}
 
 
@@ -78,9 +77,10 @@ def _facet_side(poly: DelzantPolytope, index: int) -> tuple[FacetChart, AffineFu
     isomorphism, and the measures are the faces' own, so the solved
     function is the facet polytope's, written in those columns.  Only the
     integer answer is mapped into F's chart.  Both answers depend only on
-    the key, so an equal face of another polytope reads them from
-    ``_facet_sides``; a stored chart may name the facet index of that
-    other polytope, but only its origin and basis are read.
+    the key, so the next check of an equal face, also of another polytope,
+    reads them from ``_facet_sides``, which keeps the last face only; a
+    stored chart may name the facet index of that other polytope, but only
+    its origin and basis are read.
     """
     facet = poly.facets[index]
     ridges = _ridge_facets(poly, index)
@@ -89,7 +89,7 @@ def _facet_side(poly: DelzantPolytope, index: int) -> tuple[FacetChart, AffineFu
         facet.offset,
         tuple(sorted((poly.facets[j].normal, poly.facets[j].offset) for j in ridges)),
     )
-    side = _facet_sides.pop(key, None)
+    side = _facet_sides.get(key)
     if side is None:
         n = poly.dim
         chart, _ = _facet_chart(poly, index)
@@ -103,9 +103,8 @@ def _facet_side(poly: DelzantPolytope, index: int) -> tuple[FacetChart, AffineFu
         for c, v in zip(keep, y[1:]):
             gradient[c] = v
         side = chart, _chart_image((y[0], *gradient), d, chart)
-        if len(_facet_sides) >= _MAX_FACET_SIDES:
-            del _facet_sides[next(iter(_facet_sides))]
-    _facet_sides[key] = side
+        _facet_sides.clear()
+        _facet_sides[key] = side
     return side
 
 
@@ -275,18 +274,17 @@ def check_genericity(config: MomentConfiguration) -> bool:
 def check_kernel_condition(config: MomentConfiguration) -> bool:
     """Is the kernel of the evaluation matrix inside the subspace?
 
-    Requires evaluation data; raises MissingEvaluationData without it.
+    The subspace's basis is independent, so the kernel lies in its span
+    exactly when the basis and the kernel together still have rank equal
+    to the basis size.  Requires evaluation data; raises
+    MissingEvaluationData without it.
     """
     if config.eval_matrix is None:
         raise MissingEvaluationData(
             "the kernel condition needs an evaluation matrix"
         )
     kernel = nullspace(config.eval_matrix, ncols=config.dimension)
-    base_rank = rank(config.t_basis)
-    for vec in kernel:
-        if rank(list(config.t_basis) + [vec]) != base_rank:
-            return False
-    return True
+    return rank([*config.t_basis, *kernel]) == len(config.t_basis)
 
 
 class HypothesesReport(Record):

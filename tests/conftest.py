@@ -273,9 +273,9 @@ def interval(a, b) -> DelzantPolytope:
 
 @pytest.fixture
 def cold_store():
-    """Empty both stores, the moment store and the checks' facet sides,
-    before the test, so no result depends on test order; the test calls
-    the returned function for another cold start."""
+    """Empty both stores, the moment store's one polytope and the checks'
+    one facet side, before the test, so no result depends on test order;
+    the test calls the returned function for another cold start."""
 
     def clear():
         moments._triangulate.cache_clear()

@@ -1,6 +1,7 @@
 """Facet compatibility and finite-dimensional hypothesis checks."""
 
 import importlib.util
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from cuspcheck import (
     tower_step,
     toric_configuration,
 )
+from cuspcheck.linalg import nullspace, rank
 from cuspcheck.polytope import _ridge_facets
 from test_moments import _pyramid, _skew_triangle, framed_chopped
 
@@ -55,17 +57,20 @@ def _oracle(poly, index):
     return pair.affine, restrict_affine(pair.affine, chart), own.affine
 
 
+def _assert_report_matches_oracle(poly, index, report):
+    a_pair, a_restricted, a_facet = _oracle(poly, index)
+    assert (report.a_pair, report.a_restricted, report.a_facet) == (
+        a_pair, a_restricted, a_facet
+    ), index
+    difference = tuple(a - b for a, b in zip(a_restricted.gradient, a_facet.gradient))
+    assert report.difference_gradient == difference
+    assert report.offset == a_restricted.constant - a_facet.constant
+    assert report.satisfied == all(x == 0 for x in difference)
+
+
 def _assert_check_matches_oracle(poly):
     for index in range(len(poly.facets)):
-        report = check_facet_condition(poly, index)
-        a_pair, a_restricted, a_facet = _oracle(poly, index)
-        assert (report.a_pair, report.a_restricted, report.a_facet) == (
-            a_pair, a_restricted, a_facet
-        ), index
-        difference = tuple(a - b for a, b in zip(a_restricted.gradient, a_facet.gradient))
-        assert report.difference_gradient == difference
-        assert report.offset == a_restricted.constant - a_facet.constant
-        assert report.satisfied == all(x == 0 for x in difference)
+        _assert_report_matches_oracle(poly, index, check_facet_condition(poly, index))
 
 
 def _tower(n, rounds, base=None):
@@ -183,18 +188,19 @@ def _tower_corpus():
 
 
 def test_check_matches_the_oracle_with_the_facet_sides_warm(monkeypatch, cold_store):
-    # Checking each facet of a polytope fills the facet sides; checked
-    # again, each facet's side must be read from them, with no facet chart
-    # solved, and the report must still equal the oracle.
+    # Checking a facet stores its side; the same face checked again right
+    # after must read it, with no facet chart solved, and the report must
+    # still equal the oracle.
     def refuse(*args):
         raise AssertionError("a warm check solved the facet's side again")
 
     for poly in _tower_corpus():
         for index in range(len(poly.facets)):
             check_facet_condition(poly, index)
-        with monkeypatch.context() as patch:
-            patch.setattr(obstruction, "_facet_chart", refuse)
-            _assert_check_matches_oracle(poly)
+            with monkeypatch.context() as patch:
+                patch.setattr(obstruction, "_facet_chart", refuse)
+                report = check_facet_condition(poly, index)
+            _assert_report_matches_oracle(poly, index, report)
 
 
 def test_a_tower_solves_the_divisor_side_once(monkeypatch, cold_store):
@@ -210,9 +216,14 @@ def test_a_tower_solves_the_divisor_side_once(monkeypatch, cold_store):
     assert charts == [2, 3]
 
 
-def test_a_chop_on_the_facet_changes_its_side(cold_store):
+def test_a_chop_on_the_facet_changes_its_side(monkeypatch, cold_store):
     # A chop at a vertex of F makes its new facet a ridge facet of F, so a
     # warm check of F must not read the side stored for the unchopped face.
+    charts = []
+    facet_chart = obstruction._facet_chart
+    monkeypatch.setattr(
+        obstruction, "_facet_chart", lambda poly, index: charts.append(index) or facet_chart(poly, index)
+    )
     for poly, vertex in [
         (unit_simplex(2), (1, 0)),
         (unit_simplex(3), (0, 0, 1)),
@@ -220,11 +231,12 @@ def test_a_chop_on_the_facet_changes_its_side(cold_store):
     ]:
         index = poly.resolve_facet("hyp")
         cold_store()
+        del charts[:]
         check_facet_condition(poly, index)
         chopped = blow_up_vertex(poly, vertex, Fraction(1, 8))
         assert _ridge_facets(chopped, index)[-1] == len(poly.facets)
         report = check_facet_condition(chopped, index)
-        assert len(obstruction._facet_sides) == 2
+        assert charts == [index, index]
         assert report.a_facet == _oracle(chopped, index)[2]
         _assert_check_matches_oracle(chopped)
 
@@ -237,8 +249,7 @@ def test_the_facet_sides_are_bounded(cold_store):
         )
         report = check_facet_condition(triangle, "hyp")
         assert report.a_facet == _oracle(triangle, 2)[2]
-        assert len(obstruction._facet_sides) <= 256
-    assert len(obstruction._facet_sides) == 256
+        assert len(obstruction._facet_sides) == 1
 
 
 def test_a_check_builds_no_polytope(monkeypatch, cold_store):
@@ -254,7 +265,7 @@ def test_a_check_builds_no_polytope(monkeypatch, cold_store):
     for poly in polys:
         for index in range(len(poly.facets)):
             check_facet_condition(poly, index)
-    assert moments._triangulate.cache_info().currsize == len(polys)
+    assert moments._triangulate.cache_info().misses == len(polys)
 
 
 @pytest.mark.parametrize(
@@ -451,6 +462,71 @@ def test_kernel_3d_frozen():
         eval_matrix=((1, 0, 0), (0, 1, 0)),
     )
     assert not check_kernel_condition(off)
+
+
+def _kernel_by_vectors(config):
+    """The kernel condition as it was once taken: one rank per kernel vector."""
+    kernel = nullspace(config.eval_matrix, ncols=config.dimension)
+    base_rank = rank(config.t_basis)
+    for vec in kernel:
+        if rank(list(config.t_basis) + [vec]) != base_rank:
+            return False
+    return True
+
+
+def _independent(vector, count, into=()):
+    """``count`` vectors from ``vector()`` that are independent with ``into``."""
+    out = list(into)
+    while len(out) < len(into) + count:
+        v = vector()
+        if rank([*out, v]) == len(out) + 1:
+            out.append(v)
+    return out[len(into) :]
+
+
+def _random_kernel_configuration(rng, case):
+    # The evaluation matrix is the orthogonal complement of a chosen kernel,
+    # so its null space is exactly that kernel.
+    d = rng.randint(2, 5)
+
+    def vector():
+        return tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d))
+
+    k = 0 if case == "empty basis" else rng.randint(1, d - (case == "outside"))
+    basis = _independent(vector, k)
+    if case == "inside":
+
+        def combination():
+            coefficients = [rng.randint(-2, 2) for _ in basis]
+            return tuple(sum(c * b[i] for c, b in zip(coefficients, basis)) for i in range(d))
+
+        kernel = _independent(combination, rng.randint(1, k))
+    elif case == "empty kernel":
+        kernel = []
+    else:
+        first = _independent(vector, 1, basis)
+        kernel = first + _independent(vector, rng.randint(0, d - 1), first)
+    eval_matrix = nullspace(kernel, ncols=d) if kernel else _independent(vector, d)
+    config = MomentConfiguration(
+        n=2,
+        points=(vector(),),
+        weights=(Fraction(1),),
+        t_basis=tuple(basis),
+        eval_matrix=eval_matrix or ((Fraction(0),) * d,),
+    )
+    assert len(nullspace(config.eval_matrix, ncols=d)) == len(kernel)
+    return config
+
+
+@pytest.mark.parametrize(
+    "case, expected",
+    [("inside", True), ("outside", False), ("empty basis", False), ("empty kernel", True)],
+)
+def test_kernel_condition_matches_the_per_vector_ranks(case, expected):
+    rng = random.Random(case)
+    for _ in range(40):
+        config = _random_kernel_configuration(rng, case)
+        assert check_kernel_condition(config) is _kernel_by_vectors(config) is expected
 
 
 def test_kernel_requires_eval_matrix():

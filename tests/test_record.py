@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import interval, tower_rounds, unit_cube
+from conftest import interval, tower_rounds, unit_cube, unit_simplex
 from cuspcheck import (
     DegenerateFacet,
     DelzantPolytope,
@@ -18,6 +18,9 @@ from cuspcheck import (
     extremal,
     extremal_affine,
     moments,
+    obstruction,
+    start_tower,
+    tower_step,
 )
 from cuspcheck.moments import FacetMoments
 from cuspcheck.polytope import Vertex
@@ -190,18 +193,44 @@ def test_checking_every_facet_integrates_the_body_once(monkeypatch, cold_store):
 
 
 def test_moment_store_is_bounded_and_lets_evicted_polytopes_go(cold_store):
-    # With the cycle collector off: an evicted entry is in no reference
-    # cycle, so it and its polytope go as soon as the store drops them.
+    # With the cycle collector off: the store keeps one entry, which is in
+    # no reference cycle, so a polytope and its entry go as soon as the
+    # next polytope is integrated.
     gc.disable()
     try:
-        first = interval(0, 1)
-        moments.polytope_moments(first)
-        gone = weakref.ref(first)
-        del first
-        for b in range(2, 300):
-            moments.polytope_moments(interval(0, b))
-            assert moments._triangulate.cache_info().currsize <= 256
-        assert gone() is None
+        gone = None
+        for b in range(1, 6):
+            poly = interval(0, b)
+            moments.polytope_moments(poly)
+            assert gone is None or gone() is None
+            assert moments._triangulate.cache_info().currsize == 1
+            gone = weakref.ref(poly)
+            del poly
+    finally:
+        gc.enable()
+
+
+def test_a_tower_checked_round_by_round_keeps_only_the_round_in_use(cold_store):
+    # Each round checks the divisor and then its newest facet, whose side
+    # no other round shares.  With the cycle collector off, a round's
+    # polytope, the key of its moment store entry, and its newest facet's
+    # side go as soon as the next round is checked.
+    gc.disable()
+    try:
+        state = start_tower(unit_simplex(2), "hyp")
+        gone = []
+        for r in range(1, 9):
+            state = tower_step(state, Fraction(1, 4**r))
+            poly = state.polytope
+            check_facet_condition(poly, "hyp")
+            newest = check_facet_condition(poly, len(poly.facets) - 1)
+            assert [ref() for ref in gone] == [None] * len(gone)
+            assert moments._triangulate.cache_info().currsize == 1
+            assert len(obstruction._facet_sides) == 1
+            ((chart, a_facet),) = obstruction._facet_sides.values()
+            assert a_facet is newest.a_facet
+            gone = [weakref.ref(poly), weakref.ref(chart), weakref.ref(a_facet)]
+            del poly, newest, chart, a_facet
     finally:
         gc.enable()
 
