@@ -18,12 +18,19 @@ facets but the i-th, with edge generators w_k - w_i (k != i) and w_i.
 Everything is read off the integer vertex table (D, X) and the tight
 sets, in int: edge lengths and the base offset are ints over D, and with
 eps = p / q the interaction test t <= 2 * eps is q t <= 2 p D.  Every chop
-hands the polytope one row claim over the scale q D: the rows q X_k it
-keeps, with the parent's tight sets, and q X_k + p D w_i for each created
-vertex, with edge generators; the new facets are appended, so kept tight
-sets are unchanged.  Per chopped corner only n + 2 Fractions are built:
-the corner's point and depth bound for its ``BlowupSpec``, and the new
-facet's offset.  A point asked for is found by scaling it by D and
+hands the polytope one row claim over the child's own scale q D / g,
+g = gcd(q, D): the rows (q / g) X_k it keeps, with the parent's tight
+sets, and (q / g) X_k + (p D / g) w_i for each created vertex, with edge
+generators; the new facets are appended, so kept tight sets are
+unchanged.  So ``_set_vertices`` finds gcd 1 and divides nothing out:
+over q D, any common divisor G of the scale and the rows divides
+gcd(q, D).  The differences p D (w_i - w_1) of a corner's created rows
+have entries with gcd p D, since w_1 and the w_i - w_1 form a basis of
+the lattice (n >= 2), so G divides p D, and then q X_c; it divides every
+q X_k and q D, so q gcd(D, X) = q, the parent's table being reduced; and
+gcd(q, p D) = gcd(q, D), as gcd(p, q) = 1.  Per chopped corner only
+n + 2 Fractions are built: the corner's point and depth bound for its
+``BlowupSpec``, and the new facet's offset.  A point asked for is found by scaling it by D and
 looking it up in the table.
 
 Both tight sets follow from the two checks that stay explicit.  Below
@@ -39,6 +46,7 @@ work in all.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import add, mul, sub
 from typing import Sequence
@@ -148,8 +156,11 @@ def _chop(
             )
     facets = list(poly.facets)
     kept = [k for k in range(len(table)) if k not in order]
-    # Over q D, X_k / D is q X_k, and X_k / D + eps * w is q X_k + p D w.
-    lift, step = q.__mul__, (p * scale).__mul__
+    # Over q D / g, X_k / D is (q / g) X_k, and X_k / D + eps * w is
+    # (q / g) X_k + (p D / g) w; g = gcd(q, D) is the gcd of q D and every
+    # entry of these rows over q D (module docstring).
+    g = math.gcd(q, scale)
+    lift, step = (q // g).__mul__, (p * scale // g).__mul__
     rows = [tuple(map(lift, table[k])) for k in kept]
     tight = [poly.vertex_facets[k] for k in kept]
     generators = [poly.cones[k].generators for k in kept]
@@ -165,7 +176,7 @@ def _chop(
             generators.append((*[tuple(map(sub, g, w)) for g in others], w))
             tight.append(active[:i] + active[i + 1 :] + new)
     return DelzantPolytope._from_claimed_vertices(
-        poly.dim, tuple(facets), q * scale, rows, tight, generators
+        poly.dim, tuple(facets), q * scale // g, rows, tight, generators
     )
 
 

@@ -32,7 +32,7 @@ from .errors import (
 from .extremal import AffineFunction, _affine, _chart_image, _solve, restrict_affine
 from .linalg import Matrix, Vector, nullspace, project_onto_columns, rank
 from .moments import _mass_rule, _sums
-from .polytope import DelzantPolytope, FacetChart, _facet_chart, _ridge_facets
+from .polytope import _MAX_DIM, DelzantPolytope, FacetChart, _facet_chart, _ridge_facets
 from .rational import parse_rational
 from .record import Record
 
@@ -156,7 +156,9 @@ class MomentConfiguration(Record):
     ``points`` are the moment images of the fixed points, ``weights``
     the positive coefficients, ``t_basis`` a tuple of vectors spanning
     the distinguished subspace (possibly empty), and ``eval_matrix``
-    optionally carries evaluation data for the kernel condition.
+    optionally carries evaluation data for the kernel condition.  Points
+    longer than the polytopes' dimension limit, ``polytope._MAX_DIM``, are
+    refused (ValueError) before any power or rank is taken.
     """
 
     n: int
@@ -174,6 +176,8 @@ class MomentConfiguration(Record):
         dim = len(points[0])
         if dim == 0:
             raise ValueError("points must have at least one coordinate")
+        if dim > _MAX_DIM:
+            raise ValueError(f"dimension {dim} exceeds the limit of {_MAX_DIM}")
         if any(len(p) != dim for p in points):
             raise DimensionMismatch("all points must have the same length")
         weights = tuple(Fraction(w) for w in self.weights)

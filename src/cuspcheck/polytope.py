@@ -43,7 +43,8 @@ walk's complete vertex set it is a ray, and over a claimed polytope's
 bounded polyhedron it ends in an unclaimed vertex.
 
 ``_set_vertices`` divides the gcd of the scale and every entry out, so
-each table is the same whichever path built it.  Every exact test of
+each table is the same whichever path built it; a chop hands rows over
+the child's own scale, whose gcd is 1, and nothing is divided.  Every exact test of
 vertices against facets reads it in int: a height <u, v> >= c is
 <r u, D v> >= r D c, r being whatever of c's denominator D does not
 clear.  These height rows over D are worked out once per build, by
@@ -243,7 +244,8 @@ def _height_rows(
 # and about a second (2-CPU Linux machine); round 11 would take 2.1e6.
 _MAX_WALK_STEPS = 1_500_000
 
-# Dimensions past this are refused before any vertex is sought.  Cost
+# Dimensions past this are refused before any vertex is sought, and
+# moment configurations with longer points before any rank is taken.  Cost
 # grows steeply with n even on small polytopes: a check of the divisor
 # condition on the unit cube, 2n facets, takes 0.03 s in 6D, 0.3 s in 7D,
 # 2.7 s in 8D and 34 s in 9D, and on the 40-dimensional unit simplex, a
@@ -657,15 +659,18 @@ class DelzantPolytope(Record):
         tables are the only vertex data stored; the records of ``vertices``
         are read off them.  The table is D, ``scale`` with its gcd with
         every entry divided out, so the lcm of the vertex denominators, and
-        the points D * v, sorted.  Each facet a tight set names is checked
+        the points D * v, sorted; the rows are divided only when that gcd
+        is above 1.  Each facet a tight set names is checked
         tight in int on its height row, and InvariantViolation, a defect of
         the caller, is raised otherwise; no point is swept against every
         facet.
         """
         g = math.gcd(scale, *itertools.chain.from_iterable(rows))
-        scale //= g
+        if g > 1:
+            scale //= g
+            rows = [tuple(x // g for x in row) for row in rows]
         order = sorted(range(len(rows)), key=rows.__getitem__)
-        table = tuple(tuple(x // g for x in rows[k]) for k in order)
+        table = tuple(tuple(rows[k]) for k in order)
         heights = _height_rows(
             [f.normal for f in self.facets], [f.offset for f in self.facets], scale
         )

@@ -159,6 +159,20 @@ def unit_simplex_document(n: int) -> dict:
     return {"dim": n, "facets": facets}
 
 
+def spanning_configuration_document(d: int) -> dict:
+    """A d-dimensional moment configuration that satisfies every
+    hypothesis: the unit points with weights 1, ..., d, the standard basis,
+    and one evaluation row of ones."""
+    unit = [[int(i == j) for j in range(d)] for i in range(d)]
+    return {
+        "n": 3,
+        "points": unit,
+        "weights": [str(k + 1) for k in range(d)],
+        "t_basis": unit,
+        "eval_matrix": [[1] * d],
+    }
+
+
 def unit_cube(n: int) -> DelzantPolytope:
     """0 <= x_i <= 1, top facets labelled 'top{i}'."""
     facets = []

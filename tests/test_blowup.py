@@ -1,6 +1,8 @@
 """Corner chops, Seshadri-type bounds, and the symmetric tower."""
 
 import copy
+import itertools
+import math
 import sys
 from fractions import Fraction
 
@@ -8,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_fractions, interval, row_claim, unit_cube, unit_simplex
+from conftest import (
+    count_fractions,
+    interval,
+    row_claim,
+    tower_rounds,
+    unit_cube,
+    unit_simplex,
+)
 from cuspcheck import (
     BlowupSpec,
     ChopTooDeep,
@@ -573,6 +582,38 @@ def test_each_build_works_out_the_table_height_rows_once(monkeypatch):
     scales.clear()
     chopped = blow_up_vertex(cube, (0, 0, 0), Fraction(1, 5))
     assert scales == [5] == [chopped.scaled_vertices[0]]
+
+
+def test_every_chop_hands_rows_over_the_childs_own_scale(monkeypatch):
+    # A chop at eps = p / q over a parent table (D, X) hands its rows over
+    # q D / gcd(q, D), so their gcd with the scale is 1 and _set_vertices
+    # divides nothing out: the corpus towers, and single chops whose q
+    # shares a factor with D.
+    from test_obstruction import _load_corpus, _tower
+
+    gcds = []
+    claimed = DelzantPolytope._from_claimed_vertices
+
+    def spy(dim, facets, scale, rows, *rest):
+        gcds.append(math.gcd(scale, *itertools.chain.from_iterable(rows)))
+        return claimed(dim, facets, scale, rows, *rest)
+
+    monkeypatch.setattr(DelzantPolytope, "_from_claimed_vertices", staticmethod(spy))
+    chops = len(tower_rounds()) + len(_tower(3, 4))
+    corpus = _load_corpus()
+    for seed in range(1, 6):
+        for doc in corpus.seeded_tower_bases(seed).values():
+            base = DelzantPolytope.from_data(doc)
+            rounds = corpus.SEEDED_TOWER_ROUNDS[base.dim]
+            chops += len(_tower(base.dim, rounds, base))
+    base = DelzantPolytope(
+        2, (Facet((1, 0), 0), Facet((0, 1), 0), Facet((-1, -1), Fraction(-1, 3), label="hyp"))
+    )
+    for eps in (Fraction(1, 12), Fraction(1, 6), Fraction(2, 9), Fraction(1, 7)):
+        chopped = blow_up_vertex(base, (0, 0), eps)
+        assert chopped.scaled_vertices[0] == math.lcm(3, eps.denominator)
+        chops += 1
+    assert len(gcds) == chops and set(gcds) == {1}
 
 
 def test_each_tower_chop_matches_the_scan_of_its_facets():

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import cuspcheck
-from conftest import unit_simplex_document
+from conftest import spanning_configuration_document, unit_simplex_document
 from cuspcheck import cli, polytope
 
 DATA = Path(__file__).parent / "data"
@@ -290,6 +290,21 @@ def test_exit_one_on_a_dimension_over_the_limit(tmp_path, capsys):
     assert out == ""
     assert err == "error at /: dimension 80 exceeds the limit of 8\n"
     assert best < 0.05
+
+
+def test_check_hypotheses_exits_one_on_a_dimension_over_the_limit(tmp_path, capsys):
+    # A configuration longer than the polytopes' dimension limit is an input
+    # error; one at the limit is checked.
+    for d, expected in ((9, 1), (8, 0)):
+        doc = tmp_path / f"config{d}.json"
+        doc.write_text(json.dumps(spanning_configuration_document(d)))
+        code, out, err = run_cli(capsys, ["check-hypotheses", str(doc)])
+        assert code == expected
+        if code:
+            assert out == ""
+            assert err == "error at /: dimension 9 exceeds the limit of 8\n"
+        else:
+            assert json.loads(out)["result"]["satisfied"] is True
 
 
 def test_constant_tower_parameter_is_not_copied_per_round():

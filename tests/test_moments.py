@@ -777,6 +777,55 @@ def test_body_sums_by_cones_match_full_determinants(build, monkeypatch, cold_sto
     assert sizes and max(sizes) <= 4
 
 
+def _assert_sweep_matches_lone_facets(poly):
+    # A sweep gathers the simplices of every facet fan into flat lists; a
+    # facet asked for on its own is integrated over its own fan.  Each
+    # facet's sums in a sweep, asked with the body or with the boundary,
+    # must equal the facet integrated alone, key order included, and the
+    # boundary must be the lone facets' sums of degree <= 1, each lifted by
+    # L / |u_c|, L the lcm of the facet masses |u_c|.
+    facets = [(i,) for i in range(len(poly.facets))]
+    masses = [_mass_rule([f.normal], poly.dim)[0] for f in poly.facets]
+    top = math.lcm(*masses)
+    for degree in (1, 2, 3):
+        alone = {d: _integrate(poly, degree, [d])[d] for d in facets}
+        for sweep in ([(), *facets], [None, *facets[::-1]], [(), facets[-1]]):
+            swept = _integrate(poly, degree, sweep)
+            assert set(swept) == {(), None, *sweep}
+            for d in sweep:
+                if d:
+                    assert swept[d] == alone[d], (d, degree)
+                    assert list(swept[d][0]) == list(alone[d][0]), (d, degree)
+            raw, scale = swept[None]
+            assert list(raw) == [(), *((c,) for c in range(poly.dim))]
+            for m in raw:
+                assert raw[m] == sum(
+                    alone[d][0][m] * (top // mass) for d, mass in zip(facets, masses)
+                ), (m, degree)
+            for d, mass in zip(facets, masses):
+                assert scale == tuple(x * (top // mass) for x in alone[d][1][:2]), (d, degree)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@given(data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_sweep_sums_equal_each_facet_integrated_alone(n, data):
+    _assert_sweep_matches_lone_facets(data.draw(framed_chopped(n)))
+
+
+def test_sweep_sums_equal_each_facet_integrated_alone_on_seeded_inputs():
+    from test_obstruction import _load_corpus, _tower
+
+    corpus = _load_corpus()
+    polys = [_pyramid(), _skew_triangle(), _chopped_five_simplex(), unit_cube(4)]
+    polys += list(tower_rounds()[:6]) + _tower(3, 3)
+    for seed in (1, 2, 3):
+        polys += [DelzantPolytope.from_data(item["doc"]) for item in corpus.seeded_checks(seed)]
+    assert {poly.dim for poly in polys} == {2, 3, 4, 5}
+    for poly in polys:
+        _assert_sweep_matches_lone_facets(poly)
+
+
 def test_integrate_refuses_degree_four(triangle):
     with pytest.raises(InvariantViolation):
         _integrate(triangle, 4)

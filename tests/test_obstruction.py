@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_fractions, tower_rounds, unit_cube, unit_simplex
+from conftest import (
+    count_fractions,
+    spanning_configuration_document,
+    tower_rounds,
+    unit_cube,
+    unit_simplex,
+)
 from cuspcheck import (
     DelzantPolytope,
     DimensionMismatch,
@@ -621,6 +627,25 @@ def test_configuration_with_oversized_weight_powers_refused():
     # Weights equal to one have powers of one bit at any n.
     ones = MomentConfiguration.from_data({**doc, "n": 10**400, "weights": [1, 1]})
     assert check_balance(ones).satisfied
+
+
+def test_configuration_dimension_over_the_limit_is_refused(monkeypatch):
+    # Points longer than the polytopes' dimension limit are refused before
+    # any rank or weight power is taken, also when the powers would be
+    # over their own budget; a configuration at the limit is checked.
+    def refuse(*args):
+        raise AssertionError("a rank was taken")
+
+    monkeypatch.setattr(obstruction, "rank", refuse)
+    for d, extra in ((9, {}), (160, {"n": 10**7, "weights": ["3/2"] * 160})):
+        doc = {**spanning_configuration_document(d), **extra}
+        with pytest.raises(InputValidationError) as err:
+            MomentConfiguration.from_data(doc)
+        assert err.value.errors == [("", f"dimension {d} exceeds the limit of 8")]
+    monkeypatch.undo()
+    config = MomentConfiguration.from_data(spanning_configuration_document(8))
+    assert config.dimension == 8
+    assert check_hypotheses(config).satisfied
 
 
 def test_toric_configuration_auto_fill(triangle):

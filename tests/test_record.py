@@ -123,21 +123,29 @@ def test_excluded_facet_is_not_integrated(monkeypatch, cold_store):
     # The pair's boundary is the whole boundary, summed in the sweep that
     # integrates the body, minus the excluded facet.  So the excluded facet
     # gets no pass of its own: its sums come from the minors that the sweep
-    # takes once per facet fan, and no kept facet is integrated on its own.
+    # takes once over all the facet fans, each fan once, and no facet is
+    # integrated on its own, which would take its minors by ``_minors``.
     cube = unit_cube(3)
-    swept = []
-    minors = moments._minors
+    swept, alone = [], []
+    fan_minors, minors = moments._fan_minors, moments._minors
     monkeypatch.setattr(
-        moments, "_minors", lambda table, fan, keep: swept.append(fan) or minors(table, fan, keep)
+        moments,
+        "_fan_minors",
+        lambda table, columns, fans, drops: swept.append(fans)
+        or fan_minors(table, columns, fans, drops),
+    )
+    monkeypatch.setattr(
+        moments, "_minors", lambda table, fan, keep: alone.append(fan) or minors(table, fan, keep)
     )
     extremal._affine(cube, [2])
-    assert [id(fan) for fan in swept] == [id(fan) for fan in moments._triangulate(cube)[0]]
+    ((fans,),) = [swept]
+    assert sorted(map(id, fans)) == sorted(map(id, moments._triangulate(cube)[0]))
     assert set(moments._triangulate(cube)[1]) == {(), None, (2,)}
     # The report's right-hand side is read off the same boundary domain,
     # so the report integrates no kept facet either.
     extremal_affine(cube, [2])
     assert set(moments._triangulate(cube)[1]) == {(), None, (2,)}
-    assert len(swept) == 6
+    assert len(swept) == 1 and len(fans) == 6 and alone == []
 
 
 def test_checking_every_facet_integrates_the_body_once(monkeypatch, cold_store):
