@@ -543,13 +543,14 @@ def _integrate(
     per quantity.  A loop over the facets paid a mass rule, a ``_minors``
     call and a handful of small lists per facet, and a 2D facet holds one
     simplex, so the per-facet overhead was most of the sweep: the 2D
-    tower's round-10 sweep (1026 facets) took 7.6 ms in such a loop and
-    takes 2.9 ms flat.  The small lists are freed as soon as they are
-    read, so they did not add collector passes: those come from the cone
+    tower's round-10 sweep (1026 facets) took 7.1-7.5 ms in such a loop
+    and takes 2.7-3.3 ms flat (best of 15 timed runs, 2-CPU Linux
+    machine).  The small lists are freed as soon as they are read, so
+    they did not add collector passes: those come from the cone
     simplices, one tuple each, which both gatherings build.  The other
-    domains, a lone facet and the ridges that a divisor check asks for,
-    are integrated one by one, each over its own fan; the warm divisor
-    checks of a tower ask for nothing else.
+    domains, a lone facet and the ridges that the divisor check of an
+    already swept polytope asks for, are integrated one by one, each over
+    its own fan.
     """
     if degree > 3:
         raise InvariantViolation(f"the simplex moments are exact to degree 3, not {degree}")
