@@ -25,7 +25,8 @@ class DegeneratePolytope(InvalidPolytope):
 
 class PolytopeTooLarge(InvalidPolytope):
     """The input asks for more work than allowed: its dimension is over
-    the limit, or finding its vertices passes the vertex walk's budget."""
+    the limit, finding its vertices passes the vertex walk's budget, or
+    triangulating its faces passes the fan's."""
 
 
 class DegenerateFacet(CuspcheckError):

@@ -66,14 +66,24 @@ gathered into one list, those of the facets that miss vertex 0 first,
 and each quantity (the facets' mass rules, the minors, the vertex sums,
 the boundary's lift and the cones' |det|) is taken in one pass over all
 of them; the body, the boundary and each facet asked for are then one
-``_raw`` call each, a facet on its slice of the lists.  A loop over the
+``_raw`` call each, a facet on its slice of the lists.  No cone simplex
+is listed: the body's ``_raw`` call reads the far facets' simplices with
+vertex 0 as their apex, which lies in every cone, so its per-vertex weight
+is the sum of the cones' |det| and its degree-3 cross weight is the sum
+of |det| S over them, the body's first-moment sums.  A loop over the
 facets paid its call and list overhead once per facet, and a 2D facet
 holds one simplex.  The minors of edges and triangles (n = 2, 3) are
 taken in closed form in that pass; every minor the kernel takes is at
 most (n-1) x (n-1), closed-form in ``det_int`` up to n = 5.
 
 The fans' faces are vertex index sets of the incidence table
-(``facet_vertices``).  On a simple polytope (``DelzantPolytope.simple``,
+(``facet_vertices``).  Their work is bounded: a pulling fan has up to
+(n-1)! simplices per vertex of a cube-like facet, so the facet fans of
+one ``_triangulate`` call, or the ridge fans of one ``_integrate`` call,
+may hold at most ``polytope._MAX_FAN_SIMPLICES`` simplices, counted as
+each face's fan is made; past it PolytopeTooLarge is raised, which the
+command line reports with exit 1.  The polytope stays built, so its
+vertices are still listed.  On a simple polytope (``DelzantPolytope.simple``,
 as every smooth one is) a face's facets are its intersections with the
 facets tight at its vertices, read off the tight sets; otherwise each is
 tested by ``face_dim``.
@@ -125,7 +135,8 @@ from fractions import Fraction
 from operator import itemgetter, mul, sub
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DimensionMismatch, InvariantViolation, UnsupportedDegree
+from . import polytope
+from .errors import DimensionMismatch, InvariantViolation, PolytopeTooLarge, UnsupportedDegree
 from .linalg import Matrix, Vector, det_int, dot
 from .polytope import DelzantPolytope
 from .record import Record
@@ -318,6 +329,12 @@ def _fan(
     return memo[face]
 
 
+# Past ``polytope._MAX_FAN_SIMPLICES`` simplices in the facet fans of one
+# ``_triangulate`` call, or in the ridge fans of one ``_integrate`` call,
+# counted as each face's fan is made, the call is refused.
+_FAN_LIMIT = "the fan triangulation exceeds its limit of {} simplices"
+
+
 # One entry: the readers integrate one polytope at a time, and a long run
 # (a chop tower) keeps no earlier round alive.
 @functools.lru_cache(maxsize=1)
@@ -331,7 +348,14 @@ def _triangulate(poly: DelzantPolytope) -> tuple[tuple[Simplices, ...], dict[Dom
     per-vertex weights are kept, since a domain is integrated once per
     degree, so they would never be read again."""
     memo: dict[frozenset[int], Simplices] = {}
-    return tuple(_fan(poly, face, poly.dim - 1, memo) for face in poly.facet_vertices), {}
+    left = polytope._MAX_FAN_SIMPLICES
+    fans = []
+    for face in poly.facet_vertices:
+        fans.append(_fan(poly, face, poly.dim - 1, memo))
+        left -= len(fans[-1])
+        if left < 0:
+            raise PolytopeTooLarge(_FAN_LIMIT.format(polytope._MAX_FAN_SIMPLICES))
+    return tuple(fans), {}
 
 
 def _idot(a: Iterable[int], b: Iterable[int]) -> int:
@@ -422,14 +446,24 @@ def _scale(k: int, mass: int, lcm: int, degree: int) -> tuple[int, ...]:
 
 
 def _raw(
-    table: Sequence[Sequence[int]], simplices: Simplices, dets: list[int], sums: list, degree: int
+    table: Sequence[Sequence[int]],
+    simplices: Simplices,
+    dets: list[int],
+    sums: list,
+    degree: int,
+    apex: int | None = None,
 ) -> dict[tuple[int, ...], int]:
     """The raw sums of one domain to ``degree``, from the |det| and the
     vertex sum S of each of its simplices (``sums`` holds the columns of
     the S), by the simplex moments of the module docstring: the first
     moments are sum_s |det| S; from degree 2 each |det| goes into the
     weight w_p of each of the simplex's vertices, and from degree 3 its
-    |det| S into the cross weight."""
+    |det| S into the cross weight.
+
+    With ``apex``, each simplex of the domain is the cone from that vertex
+    over the one listed, and S includes the apex: the apex lies in every
+    simplex, so its weight is sum_s |det|, and its cross weight
+    sum_s |det| S, the first-moment sums; no cone is listed."""
     raw = {(): sum(dets)}
     if degree == 0:
         return raw
@@ -438,7 +472,7 @@ def _raw(
     for i, column in enumerate(det_sums):
         raw[i,] = sum(column)
     if degree > 1:
-        weight: dict[int, int] = {}
+        weight: dict[int, int] = {} if apex is None else {apex: raw[()]}
         for s, d in zip(simplices, dets):
             for i in s:
                 weight[i] = weight.get(i, 0) + d
@@ -448,6 +482,8 @@ def _raw(
             raw[i, j] = _idot(det_sums[i], sums[j]) + _idot(weighted[i], points[j])
     if degree > 2:
         cross = {i: [0] * n for i in weight}
+        if apex is not None:
+            cross[apex] = [raw[i,] for i in range(n)]
         for s, d, *total in zip(simplices, dets, *sums):
             for i in s:
                 cross[i] = [a + d * b for a, b in zip(cross[i], total)]
@@ -476,8 +512,10 @@ def _sweep(
     mass L, the lcm of the facet masses |u_c|, each |C| lifted by L / |u_c|
     and summed to degree <= 1; the cone from vertex 0 over a simplex of a
     facet that misses it is a simplex of the body's fan, with |det| =
-    h |C| / |u_c| by the cone rule and vertex sum S + Q_0.  A facet asked
-    for reads its slice of the flat lists.
+    h |C| / |u_c| by the cone rule and vertex sum S + Q_0.  ``_raw`` takes
+    vertex 0 as the apex of these cones, so it integrates the body on the
+    far facets' simplices and no cone simplex is built.  A facet asked for
+    reads its slice of the flat lists.
     """
     lcm, table = poly.scaled_vertices
     n = poly.dim
@@ -504,13 +542,15 @@ def _sweep(
     # The lattice height of vertex 0 over each facet that misses it.
     heights = [_idot(normals[j], map(sub, table[0], table[fans[j][0][0]])) for j in far]
     split = ends[len(far) - 1]
-    cones = [s + (0,) for s in simplices[:split]]
     cone_dets = [heights[p] * d // masses[p] for d, p in zip(dets, owner[:split])]
     shifted = [[x + q for x in column[:split]] for column, q in zip(sums, table[0])]
     first = min(degree, 1)
     out = {
         None: (_raw(table, (), boundary, sums, first), _scale(n - 1, top, lcm, first)),
-        (): (_raw(table, cones, cone_dets, shifted, degree), _scale(n, 1, lcm, degree)),
+        (): (
+            _raw(table, simplices[:split], cone_dets, shifted, degree, apex=0),
+            _scale(n, 1, lcm, degree),
+        ),
     }
     for j in wanted:
         p = order.index(j)
@@ -545,12 +585,11 @@ def _integrate(
     simplex, so the per-facet overhead was most of the sweep: the 2D
     tower's round-10 sweep (1026 facets) took 7.1-7.5 ms in such a loop
     and takes 2.7-3.3 ms flat (best of 15 timed runs, 2-CPU Linux
-    machine).  The small lists are freed as soon as they are read, so
-    they did not add collector passes: those come from the cone
-    simplices, one tuple each, which both gatherings build.  The other
-    domains, a lone facet and the ridges that the divisor check of an
-    already swept polytope asks for, are integrated one by one, each over
-    its own fan.
+    machine).  No cone simplex is built: ``_raw`` takes vertex 0 as the
+    apex of the body's cones.  The other domains, a lone facet and the
+    ridges that the divisor check of an already swept polytope asks for,
+    are integrated one by one, each over its own fan; their fans share one
+    memo and one fan budget per call.
     """
     if degree > 3:
         raise InvariantViolation(f"the simplex moments are exact to degree 3, not {degree}")
@@ -561,6 +600,7 @@ def _integrate(
     lcm, table = poly.scaled_vertices
     n = poly.dim
     memo: dict[frozenset[int], Simplices] = {}
+    left = polytope._MAX_FAN_SIMPLICES
     for domain in domains:
         if domain in out:
             continue
@@ -570,6 +610,9 @@ def _integrate(
         else:
             face = frozenset.intersection(*[poly.facet_vertices[i] for i in domain])
             simplices = _fan(poly, face, k, memo)
+            left -= len(simplices)
+            if left < 0:
+                raise PolytopeTooLarge(_FAN_LIMIT.format(polytope._MAX_FAN_SIMPLICES))
         mass, keep = _mass_rule([poly.facets[i].normal for i in domain], n)
         dets = _minors(table, simplices, keep)
         sums = list(zip(*[map(sum, zip(*map(table.__getitem__, s))) for s in simplices]))

@@ -36,11 +36,13 @@ generators; ``facet_polytope`` maps the parent's rows on the facet
 through the dual of its chart frame, each tight on the parent's ridge
 facets there.  Each named tight facet is checked in int and no point is
 swept against every facet, so a derived build costs O(V * n^2), against
-O(E * m) ratio-test reads for the walk's E edges.  Both paths run one
-open-edge test, for a ridge of a vertex's active facets tight at no
-other vertex whose line leaves the vertex into the polytope: over the
-walk's complete vertex set it is a ray, and over a claimed polytope's
-bounded polyhedron it ends in an unclaimed vertex.
+O(E * m) ratio-test reads for the walk's E edges.  User input is
+decided by the walk alone: it is empty, its normals do not span, or an
+edge the walk follows meets no row, a ray, which the walk refuses as it
+meets it.  Only a claim runs the open-edge test, for a ridge of a
+vertex's active facets tight at no other vertex whose line leaves the
+vertex into the polytope: over a claimed polytope's bounded polyhedron
+it ends in an unclaimed vertex.
 
 ``_set_vertices`` divides the gcd of the scale and every entry out, so
 each table is the same whichever path built it; a chop hands rows over
@@ -244,6 +246,16 @@ def _height_rows(
 # and about a second (2-CPU Linux machine); round 11 would take 2.1e6.
 _MAX_WALK_STEPS = 1_500_000
 
+# The fan triangulation's work is bounded too, in simplices: those of the
+# facet fans of one ``moments._triangulate`` call, or of the ridge fans of
+# one ``moments._integrate`` call, counted as each face's fan is made.  A
+# pulling fan has up to (n-1)! simplices per vertex of a cube-like facet,
+# so a short accepted document could otherwise ask for a check of minutes:
+# the facet fans of the product of four hexagons (8D, 24 facets) hold
+# 967,680 simplices, at about 1.3 us and 470 B each.  The 8-cube's hold
+# 80,640, triangulated in about 0.1 s (2-CPU Linux machine).
+_MAX_FAN_SIMPLICES = 100_000
+
 # Dimensions past this are refused before any vertex is sought, and
 # moment configurations with longer points before any rank is taken.  Cost
 # grows steeply with n even on small polytopes: a check of the divisor
@@ -402,8 +414,10 @@ def _vertex_walk(
     the same, so it decides emptiness first.  From each vertex popped,
     every (n-1)-subset of its tight set whose kernel line leaves into the
     tangent cone is an edge, and one ratio test over the m rows gives its
-    other end and the end's tight set, or no end, a ray that the
-    open-edge test reports.  At a simple vertex the kernel lines are the
+    other end and the end's tight set, or no end: the edge is a ray, and
+    UnboundedPolytope names its direction, divided by its gcd.  So an
+    unbounded input is refused at the first ray met, and its other
+    vertices are never sought.  At a simple vertex the kernel lines are the
     adjugate columns of its tight rows, and a simple neighbour's are one
     ``_pivot`` away; at a degenerate one they are the subsets' signed
     maximal minors (``_kernel_line``).  A ridge is walked once: after a
@@ -489,7 +503,10 @@ def _vertex_walk(
                 done.add(ridge)
             k, ties = _ratio_test(slacks, rates)
             if k is None:
-                continue
+                g = gcd_vector(z)
+                raise UnboundedPolytope(
+                    f"recession direction {tuple(x // g for x in z)} is unbounded"
+                )
             end = tuple(sorted((*common, *ties)))
             if end in found:
                 continue
@@ -535,13 +552,14 @@ class DelzantPolytope(Record):
     DegeneratePolytope, or DegenerateFacet rather than ever producing an
     invalid instance. The checks run in that order, so an empty
     description is reported as empty even when its recession data also
-    looks unbounded.  The vertex walk decides the first two: phase 1
-    finds no point, so empty, or finds one where the normals do not
-    span, so unbounded; and an open edge at a vertex of the complete
-    vertex set the walk finds is a ray, so unbounded.  An input whose
-    walk would pass ``_MAX_WALK_STEPS`` raises PolytopeTooLarge instead,
-    once the walk passes it; so does a dimension over ``_MAX_DIM``, before
-    any vertex is sought, on both build paths.
+    looks unbounded.  The vertex walk alone decides the first two: phase
+    1 finds no point, so empty, or finds one where the normals do not
+    span, so unbounded; or an edge it follows meets no facet, a ray, so
+    unbounded.  No ridge map and no open-edge test is run on user input.
+    An input whose walk passes ``_MAX_WALK_STEPS`` before it meets a ray
+    raises PolytopeTooLarge instead, once the walk passes it; so does a
+    dimension over ``_MAX_DIM``, before any vertex is sought, on both
+    build paths.
 
     Equality is on (dim, facets), whose hash each instance computes once,
     as ``moments`` looks a polytope up on every integral; a pickle leaves
@@ -555,11 +573,7 @@ class DelzantPolytope(Record):
         normals, offsets = self._check_facets()
         if not normals:
             raise UnboundedPolytope("facet normals do not span the ambient space")
-        heights = self._set_vertices(*_vertex_walk(normals, offsets))[1]
-        edge = self._open_edge(self._ridge_ends())
-        if edge is not None:
-            raise UnboundedPolytope(f"recession direction {edge[1]} is unbounded")
-        self._check_faces(heights)
+        self._check_faces(self._set_vertices(*_vertex_walk(normals, offsets))[1])
 
     @classmethod
     def _from_claimed_vertices(
@@ -580,14 +594,15 @@ class DelzantPolytope(Record):
         where there are none.  The caller guarantees boundedness:
         ``facets`` must include those of a polytope.  ``_set_vertices``
         checks each claimed tight facet in int, O(V * n^2) in all, against
-        O(E * m) for the walk.  Completeness is the open-edge test,
-        since an edge from a claimed vertex to an unclaimed one is open, and
-        a vertex set closed under edges is the whole vertex set: the graph
-        of a polytope is connected (Balinski).  With ``generators`` the cone
-        table is built at once, which checks them and that every point is a
-        vertex; without, as for a facet polytope, whose vertices are its
-        parent's, it waits for first use, as on the walk path.  Any failure
-        raises InvariantViolation; the face checks of the walk path follow.
+        O(E * m) for the walk.  Completeness is the open-edge test, run on
+        this path only, since an edge from a claimed vertex to an unclaimed
+        one is open, and a vertex set closed under edges is the whole vertex
+        set: the graph of a polytope is connected (Balinski).  With
+        ``generators`` the cone table is built at once, which checks them
+        and that every point is a vertex; without, as for a facet polytope,
+        whose vertices are its parent's, it waits for first use, as on the
+        walk path.  Any failure raises InvariantViolation; the face checks
+        of the walk path follow.
         """
         poly = object.__new__(cls)
         object.__setattr__(poly, "dim", dim)
@@ -600,10 +615,10 @@ class DelzantPolytope(Record):
         if any(a == b for a, b in zip(table, table[1:])):
             raise InvariantViolation("a claimed vertex is listed twice")
         ridges = poly._ridge_ends()
-        edge = poly._open_edge(ridges)
-        if edge is not None:
+        ridge = poly._open_edge(ridges)
+        if ridge is not None:
             raise InvariantViolation(
-                f"the edge on facets {list(edge[0])} has 1 claimed endpoints, expected 2"
+                f"the edge on facets {list(ridge)} has 1 claimed endpoints, expected 2"
             )
         if generators is not None:
             cones = poly._vertex_cones([generators[k] for k in order], ridges)
@@ -701,9 +716,10 @@ class DelzantPolytope(Record):
         a claim of n generators gives n^2 products only at a vertex with n
         tight facets, so the list's length checks the shape that a nested
         comparison would.  Other generators are inverted from the normals,
-        and normals that are not inverted must still have rank n.  With no
-        open edge, a simple vertex's ridge active - {i} ends at it and at
-        its neighbour only, so neighbour i is read off the ends that
+        and normals that are not inverted must still have rank n.  On a
+        verified vertex set (the walk's, which met no ray, or a claim with
+        no open edge) a simple vertex's ridge active - {i} ends at it and
+        at its neighbour only, so neighbour i is read off the ends that
         ``_ridge_ends`` listed for that ridge.
         """
         n = self.dim
@@ -747,9 +763,10 @@ class DelzantPolytope(Record):
         none, each facet's face must have dimension n - 1: on a simple
         polytope, any facet tight at a vertex has it, else ``face_dim`` of
         the facet's vertices in the incidence table must be n - 1.  Both
-        constructors call this last, after the open-edge test and the cone
-        table have verified the vertex set that ``face_dim`` relies on; a
-        facet polytope's vertices come verified from its parent.
+        constructors call this last, after the walk, or a claim's open-edge
+        test and cone table, have verified the vertex set that ``face_dim``
+        relies on; a facet polytope's vertices come verified from its
+        parent.
         """
         table = self.scaled_vertices[1]
         total = [sum(column) for column in zip(*table)]
@@ -801,17 +818,16 @@ class DelzantPolytope(Record):
             sides.append(side)
         return ends, sides
 
-    def _open_edge(self, ridges: _Ridges) -> tuple[tuple[int, ...], IntVector] | None:
-        """The first ridge tight at one vertex only whose kernel line
-        leaves it into the polytope, <u, z> >= 0 over the vertex's active
-        normals, as (ridge, z); None if there is none.
+    def _open_edge(self, ridges: _Ridges) -> tuple[int, ...] | None:
+        """The first ridge tight at one vertex only whose kernel line z
+        leaves it into the polytope, <u, z> of one sign over the vertex's
+        active normals u, as the walk tests it; None if there is none.
 
-        The edge along z then has no other vertex, so over a complete
-        vertex set it is a ray, and over a bounded polyhedron its other end
-        is missing.  Only one-ended ridges pay for the kernel line
-        (``_kernel_line``), which dependent normals do not have.  At a
-        vertex the active normals span R^n, so only one of z and -z can
-        leave it, and z needs no sign convention.
+        The completeness test of a claim: over a bounded polyhedron the
+        edge along that line has an end that is not claimed.  User input
+        never runs it, as the walk meets each ray itself.  Only one-ended
+        ridges pay for the kernel line (``_kernel_line``), which dependent
+        normals do not have.
         """
         n = self.dim
         normals = [f.normal for f in self.facets]
@@ -821,10 +837,9 @@ class DelzantPolytope(Record):
             z = _kernel_line([normals[i] for i in ridge], n)
             if z is None:
                 continue
-            active = [normals[i] for i in self.vertex_facets[tight[0]]]
-            for candidate in (z, tuple(-x for x in z)):
-                if all(sum(map(mul, u, candidate)) >= 0 for u in active):
-                    return ridge, candidate
+            signs = [sum(map(mul, normals[i], z)) for i in self.vertex_facets[tight[0]]]
+            if min(signs) >= 0 or max(signs) <= 0:
+                return ridge
         return None
 
     @functools.cached_property

@@ -279,6 +279,34 @@ def hostile_document(m: int) -> dict:
     return {"dim": 4, "facets": [{"normal": list(u), "offset": -1} for u in normals]}
 
 
+def product_document(*factors: DelzantPolytope) -> dict:
+    """The document of the product of these polytopes: each factor's
+    facets, their normals padded with zeros on the other factors'
+    coordinates, factor by factor.  A label l of factor k becomes "k.l".
+    A product of Delzant polytopes is Delzant, and its moments follow from
+    the factors' by Fubini."""
+    dim = sum(p.dim for p in factors)
+    facets, before = [], 0
+    for k, p in enumerate(factors):
+        for f in p.facets:
+            entry = {
+                "normal": [0] * before + list(f.normal) + [0] * (dim - before - p.dim),
+                "offset": str(f.offset),
+            }
+            if f.label is not None:
+                entry["label"] = f"{k}.{f.label}"
+            facets.append(entry)
+        before += p.dim
+    return {"dim": dim, "facets": facets}
+
+
+def hexagon() -> DelzantPolytope:
+    """The Delzant hexagon 0 <= x, y <= 2, 1 <= x + y <= 3."""
+    normals = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
+    offsets = (0, 1, 0, -2, -3, -2)
+    return DelzantPolytope(2, tuple(Facet(u, c) for u, c in zip(normals, offsets)))
+
+
 def interval(a, b) -> DelzantPolytope:
     return DelzantPolytope(
         1, (Facet((1,), Fraction(a), label="lo"), Facet((-1,), -Fraction(b), label="hi"))

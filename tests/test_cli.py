@@ -15,7 +15,12 @@ from pathlib import Path
 import pytest
 
 import cuspcheck
-from conftest import spanning_configuration_document, unit_simplex_document
+from conftest import (
+    hexagon,
+    product_document,
+    spanning_configuration_document,
+    unit_simplex_document,
+)
 from cuspcheck import cli, polytope
 
 DATA = Path(__file__).parent / "data"
@@ -277,6 +282,26 @@ def test_exit_one_on_a_walk_over_its_budget(tmp_path, capsys, monkeypatch):
     assert "error at /: the vertex walk exceeds its limit of 77 steps" in err
 
 
+def test_exit_one_on_a_fan_over_its_budget(tmp_path, capsys):
+    # The product of four hexagons is a 24-facet document whose facet fans
+    # hold 967,680 simplices, a check of about 30 s and 450 MB.  Its
+    # vertices are listed, and a check is refused once the fans pass the
+    # budget, well within a second.
+    doc = tmp_path / "hexagon4.json"
+    doc.write_text(json.dumps(product_document(*[hexagon()] * 4)))
+    code, out, err = run_cli(capsys, ["vertices", str(doc)])
+    assert code == 0
+    assert len(json.loads(out)["result"]["vertices"]) == 6**4
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["check-obstruction", str(doc), "--facet", "0"])
+    elapsed = time.perf_counter() - start
+    assert code == 1
+    assert out == ""
+    limit = polytope._MAX_FAN_SIMPLICES
+    assert err == f"error: the fan triangulation exceeds its limit of {limit} simplices\n"
+    assert elapsed < 1
+
+
 def test_exit_one_on_a_dimension_over_the_limit(tmp_path, capsys):
     # Refused once the dimension is read, before any vertex is sought.
     doc = tmp_path / "simplex80.json"
@@ -429,7 +454,7 @@ def test_exit_two_on_failed_tower_invariant(capsys, monkeypatch, in_data_dir):
 
     def fails_after_a_chop(poly, ends):
         if len(poly.facets) > 3:
-            return (97, 98), (1, 0)
+            return (97, 98)
         return real(poly, ends)
 
     monkeypatch.setattr(polytope.DelzantPolytope, "_open_edge", fails_after_a_chop)

@@ -28,6 +28,7 @@ from conftest import (
     affine_rank,
     count_fractions,
     interval,
+    product_document,
     tower_rounds,
     unit_cube,
     unit_simplex,
@@ -38,6 +39,7 @@ from cuspcheck import (
     Facet,
     FacetChart,
     Poly2,
+    PolytopeTooLarge,
     UnsupportedDegree,
     apply_unimodular,
     blow_up_vertex,
@@ -50,7 +52,7 @@ from cuspcheck import (
     start_tower,
     tower_step,
 )
-from cuspcheck import moments
+from cuspcheck import moments, polytope
 from cuspcheck.errors import InvariantViolation
 from cuspcheck.linalg import IntVector, Vector, complete_primitive, det_int, dot, gcd_vector
 from cuspcheck.moments import (
@@ -928,3 +930,85 @@ def test_moment_store_answers_do_not_depend_on_order(cold_store):
     cold_store()
     for k in order:
         assert answer(*asks[k]) == fresh[k], asks[k]
+
+
+# --- dimensions 6-8: products against Fubini ---
+
+
+def _fubini(factors):
+    """The volume, first and second moments, and each facet's measure and
+    first moments of the product of ``factors``, in the facet order of
+    ``product_document``, from the factors' own moments by Fubini.  The
+    factors are simplices and intervals, whose moments the sympy and
+    iterated-integral oracles above cover.  Folded one factor at a time:
+    for P x Q, V = V_P V_Q, first moments are blockwise, second moments
+    are V_Q M2(P) and V_P M2(Q) on the diagonal blocks and the products of
+    first moments across them, and a facet F x Q has measure |F| V_Q and
+    first moments (M1(F) V_Q, |F| M1(Q)), as P x G has for a facet G."""
+    volume, first, second, facets = Fraction(1), [], [], []
+    for q in factors:
+        m, b = polytope_moments(q), boundary_moments(q)
+        v, m1, m2 = m.volume, list(m.first_moments), m.second_moments
+        second = [[x * v for x in row] + [a * c for c in m1] for row, a in zip(second, first)]
+        second += [[a * c for c in first] + [x * volume for x in row] for row, a in zip(m2, m1)]
+        facets = [(s * v, [x * v for x in f] + [s * c for c in m1]) for s, f in facets]
+        for g in b.facets:
+            across = [volume * c for c in g.first_moments]
+            facets.append((g.measure * volume, [x * g.measure for x in first] + across))
+        first = [x * v for x in first] + [volume * c for c in m1]
+        volume *= v
+    return volume, first, second, facets
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        lambda: [unit_simplex(2)] * 3,
+        lambda: [unit_simplex(3), unit_simplex(3), interval(0, 1)],
+        lambda: [unit_simplex(2)] * 4,
+    ],
+    ids=["simplex2^3", "simplex3^2xinterval", "simplex2^4"],
+)
+def test_products_match_fubini(factors, cold_store):
+    # One oracle per dimension 6, 7 and 8 for the body, each facet and the
+    # whole boundary: the sweep's, lifted to one mass, and the sum of the
+    # facets integrated one by one, |dP| V_Q + V_P |dQ| for P x Q.
+    factors = factors()
+    poly = DelzantPolytope.from_data(product_document(*factors))
+    volume, first, second, facets = _fubini(factors)
+    m = polytope_moments(poly)
+    assert m.volume == volume
+    assert list(m.first_moments) == first
+    assert [list(row) for row in m.second_moments] == second
+    b = boundary_moments(poly)
+    assert [(f.measure, list(f.first_moments)) for f in b.facets] == facets
+    measure = sum((s for s, _ in facets), Fraction(0))
+    assert b.measure == measure
+    (whole,) = moments._sums(poly, 1, [None])
+    assert moments._value(whole, ()) == measure
+
+
+def test_a_fan_over_its_budget_is_refused(monkeypatch, cold_store):
+    # The 3-cube's facet fans hold 6 * 2 = 12 triangles, and the ridges
+    # of facet 0, four edges, one simplex each.  The budget counts each
+    # triangulating call on its own.
+    cube = unit_cube(3)
+    monkeypatch.setattr(polytope, "_MAX_FAN_SIMPLICES", 11)
+    with pytest.raises(PolytopeTooLarge, match="^the fan triangulation exceeds its limit of 11"):
+        polytope_moments(cube)
+    monkeypatch.setattr(polytope, "_MAX_FAN_SIMPLICES", 12)
+    polytope_moments(cube)
+    ridges = [(0, j) for j in _ridge_facets(cube, 0)]
+    monkeypatch.setattr(polytope, "_MAX_FAN_SIMPLICES", 3)
+    with pytest.raises(PolytopeTooLarge, match="limit of 3 simplices$"):
+        _integrate(cube, 2, ridges)
+    monkeypatch.setattr(polytope, "_MAX_FAN_SIMPLICES", 4)
+    assert len(_integrate(cube, 2, ridges)) == 4
+
+
+def test_the_eight_cube_is_within_the_fan_budget(cold_store):
+    # The 8-cube's facet fans, 16 * 7! = 80,640 simplices, are the largest
+    # the README names as accepted.
+    cube = DelzantPolytope.from_data(product_document(*[unit_cube(2)] * 4))
+    fans = _triangulate(cube)[0]
+    assert sum(map(len, fans)) == 80640 <= polytope._MAX_FAN_SIMPLICES

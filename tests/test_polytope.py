@@ -782,8 +782,10 @@ def _table(claim):
 
 def test_vertex_walk_matches_the_scan():
     # The walk's vertex table and tight sets equal the C(m, n) scan's
-    # wherever the scan finds a vertex, bounded or not.  Where it finds
-    # none, the walk refuses the system as empty exactly when
+    # wherever the scan finds a vertex and the system has no recession
+    # ray.  Where it has one, the walk refuses the system as unbounded at
+    # the first ray it meets, and names it, primitive.  Where the scan
+    # finds no vertex, the walk refuses the system as empty exactly when
     # Fourier-Motzkin elimination finds no point, and otherwise, as the
     # normals then do not span, as unbounded.
     seen = dict.fromkeys(["simple", "degenerate", "unbounded", "empty", "not spanning"], 0)
@@ -791,10 +793,17 @@ def test_vertex_walk_matches_the_scan():
         normals = [f.normal for f in facets]
         offsets = [f.offset for f in facets]
         scanned = vertex_scan(normals, offsets)
+        if scanned is not None and _recession_ray(normals, dim) is not None:
+            with pytest.raises(UnboundedPolytope, match="^recession direction") as info:
+                polytope._vertex_walk(normals, offsets)
+            _assert_names_recession_ray(str(info.value), normals)
+            ray = ast.literal_eval(str(info.value).split("direction ")[1].split(" is")[0])
+            assert gcd_vector(ray) == 1
+            seen["unbounded"] += 1
+            continue
         if scanned is not None:
             assert _table(polytope._vertex_walk(normals, offsets)) == _table(scanned)
             seen["degenerate" if any(len(t) > dim for t in scanned[2]) else "simple"] += 1
-            seen["unbounded"] += _recession_ray(normals, dim) is not None
             continue
         if _fourier_motzkin_feasible([(u, c) for u, c in zip(normals, offsets)], dim):
             assert rank(normals) < dim
@@ -843,6 +852,62 @@ def test_a_walk_over_its_budget_is_refused(monkeypatch):
     monkeypatch.setattr(polytope, "_MAX_WALK_STEPS", 122)
     with pytest.raises(PolytopeTooLarge):
         DelzantPolytope(3, _PYRAMID)
+
+
+def _unbounded_document(m):
+    """``hostile_document(m)`` kept to its normals with first entry <= 0,
+    so -e_1 is a recession direction."""
+    doc = hostile_document(m)
+    doc["facets"] = [f for f in doc["facets"] if f["normal"][0] <= 0]
+    return doc
+
+
+def test_an_unbounded_document_is_refused_at_the_first_ray(monkeypatch):
+    # The 22 facets kept of hostile_document(40) have vertices, and the
+    # walk meets a ray after 1205 steps.  A walk that went on to find
+    # every vertex would spend 5081 and pass a budget of 2000.
+    doc = _unbounded_document(40)
+    monkeypatch.setattr(polytope, "_MAX_WALK_STEPS", 2000)
+    with pytest.raises(InputValidationError) as info:
+        DelzantPolytope.from_data(doc)
+    ((pointer, message),) = info.value.errors
+    assert pointer == ""
+    assert message.startswith("recession direction ")
+    _assert_names_recession_ray(message, [f["normal"] for f in doc["facets"]])
+    monkeypatch.setattr(polytope, "_MAX_WALK_STEPS", 1204)
+    with pytest.raises(InputValidationError) as info:
+        DelzantPolytope.from_data(doc)
+    assert info.value.errors == [("", "the vertex walk exceeds its limit of 1204 steps")]
+
+
+def test_only_a_claim_runs_the_open_edge_test(monkeypatch):
+    # A walked build is decided by the walk: it takes no ridge map and
+    # runs no open-edge test.  A chop's claimed vertex set still does.
+    calls = []
+
+    def spy(name):
+        real = getattr(DelzantPolytope, name)
+
+        def counted(self, *args):
+            calls.append(name)
+            return real(self, *args)
+
+        return counted
+
+    for name in ("_ridge_ends", "_open_edge"):
+        monkeypatch.setattr(DelzantPolytope, name, spy(name))
+    square = unit_cube(2)
+    DelzantPolytope(3, _PYRAMID)
+    with pytest.raises(UnboundedPolytope):
+        DelzantPolytope(2, (Facet((1, 0), 0), Facet((0, 1), 0)))
+    assert calls == []
+    # The cone table takes the ridge map once, on first read.
+    square.cones
+    square.cones
+    assert calls == ["_ridge_ends"]
+    calls.clear()
+    blow_up_vertex(square, (Fraction(0), Fraction(0)), Fraction(1, 2))
+    assert calls == ["_ridge_ends", "_open_edge"]
 
 
 def test_a_dimension_over_the_limit_is_refused_before_any_work():
