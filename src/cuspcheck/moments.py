@@ -80,7 +80,7 @@ The fans' faces are vertex index sets of the incidence table
 (``facet_vertices``).  Their work is bounded: a pulling fan has up to
 (n-1)! simplices per vertex of a cube-like facet, so the facet fans of
 one ``_triangulate`` call, or the ridge fans of one ``_integrate`` call,
-may hold at most ``polytope._MAX_FAN_SIMPLICES`` simplices, counted as
+may hold at most ``_MAX_FAN_SIMPLICES`` simplices, counted as
 each face's fan is made; past it PolytopeTooLarge is raised, which the
 command line reports with exit 1.  The polytope stays built, so its
 vertices are still listed.  On a simple polytope (``DelzantPolytope.simple``,
@@ -135,7 +135,6 @@ from fractions import Fraction
 from operator import itemgetter, mul, sub
 from typing import Iterable, Mapping, Sequence
 
-from . import polytope
 from .errors import DimensionMismatch, InvariantViolation, PolytopeTooLarge, UnsupportedDegree
 from .linalg import Matrix, Vector, det_int, dot
 from .polytope import DelzantPolytope
@@ -329,9 +328,15 @@ def _fan(
     return memo[face]
 
 
-# Past ``polytope._MAX_FAN_SIMPLICES`` simplices in the facet fans of one
-# ``_triangulate`` call, or in the ridge fans of one ``_integrate`` call,
-# counted as each face's fan is made, the call is refused.
+# The fan triangulation's work is bounded, in simplices: past this many in
+# the facet fans of one ``_triangulate`` call, or in the ridge fans of one
+# ``_integrate`` call, counted as each face's fan is made, the call is
+# refused.  A pulling fan has up to (n-1)! simplices per vertex of a
+# cube-like facet, so a short accepted document could otherwise ask for a
+# check of minutes: the facet fans of the product of four hexagons (8D, 24
+# facets) hold 967,680 simplices, at about 1.3 us and 470 B each.  The
+# 8-cube's hold 80,640, triangulated in about 0.1 s (2-CPU Linux machine).
+_MAX_FAN_SIMPLICES = 100_000
 _FAN_LIMIT = "the fan triangulation exceeds its limit of {} simplices"
 
 
@@ -348,13 +353,13 @@ def _triangulate(poly: DelzantPolytope) -> tuple[tuple[Simplices, ...], dict[Dom
     per-vertex weights are kept, since a domain is integrated once per
     degree, so they would never be read again."""
     memo: dict[frozenset[int], Simplices] = {}
-    left = polytope._MAX_FAN_SIMPLICES
+    left = _MAX_FAN_SIMPLICES
     fans = []
     for face in poly.facet_vertices:
         fans.append(_fan(poly, face, poly.dim - 1, memo))
         left -= len(fans[-1])
         if left < 0:
-            raise PolytopeTooLarge(_FAN_LIMIT.format(polytope._MAX_FAN_SIMPLICES))
+            raise PolytopeTooLarge(_FAN_LIMIT.format(_MAX_FAN_SIMPLICES))
     return tuple(fans), {}
 
 
@@ -600,7 +605,7 @@ def _integrate(
     lcm, table = poly.scaled_vertices
     n = poly.dim
     memo: dict[frozenset[int], Simplices] = {}
-    left = polytope._MAX_FAN_SIMPLICES
+    left = _MAX_FAN_SIMPLICES
     for domain in domains:
         if domain in out:
             continue
@@ -612,7 +617,7 @@ def _integrate(
             simplices = _fan(poly, face, k, memo)
             left -= len(simplices)
             if left < 0:
-                raise PolytopeTooLarge(_FAN_LIMIT.format(polytope._MAX_FAN_SIMPLICES))
+                raise PolytopeTooLarge(_FAN_LIMIT.format(_MAX_FAN_SIMPLICES))
         mass, keep = _mass_rule([poly.facets[i].normal for i in domain], n)
         dets = _minors(table, simplices, keep)
         sums = list(zip(*[map(sum, zip(*map(table.__getitem__, s))) for s in simplices]))

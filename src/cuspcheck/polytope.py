@@ -20,12 +20,19 @@ Every build path hands ``_set_vertices`` one claim: a scale, int rows
 over it and their tight sets.  User input (direct construction,
 ``from_data``) finds them by a walk along edges (``_vertex_walk``) on
 the facets' integer rows.  Phase 1, an exact simplex method with
-Bland's rule, finds a first vertex or proves the input empty; when the
-normals do not span R^n there is no vertex, and phase 1 runs on their
-pivot columns, so an input that is not empty is then unbounded.  From
-each vertex, one integer ratio test per edge over the m rows gives the
-edge's other end, as y / d in lowest terms, and its tight set; all are
-put over the lcm of the d.  The walk is complete because the vertices
+Bland's rule, finds a first vertex or proves the input empty, and
+hands over the point alone, since a basic feasible solution with t = 0
+is already a vertex; when the normals do not span R^n there is no
+vertex, and phase 1 runs on their pivot columns, so an input that is
+not empty is then unbounded.  An edge leaves a vertex along the kernel
+line of n - 1 of its tight rows, oriented into the cone of them all
+(``_edge_line``, the one edge rule, which the open-edge test reads
+too); at a simple vertex these lines are the columns of its tableau,
+built fresh from its own tight rows (``_tableau``) or one pivot away
+from a simple neighbour's.  From each vertex, one integer ratio test
+per edge over the m rows gives the edge's other end, as y / d in lowest
+terms, and its tight set; all are put over the lcm of the d.  The walk
+is complete because the vertices
 and bounded edges of a pointed polyhedron form a connected graph
 (Balinski), and its work, bounded by ``_MAX_WALK_STEPS``, grows with the
 edges it follows rather than with the C(m, n) subsets of facets.  A
@@ -40,9 +47,9 @@ O(E * m) ratio-test reads for the walk's E edges.  User input is
 decided by the walk alone: it is empty, its normals do not span, or an
 edge the walk follows meets no row, a ray, which the walk refuses as it
 meets it.  Only a claim runs the open-edge test, for a ridge of a
-vertex's active facets tight at no other vertex whose line leaves the
-vertex into the polytope: over a claimed polytope's bounded polyhedron
-it ends in an unclaimed vertex.
+vertex's active facets tight at no other vertex that ``_edge_line``
+takes as an edge: over a claimed polytope's bounded polyhedron it ends
+in an unclaimed vertex.
 
 ``_set_vertices`` divides the gcd of the scale and every entry out, so
 each table is the same whichever path built it; a chop hands rows over
@@ -246,16 +253,6 @@ def _height_rows(
 # and about a second (2-CPU Linux machine); round 11 would take 2.1e6.
 _MAX_WALK_STEPS = 1_500_000
 
-# The fan triangulation's work is bounded too, in simplices: those of the
-# facet fans of one ``moments._triangulate`` call, or of the ridge fans of
-# one ``moments._integrate`` call, counted as each face's fan is made.  A
-# pulling fan has up to (n-1)! simplices per vertex of a cube-like facet,
-# so a short accepted document could otherwise ask for a check of minutes:
-# the facet fans of the product of four hexagons (8D, 24 facets) hold
-# 967,680 simplices, at about 1.3 us and 470 B each.  The 8-cube's hold
-# 80,640, triangulated in about 0.1 s (2-CPU Linux machine).
-_MAX_FAN_SIMPLICES = 100_000
-
 # Dimensions past this are refused before any vertex is sought, and
 # moment configurations with longer points before any rank is taken.  Cost
 # grows steeply with n even on small polytopes: a check of the divisor
@@ -330,7 +327,7 @@ def _first_vertex(
     d: int,
     cols: Sequence[IntVector],
     spend: Callable[[int], None],
-) -> tuple[list[int], int, list[int], list[int], Sequence[IntVector]] | None:
+) -> tuple[list[int], int, list[int]] | None:
     """A vertex of {x : <a_i, x> >= b_i}, or None if the system is empty.
 
     ``basis`` names n independent rows, of determinant d and adjugate
@@ -339,11 +336,14 @@ def _first_vertex(
     rows as they are, every other row as <a_i, x> + t >= b_i, and t >= 0,
     from the basis and the most violated row, minimising t by the simplex
     method with Bland's rule on columns that ``_pivot`` updates.  The
-    system is empty iff the least t is positive.  Otherwise the row t >= 0
-    is tight, and once it is in the basis (one more pivot, of step 0, if
-    it is not), the other n rows are independent and tight at x, a
-    vertex, and their columns are the others' first n entries.  Returns
-    (y, d, slacks, basis, columns), the slacks <a_i, y> - b_i d in int.
+    system is empty iff the least t is positive.  Otherwise the final
+    basis is a basic feasible solution with t = 0, and x is a vertex
+    (Chvatal, Linear Programming, ch. 8): its n + 1 independent rows are
+    all tight at (x, 0), so whether or not t >= 0 is among them, the
+    normals of the others have rank n.  At t = 0 the lifted slacks are
+    the true ones.  Returns (y, d, slacks), x = y / d and the slacks
+    <a_i, y> - b_i d in int; the caller works out the vertex's own
+    tableau, as no basis is handed over.
     """
     n, m = len(basis), len(rows)
     if d < 0:
@@ -354,7 +354,7 @@ def _first_vertex(
     spend(m)
     worst = min(slacks)
     if worst >= 0:
-        return y, d, slacks, basis, cols
+        return y, d, slacks
     k = slacks.index(worst)
     relaxed = [1] * m
     for i in basis:
@@ -380,25 +380,42 @@ def _first_vertex(
         order[p] = k
     if slacks[m]:
         return None
-    if m not in order:
-        p = next(p for p, col in enumerate(cols) if col[n])
-        cols, scale = _pivot(cols, d, [col[n] for col in cols], p)
-        y, slacks = [x * scale // d for x in y], [s * scale // d for s in slacks]
-        d, order[p] = scale, m
-    q = order.index(m)
-    del order[q], cols[q]
-    return y[:n], d, slacks[:m], order, [col[:n] for col in cols]
+    return y[:n], d, slacks[:m]
 
 
-def _tableau(
-    rows: Sequence[IntVector], d: int, cols: Sequence[Sequence[int]]
-) -> tuple[list[list[int]], int]:
-    """A simple vertex's columns c, each extended to (<a_i, c> over every
-    row a_i, c), and their scale d made positive: a ratio test along c
-    reads its first m entries, and ``_pivot`` carries them along."""
+def _tableau(rows: Sequence[IntVector], tight: Sequence[int]) -> tuple[list[list[int]] | None, int]:
+    """A vertex's tableau, built fresh from its own tight rows: at a simple
+    vertex, whose n tight rows a_j are a basis, their adjugate columns c
+    (``row_basis``), <a_j, c_l> = d delta_jl, with d made positive, each
+    extended to (<a_i, c> over every row a_i, c), so a ratio test along c
+    reads its first m entries and ``_pivot`` carries them along; (None, 0)
+    at a degenerate vertex, which has none."""
+    if len(tight) != len(rows[0]):
+        return None, 0
+    _, d, cols = row_basis([rows[i] for i in tight])
     if d < 0:
         d, cols = -d, [[-x for x in col] for col in cols]
     return [[*[sum(map(mul, u, col)) for u in rows], *col] for col in cols], d
+
+
+def _edge_line(
+    rows: Sequence[IntVector], ridge: Sequence[int], tight: Sequence[int], n: int
+) -> IntVector | None:
+    """The line of the ridge's rows (``_kernel_line``) as an edge leaves
+    a vertex along it, oriented into the cone of the vertex's tight rows,
+    <a_i, z> >= 0 for each; None if the rows are dependent or the line
+    enters that cone neither way.  Scaling a row by a positive number
+    changes neither the line nor a sign, so height rows and normals give
+    the same answer."""
+    z = _kernel_line([rows[i] for i in ridge], n)
+    if z is None:
+        return None
+    signs = [sum(map(mul, rows[i], z)) for i in tight]
+    if min(signs) >= 0:
+        return z
+    if max(signs) <= 0:
+        return tuple(-x for x in z)
+    return None
 
 
 def _vertex_walk(
@@ -411,15 +428,18 @@ def _vertex_walk(
     first n independent rows (``row_basis``) start ``_first_vertex``;
     none found raises EmptyPolytope.  Normals that do not span are then
     UnboundedPolytope: phase 1 runs on their pivot columns, whose image is
-    the same, so it decides emptiness first.  From each vertex popped,
-    every (n-1)-subset of its tight set whose kernel line leaves into the
-    tangent cone is an edge, and one ratio test over the m rows gives its
-    other end and the end's tight set, or no end: the edge is a ray, and
-    UnboundedPolytope names its direction, divided by its gcd.  So an
-    unbounded input is refused at the first ray met, and its other
-    vertices are never sought.  At a simple vertex the kernel lines are the
-    adjugate columns of its tight rows, and a simple neighbour's are one
-    ``_pivot`` away; at a degenerate one they are the subsets' signed
+    the same, so it decides emptiness first.  Phase 1 hands over the first
+    vertex's point and slacks, no basis.  From each vertex popped, every
+    (n-1)-subset of its tight set whose kernel line leaves into the
+    tangent cone (``_edge_line``) is an edge, and one ratio test over the
+    m rows gives its other end and the end's tight set, or no end: the
+    edge is a ray, and UnboundedPolytope names its direction, divided by
+    its gcd.  So an unbounded input is refused at the first ray met, and
+    its other vertices are never sought.  At a simple vertex the kernel
+    lines are the adjugate columns of its tight rows: one ``_pivot`` away
+    from a simple neighbour's, the fast path, and otherwise, at the first
+    vertex or one reached from a degenerate vertex, a fresh ``_tableau``;
+    at a degenerate vertex ``_edge_line`` takes each subset's signed
     maximal minors (``_kernel_line``).  A ridge is walked once: after a
     ratio test every (n-1)-subset of the rows tight along the whole line
     is done, and a vertex whose ridges are all done is not expanded, so
@@ -455,7 +475,7 @@ def _vertex_walk(
     first = _first_vertex(rows, rhs, basis, d, cols, spend)
     if first is None:
         raise EmptyPolytope("no point satisfies all facet inequalities")
-    y, d, slacks, basis, cols = first
+    y, d, slacks = first
     tight = tuple(i for i, s in enumerate(slacks) if not s)
     g = math.gcd(d, *y)
     found = {tight: ([x // g for x in y], d // g)}
@@ -472,16 +492,10 @@ def _vertex_walk(
     def kernel_lines(tight):
         for ridge in itertools.combinations(tight, n - 1):
             spend(len(tight) + n * n)
-            if ridge in done:
-                continue
-            z = _kernel_line([rows[i] for i in ridge], n)
-            if z is None:
-                continue
-            signs = [sum(map(mul, rows[i], z)) for i in tight]
-            if min(signs) >= 0:
-                yield ridge, z, None
-            elif max(signs) <= 0:
-                yield ridge, tuple(-x for x in z), None
+            if ridge not in done:
+                z = _edge_line(rows, ridge, tight, n)
+                if z is not None:
+                    yield ridge, z, None
 
     def expand(state, todo):
         # From a simple vertex, the edges leave along the columns in todo.
@@ -517,12 +531,7 @@ def _vertex_walk(
             found[end] = ([x // g for x in point], -rk * d // g)
             stack.append((end, state, rates, k, p, g))
 
-    if len(tight) == n:
-        # A simple vertex's tight rows are its basis.
-        cols, det = _tableau(rows, d, [cols[basis.index(i)] for i in tight])
-    else:
-        cols, det = None, 0
-    expand((tight, slacks, cols, det), range(n))
+    expand((tight, slacks, *_tableau(rows, tight)), range(n))
     while stack:
         tight, (parent, pslacks, pcols, pdet), rates, k, p, g = stack.pop()
         todo = ()
@@ -533,10 +542,10 @@ def _vertex_walk(
         # Its slacks are sk r - rk s over -rk d, divided by the same gcd.
         sk, rk = pslacks[k], rates[k]
         slacks = [(sk * r - rk * s) // g for s, r in zip(pslacks, rates)]
-        cols, det = None, 0
-        if len(tight) == n and p is None:
-            cols, det = _tableau(rows, *row_basis([rows[i] for i in tight])[1:])
-        elif len(tight) == n:
+        if p is None or len(tight) != n:
+            cols, det = _tableau(rows, tight)
+        else:
+            # A simple neighbour of a simple vertex is one pivot away.
             cols, det = _pivot(pcols, pdet, [col[k] for col in pcols], p)
             order = [*parent[:p], k, *parent[p + 1 :]]
             cols = [cols[j] for j in sorted(range(n), key=order.__getitem__)]
@@ -821,24 +830,22 @@ class DelzantPolytope(Record):
     def _open_edge(self, ridges: _Ridges) -> tuple[int, ...] | None:
         """The first ridge tight at one vertex only whose kernel line z
         leaves it into the polytope, <u, z> of one sign over the vertex's
-        active normals u, as the walk tests it; None if there is none.
+        active normals u; None if there is none.  The test is the walk's
+        own, ``_edge_line``, here on the normals rather than the height
+        rows, which are positive multiples of them.
 
         The completeness test of a claim: over a bounded polyhedron the
         edge along that line has an end that is not claimed.  User input
         never runs it, as the walk meets each ray itself.  Only one-ended
-        ridges pay for the kernel line (``_kernel_line``), which dependent
-        normals do not have.
+        ridges pay for the kernel line, which dependent normals do not
+        have.
         """
         n = self.dim
         normals = [f.normal for f in self.facets]
         for ridge, tight in ridges[0].items():
             if len(tight) != 1:
                 continue
-            z = _kernel_line([normals[i] for i in ridge], n)
-            if z is None:
-                continue
-            signs = [sum(map(mul, normals[i], z)) for i in self.vertex_facets[tight[0]]]
-            if min(signs) >= 0 or max(signs) <= 0:
+            if _edge_line(normals, ridge, self.vertex_facets[tight[0]], n) is not None:
                 return ridge
         return None
 

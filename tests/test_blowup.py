@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from conftest import (
     count_fractions,
     interval,
+    product_document,
     row_claim,
-    tower_rounds,
     unit_cube,
     unit_simplex,
 )
@@ -112,15 +112,15 @@ def test_blow_up_label(triangle):
 
 
 def test_volume_drop_is_chop_simplex_volume():
-    for n in (2, 3):
-        poly = unit_simplex(n)
+    # On unit simplices up to the dimension limit, and on the 6D product of
+    # three triangles, whose corner at the origin is a unit cone too.
+    triangles = DelzantPolytope.from_data(product_document(*[unit_simplex(2)] * 3))
+    for poly in [unit_simplex(n) for n in (2, 3, 6, 7, 8)] + [triangles]:
+        n = poly.dim
         before = polytope_moments(poly).volume
         for eps in (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)):
             after = polytope_moments(blow_up_vertex(poly, (0,) * n, eps)).volume
-            fact = 1
-            for k in range(2, n + 1):
-                fact *= k
-            assert before - after == eps**n / fact
+            assert before - after == eps**n / math.factorial(n)
 
 
 def test_chop_rejections(triangle):
@@ -588,7 +588,8 @@ def test_every_chop_hands_rows_over_the_childs_own_scale(monkeypatch):
     # A chop at eps = p / q over a parent table (D, X) hands its rows over
     # q D / gcd(q, D), so their gcd with the scale is 1 and _set_vertices
     # divides nothing out: the corpus towers, and single chops whose q
-    # shares a factor with D.
+    # shares a factor with D.  Every tower is built here, inside the spy:
+    # the cached ``tower_rounds`` would hide the chops of an earlier test.
     from test_obstruction import _load_corpus, _tower
 
     gcds = []
@@ -599,7 +600,7 @@ def test_every_chop_hands_rows_over_the_childs_own_scale(monkeypatch):
         return claimed(dim, facets, scale, rows, *rest)
 
     monkeypatch.setattr(DelzantPolytope, "_from_claimed_vertices", staticmethod(spy))
-    chops = len(tower_rounds()) + len(_tower(3, 4))
+    chops = len(_tower(2, 8)) + len(_tower(3, 4))
     corpus = _load_corpus()
     for seed in range(1, 6):
         for doc in corpus.seeded_tower_bases(seed).values():

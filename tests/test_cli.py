@@ -21,7 +21,7 @@ from conftest import (
     spanning_configuration_document,
     unit_simplex_document,
 )
-from cuspcheck import cli, polytope
+from cuspcheck import cli, moments, polytope
 
 DATA = Path(__file__).parent / "data"
 
@@ -297,7 +297,7 @@ def test_exit_one_on_a_fan_over_its_budget(tmp_path, capsys):
     elapsed = time.perf_counter() - start
     assert code == 1
     assert out == ""
-    limit = polytope._MAX_FAN_SIMPLICES
+    limit = moments._MAX_FAN_SIMPLICES
     assert err == f"error: the fan triangulation exceeds its limit of {limit} simplices\n"
     assert elapsed < 1
 

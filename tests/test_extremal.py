@@ -13,12 +13,22 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from conftest import count_fractions, interval, is_positive_definite, unit_cube, unit_simplex
+from conftest import (
+    count_fractions,
+    hexagon,
+    interval,
+    is_positive_definite,
+    product_document,
+    unit_cube,
+    unit_simplex,
+)
 from cuspcheck import (
     AffineFunction,
     FacetChart,
+    DelzantPolytope,
     FormalExtensionWarning,
     Poly2,
+    apply_unimodular,
     blow_up_vertex,
     extremal_affine,
     facet_polytope,
@@ -27,7 +37,8 @@ from cuspcheck import (
     restrict_affine,
 )
 
-from cuspcheck.linalg import complete_primitive, dot, gcd_vector
+from cuspcheck.linalg import complete_primitive, dot, gcd_vector, identity_int
+from test_linalg import _random_unimodular
 
 _RNG = random.Random(97531)
 
@@ -151,6 +162,27 @@ def test_gram_is_positive_definite_and_residuals_zero(simplex3):
     assert is_positive_definite(report.gram)
     assert all(r == 0 for r in report.residuals)
     assert len(report.rhs) == 4
+
+
+def test_extremal_affine_is_equivariant_on_a_6d_product():
+    # triangle x hexagon x triangle, one corner chopped, with the chop's
+    # facet excluded: moved by a seeded unimodular T, the affine function
+    # of T P is f(T^-1 x), so T^t g' = g; shifted by s, its gradient is
+    # the same and its constant loses <g, s>.
+    product = DelzantPolytope.from_data(
+        product_document(unit_simplex(2), hexagon(), unit_simplex(2))
+    )
+    poly = blow_up_vertex(product, product.vertices[0].point, Fraction(1, 2))
+    excluded = (len(poly.facets) - 1,)
+    base = extremal_affine(poly, excluded).affine
+    t = _random_unimodular(random.Random(6), 6)
+    moved = extremal_affine(apply_unimodular(poly, t), excluded).affine
+    assert tuple(dot(column, moved.gradient) for column in zip(*t)) == base.gradient
+    assert moved.constant == base.constant
+    shift = (Fraction(1, 2), -1, 0, 2, Fraction(-1, 3), 1)
+    shifted = extremal_affine(apply_unimodular(poly, identity_int(6), shift), excluded).affine
+    assert shifted.gradient == base.gradient
+    assert shifted.constant == base.constant - dot(base.gradient, shift)
 
 
 def test_defining_identity_for_affine_functions(triangle):

@@ -38,6 +38,7 @@ from cuspcheck.linalg import (
     pivot_columns,
     project_onto_columns,
     rank,
+    row_basis,
     solve_linear,
 )
 
@@ -52,7 +53,7 @@ def _to_sympy(m):
     return sympy.Matrix([[sympy.Rational(x) for x in row] for row in m])
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_det_matches_sympy(n):
     for _ in range(25):
         m = _rand_int_matrix(n, n)
@@ -255,6 +256,37 @@ def test_nullspace_matches_sympy_span():
             for sv in _to_sympy(m).nullspace():
                 vec = tuple(Fraction(str(x)) for x in sv)
                 assert rank(list(basis) + [vec]) == len(basis)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_row_basis_and_nullspace_match_sympy(n):
+    # Square matrices past det_int's closed forms, half regular and half of
+    # rank n - 2, row 1 in the span of rows 0 and 2 and the last in that
+    # of rows 2 and 3.  row_basis names the first independent rows, the
+    # pivots of the transpose's rref, and on a regular matrix B gives
+    # sympy's det d and columns C with B C = d I, so adj B; nullspace
+    # spans sympy's null space.
+    rng = random.Random(2026 + n)
+    for k in range(6):
+        m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+        if k % 2:
+            m[1] = [2 * a - b for a, b in zip(m[0], m[2])]
+            m[-1] = [a + 3 * b for a, b in zip(m[2], m[3])]
+        s = _to_sympy(m)
+        pivots, d, cols = row_basis(m)
+        assert pivots == list(s.T.rref()[1])
+        if len(pivots) == n:
+            assert d == s.det() != 0
+            assert s * sympy.Matrix(cols).T == d * sympy.eye(n)
+        else:
+            assert len(pivots) == n - 2 and (d, cols) == (0, None)
+        basis = nullspace(m)
+        assert len(basis) == n - len(pivots) == len(s.nullspace())
+        for v in basis:
+            assert not any(mat_vec(m, v))
+        for sv in s.nullspace():
+            vec = tuple(Fraction(str(x)) for x in sv)
+            assert rank(list(basis) + [vec]) == len(basis)
 
 
 def test_nullspace_of_zero_row_needs_ncols():

@@ -52,7 +52,7 @@ from cuspcheck import (
     start_tower,
     tower_step,
 )
-from cuspcheck import moments, polytope
+from cuspcheck import moments
 from cuspcheck.errors import InvariantViolation
 from cuspcheck.linalg import IntVector, Vector, complete_primitive, det_int, dot, gcd_vector
 from cuspcheck.moments import (
@@ -993,16 +993,16 @@ def test_a_fan_over_its_budget_is_refused(monkeypatch, cold_store):
     # of facet 0, four edges, one simplex each.  The budget counts each
     # triangulating call on its own.
     cube = unit_cube(3)
-    monkeypatch.setattr(polytope, "_MAX_FAN_SIMPLICES", 11)
+    monkeypatch.setattr(moments, "_MAX_FAN_SIMPLICES", 11)
     with pytest.raises(PolytopeTooLarge, match="^the fan triangulation exceeds its limit of 11"):
         polytope_moments(cube)
-    monkeypatch.setattr(polytope, "_MAX_FAN_SIMPLICES", 12)
+    monkeypatch.setattr(moments, "_MAX_FAN_SIMPLICES", 12)
     polytope_moments(cube)
     ridges = [(0, j) for j in _ridge_facets(cube, 0)]
-    monkeypatch.setattr(polytope, "_MAX_FAN_SIMPLICES", 3)
+    monkeypatch.setattr(moments, "_MAX_FAN_SIMPLICES", 3)
     with pytest.raises(PolytopeTooLarge, match="limit of 3 simplices$"):
         _integrate(cube, 2, ridges)
-    monkeypatch.setattr(polytope, "_MAX_FAN_SIMPLICES", 4)
+    monkeypatch.setattr(moments, "_MAX_FAN_SIMPLICES", 4)
     assert len(_integrate(cube, 2, ridges)) == 4
 
 
@@ -1011,4 +1011,4 @@ def test_the_eight_cube_is_within_the_fan_budget(cold_store):
     # the README names as accepted.
     cube = DelzantPolytope.from_data(product_document(*[unit_cube(2)] * 4))
     fans = _triangulate(cube)[0]
-    assert sum(map(len, fans)) == 80640 <= polytope._MAX_FAN_SIMPLICES
+    assert sum(map(len, fans)) == 80640 <= moments._MAX_FAN_SIMPLICES
