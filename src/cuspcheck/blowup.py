@@ -13,21 +13,22 @@ functional at neighbour i minus the base offset; the depth bound is the
 shortest such edge, and two chops interact exactly when an edge of
 length <= 2 * eps joins their corners.  The chop removes v and adds the
 vertices v + eps * w_i, tight on the new facet and on the corner's
-facets but the i-th, with edge generators w_k - w_i (k != i) and w_i.
+facets but the i-th.  No edge generators are claimed: the child reads
+its own cone table off its edge graph, as every build does.
 
 Everything is read off the integer vertex table (D, X) and the tight
 sets, in int: edge lengths and the base offset are ints over D, and with
 eps = p / q the interaction test t <= 2 * eps is q t <= 2 p D.  Every chop
 hands the polytope one row claim over the child's own scale q D / g,
 g = gcd(q, D): the rows (q / g) X_k it keeps, with the parent's tight
-sets, and (q / g) X_k + (p D / g) w_i for each created vertex, with edge
-generators; the new facets are appended, so kept tight sets are
-unchanged.  So ``_set_vertices`` finds gcd 1 and divides nothing out:
-over q D, any common divisor G of the scale and the rows divides
-gcd(q, D).  The differences p D (w_i - w_1) of a corner's created rows
-have entries with gcd p D, since w_1 and the w_i - w_1 form a basis of
-the lattice (n >= 2), so G divides p D, and then q X_c; it divides every
-q X_k and q D, so q gcd(D, X) = q, the parent's table being reduced; and
+sets, and (q / g) X_k + (p D / g) w_i for each created vertex; the new
+facets are appended, so kept tight sets are unchanged.  So
+``_set_vertices`` finds gcd 1 and divides nothing out: over q D, any
+common divisor G of the scale and the rows divides gcd(q, D).  The
+differences p D (w_i - w_1) of a corner's created rows have entries
+with gcd p D, since w_1 and the w_i - w_1 form a basis of the lattice
+(n >= 2), so G divides p D, and then q X_c; it divides every q X_k and
+q D, so q gcd(D, X) = q, the parent's table being reduced; and
 gcd(q, p D) = gcd(q, D), as gcd(p, q) = 1.  Per chopped corner only
 n + 2 Fractions are built: the corner's point and depth bound for its
 ``BlowupSpec``, and the new facet's offset.  A point asked for is found by scaling it by D and
@@ -39,16 +40,16 @@ that edge's facets only.  Every vertex but a corner c lies above the
 facet of the chop at c by at least the shortest edge at c, less eps, so
 a kept vertex is tight on no new facet; with no interacting pair,
 neither is a vertex created at another corner.  The construction checks
-each claimed tight facet and the generators in int, with no sweep of
-every vertex against every facet and no re-enumeration: O(V * n^3) int
-work in all.
+each claimed tight facet in int and reads each vertex's edges off the
+child's table, with no sweep of every vertex against every facet, no
+re-enumeration and no inverted normals: O(V * n^2) int work in all.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import add, mul
 from typing import Sequence
 
 from .errors import (
@@ -136,7 +137,9 @@ def _chop(
     boundary (InteractingChops) exactly when an edge of length t <= 2 * eps
     joins their corners, since the new vertex on it lies t - eps above the
     other chop's base; with eps = p / q and t over D, q t <= 2 p D in int.
-    The first such pair in corner order is reported.
+    The first such pair in corner order is reported.  The claim is the
+    child's rows and tight sets alone: the corner's generators w_i place
+    the created rows and are not handed on.
     """
     order = {k: pos for pos, (k, *_) in enumerate(corners)}
     scale, table = poly.scaled_vertices
@@ -163,7 +166,6 @@ def _chop(
     lift, step = (q // g).__mul__, (p * scale // g).__mul__
     rows = [tuple(map(lift, table[k])) for k in kept]
     tight = [poly.vertex_facets[k] for k in kept]
-    generators = [poly.cones[k].generators for k in kept]
     for (k, normal, base, cone, *_), label in zip(corners, labels):
         active = poly.vertex_facets[k]
         new = (len(facets),)
@@ -172,11 +174,9 @@ def _chop(
         corner = tuple(map(lift, table[k]))
         for i, w in enumerate(cone):
             rows.append(tuple(map(add, corner, map(step, w))))
-            others = cone[:i] + cone[i + 1 :]
-            generators.append((*[tuple(map(sub, g, w)) for g in others], w))
             tight.append(active[:i] + active[i + 1 :] + new)
     return DelzantPolytope._from_claimed_vertices(
-        poly.dim, tuple(facets), q * scale // g, rows, tight, generators
+        poly.dim, tuple(facets), q * scale // g, rows, tight
     )
 
 
@@ -308,8 +308,8 @@ def tower_step(state: TowerState, eps: Fraction) -> TowerState:
     depth bound (ChopTooDeep), then pairwise: two designated corners
     joined by an edge of length at most 2 * eps would share boundary
     (InteractingChops).  The chopped polytope is built from the
-    closed-form int vertex rows, tight sets and edge generators and
-    verified, not re-enumerated.
+    closed-form int vertex rows and tight sets and verified, not
+    re-enumerated; its cone table is read off its own edge graph.
     """
     eps = parse_rational(eps)
     if eps <= 0:

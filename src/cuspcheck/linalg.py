@@ -8,8 +8,11 @@ makes is a minor of the input, so the arithmetic stays in int; rational
 rows are scaled to integers first, and Fractions appear only in the
 answers.
 ``complete_primitive`` runs Euclid on its one column instead.  Matrices
-are tuples of row tuples; sizes are tiny (n <= 5 plus a handful of
-constraints), so asymptotics are irrelevant next to exactness.
+are tuples of row tuples.  A square one has at most 8 rows, the
+dimension limit ``polytope._MAX_DIM``, but a tall one can have many: the
+vertex walk's ``row_basis`` runs on all m facet rows, 1026 of them at
+round 10 of the 2D tower, as n rows of its transpose.  Exactness comes
+first; the elimination's cost grows with m n^2.
 """
 
 from __future__ import annotations
@@ -113,11 +116,14 @@ def _clear_denominators(row: Sequence[Fraction | int]) -> list[int]:
 
 def det_int(m: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix, 1 if it is empty; one up
-    to 4 x 4 in closed form, since each simplex of a triangulation in
-    dimension 2 to 4 (and each facet simplex in dimension 3 to 5) takes
-    one, and a face's mass rule takes its normals' minors.  The 4 x 4
-    form expands along the first row and then the second, over the six
-    2 x 2 minors of the last two rows."""
+    to 4 x 4 in closed form.  Its callers take minors, so up to n = 5
+    every one is closed-form: ``moments._minors`` the (n-1) x (n-1)
+    minors of facet simplices and the (n-2) x (n-2) ones of ridge
+    simplices, ``polytope._kernel_line`` the n signed maximal minors of
+    n - 1 rows, and ``is_delzant`` the n x n determinant of the active
+    normals that its message prints.  The 4 x 4 form expands along the
+    first row and then the second, over the six 2 x 2 minors of the last
+    two rows."""
     if len(m) < 2:
         return m[0][0] if m else 1
     if len(m) == 2:

@@ -5,9 +5,13 @@ inward normals u_i and rational offsets c_i.  Construction validates
 everything: non-emptiness, boundedness, full dimension, and that every
 listed halfspace supports an actual facet.  Vertices are found at
 construction time, so downstream code can treat a DelzantPolytope as a
-fully checked immutable value.  The cone table ``cones``, built on first
-use, stores each vertex's edge generators (Delzant's construction) and
-edge neighbours once for every caller.
+fully checked immutable value.  The cone table ``cones`` stores each
+vertex's edge generators (Delzant's construction) and edge neighbours
+once for every caller.  Every build path reads it by one rule off the
+verified edge graph (``_vertex_cones``): a simple vertex's edges end at
+its neighbours in the integer vertex table, and no normals are
+inverted.  A claim builds it at once, from the ridge map that its
+open-edge test takes; a walked polytope builds it on first use.
 
 The vertex data is stored once, in int: the integer vertex table
 ``scaled_vertices`` holds D, the lcm of the vertex denominators, and the
@@ -38,7 +42,7 @@ and bounded edges of a pointed polyhedron form a connected graph
 edges it follows rather than with the C(m, n) subsets of facets.  A
 polytope derived from a verified parent claims its rows instead
 (``_from_claimed_vertices``): a corner chop (``blowup``) hands its
-parent's rows and the created ones, over one scale, with edge
+parent's rows and the created ones, over one scale, and claims no edge
 generators; ``facet_polytope`` maps the parent's rows on the facet
 through the dual of its chart frame, each tight on the parent's ridge
 facets there.  Each named tight facet is checked in int and no point is
@@ -60,11 +64,11 @@ clear.  These height rows over D are worked out once per build, by
 ``_set_vertices``, which checks each claimed tight facet on them and
 returns them for ``_check_faces`` to test the barycentre on, as
 <r u, sum(X)> = V (r D c) over the V rows X of the table; the polytope
-does not keep them.  A chop's claimed edge generators g_b are checked
-in int too, as one flat list of the products <u_a, g_b> over a vertex's
-tight normals u_a against the identity.  ``_set_vertices`` also
-records, as ``simple``, whether every vertex has exactly n tight facets
-(a smooth polytope's do).
+does not keep them.  The cone table reads the same int table: an edge
+e = X_j - X_k joins two rows that ``_set_vertices`` checked tight on
+the ridge's facets, so one product <u, e> and one gcd per edge decide
+unimodularity.  ``_set_vertices`` also records, as ``simple``, whether
+every vertex has exactly n tight facets (a smooth polytope's do).
 On a simple polytope a face cut out by k facets tight at one of its
 vertices has codimension k (Ziegler, Lectures on Polytopes, ch. 2), so
 the facet test, the ridge rule that ``facet_polytope`` and the divisor
@@ -76,12 +80,11 @@ is taken.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import math
 from fractions import Fraction
-from operator import mul
+from operator import mul, sub
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import schema
@@ -94,7 +97,6 @@ from .errors import (
     InputValidationError,
     InvalidPolytope,
     InvariantViolation,
-    NotUnimodular,
     PolytopeTooLarge,
     UnboundedPolytope,
 )
@@ -105,7 +107,6 @@ from .linalg import (
     det_int,
     dot,
     gcd_vector,
-    identity_int,
     inverse_unimodular,
     is_primitive,
     mat_vec,
@@ -161,7 +162,8 @@ class VertexCone(NamedTuple):
     """Edges at a vertex, in the order of its active facets.
 
     Generator i is the primitive edge direction that leaves the i-th
-    active facet, None unless the vertex is simple and unimodular;
+    active facet, e / gcd(e) for the edge e to neighbour i in the integer
+    vertex table, None unless the vertex is simple and unimodular;
     neighbour i indexes the edge's other end, None unless it is simple.
     """
 
@@ -582,7 +584,7 @@ class DelzantPolytope(Record):
         normals, offsets = self._check_facets()
         if not normals:
             raise UnboundedPolytope("facet normals do not span the ambient space")
-        self._check_faces(self._set_vertices(*_vertex_walk(normals, offsets))[1])
+        self._check_faces(self._set_vertices(*_vertex_walk(normals, offsets)))
 
     @classmethod
     def _from_claimed_vertices(
@@ -592,26 +594,23 @@ class DelzantPolytope(Record):
         scale: int,
         rows: Sequence[IntVector],
         tight: Sequence[tuple[int, ...]],
-        generators: Sequence[tuple[IntVector, ...] | None] | None = None,
     ) -> "DelzantPolytope":
         """Build from claimed vertices, verified.
 
         The claim is the one ``_set_vertices`` takes: the points rows /
         ``scale``, and parallel to them each one's tight facets, in
         increasing order, which the caller derived from verified parent
-        data; ``generators``, parallel too, claims edge generators, None
-        where there are none.  The caller guarantees boundedness:
-        ``facets`` must include those of a polytope.  ``_set_vertices``
-        checks each claimed tight facet in int, O(V * n^2) in all, against
-        O(E * m) for the walk.  Completeness is the open-edge test, run on
-        this path only, since an edge from a claimed vertex to an unclaimed
-        one is open, and a vertex set closed under edges is the whole vertex
-        set: the graph of a polytope is connected (Balinski).  With
-        ``generators`` the cone table is built at once, which checks them
-        and that every point is a vertex; without, as for a facet polytope,
-        whose vertices are its parent's, it waits for first use, as on the
-        walk path.  Any failure raises InvariantViolation; the face checks
-        of the walk path follow.
+        data; no edge generators are claimed.  The caller guarantees
+        boundedness: ``facets`` must include those of a polytope.
+        ``_set_vertices`` checks each claimed tight facet in int,
+        O(V * n^2) in all, against O(E * m) for the walk.  Completeness
+        is the open-edge test, run on this path only, since an edge from
+        a claimed vertex to an unclaimed one is open, and a vertex set
+        closed under edges is the whole vertex set: the graph of a
+        polytope is connected (Balinski).  The cone table is then built at
+        once, from the same ridge map (``_vertex_cones``), which checks
+        that every point is a vertex.  Any failure raises
+        InvariantViolation; the face checks of the walk path follow.
         """
         poly = object.__new__(cls)
         object.__setattr__(poly, "dim", dim)
@@ -619,7 +618,7 @@ class DelzantPolytope(Record):
         poly._check_facets()
         if not rows:
             raise InvariantViolation("no vertices claimed for the polytope")
-        order, heights = poly._set_vertices(scale, rows, tight)
+        heights = poly._set_vertices(scale, rows, tight)
         table = poly.scaled_vertices[1]
         if any(a == b for a, b in zip(table, table[1:])):
             raise InvariantViolation("a claimed vertex is listed twice")
@@ -629,9 +628,7 @@ class DelzantPolytope(Record):
             raise InvariantViolation(
                 f"the edge on facets {list(ridge)} has 1 claimed endpoints, expected 2"
             )
-        if generators is not None:
-            cones = poly._vertex_cones([generators[k] for k in order], ridges)
-            object.__setattr__(poly, "cones", cones)
+        object.__setattr__(poly, "cones", poly._vertex_cones(ridges))
         poly._check_faces(heights)
         return poly
 
@@ -669,15 +666,15 @@ class DelzantPolytope(Record):
 
     def _set_vertices(
         self, scale: int, rows: Sequence[IntVector], tight: Sequence[tuple[int, ...]]
-    ) -> tuple[list[int], list[tuple[IntVector, int]]]:
+    ) -> list[tuple[IntVector, int]]:
         """Store the vertices rows / ``scale``, each tight on the facets
         its entry of ``tight`` names, as the integer vertex table
         ``scaled_vertices``, the tight sets ``vertex_facets`` in table order,
         the incidence table ``facet_vertices``, the vertices tight on each
         facet, and ``simple``, whether every tight set has n facets.
-        Returns the index in ``rows`` of each table row, and the facets'
-        height rows over the table's D (``_height_rows``), which the
-        constructor hands to ``_check_faces``; they are not kept.
+        Returns the facets' height rows over the table's D
+        (``_height_rows``), which the constructor hands to
+        ``_check_faces``; they are not kept.
 
         This is the one vertex contract of every build path, and these
         tables are the only vertex data stored; the records of ``vertices``
@@ -710,56 +707,49 @@ class DelzantPolytope(Record):
         object.__setattr__(self, "vertex_facets", tuple(tight[j] for j in order))
         object.__setattr__(self, "simple", all(len(t) == self.dim for t in tight))
         object.__setattr__(self, "facet_vertices", tuple(map(frozenset, incidence)))
-        return order, heights
+        return heights
 
-    def _vertex_cones(
-        self, claimed: Sequence[tuple[IntVector, ...] | None], ridges: _Ridges
-    ) -> tuple[VertexCone, ...]:
-        """One VertexCone per vertex, from claimed generators parallel to
-        the table (None where none are claimed) and ``_ridge_ends``.
+    def _vertex_cones(self, ridges: _Ridges) -> tuple[VertexCone, ...]:
+        """One VertexCone per vertex, read off the edge graph of a verified
+        vertex set (the walk's, which met no ray, or a claim with no open
+        edge) and its ridge map ``_ridge_ends``.
 
-        A claim must satisfy <u_a, g_b> = delta_ab over the active normals,
-        which holds only at a simple vertex with unimodular normals.  It is
-        checked as one flat list of products, over the active facets a and
-        then the generators b, against the identity flattened row by row;
-        a claim of n generators gives n^2 products only at a vertex with n
-        tight facets, so the list's length checks the shape that a nested
-        comparison would.  Other generators are inverted from the normals,
-        and normals that are not inverted must still have rank n.  On a
-        verified vertex set (the walk's, which met no ray, or a claim with
-        no open edge) a simple vertex's ridge active - {i} ends at it and
-        at its neighbour only, so neighbour i is read off the ends that
-        ``_ridge_ends`` listed for that ridge.
+        A simple vertex k has edge i on the ridge active - {a_i}, and
+        neighbour i is that ridge's other end.  On a verified vertex set
+        each such ridge has two ends; a claimed point that makes a third
+        leaves the vertex unread, and the point's own rank test refuses
+        it.  Both ends are tight on the ridge's facets, checked in int by
+        ``_set_vertices``, so the edge e = X_j - X_k of the integer table
+        has <u_a, e> = 0 for a != a_i: over the active normals N and the
+        primitive edge directions G, N G is diagonal, with positive
+        integers on it.  So N is unimodular iff each is 1, that is iff
+        <u_{a_i}, e> = gcd(e) for every i, and then generator i is
+        e / gcd(e), with no identity check.  A vertex that gets no
+        generators must still have active normals of rank n.
         """
         n = self.dim
-        identity = list(itertools.chain.from_iterable(identity_int(n)))
         normals = [f.normal for f in self.facets]
-        generators = []
-        for k, (active, cone) in enumerate(zip(self.vertex_facets, claimed)):
-            if cone is None and len(active) == n:
-                with contextlib.suppress(NotUnimodular):
-                    cone = transpose(inverse_unimodular([normals[i] for i in active]))
-            elif cone is not None and (
-                len(cone) != n
-                or identity != [sum(map(mul, normals[i], g)) for i in active for g in cone]
-            ):
-                raise InvariantViolation(
-                    "claimed vertex set fails the vertex test: edge generators "
-                    f"{list(cone)} do not invert the normals of facets "
-                    f"{list(active)} at {format_rational_vector(self._point(k))}"
-                )
-            if cone is None and rank([normals[i] for i in active]) != n:
+        table = self.scaled_vertices[1]
+        cones = []
+        for k, (active, side) in enumerate(zip(self.vertex_facets, ridges[1])):
+            generators = neighbours = None
+            if len(active) == n and all(len(ends) == 2 for ends in side):
+                # combinations drop the last active facet first.
+                neighbours = tuple(sum(ends) - k for ends in reversed(side))
+                edges = []
+                for a, j in zip(active, neighbours):
+                    e = tuple(map(sub, table[j], table[k]))
+                    t = sum(map(mul, normals[a], e))
+                    if t != math.gcd(*e):
+                        break
+                    edges.append(tuple(x // t for x in e))
+                else:
+                    generators = tuple(edges)
+            if generators is None and rank([normals[i] for i in active]) != n:
                 raise InvariantViolation(
                     f"claimed point {format_rational_vector(self._point(k))} is not a vertex"
                 )
-            generators.append(cone)
-        cones = []
-        for k, (active, cone, side) in enumerate(zip(self.vertex_facets, generators, ridges[1])):
-            neighbours = None
-            if len(active) == n:
-                # combinations drop the last active facet first.
-                neighbours = tuple(sum(ends) - k for ends in reversed(side))
-            cones.append(VertexCone(generators=cone, neighbours=neighbours))
+            cones.append(VertexCone(generators, neighbours))
         return tuple(cones)
 
     def _check_faces(self, heights: Sequence[tuple[IntVector, int]]) -> None:
@@ -861,8 +851,9 @@ class DelzantPolytope(Record):
 
     @functools.cached_property
     def cones(self) -> tuple[VertexCone, ...]:
-        """The cone table, parallel to the vertex table, built on first use."""
-        return self._vertex_cones([None] * len(self.vertex_facets), self._ridge_ends())
+        """The cone table, parallel to the vertex table: set by a claimed
+        build, built on first use after a walk."""
+        return self._vertex_cones(self._ridge_ends())
 
     @functools.cached_property
     def vertices(self) -> tuple[Vertex, ...]:
@@ -1045,8 +1036,9 @@ def facet_polytope(
     no other caller reads chart coordinates of points.  Each vertex's
     tight set is its parent's, less the facet, kept to the ridge facets
     and renumbered.  ``_from_claimed_vertices`` checks these claims in
-    O(V * n^2) int work.  No generators are claimed, so neither the
-    parent's cone table nor the face's is built.
+    O(V * n^2) int work and builds the face's cone table from its own
+    ridge map, so the chart frame is the one matrix inverted; the
+    parent's cone table is not read.
     """
     n = poly.dim
     if n < 2:

@@ -9,8 +9,16 @@ from operator import mul
 
 import pytest
 
-from cuspcheck import DelzantPolytope, Facet, moments, obstruction, start_tower, tower_step
-from cuspcheck.linalg import det_int, dot, is_primitive, rank, solve_int
+from cuspcheck import (
+    DelzantPolytope,
+    Facet,
+    NotUnimodular,
+    moments,
+    obstruction,
+    start_tower,
+    tower_step,
+)
+from cuspcheck.linalg import det_int, dot, inverse_unimodular, is_primitive, rank, solve_int
 from cuspcheck.polytope import _height_rows
 
 
@@ -262,6 +270,24 @@ def vertex_scan(normals, offsets):
         return None
     scale = math.lcm(*[d for _, d in found])
     return scale, [tuple(x * (scale // d) for x in y) for y, d in found], list(found.values())
+
+
+def cone_oracle(poly: DelzantPolytope) -> list:
+    """Each vertex's edge generators by Delzant's rule, the oracle of
+    ``DelzantPolytope.cones``: at a simple vertex with unimodular active
+    normals N, the columns of N^-1 in the order of the active facets, so
+    generator i leaves the i-th of them; None at any other vertex.  It
+    reads the normals alone, neither the vertex table nor the edges."""
+    generators = []
+    for active in poly.vertex_facets:
+        cone = None
+        if len(active) == poly.dim:
+            try:
+                cone = tuple(zip(*inverse_unimodular([poly.facets[i].normal for i in active])))
+            except NotUnimodular:
+                pass
+        generators.append(cone)
+    return generators
 
 
 def hostile_document(m: int) -> dict:

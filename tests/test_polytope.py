@@ -962,7 +962,7 @@ def odd_offset_cases(draw):
 
     Walked cases cut a box in quarters, the square pyramid or the
     skew triangle by one facet in thirds or fifths.  Claimed cases are
-    2D tower rounds 1-8, rebuilt from their vertex records and cones,
+    2D tower rounds 1-8, rebuilt from their vertex records,
     perhaps with a facet in thirds or fifths added that no vertex is
     tight on, and perhaps with one record that claims it tight.
     """
@@ -977,7 +977,7 @@ def odd_offset_cases(draw):
             if draw(st.booleans()):
                 k = draw(st.integers(0, len(vertices) - 1))
                 vertices[k] = Vertex(vertices[k].point, vertices[k].active + (len(facets) - 1,))
-        return 2, facets, (vertices, [cone.generators for cone in poly.cones])
+        return 2, facets, vertices
     if kind == "box":
         dim = draw(st.integers(2, 3))
         facets = []
@@ -1017,13 +1017,12 @@ def test_integer_heights_match_fraction_reference(case):
         got = _outcome(lambda: DelzantPolytope(dim, facets).vertices)
         expected = _outcome(lambda: _oracle_vertices(dim, facets))
     else:
-        vertices, generators = claimed
         got = _outcome(
             lambda: DelzantPolytope._from_claimed_vertices(
-                dim, facets, *row_claim(vertices), generators
+                dim, facets, *row_claim(claimed)
             ).vertices
         )
-        expected = _outcome(lambda: _reference_claimed(dim, facets, vertices))
+        expected = _outcome(lambda: _reference_claimed(dim, facets, claimed))
     assert got == expected
 
 
