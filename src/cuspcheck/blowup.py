@@ -18,7 +18,8 @@ its own cone table off its edge graph, as every build does.
 
 Everything is read off the integer vertex table (D, X) and the tight
 sets, in int: edge lengths and the base offset are ints over D, and with
-eps = p / q the interaction test t <= 2 * eps is q t <= 2 p D.  Every chop
+eps = p / q the interaction test t <= 2 * eps is q t <= 2 p D, and the
+depth test eps >= t / D, for the least length t, is p D >= q t.  Every chop
 hands the polytope one row claim over the child's own scale q D / g,
 g = gcd(q, D): the rows (q / g) X_k it keeps, with the parent's tight
 sets, and (q / g) X_k + (p D / g) w_i for each created vertex; the new
@@ -201,7 +202,8 @@ def blow_up_vertex(
     k = _find_vertex(poly, vertex)
     corner = _corner(poly, k)
     bound = corner[4]
-    if eps >= bound:
+    # eps >= t / D for the least length t is p D >= q t, in int as in ``_chop``.
+    if eps.numerator * poly.scaled_vertices[0] >= eps.denominator * min(corner[3]):
         raise ChopTooDeep(
             f"chop parameter {format_rational(eps)} at "
             f"{format_rational_vector(poly._point(k))} reaches the bound "
@@ -332,7 +334,7 @@ def tower_step(state: TowerState, eps: Fraction) -> TowerState:
         point = poly._point(k)
         corner = _corner(poly, k)
         bound = corner[4]
-        if eps >= bound:
+        if eps.numerator * poly.scaled_vertices[0] >= eps.denominator * min(corner[3]):
             raise ChopTooDeep(
                 f"round {state.round + 1} chop at "
                 f"{format_rational_vector(point)} needs eps < {format_rational(bound)}, "

@@ -10,10 +10,18 @@ Testing against f = 1 and the coordinates turns this into a linear
 system whose matrix is the moment Gram matrix of {1, x_1, ..., x_n};
 that matrix is positive definite for a full-dimensional polytope, so
 the solve is exact and cannot fail on validated input.
+
+The solve runs on the stored int sums and answers in int, as (y, d):
+the coefficients are y / d.  Its Gram entries are read off the sums by
+keys worked out once per monomial list.  The divisor check keeps (y, d)
+to its report and reads it in a facet chart by ``_chart_image``, in int;
+``restrict_affine`` does the same for a caller that holds a
+``FacetChart`` and an ``AffineFunction``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from fractions import Fraction
@@ -32,7 +40,7 @@ from .moments import (
     integrate_polynomial_boundary,
     polytope_moments,
 )
-from .polytope import DelzantPolytope, FacetChart
+from .polytope import _MAX_DIM, DelzantPolytope, FacetChart
 from .record import Record
 
 
@@ -102,19 +110,30 @@ def _solve(body: Sums, boundary: Sequence[Sums]) -> tuple[IntVector, int]:
     built.  A singular matrix raises SingularGram.
     """
     raw, scale = body
-    monomials = [m for m in raw if len(m) < 2]
+    monomials = tuple(m for m in raw if len(m) < 2)
     top = scale[2]
     den = math.lcm(*[s[1] for _, s in boundary])
     lift = [top // s * den for s in scale[:3]]
     rows = [
-        [raw[a + b if a <= b else b + a] * lift[len(a + b)] for b in monomials]
+        [raw[m] * lift[e] for m, e in keys]
         + [top * sum(r[a] * (den // s[len(a)]) for r, s in boundary)]
-        for a in monomials
+        for a, keys in zip(monomials, _gram_keys(monomials))
     ]
     solved = solve_int(rows)
     if solved is None:
         raise SingularGram("moment Gram matrix is singular")
     return solved
+
+
+@functools.lru_cache(maxsize=4 * _MAX_DIM)
+def _gram_keys(monomials: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple, ...], ...]:
+    """Each Gram entry's monomial and degree, row by row: the entry of
+    monomials a and b is the sum of a b.  The monomials are 1 and some of
+    the variables, one list per body dimension and per facet's kept
+    columns, so the lists that occur are bounded by ``_MAX_DIM``."""
+    return tuple(
+        tuple((a + b if a <= b else b + a, len(a) + len(b)) for b in monomials) for a in monomials
+    )
 
 
 def _over(y: Sequence[int], d: int) -> AffineFunction:
@@ -138,10 +157,11 @@ def _pair_sums(poly: DelzantPolytope, skip: Sequence[int]) -> tuple[Sums, Sums]:
     return body, (boundary, scale)
 
 
-def _affine(poly: DelzantPolytope, skip: Sequence[int]) -> AffineFunction:
-    """The solved affine function of ``poly`` with the facets ``skip`` removed."""
+def _affine(poly: DelzantPolytope, skip: Sequence[int]) -> tuple[IntVector, int]:
+    """The solved affine function of ``poly`` with the facets ``skip``
+    removed, as ``_solve``'s (y, d)."""
     body, boundary = _pair_sums(poly, skip)
-    return _over(*_solve(body, [boundary]))
+    return _solve(body, [boundary])
 
 
 def extremal_affine(
@@ -178,8 +198,9 @@ def extremal_affine(
 def restrict_affine(affine: AffineFunction, chart: FacetChart) -> AffineFunction:
     """Restriction of an ambient affine function to a facet chart.
 
-    Its coefficients are written over their common denominator d and
-    read in the chart by ``_chart_image``, in int.
+    Its coefficients are written over their common denominator d, the
+    chart's origin over its own, r, and both are read in the chart by
+    ``_chart_image``, in int.
     """
     if affine.dimension != len(chart.origin):
         raise DimensionMismatch(
@@ -187,21 +208,24 @@ def restrict_affine(affine: AffineFunction, chart: FacetChart) -> AffineFunction
         )
     coefficients = (affine.constant, *affine.gradient)
     d = math.lcm(*[x.denominator for x in coefficients])
-    return _chart_image([x.numerator * (d // x.denominator) for x in coefficients], d, chart)
-
-
-def _chart_image(y: Sequence[int], d: int, chart: FacetChart) -> AffineFunction:
-    """The ambient affine function (y[0] + <g, x>) / d, g = y[1:], read in
-    the chart.  Chart coordinate k's coefficient is <g, b_k> over d, one
-    int dot, and the constant, the value at the origin p / r over its
-    common denominator r, is (y[0] r + <g, p>) over d r: one Fraction per
-    coefficient."""
     r = math.lcm(*[x.denominator for x in chart.origin])
+    y = [x.numerator * (d // x.denominator) for x in coefficients]
     origin = [x.numerator * (r // x.denominator) for x in chart.origin]
+    return _chart_image(y, d, chart.basis, origin, r)
+
+
+def _chart_image(
+    y: Sequence[int], d: int, basis: Sequence[IntVector], origin: Sequence[int], r: int
+) -> AffineFunction:
+    """The ambient affine function (y[0] + <g, x>) / d, g = y[1:], read in
+    the chart with this basis and the origin p / r, p = ``origin``.  Chart
+    coordinate k's coefficient is <g, b_k> over d, one int dot, and the
+    constant, the value at the origin, is (y[0] r + <g, p>) over d r: one
+    Fraction per coefficient."""
     g = y[1:]
     return AffineFunction(
         constant=Fraction(y[0] * r + _idot(g, origin), d * r),
-        gradient=tuple(Fraction(_idot(g, b), d) for b in chart.basis),
+        gradient=tuple(Fraction(_idot(g, b), d) for b in basis),
     )
 
 

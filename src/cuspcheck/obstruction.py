@@ -6,12 +6,16 @@ carries as a polytope in its own right: compatibility means the two
 differ by a constant on the facet, checked exactly in the facet chart.
 The facet's own function is solved from the parent's moment store, its
 facet and ridges integrated on the parent's vertex table, on the
-ambient columns the facet's mass rule keeps; only the integer answer is
-mapped into the chart, so no facet polytope is built for the check.  It
-depends only on the face, so it is kept for the last face checked,
-keyed on the facet and the facets that meet it in a ridge: each round of
-a chop tower after the first leaves the divisor's face as it was and
-solves only the pair's side.
+ambient columns the facet's mass rule keeps, so no facet polytope is
+built for the check.  Both Gram solves answer in int, (y, d), and both
+answers are read in the chart through the facet's int frame, its
+lattice basis and its origin c w as numerators over the denominator of
+c, so no chart is built either: a check builds Fractions only for its
+report.  The facet's side, its frame and its own function, depends only
+on the face, so it is kept for the last face checked, keyed in int on
+the facet and the facets that meet it in a ridge: each round of a chop
+tower after the first leaves the divisor's face as it was, finds its
+side without hashing a Fraction, and solves only the pair's side.
 The second treats the abstract hypotheses on a configuration of fixed
 points: a weighted moment balance relative to a subspace, a genericity
 condition, and a kernel condition tied to evaluation data.
@@ -29,10 +33,10 @@ from .errors import (
     InputValidationError,
     MissingEvaluationData,
 )
-from .extremal import AffineFunction, _affine, _chart_image, _solve, restrict_affine
-from .linalg import Matrix, Vector, nullspace, project_onto_columns, rank
+from .extremal import AffineFunction, _affine, _chart_image, _over, _solve
+from .linalg import IntVector, Matrix, Vector, nullspace, project_onto_columns, rank
 from .moments import _mass_rule, _sums
-from .polytope import _MAX_DIM, DelzantPolytope, FacetChart, _facet_chart, _ridge_facets
+from .polytope import _MAX_DIM, DelzantPolytope, Facet, Frame, _facet_frame, _ridge_facets
 from .rational import parse_rational
 from .record import Record
 
@@ -56,17 +60,24 @@ class ObstructionReport(Record):
         return self.satisfied
 
 
-# The facet's own side of the check, its chart and solved affine function,
-# for the last face checked only, keyed on what cuts the face out of its
-# hyperplane: F's normal and offset and the sorted (normal, offset) pairs of
-# its ridge facets.  A tower chops only off F, so every round after the
-# first finds F's side here; a chop at a vertex on F adds a ridge facet and
-# so a new key.
-_facet_sides: dict[tuple, tuple[FacetChart, AffineFunction]] = {}
+# The facet's own side of the check, its int frame and solved affine
+# function, for the last face checked only, keyed in int on what cuts the
+# face out of its hyperplane: F's normal and offset and the sorted normals
+# and offsets of its ridge facets, each offset as its numerator and
+# denominator.  A tower chops only off F, so every round after the first
+# finds F's side here; a chop at a vertex on F adds a ridge facet and so a
+# new key.
+_facet_sides: dict[tuple, tuple[Frame, AffineFunction]] = {}
 
 
-def _facet_side(poly: DelzantPolytope, index: int) -> tuple[FacetChart, AffineFunction]:
-    """The chart of facet ``index`` and the facet's own affine function.
+def _cut(facet: Facet) -> tuple[IntVector, int, int]:
+    """A facet's normal and its offset's numerator and denominator."""
+    return facet.normal, facet.offset.numerator, facet.offset.denominator
+
+
+def _facet_side(poly: DelzantPolytope, index: int) -> tuple[Frame, AffineFunction]:
+    """The int frame of facet ``index`` (``_facet_frame``) and the facet's
+    own affine function.
 
     F's system reads F at degree 2 and each ridge F & G at degree 1, for
     the facets G of ``facet_polytope``'s ridge rule, each in its lattice
@@ -76,24 +87,19 @@ def _facet_side(poly: DelzantPolytope, index: int) -> tuple[FacetChart, AffineFu
     int sums: dropping x_c maps F's hyperplane onto R^(n-1) by an affine
     isomorphism, and the measures are the faces' own, so the solved
     function is the facet polytope's, written in those columns.  Only the
-    integer answer is mapped into F's chart.  Both answers depend only on
-    the key, so the next check of an equal face, also of another polytope,
-    reads them from ``_facet_sides``, which keeps the last face only; a
-    stored chart may name the facet index of that other polytope, but only
-    its origin and basis are read.
+    integer answer is mapped into F's chart, through the frame.  The frame
+    and the answer depend only on the key, so the next check of an equal
+    face, also of another polytope, reads them from ``_facet_sides``,
+    which keeps the last face only.
     """
-    facet = poly.facets[index]
+    facets = poly.facets
     ridges = _ridge_facets(poly, index)
-    key = (
-        facet.normal,
-        facet.offset,
-        tuple(sorted((poly.facets[j].normal, poly.facets[j].offset) for j in ridges)),
-    )
+    key = (*_cut(facets[index]), tuple(sorted(_cut(facets[j]) for j in ridges)))
     side = _facet_sides.get(key)
     if side is None:
         n = poly.dim
-        chart, _ = _facet_chart(poly, index)
-        keep = _mass_rule([facet.normal], n)[1]
+        frame = _facet_frame(poly, index)
+        keep = _mass_rule([facets[index].normal], n)[1]
         dropped = set(range(n)).difference(keep)
         ((raw, scale),) = _sums(poly, 2, [(index,)])
         face = {m: x for m, x in raw.items() if dropped.isdisjoint(m)}
@@ -102,7 +108,7 @@ def _facet_side(poly: DelzantPolytope, index: int) -> tuple[FacetChart, AffineFu
         gradient = [0] * n
         for c, v in zip(keep, y[1:]):
             gradient[c] = v
-        side = chart, _chart_image((y[0], *gradient), d, chart)
+        side = frame, _chart_image((y[0], *gradient), d, *frame[1:])
         _facet_sides.clear()
         _facet_sides[key] = side
     return side
@@ -114,24 +120,25 @@ def check_facet_condition(
     """Exact test that the pair's affine function restricts compatibly.
 
     Both affine functions are solved from the parent's own store, and no
-    facet polytope is built.  The pair's Gram system reads the body at
-    degree 2 and the whole boundary less F at degree 1; the facet's own
-    side comes from ``_facet_side``, solved once per face on F's ambient
-    columns and mapped into its chart in int.
+    facet polytope or chart is built.  The pair's Gram system reads the
+    body at degree 2 and the whole boundary less F at degree 1, and its
+    int answer (y, d) is read in F's chart through the int frame that
+    ``_facet_side`` stores with the facet's own side, solved once per face
+    on F's ambient columns.
     """
     if poly.dim < 2:
         raise DimensionMismatch(
             "the facet condition needs a polytope of dimension >= 2"
         )
     index = poly.resolve_facet(divisor_facet)
-    a_pair = _affine(poly, [index])
-    chart, a_facet = _facet_side(poly, index)
-    a_restricted = restrict_affine(a_pair, chart)
+    y, d = _affine(poly, [index])
+    frame, a_facet = _facet_side(poly, index)
+    a_restricted = _chart_image(y, d, *frame[1:])
     difference = tuple(
         a - b for a, b in zip(a_restricted.gradient, a_facet.gradient)
     )
     return ObstructionReport(
-        a_pair=a_pair,
+        a_pair=_over(y, d),
         a_restricted=a_restricted,
         a_facet=a_facet,
         difference_gradient=difference,

@@ -227,6 +227,7 @@ class DelzantReport(Record):
 # What ``_ridge_ends`` returns: each ridge's ends, and each vertex's lists
 # of them.
 _Ridges = tuple[dict[tuple[int, ...], list[int]], list[list[list[int]]]]
+Frame = tuple[IntVector, tuple[IntVector, ...], IntVector, int]
 
 
 def _height_rows(
@@ -990,17 +991,27 @@ def apply_unimodular(
     return DelzantPolytope(dim=n, facets=tuple(new_facets))
 
 
+def _facet_frame(poly: DelzantPolytope, index: int) -> Frame:
+    """The lattice frame of facet ``index``, in int: (w, basis, p, r) with
+    <u, w> = 1 for its normal u and basis a Z-basis of u's orthogonal
+    lattice, so [w, basis] is unimodular, and the chart origin c w on the
+    facet <u, x> = c as the numerators p over r, the denominator of c.
+    As gcd(w) = 1, r is also the least common denominator of c w."""
+    offset = poly.facets[index].offset
+    w, basis = complete_primitive(poly.facets[index].normal)
+    return w, basis, tuple(offset.numerator * x for x in w), offset.denominator
+
+
 def _facet_chart(poly: DelzantPolytope, index: int) -> tuple[FacetChart, IntVector]:
-    """The lattice chart of facet ``index`` and the frame vector w with
-    <u, w> = 1 for its normal u: the frame [w, basis] is unimodular, and
-    the chart's origin is c w on the facet <u, x> = c."""
+    """The lattice chart of facet ``index``, from ``_facet_frame``, and
+    the frame vector w: the chart's origin is c w."""
     chosen = poly.facets[index]
-    w, basis = complete_primitive(chosen.normal)
+    w, basis, origin, r = _facet_frame(poly, index)
     chart = FacetChart(
         facet_index=index,
         normal=chosen.normal,
         offset=chosen.offset,
-        origin=tuple(chosen.offset * x for x in w),
+        origin=tuple(Fraction(x, r) for x in origin),
         basis=basis,
     )
     return chart, w

@@ -237,6 +237,26 @@ def test_tower_interacting_chops(triangle):
     assert is_delzant(ok.polytope).ok
 
 
+@pytest.mark.parametrize("dim, rounds", [(2, 3), (3, 2)])
+def test_the_depth_test_refuses_a_chop_at_its_bound_exactly(dim, rounds):
+    # eps = p / q against the least length t over D, p D >= q t in int, on
+    # tower rounds whose tables have D > 1: a chop at the bound is refused
+    # and one just below it is made, alone or as a whole round.
+    state = start_tower(unit_simplex(dim), "hyp")
+    for r in range(1, rounds + 1):
+        state = tower_step(state, Fraction(1, 4**r))
+        poly = state.polytope
+        assert poly.scaled_vertices[0] > 1
+        for vertex in poly.vertices:
+            bound = max_chop_parameter(poly, vertex.point)
+            with pytest.raises(ChopTooDeep):
+                blow_up_vertex(poly, vertex.point, bound)
+            blow_up_vertex(poly, vertex.point, bound * Fraction(999, 1000))
+        least = min(max_chop_parameter(poly, v.point) for v in state.designated_vertices())
+        with pytest.raises(ChopTooDeep):
+            tower_step(state, least)
+
+
 def test_tower_chop_too_deep_reports_round(triangle):
     state = start_tower(triangle, "hyp")
     state = tower_step(state, Fraction(1, 4))

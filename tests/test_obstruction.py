@@ -1,6 +1,7 @@
 """Facet compatibility and finite-dimensional hypothesis checks."""
 
 import importlib.util
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     count_fractions,
+    product_document,
     spanning_configuration_document,
     tower_rounds,
     unit_cube,
@@ -40,7 +42,7 @@ from cuspcheck import (
     toric_configuration,
 )
 from cuspcheck.linalg import nullspace, rank
-from cuspcheck.polytope import _ridge_facets
+from cuspcheck.polytope import FacetChart, _facet_chart, _facet_frame, _ridge_facets
 from test_moments import _pyramid, _skew_triangle, framed_chopped
 
 
@@ -195,7 +197,7 @@ def _tower_corpus():
 
 def test_check_matches_the_oracle_with_the_facet_sides_warm(monkeypatch, cold_store):
     # Checking a facet stores its side; the same face checked again right
-    # after must read it, with no facet chart solved, and the report must
+    # after must read it, with no facet frame worked out, and the report must
     # still equal the oracle.
     def refuse(*args):
         raise AssertionError("a warm check solved the facet's side again")
@@ -204,31 +206,31 @@ def test_check_matches_the_oracle_with_the_facet_sides_warm(monkeypatch, cold_st
         for index in range(len(poly.facets)):
             check_facet_condition(poly, index)
             with monkeypatch.context() as patch:
-                patch.setattr(obstruction, "_facet_chart", refuse)
+                patch.setattr(obstruction, "_facet_frame", refuse)
                 report = check_facet_condition(poly, index)
             _assert_report_matches_oracle(poly, index, report)
 
 
 def test_a_tower_solves_the_divisor_side_once(monkeypatch, cold_store):
     # Chops off the divisor leave its face, so only round 1 solves its side.
-    charts = []
-    facet_chart = obstruction._facet_chart
+    frames = []
+    facet_frame = obstruction._facet_frame
     monkeypatch.setattr(
-        obstruction, "_facet_chart", lambda poly, index: charts.append(index) or facet_chart(poly, index)
+        obstruction, "_facet_frame", lambda poly, index: frames.append(index) or facet_frame(poly, index)
     )
     for n, rounds in ((2, 6), (3, 3)):
         for poly in _tower(n, rounds):
             check_facet_condition(poly, "hyp")
-    assert charts == [2, 3]
+    assert frames == [2, 3]
 
 
 def test_a_chop_on_the_facet_changes_its_side(monkeypatch, cold_store):
     # A chop at a vertex of F makes its new facet a ridge facet of F, so a
     # warm check of F must not read the side stored for the unchopped face.
-    charts = []
-    facet_chart = obstruction._facet_chart
+    frames = []
+    facet_frame = obstruction._facet_frame
     monkeypatch.setattr(
-        obstruction, "_facet_chart", lambda poly, index: charts.append(index) or facet_chart(poly, index)
+        obstruction, "_facet_frame", lambda poly, index: frames.append(index) or facet_frame(poly, index)
     )
     for poly, vertex in [
         (unit_simplex(2), (1, 0)),
@@ -237,12 +239,12 @@ def test_a_chop_on_the_facet_changes_its_side(monkeypatch, cold_store):
     ]:
         index = poly.resolve_facet("hyp")
         cold_store()
-        del charts[:]
+        del frames[:]
         check_facet_condition(poly, index)
         chopped = blow_up_vertex(poly, vertex, Fraction(1, 8))
         assert _ridge_facets(chopped, index)[-1] == len(poly.facets)
         report = check_facet_condition(chopped, index)
-        assert charts == [index, index]
+        assert frames == [index, index]
         assert report.a_facet == _oracle(chopped, index)[2]
         _assert_check_matches_oracle(chopped)
 
@@ -274,6 +276,55 @@ def test_a_check_builds_no_polytope(monkeypatch, cold_store):
     assert moments._triangulate.cache_info().misses == len(polys)
 
 
+def _frame_corpus():
+    """Simplices and cubes 2-5, the 2D tower's rounds 1-4 and the 3D
+    tower's rounds 1-2 (chop facets with offsets over 4^r), the seed-1
+    chopped documents in seed-drawn frames, the skew triangle, which is
+    not Delzant, and the 6D product of three triangles."""
+    polys = [unit_simplex(n) for n in range(2, 6)] + [unit_cube(n) for n in range(2, 6)]
+    polys += list(tower_rounds()[:4]) + _tower(3, 2) + [_skew_triangle()]
+    polys += [DelzantPolytope.from_data(item["doc"]) for item in _load_corpus().seeded_checks(1)]
+    triangle = unit_simplex(2)
+    return polys + [DelzantPolytope.from_data(product_document(triangle, triangle, triangle))]
+
+
+def test_the_int_frame_agrees_with_the_chart_route_on_every_facet(cold_store):
+    # The frame is the chart's origin and basis in int, and the check's
+    # int restriction is restrict_affine of its pair through the chart.
+    for poly in _frame_corpus():
+        for index in range(len(poly.facets)):
+            w, basis, origin, r = _facet_frame(poly, index)
+            chart, chart_w = _facet_chart(poly, index)
+            assert (w, basis) == (chart_w, chart.basis)
+            assert tuple(Fraction(x, r) for x in origin) == chart.origin
+            assert r == math.lcm(*[x.denominator for x in chart.origin])
+            report = check_facet_condition(poly, index)
+            face_chart = facet_polytope(poly, index)[1]
+            assert face_chart == chart
+            assert report.a_restricted == restrict_affine(report.a_pair, face_chart), index
+
+
+def _int_leaves(value):
+    if isinstance(value, tuple):
+        return all(_int_leaves(x) for x in value)
+    return type(value) is int
+
+
+def test_a_check_keeps_no_fraction_in_its_store_and_builds_no_chart(monkeypatch, cold_store):
+    # Keys and frames of the stored facet sides are ints only, so a hit
+    # hashes no Fraction, and no check builds a FacetChart, cold or warm.
+    def refuse(*args, **kwargs):
+        raise AssertionError("check_facet_condition built a FacetChart")
+
+    monkeypatch.setattr(FacetChart, "__init__", refuse)
+    for poly in _frame_corpus():
+        for index in range(len(poly.facets)):
+            for _ in range(2):
+                check_facet_condition(poly, index)
+                ((key, (frame, _)),) = obstruction._facet_sides.items()
+                assert _int_leaves(key) and _int_leaves(frame), (poly, index)
+
+
 @pytest.mark.parametrize(
     "build",
     [lambda: unit_cube(3), lambda: unit_simplex(4), lambda: unit_cube(5), lambda: tower_rounds()[5]],
@@ -282,9 +333,8 @@ def test_a_check_builds_no_polytope(monkeypatch, cold_store):
 def test_a_check_builds_fractions_only_for_its_report(build, monkeypatch, cold_store):
     # From a cleared store and no stored facet sides, the integrals, the
     # chart maps and both Gram solves run in int: the Fractions a check
-    # builds are its report's values, each built once, and the n of the
-    # chart origin c_F w.  The Fraction route built one per monomial per
-    # domain and a Gram matrix per solve.
+    # builds are its report's values, each built once.  The Fraction route
+    # built one per monomial per domain and a Gram matrix per solve.
     poly = build()
     built = count_fractions(monkeypatch)
     report = check_facet_condition(poly, 0)
@@ -292,7 +342,7 @@ def test_a_check_builds_fractions_only_for_its_report(build, monkeypatch, cold_s
     values = [report.offset, *report.difference_gradient]
     for affine in (report.a_pair, report.a_restricted, report.a_facet):
         values += [affine.constant, *affine.gradient]
-    assert 0 < len(built) <= len(values) + poly.dim
+    assert 0 < len(built) <= len(values)
 
 
 def test_triangle_hypotenuse_frozen(triangle):

@@ -235,10 +235,12 @@ def test_a_tower_checked_round_by_round_keeps_only_the_round_in_use(cold_store):
             assert [ref() for ref in gone] == [None] * len(gone)
             assert moments._triangulate.cache_info().currsize == 1
             assert len(obstruction._facet_sides) == 1
-            ((chart, a_facet),) = obstruction._facet_sides.values()
+            ((frame, a_facet),) = obstruction._facet_sides.values()
             assert a_facet is newest.a_facet
-            gone = [weakref.ref(poly), weakref.ref(chart), weakref.ref(a_facet)]
-            del poly, newest, chart, a_facet
+            # A frame is a tuple, which takes no weak reference; the side's
+            # tuple holds a_facet, so a_facet gone means the side is gone.
+            gone = [weakref.ref(poly), weakref.ref(a_facet)]
+            del poly, newest, frame, a_facet
     finally:
         gc.enable()
 
